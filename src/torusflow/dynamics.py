@@ -123,10 +123,6 @@ def _pmul_hat(g: TorusGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(g.dealias_mask, g.fft(a * b), 0.0)
 
 
-def _dealias_phys(g: TorusGrid, a: np.ndarray) -> np.ndarray:
-    return g.ifft(np.where(g.dealias_mask, g.fft(a), 0.0))
-
-
 def primitives(s: CompressibleState):
     """Recover (u, phi) = (m/rho, q/rho); rejects vacuum."""
     rho = s.rho.values
@@ -236,16 +232,13 @@ def rhs_compressible_hat(
             acc -= ik[j] * flux_hat(i, j)
         dmh.append(acc)
 
+    divu_hat = np.zeros(g.rshape, dtype=complex)
+    for a in range(d):
+        divu_hat += ik[a] * uh[a]
     if c.visc_kind == "constant":
-        divu_hat = np.zeros(g.rshape, dtype=complex)
-        for a in range(d):
-            divu_hat += ik[a] * uh[a]
         for i in range(d):
             dmh[i] += c.nu0 * (-k2) * uh[i] + c.eta0 * ik[i] * divu_hat
     else:
-        divu_hat = np.zeros(g.rshape, dtype=complex)
-        for a in range(d):
-            divu_hat += ik[a] * uh[a]
         vis_phys = batch_irfft(
             g, [-k2 * uh[i] for i in range(d)] + [ik[i] * divu_hat for i in range(d)]
         )
@@ -297,24 +290,6 @@ def rhs_compressible(s: CompressibleState, c: Constitutive) -> CompressibleTende
     )
 
 
-def rproject_hat(g: TorusGrid, vhat: list) -> list:
-    """Leray projection on the half-spectrum layout; mean flow kept."""
-    if g.dim < 2:
-        raise ValueError("Leray projection requires dim >= 2")
-    k2 = g.rk_squared.copy()
-    zero = (0,) * g.dim
-    k2[zero] = 1.0
-    div = np.zeros_like(vhat[0])
-    for ka, vh in zip(g.rwavenumbers, vhat):
-        div = div + ka * vh
-    out = []
-    for ka, vh in zip(g.rwavenumbers, vhat):
-        corr = ka * div / k2
-        corr[zero] = 0.0
-        out.append(vh - corr)
-    return out
-
-
 def rhs_incompressible_hat(
     g: TorusGrid, uh_in: list, ph_in: np.ndarray, c: Constitutive, model: ModelKind
 ):
@@ -363,7 +338,7 @@ def rhs_incompressible_hat(
         else:
             acc += ph_hats[2 * d + 2 + i]
         du_hat.append(acc)
-    du_hat = rproject_hat(g, du_hat)
+    du_hat = g.project_hat(du_hat)
 
     mu_hat = k2 * phih + ph_hats[2 * d + 1] - phih
     dphi_hat = -ph_hats[2 * d]

@@ -330,12 +330,17 @@ def snapshot_header(path) -> dict:
         header = json.loads(line.decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SnapshotError(f"{path}: malformed snapshot header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise SnapshotError(f"{path}: snapshot header must be a JSON object")
     version = header.get("schema_version")
     if version != SNAPSHOT_SCHEMA_VERSION:
         raise SnapshotError(
             f"{path}: unsupported schema_version {version!r} "
             f"(this build reads {SNAPSHOT_SCHEMA_VERSION})"
         )
+    time = header.get("time")
+    if isinstance(time, bool) or not isinstance(time, (int, float)):
+        raise SnapshotError(f"{path}: snapshot time must be a number, got {time!r}")
     return header
 
 
@@ -351,31 +356,42 @@ def read_snapshot(path):
         names = header["fields"]
         regime = header["regime"]
         model = ModelKind(header["model"])
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise SnapshotError(f"{path}: incomplete snapshot header: {exc}") from exc
+    if type(dim) is not int or type(n) is not int:
+        raise SnapshotError(f"{path}: dim and n must be integers, got {dim!r} and {n!r}")
+    if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
+        raise SnapshotError(f"{path}: fields must be a list of names, got {names!r}")
+    try:
+        grid = TorusGrid(dim, n)
+    except ValueError as exc:
+        raise SnapshotError(f"{path}: bad snapshot grid: {exc}") from exc
     expected = len(names) * n**dim * 8
     if len(payload) != expected:
         raise SnapshotError(
             f"{path}: payload holds {len(payload)} bytes, expected {expected} "
             f"({len(names)} fields of {n}^{dim} float64)"
         )
-    grid = TorusGrid(dim, n)
     arrays = []
     for i in range(len(names)):
         chunk = payload[i * n**dim * 8 : (i + 1) * n**dim * 8]
         arrays.append(
             np.frombuffer(chunk, dtype="<f8").astype(float).reshape(grid.shape)
         )
-    if regime == "compressible":
-        eps = header.get("eps")
-        if eps is None:
-            raise SnapshotError(f"{path}: compressible snapshot lacks eps")
-        rho = Field(grid, arrays[0])
-        mom = VectorField(tuple(Field(grid, a) for a in arrays[1:-1]))
-        return CompressibleState(float(eps), rho, mom, Field(grid, arrays[-1]), model)
-    if regime == "incompressible":
-        u = VectorField(tuple(Field(grid, a) for a in arrays[:-1]))
-        return IncompressibleState(u, Field(grid, arrays[-1]), model)
+    # field counts, eps and payload values are checked by the state types
+    try:
+        if regime == "compressible":
+            eps = header.get("eps")
+            if eps is None:
+                raise SnapshotError(f"{path}: compressible snapshot lacks eps")
+            rho = Field(grid, arrays[0])
+            mom = VectorField(tuple(Field(grid, a) for a in arrays[1:-1]))
+            return CompressibleState(float(eps), rho, mom, Field(grid, arrays[-1]), model)
+        if regime == "incompressible":
+            u = VectorField(tuple(Field(grid, a) for a in arrays[:-1]))
+            return IncompressibleState(u, Field(grid, arrays[-1]), model)
+    except (IndexError, TypeError, ValueError) as exc:
+        raise SnapshotError(f"{path}: inconsistent snapshot: {exc}") from exc
     raise SnapshotError(f"{path}: unknown regime {regime!r}")
 
 

@@ -21,7 +21,7 @@ PHYSICAL = "physical"
 SPECTRAL = "spectral"
 
 # peak damping rate (per axis, per time unit) of the high-k spectral
-# vanishing viscosity; see TorusGrid.svv
+# vanishing viscosity; see TorusGrid.rsvv
 _SVV_RATE = 2000.0
 
 
@@ -136,18 +136,8 @@ class TorusGrid:
             out.append(np.where(np.abs(ka) == self.n // 2, 0.0, ik))
         return tuple(out)
 
-    def _svv_from(self, wavenumbers, shape) -> np.ndarray:
-        cut = float(self.dealias_cutoff)
-        knee = np.floor(0.75 * cut)
-        width = max(cut - knee, 1.0)
-        sigma = np.zeros(shape)
-        for ka in wavenumbers:
-            r = np.maximum(0.0, (np.abs(ka).astype(float) - knee) / width)
-            sigma = sigma + _SVV_RATE * r**8
-        return sigma
-
     @cached_property
-    def svv(self) -> np.ndarray:
+    def rsvv(self) -> np.ndarray:
         """Damping-rate symbol of the spectral vanishing viscosity.
 
         Zero on |k_axis| <= 3/4 cutoff, rising steeply to _SVV_RATE per axis
@@ -157,20 +147,49 @@ class TorusGrid:
         growth at the top of the kept band (observed rates up to ~1e2 per
         time unit in stiff low-Mach runs) can surface over long horizons.
         """
-        return self._svv_from(self.wavenumbers, self.shape)
+        cut = float(self.dealias_cutoff)
+        knee = np.floor(0.75 * cut)
+        width = max(cut - knee, 1.0)
+        sigma = np.zeros(self.rshape)
+        for ka in self.rwavenumbers:
+            r = np.maximum(0.0, (np.abs(ka).astype(float) - knee) / width)
+            sigma = sigma + _SVV_RATE * r**8
+        return sigma
 
     @cached_property
-    def rsvv(self) -> np.ndarray:
-        """Half-spectrum layout of ``svv``."""
-        return self._svv_from(self.rwavenumbers, self.rshape)
+    def _rk2safe(self) -> np.ndarray:
+        """rk_squared with the k = 0 entry set to 1, a safe divisor."""
+        k2 = self.rk_squared.copy()
+        k2[(0,) * self.dim] = 1.0
+        return k2
+
+    def irrotational_hat(self, vhat: list) -> list:
+        """Gradient part k (k . v) / |k|^2 of a half-spectrum vector field.
+
+        The k = 0 mode (mean flow) counts as solenoidal, so v minus this is
+        the Leray projection of v.
+        """
+        div = sum(ka * vh for ka, vh in zip(self.rwavenumbers, vhat))
+        out = []
+        for ka in self.rwavenumbers:
+            irr = ka * div / self._rk2safe
+            irr[(0,) * self.dim] = 0.0
+            out.append(irr)
+        return out
+
+    def project_hat(self, vhat: list) -> list:
+        """Leray projection of a half-spectrum vector field; mean flow kept."""
+        if self.dim < 2:
+            raise ValueError("Leray projection requires dim >= 2")
+        return [vh - irr for vh, irr in zip(vhat, self.irrotational_hat(vhat))]
 
     def rfft(self, a: np.ndarray) -> np.ndarray:
         return np.fft.rfftn(a)
 
     def irfft(self, ah: np.ndarray) -> np.ndarray:
-        return np.fft.irfftn(ah, s=self.shape)
+        return np.fft.irfftn(ah, s=self.shape, axes=tuple(range(self.dim)))
 
-    # -- raw-array transforms used by the Field layer and the steppers --
+    # -- full-spectrum raw-array transforms used by the Field layer --
 
     def fft(self, a: np.ndarray) -> np.ndarray:
         return np.fft.fftn(a)
@@ -193,22 +212,6 @@ class TorusGrid:
 
     def lap_hat(self, ah: np.ndarray) -> np.ndarray:
         return -self.k_squared * ah
-
-    def project_hat(self, vhat: list) -> list:
-        """Leray projection of a spectral vector field; mean flow kept."""
-        if self.dim < 2:
-            raise ValueError("Leray projection requires dim >= 2")
-        k2 = self.k_squared.copy()
-        k2[(0,) * self.dim] = 1.0  # k=0 handled separately below
-        div = np.zeros_like(vhat[0])
-        for ka, vh in zip(self.wavenumbers, vhat):
-            div = div + ka * vh
-        out = []
-        for ka, vh in zip(self.wavenumbers, vhat):
-            corr = ka * div / k2
-            corr[(0,) * self.dim] = 0.0
-            out.append(vh - corr)
-        return out
 
 
 @dataclass(frozen=True)
@@ -457,10 +460,9 @@ def solve_biharmonic_shift(a: float, b: float, f: Field) -> Field:
 def leray_project(v: VectorField) -> VectorField:
     """Remove the gradient part of v; the k=0 mode (mean flow) is preserved."""
     g = v.grid
-    vhat = [c.spectral().data for c in v.components]
-    phat = g.project_hat(vhat)
-    out = VectorField(tuple(Field(g, ph, SPECTRAL) for ph in phat))
-    return out if v.rep == SPECTRAL else out.physical()
+    phat = g.project_hat([g.rfft(c.values) for c in v.components])
+    out = VectorField(tuple(Field(g, g.irfft(ph)) for ph in phat))
+    return out.spectral() if v.rep == SPECTRAL else out
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ stiffness and the reference viscous semigroup), which removes the dx^4
 step restriction; conserved-phase chemistry still imposes a second-order
 bound, see phase_dt.  "imex" is a first-order splitting with
 explicit transport and implicit constant-coefficient solves.  A Picard
-loop provides a fully implicit Euler step on the primitive variables for
-verification runs.
+loop provides a fully implicit Euler step on the conservative variables for
+verification runs.  Every scheme evaluates its tendencies through the
+half-spectrum kernels rhs_compressible_hat / rhs_incompressible_hat.
 """
 
 from __future__ import annotations
@@ -25,13 +26,11 @@ from .dynamics import (
     IncompressibleState,
     IncompressibleTendency,
     primitives,
-    rhs_compressible,
     rhs_compressible_hat,
-    rhs_incompressible,
     rhs_incompressible_hat,
 )
-from .errors import NumericsError, VacuumError
-from .spectral import Field, TorusGrid, VectorField, batch_irfft, batch_rfft
+from .errors import NumericsError
+from .spectral import TorusGrid, batch_irfft, batch_rfft
 
 # nominal wave speed entering the advective step bound of incompressible runs
 _INCOMPRESSIBLE_WAVE_SPEED = 4.0
@@ -217,43 +216,40 @@ def _reference_viscosities(c: Constitutive):
     return float(c.viscosity_nu(one, zero)), float(c.viscosity_eta(one, zero))
 
 
-def _phase_symbol(g: TorusGrid, model: ModelKind, half: bool = False) -> np.ndarray:
-    k2 = g.rk_squared if half else g.k_squared
+def _phase_symbol(g: TorusGrid, model: ModelKind) -> np.ndarray:
+    k2 = g.rk_squared
     if model is ModelKind.CH:
         return -(k2**2) + k2
     return -k2 + 1.0
 
 
-def _momentum_semigroup(g: TorusGrid, nu_bar: float, eta_bar: float, half: bool = False):
-    """exp(tau*(nu*Lap + eta*grad div)) acting on a spectral vector."""
-    k2 = g.rk_squared if half else g.k_squared
-    k2safe = k2.copy()
-    k2safe[(0,) * g.dim] = 1.0
-    ks = [ka.astype(float) for ka in (g.rwavenumbers if half else g.wavenumbers)]
+def _viscous_fn(g: TorusGrid, mh: list, nu_bar: float, eta_bar: float, fn) -> list:
+    """fn(L) m for the reference viscous operator L = nu*Lap + eta*grad div.
 
-    def apply(mh: list, tau: float) -> list:
-        sol_fac = np.exp(-nu_bar * k2 * tau)
-        irr_fac = np.exp(-(nu_bar + eta_bar) * k2 * tau)
-        if g.dim == 1:
-            return [irr_fac * mh[0]]
-        div = sum(ka * vh for ka, vh in zip(ks, mh))
-        out = []
-        for ka, vh in zip(ks, mh):
-            irr = ka * div / k2safe
-            irr[(0,) * g.dim] = 0.0
-            out.append(sol_fac * (vh - irr) + irr_fac * irr)
-        return out
-
-    return apply
+    L acts as -nu|k|^2 on the solenoidal part of m and as -(nu+eta)|k|^2 on
+    its gradient part, so fn (exp, identity, resolvent) sees only those two
+    symbols.
+    """
+    k2 = g.rk_squared
+    sol_sym, irr_sym = fn(-nu_bar * k2), fn(-(nu_bar + eta_bar) * k2)
+    return [
+        sol_sym * (vh - irr) + irr_sym * irr
+        for vh, irr in zip(mh, g.irrotational_hat(mh))
+    ]
 
 
-def _momentum_linear_hat(
-    g: TorusGrid, mh: list, nu_bar: float, eta_bar: float, half: bool = False
-) -> list:
-    k2 = g.rk_squared if half else g.k_squared
-    ks = [ka.astype(float) for ka in (g.rwavenumbers if half else g.wavenumbers)]
-    div = sum(ka * vh for ka, vh in zip(ks, mh))
-    return [-nu_bar * k2 * vh - eta_bar * ka * div for ka, vh in zip(ks, mh)]
+def _rhs_hat(s, c: Constitutive, zh: list) -> list:
+    """Tendency spectra of the state layout zh, with s supplying regime,
+    model and eps."""
+    g = s.grid
+    d = g.dim
+    if isinstance(s, CompressibleState):
+        drh, dmh, dqh = rhs_compressible_hat(
+            g, s.eps, zh[0], zh[1 : 1 + d], zh[-1], c, s.model
+        )
+        return [drh, *dmh, dqh]
+    du_hat, dphi_hat = rhs_incompressible_hat(g, zh[:d], zh[-1], c, s.model)
+    return [*du_hat, dphi_hat]
 
 
 def step_compressible_rk4(
@@ -267,25 +263,24 @@ def step_compressible_rk4(
     g = s.grid
     d = g.dim
     nu_bar, eta_bar = _reference_viscosities(c)
-    ell_q = _phase_symbol(g, s.model, half=True)
-    mom_sem = _momentum_semigroup(g, nu_bar, eta_bar, half=True)
+    ell_q = _phase_symbol(g, s.model)
     svv = g.rsvv
 
     # the semigroup carries the extra -svv damping while the remainder still
     # subtracts the bare symbols, so the integrated system is rhs - svv*z
     def sem(zh: list, tau: float) -> list:
         damp = np.exp(-svv * tau)
-        mom = mom_sem(zh[1 : 1 + d], tau)
+        mom = _viscous_fn(g, zh[1 : 1 + d], nu_bar, eta_bar, lambda lam: np.exp(lam * tau))
         return [damp * zh[0], *[damp * m for m in mom],
                 damp * np.exp(ell_q * tau) * zh[-1]]
 
     def nonlin(zh: list) -> list:
-        drh, dmh, dqh = rhs_compressible_hat(g, s.eps, zh[0], zh[1 : 1 + d], zh[-1], c, s.model)
-        lin_m = _momentum_linear_hat(g, zh[1 : 1 + d], nu_bar, eta_bar, half=True)
+        t = _rhs_hat(s, c, zh)
+        lin_m = _viscous_fn(g, zh[1 : 1 + d], nu_bar, eta_bar, lambda lam: lam)
         return [
-            drh,
-            *[a - b for a, b in zip(dmh, lin_m)],
-            dqh - ell_q * zh[-1],
+            t[0],
+            *[a - b for a, b in zip(t[1 : 1 + d], lin_m)],
+            t[-1] - ell_q * zh[-1],
         ]
 
     zh = batch_rfft(g, list(s.as_arrays()))
@@ -304,7 +299,7 @@ def step_incompressible_rk4(
     g = s.grid
     d = g.dim
     nu_bar, _ = _reference_viscosities(c)
-    ell_phi = _phase_symbol(g, s.model, half=True)
+    ell_phi = _phase_symbol(g, s.model)
     k2 = g.rk_squared
     svv = g.rsvv
 
@@ -314,10 +309,10 @@ def step_incompressible_rk4(
                 np.exp((ell_phi - svv) * tau) * zh[-1]]
 
     def nonlin(zh: list) -> list:
-        du_hat, dphi_hat = rhs_incompressible_hat(g, zh[:d], zh[-1], c, s.model)
+        t = _rhs_hat(s, c, zh)
         return [
-            *[a + nu_bar * k2 * z for a, z in zip(du_hat, zh[:d])],
-            dphi_hat - ell_phi * zh[-1],
+            *[a + nu_bar * k2 * z for a, z in zip(t[:d], zh[:d])],
+            t[-1] - ell_phi * zh[-1],
         ]
 
     zh = batch_rfft(g, list(s.as_arrays()))
@@ -330,26 +325,29 @@ def step_incompressible_rk4(
 
 
 # ---------------------------------------------------------------------------
-# first-order IMEX splitting
+# implicit solves: first-order IMEX and Picard-iterated implicit Euler
 
 
-def _implicit_momentum_solve(
-    g: TorusGrid, rhs_hat: list, a: float, nu_bar: float, eta_bar: float
-) -> list:
-    """Solve (a - nu*Lap - eta*grad div) m = f in spectral space."""
-    k2 = g.k_squared
-    if g.dim == 1:
-        return [rhs_hat[0] / (a + (nu_bar + eta_bar) * k2)]
-    k2safe = k2.copy()
-    k2safe[(0,) * g.dim] = 1.0
-    ks = [ka.astype(float) for ka in g.wavenumbers]
-    div = sum(ka * vh for ka, vh in zip(ks, rhs_hat))
-    out = []
-    for ka, vh in zip(ks, rhs_hat):
-        irr = ka * div / k2safe
-        irr[(0,) * g.dim] = 0.0
-        out.append((vh - irr) / (a + nu_bar * k2) + irr / (a + (nu_bar + eta_bar) * k2))
-    return out
+def _lagged_euler(g: TorusGrid, zn: list, z: list, tend: list, dt: float,
+                  nu_bar: float, eta_bar: float, ell: np.ndarray) -> list:
+    """Implicit Euler update with the constant-coefficient core solved exactly
+    and the rest of the tendency lagged at z:
+
+        (1 - dt*L) z_new = zn + dt*(tend - L z),
+
+    L = 0 on a leading density slot (when the layout has one), the reference
+    viscous operator on the velocity/momentum block, and ell on the phase.
+    """
+    d = g.dim
+    lead = len(zn) - d - 1
+    vel = slice(lead, lead + d)
+    lin = _viscous_fn(g, z[vel], nu_bar, eta_bar, lambda lam: lam)
+    rhs = [a + dt * (f - l) for a, f, l in zip(zn[vel], tend[vel], lin)]
+    return [
+        *[a + dt * f for a, f in zip(zn[:lead], tend[:lead])],
+        *_viscous_fn(g, rhs, nu_bar, eta_bar, lambda lam: 1.0 / (1.0 - dt * lam)),
+        (zn[-1] + dt * (tend[-1] - ell * z[-1])) / (1.0 - dt * ell),
+    ]
 
 
 def step_imex(state, dt: float, c: Constitutive, model: Optional[ModelKind] = None):
@@ -358,250 +356,76 @@ def step_imex(state, dt: float, c: Constitutive, model: Optional[ModelKind] = No
     conserved model, Lap for the relaxational one)."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
+    if not isinstance(state, (CompressibleState, IncompressibleState)):
+        raise TypeError(f"unsupported state type {type(state)!r}")
     if model is None:
         model = state.model
     elif model is not state.model:
         raise ValueError(f"model {model} does not match state model {state.model}")
     g = state.grid
-    d = g.dim
     nu_bar, eta_bar = _reference_viscosities(c)
-    k2 = g.k_squared
-    stiff_q = k2**2 if model is ModelKind.CH else k2
-
-    if isinstance(state, CompressibleState):
-        t = rhs_compressible(state, c)
-        arrays = state.as_arrays()
-        zh = [g.fft(a) for a in arrays]
-        th = [g.fft(a) for a in _tend_arrays(t)]
-
-        rho_new = zh[0] + dt * th[0]
-        lin_m = _momentum_linear_hat(g, zh[1 : 1 + d], nu_bar, eta_bar)
-        mom_rhs = [
-            z + dt * (f - l) for z, f, l in zip(zh[1 : 1 + d], th[1 : 1 + d], lin_m)
-        ]
-        mom_new = _implicit_momentum_solve(g, mom_rhs, 1.0, dt * nu_bar, dt * eta_bar)
-        q_rhs = zh[-1] + dt * (th[-1] + stiff_q * zh[-1])
-        q_new = q_rhs / (1.0 + dt * stiff_q)
-        out_hat = [rho_new, *mom_new, q_new]
-    elif isinstance(state, IncompressibleState):
-        t = rhs_incompressible(state, c)
-        zh = [g.fft(a) for a in state.as_arrays()]
-        th = [g.fft(a) for a in _tend_arrays(t)]
-        u_new = [
-            (z + dt * (f + nu_bar * k2 * z)) / (1.0 + dt * nu_bar * k2)
-            for z, f in zip(zh[:d], th[:d])
-        ]
-        phi_rhs = zh[-1] + dt * (th[-1] + stiff_q * zh[-1])
-        out_hat = [*u_new, phi_rhs / (1.0 + dt * stiff_q)]
-    else:
-        raise TypeError(f"unsupported state type {type(state)!r}")
-
+    if isinstance(state, IncompressibleState):
+        eta_bar = 0.0  # the projected velocity has no grad-div part
+    k2 = g.rk_squared
+    stiff = k2**2 if model is ModelKind.CH else k2
+    zh = batch_rfft(g, state.as_arrays())
+    out_hat = _lagged_euler(g, zh, zh, _rhs_hat(state, c, zh), dt, nu_bar, eta_bar, -stiff)
     try:
-        return state.with_arrays([g.ifft(z) for z in out_hat])
+        return state.with_arrays(batch_irfft(g, out_hat))
     except ValueError as exc:
         raise NumericsError("non-finite values in IMEX update") from exc
 
 
-# ---------------------------------------------------------------------------
-# Picard-iterated implicit Euler on the primitive variables
+def _h1_hat(g: TorusGrid, ah: np.ndarray) -> float:
+    """H^1 norm (Bessel weight, as hs_norm) of a real field from its rfft.
 
-
-def rhs_primitive(
-    g: TorusGrid,
-    rho: np.ndarray,
-    u: list,
-    phi: np.ndarray,
-    eps: float,
-    c: Constitutive,
-    model: ModelKind,
-):
-    """Primitive-variable tendencies (drho, du, dphi) as raw arrays."""
-    mask = g.dealias_mask
-    d = g.dim
-    if np.min(rho) <= 0:
-        raise VacuumError("rhs_primitive: nonpositive density")
-
-    def pmul(a, b):
-        return g.ifft(np.where(mask, g.fft(a * b), 0.0))
-
-    def clean(a):
-        return g.ifft(np.where(mask, g.fft(a), 0.0))
-
-    uh = [g.fft(ua) for ua in u]
-    grad_u = [[g.ifft(g.deriv_hat(uh[i], j)) for j in range(d)] for i in range(d)]
-    lap_u = [g.ifft(g.lap_hat(uh[i])) for i in range(d)]
-    divu_hat = sum(g.deriv_hat(uh[a], a) for a in range(d))
-    grad_divu = [g.ifft(g.deriv_hat(divu_hat, a)) for a in range(d)]
-
-    ph = np.where(mask, g.fft(phi), 0.0)
-    lap_phi = g.ifft(g.lap_hat(ph))
-    grad_phi = [g.ifft(g.deriv_hat(ph, a)) for a in range(d)]
-
-    inv_rho = clean(1.0 / rho)
-    nu = c.viscosity_nu(rho, phi)
-    eta = c.viscosity_eta(rho, phi)
-
-    drho_hat = -sum(g.deriv_hat(np.where(mask, g.fft(rho * ua), 0.0), a)
-                    for a, ua in enumerate(u))
-    drho = g.ifft(drho_hat)
-
-    press_grad = [g.ifft(g.deriv_hat(np.where(mask, g.fft(c.pressure(rho)), 0.0), a))
-                  for a in range(d)]
-    du = []
-    for i in range(d):
-        adv = sum(pmul(u[j], grad_u[i][j]) for j in range(d))
-        visc = pmul(inv_rho, nu * lap_u[i] + eta * grad_divu[i])
-        cap = pmul(inv_rho, pmul(lap_phi, grad_phi[i]))
-        pres = pmul(inv_rho, press_grad[i]) / eps**2
-        du.append(-adv - pres + visc - cap)
-
-    mu = pmul(inv_rho, -lap_phi) + clean(phi**3) - phi
-    adv_phi = sum(pmul(u[j], grad_phi[j]) for j in range(d))
-    if model is ModelKind.CH:
-        dphi = -adv_phi + pmul(inv_rho, g.ifft(g.lap_hat(g.fft(mu))))
-    else:
-        dphi = -adv_phi - pmul(inv_rho, mu)
-    return drho, du, dphi
-
-
-def _composite_diff(g: TorusGrid, eps: float, drho, du, dphi) -> float:
-    """H^1-weighted size of a primitive-variable increment, density at 1/eps."""
-    w = 1.0 + g.k_squared
-    nd = float(g.n) ** g.dim
-
-    def h1(a):
-        ah = g.fft(a) / nd
-        return math.sqrt(g.volume * float(np.sum(w * np.abs(ah) ** 2)))
-
-    return h1(drho) / eps + sum(h1(a) for a in du) + h1(dphi)
-
-
-def _picard_solve(s: CompressibleState, dt: float, c: Constitutive,
-                  tol: float, max_iter: int):
-    g = s.grid
-    d = g.dim
-    eps = s.eps
-    model = s.model
-    mask = g.dealias_mask
-    nu_bar, eta_bar = _reference_viscosities(c)
-    k2 = g.k_squared
-
-    def pmul(a, b):
-        return g.ifft(np.where(mask, g.fft(a * b), 0.0))
-
-    def clean(a):
-        return g.ifft(np.where(mask, g.fft(a), 0.0))
-
-    rho_n = s.rho.values
-    if np.min(rho_n) <= 0:
-        raise VacuumError("picard_step: nonpositive density")
-    u_n = [clean(m.values / rho_n) for m in s.mom]
-    phi_n = clean(s.q.values / rho_n)
-
-    rho, u, phi = rho_n, list(u_n), phi_n
-    ratios = []
-    prev_diff = None
-    converged = False
-    iterations = 0
-    final_diff = math.inf
-
-    for it in range(1, max_iter + 1):
-        iterations = it
-        inv_rho = clean(1.0 / rho)
-        ph = np.where(mask, g.fft(phi), 0.0)
-        lap_phi = g.ifft(g.lap_hat(ph))
-        grad_phi = [g.ifft(g.deriv_hat(ph, a)) for a in range(d)]
-        adv_phi = sum(pmul(u[j], grad_phi[j]) for j in range(d))
-
-        # phase update: constant-coefficient stiffness on the left, the
-        # variable-coefficient remainder lagged at the previous iterate
-        if model is ModelKind.CH:
-            mu = pmul(inv_rho, -lap_phi) + clean(phi**3) - phi
-            lag = pmul(inv_rho, g.ifft(g.lap_hat(g.fft(mu))))
-            f = phi_n / dt - adv_phi + lag + g.ifft(k2**2 * ph)
-            phi_new = g.ifft(g.fft(f) / (1.0 / dt + k2**2))
-        else:
-            lag = pmul(inv_rho, pmul(inv_rho, g.ifft(g.lap_hat(ph)))) \
-                - pmul(inv_rho, clean(phi**3) - phi)
-            f = phi_n / dt + lag + g.ifft(k2 * ph) - adv_phi
-            phi_new = g.ifft(g.fft(f) / (1.0 / dt + k2))
-        phi_new = clean(phi_new)
-
-        # mass update from the lagged transport field
-        flux_hat = sum(
-            g.deriv_hat(np.where(mask, g.fft(rho * u[a]), 0.0), a) for a in range(d)
-        )
-        rho_new = rho_n - dt * g.ifft(flux_hat)
-        if np.min(rho_new) <= 0:
-            raise VacuumError("picard_step: iterate left the positive-density region")
-
-        # velocity update: fresh density and phase, lagged velocity products
-        inv_rho_new = clean(1.0 / rho_new)
-        phn_hat = np.where(mask, g.fft(phi_new), 0.0)
-        lap_phi_new = g.ifft(g.lap_hat(phn_hat))
-        grad_phi_new = [g.ifft(g.deriv_hat(phn_hat, a)) for a in range(d)]
-        uh = [g.fft(ua) for ua in u]
-        grad_u = [[g.ifft(g.deriv_hat(uh[i], j)) for j in range(d)] for i in range(d)]
-        lap_u = [g.ifft(g.lap_hat(uh[i])) for i in range(d)]
-        divu_hat = sum(g.deriv_hat(uh[a], a) for a in range(d))
-        grad_divu = [g.ifft(g.deriv_hat(divu_hat, a)) for a in range(d)]
-        nu = c.viscosity_nu(rho_new, phi_new)
-        eta = c.viscosity_eta(rho_new, phi_new)
-        press_hat = np.where(mask, g.fft(c.pressure(rho_new)), 0.0)
-
-        lin_u = _momentum_linear_hat(g, uh, nu_bar, eta_bar)
-        rhs_u_hat = []
-        for i in range(d):
-            adv = sum(pmul(u[j], grad_u[i][j]) for j in range(d))
-            visc = pmul(inv_rho_new, nu * lap_u[i] + eta * grad_divu[i])
-            cap = pmul(inv_rho_new, pmul(lap_phi_new, grad_phi_new[i]))
-            pres = pmul(inv_rho_new, g.ifft(g.deriv_hat(press_hat, i))) / eps**2
-            expl = u_n[i] / dt - adv - pres + visc - cap
-            # re-add the constant-coefficient viscous core handled implicitly
-            rhs_u_hat.append(g.fft(expl) - lin_u[i])
-        u_new_hat = _implicit_momentum_solve(g, rhs_u_hat, 1.0 / dt, nu_bar, eta_bar)
-        u_new = [clean(g.ifft(zh)) for zh in u_new_hat]
-
-        diff = _composite_diff(
-            g,
-            eps,
-            rho_new - rho,
-            [a - b for a, b in zip(u_new, u)],
-            phi_new - phi,
-        )
-        if prev_diff is not None and prev_diff > 0:
-            ratios.append(diff / prev_diff)
-        prev_diff = diff
-        final_diff = diff
-        rho, u, phi = rho_new, u_new, phi_new
-        if diff < tol:
-            converged = True
-            break
-
-    report = PicardReport(iterations, converged, tuple(ratios), final_diff)
-    return rho, u, phi, report
+    Interior columns of the half layout also stand for their Hermitian
+    mirrors and count twice; the k_last = 0 and Nyquist columns count once.
+    """
+    mult = np.full(g.rshape[-1], 2.0)
+    mult[0] = mult[-1] = 1.0
+    w = (1.0 + g.rk_squared) * mult
+    return math.sqrt(g.volume * float(np.sum(w * np.abs(ah) ** 2))) / float(g.n) ** g.dim
 
 
 def picard_step(
     s: CompressibleState, dt: float, c: Constitutive, cfg: StepperConfig
 ):
-    """Implicit Euler step of the primitive compressible system via Picard
-    iteration with constant-coefficient spectral solves; returns the updated
-    conservative state and a convergence report."""
+    """Implicit Euler step z = z_n + dt*F(z) of the conservative compressible
+    system by Picard iteration on the half spectra (see _lagged_euler for the
+    splitting); the increment is measured in H^1, density scaled by 1/eps.
+    Returns the updated state and a convergence report."""
     if not isinstance(s, CompressibleState):
         raise TypeError("picard_step expects a compressible state")
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    opts = cfg.picard
-    rho, u, phi, report = _picard_solve(s, dt, c, opts.tol, opts.max_iter)
     g = s.grid
-    mask = g.dealias_mask
-    rho_f = Field(g, rho)
-    mom = VectorField(
-        tuple(Field(g, g.ifft(np.where(mask, g.fft(rho * ua), 0.0))) for ua in u)
-    )
-    q = Field(g, g.ifft(np.where(mask, g.fft(rho * phi), 0.0)))
-    return CompressibleState(s.eps, rho_f, mom, q, s.model), report
+    nu_bar, eta_bar = _reference_viscosities(c)
+    ell_q = _phase_symbol(g, s.model)
+    zn = [np.where(g.rdealias_mask, z, 0.0) for z in batch_rfft(g, s.as_arrays())]
+
+    z = zn
+    ratios = []
+    converged = False
+    diff = math.inf
+    for it in range(1, cfg.picard.max_iter + 1):
+        z_new = _lagged_euler(g, zn, z, _rhs_hat(s, c, z), dt, nu_bar, eta_bar, ell_q)
+        prev_diff = diff
+        diff = _h1_hat(g, z_new[0] - z[0]) / s.eps + sum(
+            _h1_hat(g, a - b) for a, b in zip(z_new[1:], z[1:])
+        )
+        if 0 < prev_diff < math.inf:
+            ratios.append(diff / prev_diff)
+        z = z_new
+        if diff < cfg.picard.tol:
+            converged = True
+            break
+
+    report = PicardReport(it, converged, tuple(ratios), diff)
+    try:
+        return s.with_arrays(batch_irfft(g, z)), report
+    except ValueError as exc:
+        raise NumericsError("non-finite values in Picard update") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -441,6 +441,27 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [[1, 2], {"n": "x"}, {"fields": 5}, {"n": 7}, {"dim": 3}, {"time": "x"}],
+)
+def test_cli_audit_malformed_header_exits_4(tmp_path, capsys, g2, bad):
+    path = tmp_path / "snap_bad.bin"
+    write_snapshot(sample_compressible(g2), path)
+    line, _, payload = path.read_bytes().partition(b"\n")
+    header = bad
+    if isinstance(bad, dict):
+        header = {**json.loads(line), **bad}
+        if any(type(bad.get(k)) is int for k in ("n", "dim")):
+            # payload sized to the header, so only the grid itself is wrong
+            payload = bytes(8 * len(header["fields"]) * header["n"] ** header["dim"])
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    code = main(["audit", "--snapshots", str(path), "--out", str(tmp_path / "a.csv")])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("io error") and "Traceback" not in err
+
+
 def sweep_config_file(tmp_path):
     return write_json(
         tmp_path,

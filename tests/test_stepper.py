@@ -14,10 +14,12 @@ from torusflow.dynamics import (
 )
 from torusflow.errors import NumericsError
 from torusflow.spectral import (
+    Field,
     TorusGrid,
     VectorField,
     constant_field,
     divergence,
+    hs_norm,
     integral,
 )
 from torusflow.stepper import (
@@ -32,6 +34,7 @@ from torusflow.stepper import (
     step_imex,
     step_incompressible_rk4,
     step_rk4,
+    _h1_hat,
     _ifrk4,
 )
 
@@ -320,6 +323,34 @@ def test_picard_contraction_ratios(g2):
     assert report.converged
     assert report.ratios, "expected at least one contraction ratio"
     assert all(r < 1.0 for r in report.ratios)
+
+
+def test_picard_increment_norm_matches_hs_norm(rng):
+    # white noise fills every mode, the Nyquist column of the half layout too
+    for g in (TorusGrid(1, 16), TorusGrid(2, 16)):
+        f = rng.standard_normal(g.shape)
+        assert np.min(np.abs(g.rfft(f)[..., -1])) > 0.0
+        want = hs_norm(Field(g, f), 1)
+        assert abs(_h1_hat(g, g.rfft(f)) - want) <= 1e-12 * want
+
+
+def test_solver_core_uses_no_full_spectrum_transform(g2, monkeypatch):
+    c = Constitutive()
+    u0, phi0 = initial_from_preset("taylor_green_bubble", g2)
+    sc = well_prepared_initial(u0, phi0, 0.2, 0.1, 0, ModelKind.CH)
+    si = IncompressibleState(u0, phi0, ModelKind.CH)
+    cfg = StepperConfig(picard=PicardOptions(enabled=True), t_end=1.0)
+
+    def forbidden(self, a):
+        raise AssertionError("full-spectrum transform in the solver core")
+
+    monkeypatch.setattr(TorusGrid, "fft", forbidden)
+    monkeypatch.setattr(TorusGrid, "ifft", forbidden)
+    step_compressible_rk4(sc, 1e-4, c)
+    step_incompressible_rk4(si, 1e-4, c)
+    step_imex(sc, 1e-4, c)
+    step_imex(si, 1e-4, c)
+    assert picard_step(sc, 1e-4, c, cfg)[1].converged
 
 
 def test_picard_requires_compressible(g2):

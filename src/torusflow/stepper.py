@@ -1,14 +1,15 @@
 """Time integration.
 
-Explicit "rk4" steps wrap the classical tableau in an exact integrating
-factor for the stiff constant-coefficient cores (the fourth-order phase
-stiffness and the reference viscous semigroup), which removes the dx^4
-step restriction; conserved-phase chemistry still imposes a second-order
-bound, see phase_dt.  "imex" is a first-order splitting with
-explicit transport and implicit constant-coefficient solves.  A Picard
-loop provides a fully implicit Euler step on the conservative variables for
-verification runs.  Every scheme evaluates its tendencies through the
-half-spectrum kernels rhs_compressible_hat / rhs_incompressible_hat.
+The production "rk4" scheme is ETDRK4 (Cox & Matthews): the stiff
+constant-coefficient cores (the phase operator, the reference viscous
+operator and the spectral vanishing viscosity) are integrated exactly, and
+the remainder by a fourth-order exponential Runge-Kutta tableau, so the
+acoustic/advective bound sets the step for both phase models.  "imex" is a
+first-order splitting with explicit transport and implicit
+constant-coefficient solves.  A Picard loop provides a fully implicit Euler
+step on the conservative variables for verification runs.  Every scheme
+evaluates its tendencies through the half-spectrum kernels
+rhs_compressible_hat / rhs_incompressible_hat.
 """
 
 from __future__ import annotations
@@ -89,35 +90,8 @@ def acoustic_dt(
     return cfl * grid.dx / (umax + sound)
 
 
-def phase_dt(
-    grid: TorusGrid, cfl: float = 0.4, phi_max: float = 1.1, rho_dev: float = 0.0
-) -> float:
-    """Explicit stability bound for the conserved-phase dynamics.
-
-    The integrating factor removes the constant-coefficient Delta^2 core of
-    the conserved phase equation exactly, but two variable-coefficient
-    remainders stay explicit: the cubic chemistry Delta(phi^3), behaving
-    like diffusion with coefficient up to 1 + 3*max(phi)^2, and the
-    density modulation of the fourth-order term, Delta(Delta(phi) (1/rho - 1)),
-    of relative size max|rho - 1|.  Measured blow-up thresholds track
-
-        dt_crit = 2.78 / ((1 + 3 phi_max^2) |k|_max^2 + rho_dev |k|_max^4)
-
-    on the dealiased band; this returns that bound scaled by cfl (so the
-    default cfl = 0.4 carries a 2.5x margin).  Only conserved (fourth-order)
-    phase dynamics needs the cap: the relaxational variant's chemistry
-    remainder is zeroth order and the acoustic/advective bounds dominate.
-    """
-    pm = max(1.0, float(phi_max))
-    k2max = float(grid.dim) * grid.dealias_cutoff**2
-    chem = (1.0 + 3.0 * pm * pm) * k2max
-    fourth = max(0.0, float(rho_dev)) * k2max * k2max
-    return cfl * 2.78 / (chem + fourth)
-
-
 # ---------------------------------------------------------------------------
-# generic classical RK4 (no integrating factor); used directly for ODE-style
-# right-hand sides and as the b = 0 special case of the schemes below
+# generic classical RK4; used directly for ODE-style right-hand sides
 
 
 def _tend_arrays(t):
@@ -163,8 +137,7 @@ def _combined(state, tends, dt: float):
 def step_rk4(state, rhs: Callable, dt: float):
     """One classical RK4 step of d(state)/dt = rhs(state).
 
-    Works on bare numpy arrays and on the PDE state types alike; the PDE
-    drivers below add integrating factors on top of this tableau.
+    Works on bare numpy arrays and on the PDE state types alike.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -176,34 +149,105 @@ def step_rk4(state, rhs: Callable, dt: float):
 
 
 # ---------------------------------------------------------------------------
-# integrating-factor RK4 on the PDE states
+# exponential time differencing RK4 on the PDE states
+
+# terms of the phi_3 Taylor series used on |z| < 1; the first dropped term
+# is below 1/22! ~ 9e-22, far under rounding
+_TAYLOR_TERMS = 19
 
 
-def _ifrk4(zh, dt, sem, nonlin, mask):
-    """Classical RK4 composed with the exact semigroup exp(L*tau).
+def _phi123(z: np.ndarray) -> tuple:
+    """phi_1, phi_2, phi_3 of a real array z, phi_k(z) = sum_j z^j / (j+k)!.
 
-    zh is the spectral state list; sem(list, tau) applies exp(L*tau);
-    nonlin(list) returns fft(rhs(z)) - L*zh.  The change of variables
-    v = exp(-L*t) z turns the split system into v' = exp(-L*t) N(exp(L*t) v),
-    and running the plain tableau on v gives the update below.
+    Closed forms where |z| >= 1.  Below that the closed forms cancel, so
+    phi_3 comes from its Taylor series and the others from the recurrence
+    phi_k = z phi_{k+1} + 1/k!.
+    """
+    z = np.asarray(z, dtype=float)
+    p1, p2, p3 = np.empty_like(z), np.empty_like(z), np.empty_like(z)
+    big = np.abs(z) >= 1.0
+    zb = z[big]
+    em1 = np.expm1(zb)
+    p1[big] = em1 / zb
+    p2[big] = (em1 - zb) / zb**2
+    p3[big] = (em1 - zb - 0.5 * zb**2) / zb**3
+    small = ~big
+    zs = z[small]
+    s3 = np.zeros_like(zs)
+    for j in range(_TAYLOR_TERMS - 1, -1, -1):
+        s3 = s3 * zs + 1.0 / math.factorial(j + 3)
+    s2 = zs * s3 + 0.5
+    p3[small] = s3
+    p2[small] = s2
+    p1[small] = zs * s2 + 1.0
+    return p1, p2, p3
+
+
+def _etd_tables(lam: np.ndarray, dt: float) -> dict:
+    """Cox-Matthews coefficients of the symbol lam at step dt.
+
+    E = exp(lam dt), E2 = exp(lam dt/2), Q = dt/2 phi_1(lam dt/2), and the
+    weights f1, f2, f3 of the final stage in Kassam & Trefethen's notation,
+    written in phi functions of z = lam dt.
+    """
+    z = lam * dt
+    p1, p2, p3 = _phi123(z)
+    return {
+        "E": np.exp(z),
+        "E2": np.exp(0.5 * z),
+        "Q": 0.5 * dt * _phi123(0.5 * z)[0],
+        "f1": dt * (p1 - 3.0 * p2 + 4.0 * p3),
+        "f2": dt * (p2 - 2.0 * p3),
+        "f3": dt * (4.0 * p3 - p2),
+    }
+
+
+# one table set per regime, rebuilt when grid, model, reference viscosities
+# or dt change; dt is constant within a sampling interval of integrate.  A
+# hit returns what a rebuild would, so no caller can tell the cache is there;
+# a single slot keeps memory flat when dt changes every interval.
+_ETD_CACHE: dict = {}
+
+
+def _cached_tables(regime: str, key: tuple, dt: float, symbols: Callable) -> list:
+    """_etd_tables of each symbol in symbols(), kept while (key, dt) repeats."""
+    hit = _ETD_CACHE.get(regime)
+    if hit is None or hit[0] != (key, dt):
+        hit = ((key, dt), [_etd_tables(lam, dt) for lam in symbols()])
+        _ETD_CACHE[regime] = hit
+    return hit[1]
+
+
+def _etdrk4(zh, ops, nonlin, mask):
+    """One ETDRK4 step (Cox & Matthews, JCP 176, 2002) of z' = L z + N(z).
+
+    zh is the spectral state list; ops(key, list) applies the table key
+    ("E", "E2", "Q", "f1", "f2", "f3", see _etd_tables) of L at the step;
+    nonlin(list) returns fft(rhs(z)) - L0*zh, with L0 the part of L that
+    the tendency itself contains.  L is integrated exactly, so a purely
+    linear system steps by exp(L dt).
     """
     if mask is not None:
         zh = [np.where(mask, z, 0.0) for z in zh]
-    k1 = nonlin(zh)
-    y2 = sem([z + 0.5 * dt * k for z, k in zip(zh, k1)], 0.5 * dt)
-    k2 = nonlin(y2)
-    zh_half = sem(zh, 0.5 * dt)
-    y3 = [z + 0.5 * dt * k for z, k in zip(zh_half, k2)]
-    k3 = nonlin(y3)
-    zh_full = sem(zh, dt)
-    k3e = sem(k3, 0.5 * dt)
-    y4 = [z + dt * k for z, k in zip(zh_full, k3e)]
-    k4 = nonlin(y4)
-    k1e = sem(k1, dt)
-    mid = sem([b + c for b, c in zip(k2, k3)], 0.5 * dt)
+    nu = nonlin(zh)
+    half = ops("E2", zh)
+    a = [e + q for e, q in zip(half, ops("Q", nu))]
+    na = nonlin(a)
+    b = [e + q for e, q in zip(half, ops("Q", na))]
+    nb = nonlin(b)
+    c = [
+        e + q
+        for e, q in zip(ops("E2", a), ops("Q", [2.0 * x - y for x, y in zip(nb, nu)]))
+    ]
+    nc = nonlin(c)
     out = [
-        z + dt / 6.0 * (a + 2.0 * m + d)
-        for z, a, m, d in zip(zh_full, k1e, mid, k4)
+        e + f1 + 2.0 * f2 + f3
+        for e, f1, f2, f3 in zip(
+            ops("E", zh),
+            ops("f1", nu),
+            ops("f2", [x + y for x, y in zip(na, nb)]),
+            ops("f3", nc),
+        )
     ]
     if mask is not None:
         out = [np.where(mask, z, 0.0) for z in out]
@@ -223,19 +267,23 @@ def _phase_symbol(g: TorusGrid, model: ModelKind) -> np.ndarray:
     return -k2 + 1.0
 
 
-def _viscous_fn(g: TorusGrid, mh: list, nu_bar: float, eta_bar: float, fn) -> list:
-    """fn(L) m for the reference viscous operator L = nu*Lap + eta*grad div.
-
-    L acts as -nu|k|^2 on the solenoidal part of m and as -(nu+eta)|k|^2 on
-    its gradient part, so fn (exp, identity, resolvent) sees only those two
-    symbols.
-    """
-    k2 = g.rk_squared
-    sol_sym, irr_sym = fn(-nu_bar * k2), fn(-(nu_bar + eta_bar) * k2)
+def _split_apply(g: TorusGrid, mh: list, sol_sym, irr_sym) -> list:
+    """Multiply the solenoidal part of mh by sol_sym, its gradient part by irr_sym."""
     return [
         sol_sym * (vh - irr) + irr_sym * irr
         for vh, irr in zip(mh, g.irrotational_hat(mh))
     ]
+
+
+def _viscous_fn(g: TorusGrid, mh: list, nu_bar: float, eta_bar: float, fn) -> list:
+    """fn(L) m for the reference viscous operator L = nu*Lap + eta*grad div.
+
+    L acts as -nu|k|^2 on the solenoidal part of m and as -(nu+eta)|k|^2 on
+    its gradient part, so fn (identity, resolvent) sees only those two
+    symbols.
+    """
+    k2 = g.rk_squared
+    return _split_apply(g, mh, fn(-nu_bar * k2), fn(-(nu_bar + eta_bar) * k2))
 
 
 def _rhs_hat(s, c: Constitutive, zh: list) -> list:
@@ -255,25 +303,32 @@ def _rhs_hat(s, c: Constitutive, zh: list) -> list:
 def step_compressible_rk4(
     s: CompressibleState, dt: float, c: Constitutive, dealias_each_stage: bool = True
 ) -> CompressibleState:
-    """Integrating-factor RK4 step of the conservative compressible system.
+    """ETDRK4 step of the conservative compressible system.
 
-    Runs entirely on the half-spectrum layout; one forward/backward batch
-    per step plus the per-stage transforms inside the tendency core.
+    The exact linear part is -svv on density, the reference viscous
+    operator minus svv on momentum (split into solenoidal and gradient
+    parts) and the phase symbol minus svv on q.  Runs entirely on the
+    half-spectrum layout.
     """
     g = s.grid
     d = g.dim
     nu_bar, eta_bar = _reference_viscosities(c)
     ell_q = _phase_symbol(g, s.model)
+    k2 = g.rk_squared
     svv = g.rsvv
+    rho_t, sol_t, irr_t, q_t = _cached_tables(
+        "compressible",
+        (g, s.model, nu_bar, eta_bar),
+        dt,
+        lambda: (-svv, -nu_bar * k2 - svv, -(nu_bar + eta_bar) * k2 - svv, ell_q - svv),
+    )
 
-    # the semigroup carries the extra -svv damping while the remainder still
+    def ops(key: str, zl: list) -> list:
+        mom = _split_apply(g, zl[1 : 1 + d], sol_t[key], irr_t[key])
+        return [rho_t[key] * zl[0], *mom, q_t[key] * zl[-1]]
+
+    # the tables carry the extra -svv damping while the remainder still
     # subtracts the bare symbols, so the integrated system is rhs - svv*z
-    def sem(zh: list, tau: float) -> list:
-        damp = np.exp(-svv * tau)
-        mom = _viscous_fn(g, zh[1 : 1 + d], nu_bar, eta_bar, lambda lam: np.exp(lam * tau))
-        return [damp * zh[0], *[damp * m for m in mom],
-                damp * np.exp(ell_q * tau) * zh[-1]]
-
     def nonlin(zh: list) -> list:
         t = _rhs_hat(s, c, zh)
         lin_m = _viscous_fn(g, zh[1 : 1 + d], nu_bar, eta_bar, lambda lam: lam)
@@ -285,7 +340,7 @@ def step_compressible_rk4(
 
     zh = batch_rfft(g, list(s.as_arrays()))
     mask = g.rdealias_mask if dealias_each_stage else None
-    zh_new = _ifrk4(zh, dt, sem, nonlin, mask)
+    zh_new = _etdrk4(zh, ops, nonlin, mask)
     try:
         return s.with_arrays(batch_irfft(g, zh_new))
     except ValueError as exc:
@@ -295,18 +350,23 @@ def step_compressible_rk4(
 def step_incompressible_rk4(
     s: IncompressibleState, dt: float, c: Constitutive, dealias_each_stage: bool = True
 ) -> IncompressibleState:
-    """Integrating-factor RK4 step of the projected incompressible system."""
+    """ETDRK4 step of the projected incompressible system (exact linear part
+    -nu|k|^2 - svv on velocity, the phase symbol minus svv on phi)."""
     g = s.grid
     d = g.dim
     nu_bar, _ = _reference_viscosities(c)
     ell_phi = _phase_symbol(g, s.model)
     k2 = g.rk_squared
     svv = g.rsvv
+    u_t, phi_t = _cached_tables(
+        "incompressible",
+        (g, s.model, nu_bar),
+        dt,
+        lambda: (-nu_bar * k2 - svv, ell_phi - svv),
+    )
 
-    def sem(zh: list, tau: float) -> list:
-        fac = np.exp(-(nu_bar * k2 + svv) * tau)
-        return [*[fac * z for z in zh[:d]],
-                np.exp((ell_phi - svv) * tau) * zh[-1]]
+    def ops(key: str, zl: list) -> list:
+        return [*[u_t[key] * z for z in zl[:d]], phi_t[key] * zl[-1]]
 
     def nonlin(zh: list) -> list:
         t = _rhs_hat(s, c, zh)
@@ -317,7 +377,7 @@ def step_incompressible_rk4(
 
     zh = batch_rfft(g, list(s.as_arrays()))
     mask = g.rdealias_mask if dealias_each_stage else None
-    zh_new = _ifrk4(zh, dt, sem, nonlin, mask)
+    zh_new = _etdrk4(zh, ops, nonlin, mask)
     try:
         return s.with_arrays(batch_irfft(g, zh_new))
     except ValueError as exc:
@@ -440,38 +500,20 @@ def _max_speed(state) -> float:
     return float(max(np.max(np.abs(comp.values)) for comp in u))
 
 
-def _max_phi(state) -> float:
-    if isinstance(state, CompressibleState):
-        _, phi = primitives(state)
-    else:
-        phi = state.phi
-    return float(np.max(np.abs(phi.values)))
-
-
 def default_dt(state, c: Constitutive, cfg: StepperConfig) -> float:
     """Step size implied by the config: an override when given, else the
-    acoustic bound (compressible) or an advective bound (incompressible),
-    capped by the phase-stiffness bound for explicit conserved-phase runs."""
+    acoustic bound (compressible) or an advective bound (incompressible).
+
+    The same bound holds for every scheme and both phase models: ETDRK4 and
+    the implicit solves take the phase stiffness exactly, so no separate
+    phase cap applies."""
     if cfg.dt_override is not None:
         return cfg.dt_override
     g = state.grid
     umax = _max_speed(state)
     if isinstance(state, CompressibleState):
-        dt = acoustic_dt(state.eps, g, c, cfg.cfl, umax)
-    else:
-        dt = cfg.cfl * g.dx / (umax + _INCOMPRESSIBLE_WAVE_SPEED)
-    if cfg.scheme == "rk4" and state.model is ModelKind.CH:
-        if isinstance(state, CompressibleState):
-            # the capillary transient pushes |rho-1| to ~0.3 eps^2 even from
-            # well-prepared data, so floor the estimate at that level
-            dev = max(
-                float(np.max(np.abs(state.rho.values - 1.0))),
-                0.3 * state.eps**2,
-            )
-        else:
-            dev = 0.0
-        dt = min(dt, phase_dt(g, cfg.cfl, _max_phi(state), dev))
-    return dt
+        return acoustic_dt(state.eps, g, c, cfg.cfl, umax)
+    return cfg.cfl * g.dx / (umax + _INCOMPRESSIBLE_WAVE_SPEED)
 
 
 def _make_stepper(state, c: Constitutive, cfg: StepperConfig) -> Callable:

@@ -30,7 +30,6 @@ from .stepper import (
     StepperConfig,
     acoustic_dt,
     integrate,
-    phase_dt,
     step_compressible_rk4,
 )
 from .diagnostics import modulated_energy
@@ -309,9 +308,7 @@ def acoustic_dispersion_check(
 
     predicted = k * math.sqrt(float(c.pressure_prime(1.0))) / eps
     t_end = n_periods * 2.0 * math.pi / predicted
-    # the conserved-phase chemistry remainder caps the stable step below the
-    # acoustic scale at moderate eps, so apply both bounds
-    dt = min(acoustic_dt(eps, g, c, cfl, 0.0), phase_dt(g, cfl))
+    dt = acoustic_dt(eps, g, c, cfl, 0.0)
     steps = max(1, math.ceil(t_end / dt))
     dt = t_end / steps
 

@@ -14,6 +14,7 @@ seconds.
 import csv
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -69,14 +70,18 @@ def verdict(tag: str, ok: bool, detail: str):
     assert ok, f"[{tag}] {detail}"
 
 
+# legs are deterministic one by one, so the worker count changes no result
+_WORKERS = min(4, os.cpu_count() or 1)
+
+
 @pytest.fixture(scope="session")
 def ch_sweep():
-    return run_sweep(SweepConfig(model=ModelKind.CH), Constitutive(), parallel=4)
+    return run_sweep(SweepConfig(model=ModelKind.CH), Constitutive(), parallel=_WORKERS)
 
 
 @pytest.fixture(scope="session")
 def ac_sweep():
-    return run_sweep(SweepConfig(model=ModelKind.AC), Constitutive(), parallel=4)
+    return run_sweep(SweepConfig(model=ModelKind.AC), Constitutive(), parallel=_WORKERS)
 
 
 # ---------------------------------------------------------------------------

@@ -28,14 +28,15 @@ from torusflow.stepper import (
     acoustic_dt,
     default_dt,
     integrate,
-    phase_dt,
     picard_step,
     step_compressible_rk4,
     step_imex,
     step_incompressible_rk4,
     step_rk4,
+    _etd_tables,
+    _etdrk4,
     _h1_hat,
-    _ifrk4,
+    _phi123,
 )
 
 
@@ -77,38 +78,21 @@ def test_acoustic_dt_scalings():
         acoustic_dt(0.1, g, c, umax=-1.0)
 
 
-def test_phase_dt_formula():
-    g = TorusGrid(2, 32)
-    k2max = 2.0 * g.dealias_cutoff**2
-    expect = 0.4 * 2.78 / ((1.0 + 3.0 * 1.1**2) * k2max)
-    assert phase_dt(g, 0.4, phi_max=1.1) == pytest.approx(expect, rel=1e-12)
-    # the density deviation adds a quartic term
-    withdev = 0.4 * 2.78 / ((1.0 + 3.0 * 1.1**2) * k2max + 0.01 * k2max**2)
-    assert phase_dt(g, 0.4, 1.1, rho_dev=0.01) == pytest.approx(withdev, rel=1e-12)
-    # phi_max below 1 is floored at 1
-    assert phase_dt(g, 0.4, phi_max=0.2) == pytest.approx(
-        0.4 * 2.78 / (4.0 * k2max), rel=1e-12
-    )
-
-
 def test_default_dt_selects_bounds():
     g = TorusGrid(2, 32)
     c = Constitutive()
     s = rest_compressible(g, eps=0.2)
+    acoustic = acoustic_dt(0.2, g, c, 0.4, 0.0)
+    # conserved phase dynamics takes the acoustic bound, explicit or implicit
     cfg = StepperConfig(scheme="rk4", cfl=0.4, t_end=1.0)
-    expected = min(
-        acoustic_dt(0.2, g, c, 0.4, 0.0),
-        phase_dt(g, 0.4, 1.0, 0.3 * 0.2**2),
-    )
-    assert default_dt(s, c, cfg) == pytest.approx(expected, rel=1e-12)
+    assert default_dt(s, c, cfg) == pytest.approx(acoustic, rel=1e-12)
+    cfg_picard = StepperConfig(cfl=0.4, t_end=1.0, picard=PicardOptions(enabled=True))
+    assert default_dt(s, c, cfg_picard) == pytest.approx(acoustic, rel=1e-12)
     # override wins
     cfg2 = StepperConfig(dt_override=1e-4, t_end=1.0)
     assert default_dt(s, c, cfg2) == 1e-4
-    # relaxational phase dynamics needs no stiffness cap
     s_ac = rest_compressible(g, eps=0.2, model=ModelKind.AC)
-    assert default_dt(s_ac, c, cfg) == pytest.approx(
-        acoustic_dt(0.2, g, c, 0.4, 0.0), rel=1e-12
-    )
+    assert default_dt(s_ac, c, cfg) == pytest.approx(acoustic, rel=1e-12)
     # incompressible runs use a fixed reference wave speed in place of sound
     u = VectorField((constant_field(g, 0.0), constant_field(g, 0.0)))
     s_inc = IncompressibleState(u, constant_field(g, 0.5), ModelKind.AC)
@@ -156,25 +140,41 @@ def test_step_rk4_rejects_bad_dt():
         step_rk4(np.zeros(1), lambda v: v, 0.0)
 
 
-def test_ifrk4_is_exact_on_pure_linear():
-    # with zero remainder the integrating factor reproduces exp(L dt)
-    lam = -3.0
+def _phi_contour_mean(z, points=64):
+    # Kassam & Trefethen: mean of the closed forms over a unit circle about z
+    w = z[:, None] + np.exp(2j * np.pi * (np.arange(points) + 0.5) / points)
+    em1 = np.expm1(w)
+    return [
+        np.real(np.mean(p, axis=1))
+        for p in (em1 / w, (em1 - w) / w**2, (em1 - w - 0.5 * w**2) / w**3)
+    ]
+
+
+def test_phi_functions_match_contour_mean():
+    z = np.concatenate([
+        -np.logspace(4, -9, 120),
+        [0.0, -1.0, 1.0, -1.0 - 1e-12, -1.0 + 1e-12, 1.0 - 1e-12, 1.0 + 1e-12],
+        np.linspace(-1.05, 1.05, 43),
+        np.linspace(1e-9, 3.0, 40),
+    ])
+    for got, want in zip(_phi123(z), _phi_contour_mean(z)):
+        assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
+    # values at zero are 1/k!
+    assert [float(p[0]) for p in _phi123(np.zeros(1))] == [1.0, 0.5, 1.0 / 6.0]
+
+
+def test_etdrk4_is_exact_on_pure_linear():
+    # with zero remainder the step is exp(L dt); a constant remainder adds
+    # the exact Duhamel term dt*phi_1(L dt)*N
+    lam, dt = -3.0, 0.25
+    tabs = _etd_tables(np.array([lam]), dt)
+    ops = lambda key, zl: [tabs[key] * z for z in zl]
     z0 = [np.array([2.0 + 0.0j])]
-    sem = lambda zh, tau: [np.exp(lam * tau) * zh[0]]
-    out = _ifrk4(z0, 0.25, sem, lambda zh: [np.zeros(1, dtype=complex)], None)
-    assert out[0][0] == pytest.approx(2.0 * np.exp(lam * 0.25), rel=1e-14)
-
-
-def test_ifrk4_composes_semigroup_with_tableau():
-    # L handled exactly, remainder c*z by the tableau: one step must equal
-    # exp(L dt) * R4(c dt) with R4 the quartic Taylor polynomial
-    lam, cc, dt = -2.0, 0.8, 0.3
-    sem = lambda zh, tau: [np.exp(lam * tau) * zh[0]]
-    nonlin = lambda zh: [cc * zh[0]]
-    out = _ifrk4([np.array([1.0 + 0.0j])], dt, sem, nonlin, None)
-    z = cc * dt
-    r4 = 1.0 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
-    assert out[0][0] == pytest.approx(np.exp(lam * dt) * r4, rel=1e-13)
+    out = _etdrk4(z0, ops, lambda zh: [np.zeros(1, dtype=complex)], None)
+    assert out[0][0] == pytest.approx(2.0 * np.exp(lam * dt), rel=1e-14)
+    forced = _etdrk4(z0, ops, lambda zh: [np.full(1, 0.7 + 0j)], None)
+    want = 2.0 * np.exp(lam * dt) + 0.7 * np.expm1(lam * dt) / lam
+    assert forced[0][0] == pytest.approx(want, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +233,44 @@ def test_divergence_free_preserved():
         s = step_incompressible_rk4(s, dt, c)
     assert np.max(np.abs(divergence(s.u).values)) < 1e-9
     assert abs(integral(s.phi) - integral(phi0)) < 1e-12
+
+
+def test_etdrk4_temporal_order():
+    # self-convergence over 8/16/32/64 steps: a fourth-order scheme cuts
+    # the gap between successive resolutions 16x per halving
+    g = TorusGrid(2, 32)
+    c = Constitutive()
+    u0, phi0 = initial_from_preset("taylor_green_bubble", g)
+    s0 = well_prepared_initial(u0, phi0, 0.2, 0.1, 0, ModelKind.AC)
+    t_end = 0.01
+    finals = []
+    for nsteps in (8, 16, 32, 64):
+        s = s0
+        for _ in range(nsteps):
+            s = step_compressible_rk4(s, t_end / nsteps, c)
+        finals.append(np.concatenate([a.ravel() for a in s.as_arrays()]))
+    gaps = [np.max(np.abs(a - b)) for a, b in zip(finals, finals[1:])]
+    ratios = [a / b for a, b in zip(gaps, gaps[1:])]
+    assert min(ratios) >= 11.3, ratios
+
+
+@pytest.mark.parametrize("model", list(ModelKind))
+def test_long_stiff_compressible_run_stays_bounded(model):
+    # T = 2 at eps = 0.05 and the default (acoustic) step: several hundred
+    # steps, long enough for the corner-mode growth that svv suppresses
+    g = TorusGrid(2, 32)
+    c = Constitutive()
+    u0, phi0 = initial_from_preset("taylor_green_bubble", g)
+    s0 = well_prepared_initial(u0, phi0, 0.05, 0.1, 0, model)
+    rho_min = [math.inf]
+
+    def watch(t, s):
+        rho_min[0] = min(rho_min[0], float(np.min(s.rho.values)))
+
+    out = integrate(s0, c, StepperConfig(t_end=2.0), [0.5, 1.0, 1.5, 2.0], watch)
+    s = out[-1][1]
+    assert all(np.all(np.isfinite(a)) for a in s.as_arrays())
+    assert rho_min[0] > 0.0
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

@@ -2,9 +2,13 @@
 
 Sobolev norms use the Bessel weight (1 + |k|^2)^s, which is equivalent to
 the multi-index sum over derivatives up to order s; the exact multi-index
-weight is also available as a cross-check.  Quadratures of quartic and
-rational integrands run on a 2x oversampled grid, which makes them exact
-for the polynomial cases and rounding-accurate for smooth states.
+weight is also available as a cross-check.  Both weights live on the half
+(rfft) layout and are summed with Hermitian multiplicities
+(``spectral.hermitian_sq``).  Quadratures of quartic and rational
+integrands run on a 2x oversampled grid (``refine``), which makes them
+exact for the polynomial cases and rounding-accurate for smooth states;
+derivatives there come from the fine grid's half-spectrum tables, so no
+diagnostic touches the full-spectrum layout of the Field API.
 """
 
 from __future__ import annotations
@@ -17,7 +21,15 @@ import numpy as np
 from .constitutive import Constitutive, ModelKind
 from .dynamics import CompressibleState, IncompressibleState
 from .errors import VacuumError
-from .spectral import Field, TorusGrid, divergence, hs_norm, integral, refine
+from .spectral import (
+    Field,
+    TorusGrid,
+    divergence,
+    hermitian_sq,
+    hs_norm,
+    integral,
+    refine,
+)
 
 
 def sobolev_norm(f: Field, s: int) -> float:
@@ -60,6 +72,36 @@ def _fine_mean(gf: TorusGrid, arr: np.ndarray) -> float:
     return float(np.mean(arr)) * gf.volume
 
 
+def _fine_grad(gf: TorusGrid, a: np.ndarray) -> list:
+    """Spectral gradient of a fine-grid array; the Nyquist plane is zeroed."""
+    ah = gf.rfft(a)
+    return [gf.irfft(ik * ah) for ik in gf._rik]
+
+
+def _fine_terms(gf: TorusGrid, rho, u: list, phi, c: Constitutive, model: ModelKind):
+    """Gradient and potential energies and the dissipation rate of the energy
+    law on the fine grid; ``rho`` is all ones for incompressible states."""
+    ph = gf.rfft(phi)
+    gradient = _fine_mean(
+        gf, 0.5 * sum(gf.irfft(ik * ph) ** 2 for ik in gf._rik)
+    )
+    potential = _fine_mean(gf, 0.25 * rho * (phi * phi - 1.0) ** 2)
+
+    grad_u = [_fine_grad(gf, ua) for ua in u]
+    grad_u_sq = sum(d * d for row in grad_u for d in row)
+    divu = sum(grad_u[a][a] for a in range(gf.dim))
+    nu = c.viscosity_nu(rho, phi)
+    eta = c.viscosity_eta(rho, phi)
+    dissipation = _fine_mean(gf, nu * grad_u_sq + eta * divu * divu)
+
+    mu = gf.irfft(gf.rk_squared * ph) / rho + phi**3 - phi
+    if model is ModelKind.CH:
+        dissipation += _fine_mean(gf, sum(d * d for d in _fine_grad(gf, mu)))
+    else:
+        dissipation += _fine_mean(gf, rho * mu * mu)
+    return gradient, potential, dissipation
+
+
 def energy_compressible(
     s: CompressibleState, c: Constitutive, time: float = 0.0
 ) -> EnergyReport:
@@ -73,37 +115,10 @@ def energy_compressible(
     m = [refine(comp) for comp in s.mom]
     q = refine(s.q)
     u = [mi / rho for mi in m]
-    phi = q / rho
 
     kinetic = _fine_mean(gf, 0.5 * sum(mi * ui for mi, ui in zip(m, u)))
     internal = _fine_mean(gf, c.omega(rho)) / s.eps**2
-
-    ph = gf.fft(phi)
-    grad_phi = [gf.ifft(gf.deriv_hat(ph, a)) for a in range(gf.dim)]
-    gradient = _fine_mean(gf, 0.5 * sum(ga * ga for ga in grad_phi))
-    potential = _fine_mean(gf, 0.25 * rho * (phi * phi - 1.0) ** 2)
-
-    uh = [gf.fft(ua) for ua in u]
-    grad_u_sq = np.zeros(gf.shape)
-    for i in range(gf.dim):
-        for j in range(gf.dim):
-            dij = gf.ifft(gf.deriv_hat(uh[i], j))
-            grad_u_sq += dij * dij
-    divu = gf.ifft(sum(gf.deriv_hat(uh[a], a) for a in range(gf.dim)))
-    nu = c.viscosity_nu(rho, phi)
-    eta = c.viscosity_eta(rho, phi)
-    dissipation = _fine_mean(gf, nu * grad_u_sq + eta * divu * divu)
-
-    lap_phi = gf.ifft(gf.lap_hat(ph))
-    mu = -lap_phi / rho + phi**3 - phi
-    if s.model is ModelKind.CH:
-        muh = gf.fft(mu)
-        dissipation += _fine_mean(
-            gf, sum(gf.ifft(gf.deriv_hat(muh, a)) ** 2 for a in range(gf.dim))
-        )
-    else:
-        dissipation += _fine_mean(gf, rho * mu * mu)
-
+    gradient, potential, dissipation = _fine_terms(gf, rho, u, q / rho, c, s.model)
     total = kinetic + internal + gradient + potential
     return EnergyReport(kinetic, internal, gradient, potential, total, dissipation, time)
 
@@ -114,36 +129,11 @@ def energy_incompressible(
     g = s.grid
     gf = TorusGrid(g.dim, 2 * g.n)
     u = [refine(comp) for comp in s.u]
-    phi = refine(s.phi)
 
     kinetic = _fine_mean(gf, 0.5 * sum(ua * ua for ua in u))
-    ph = gf.fft(phi)
-    grad_phi = [gf.ifft(gf.deriv_hat(ph, a)) for a in range(gf.dim)]
-    gradient = _fine_mean(gf, 0.5 * sum(ga * ga for ga in grad_phi))
-    potential = _fine_mean(gf, 0.25 * (phi * phi - 1.0) ** 2)
-
-    ones = np.ones(gf.shape)
-    nu = c.viscosity_nu(ones, phi)
-    eta = c.viscosity_eta(ones, phi)
-    uh = [gf.fft(ua) for ua in u]
-    grad_u_sq = np.zeros(gf.shape)
-    for i in range(gf.dim):
-        for j in range(gf.dim):
-            dij = gf.ifft(gf.deriv_hat(uh[i], j))
-            grad_u_sq += dij * dij
-    divu = gf.ifft(sum(gf.deriv_hat(uh[a], a) for a in range(gf.dim)))
-    dissipation = _fine_mean(gf, nu * grad_u_sq + eta * divu * divu)
-
-    lap_phi = gf.ifft(gf.lap_hat(ph))
-    mu = -lap_phi + phi**3 - phi
-    if s.model is ModelKind.CH:
-        muh = gf.fft(mu)
-        dissipation += _fine_mean(
-            gf, sum(gf.ifft(gf.deriv_hat(muh, a)) ** 2 for a in range(gf.dim))
-        )
-    else:
-        dissipation += _fine_mean(gf, mu * mu)
-
+    gradient, potential, dissipation = _fine_terms(
+        gf, np.ones(gf.shape), u, refine(s.phi), c, s.model
+    )
     total = kinetic + gradient + potential
     return EnergyReport(kinetic, 0.0, gradient, potential, total, dissipation, time)
 
@@ -176,8 +166,7 @@ def modulated_energy(
     p1 = float(c.pressure(np.ones(())))
     pi_e = (c.omega(rho) - p1 * (rho - 1.0)) / cs.eps**2
 
-    dh = gf.fft(phie - phi)
-    grad_d_sq = sum(gf.ifft(gf.deriv_hat(dh, a)) ** 2 for a in range(gf.dim))
+    grad_d_sq = sum(d * d for d in _fine_grad(gf, phie - phi))
 
     distance = _fine_mean(gf, kin + pi_e + 0.5 * grad_d_sq)
     bulk = _fine_mean(
@@ -190,28 +179,21 @@ def modulated_energy(
 # scaled functionals
 
 
-def _bessel_weight(g: TorusGrid, s: int) -> np.ndarray:
-    return (1.0 + g.k_squared) ** s
-
-
-def _multiindex_weight(g: TorusGrid, s: int) -> np.ndarray:
-    """Exact weight sum_{|alpha| <= s} prod_i k_i^(2 alpha_i)."""
-    ks = [ka.astype(float) for ka in g.wavenumbers]
-    w = np.zeros(g.shape)
-    if g.dim == 1:
-        for a in range(s + 1):
-            w = w + ks[0] ** (2 * a)
-    else:
-        for a in range(s + 1):
-            for b in range(s + 1 - a):
-                w = w + ks[0] ** (2 * a) * ks[1] ** (2 * b)
+def _weight(g: TorusGrid, s: int, weight: str) -> np.ndarray:
+    """Sobolev weight on the half layout: the Bessel weight (1 + |k|^2)^s
+    ("spectral") or the exact sum_{|alpha| <= s} prod_i k_i^(2 alpha_i)
+    ("multiindex")."""
+    if weight == "spectral":
+        return (1.0 + g.rk_squared) ** s
+    if weight != "multiindex":
+        raise ValueError(f"unknown weight {weight!r}")
+    w = np.zeros(g.rshape)
+    for alpha in _alphas(g.dim, s):
+        term = 1.0
+        for ka, order in zip(g.rwavenumbers, alpha):
+            term = term * ka.astype(float) ** (2 * order)
+        w = w + term
     return w
-
-
-def _weighted_sq(f: Field, w: np.ndarray) -> float:
-    g = f.grid
-    ch = f.spectral().data / g.n**g.dim
-    return g.volume * float(np.sum(w * np.abs(ch) ** 2))
 
 
 def functional_Es(s_state: CompressibleState, s: int, weight: str = "spectral") -> float:
@@ -221,17 +203,10 @@ def functional_Es(s_state: CompressibleState, s: int, weight: str = "spectral") 
     or the exact multi-index sum ("multiindex").
     """
     g = s_state.grid
-    if weight == "spectral":
-        w = _bessel_weight(g, s)
-    elif weight == "multiindex":
-        w = _multiindex_weight(g, s)
-    else:
-        raise ValueError(f"unknown weight {weight!r}")
-    rho = s_state.rho
+    w = _weight(g, s, weight)
     u, _ = _primitive_fields(s_state)
-    dens = Field(g, rho.values - 1.0)
-    out = _weighted_sq(dens, w) / s_state.eps**2
-    out += sum(_weighted_sq(comp, w) for comp in u)
+    out = hermitian_sq(g, g.rfft(s_state.rho.values - 1.0), w) / s_state.eps**2
+    out += sum(hermitian_sq(g, g.rfft(comp.values), w) for comp in u)
     return out
 
 
@@ -262,19 +237,18 @@ def _alphas(dim: int, s: int):
 
 
 def _deriv_alpha(f: Field, alpha: tuple) -> Field:
+    """D^alpha f as one (i k_a)^order product on the half layout; as in the
+    Field API's derivative, odd orders zero their axis's Nyquist plane and
+    even orders keep it."""
     g = f.grid
-    ah = f.spectral().data.copy()
-    for axis, order in enumerate(alpha):
+    sym = 1.0
+    for ka, order in zip(g.rwavenumbers, alpha):
         if order:
-            ah = g.deriv_hat(ah, axis, order) if order <= 4 else _deriv_many(g, ah, axis, order)
-    return Field(g, g.ifft(ah))
-
-
-def _deriv_many(g: TorusGrid, ah: np.ndarray, axis: int, order: int) -> np.ndarray:
-    while order > 4:
-        ah = g.deriv_hat(ah, axis, 4)
-        order -= 4
-    return g.deriv_hat(ah, axis, order)
+            term = (1j * ka.astype(float)) ** order
+            if order % 2:
+                term = np.where(np.abs(ka) == g.n // 2, 0.0, term)
+            sym = sym * term
+    return Field(g, g.irfft(sym * g.rfft(f.values)))
 
 
 def _primitive_fields(s_state: CompressibleState):
@@ -290,13 +264,8 @@ def _primitive_fields(s_state: CompressibleState):
 def functional_Fs(phi: Field, s: int, weight: str = "spectral") -> float:
     """Phase regularity functional sum_{|a|<=s} int |grad D^a phi|^2."""
     g = phi.grid
-    if weight == "spectral":
-        w = _bessel_weight(g, s)
-    elif weight == "multiindex":
-        w = _multiindex_weight(g, s)
-    else:
-        raise ValueError(f"unknown weight {weight!r}")
-    return _weighted_sq(phi, g.k_squared * w)
+    w = _weight(g, s, weight)
+    return hermitian_sq(g, g.rfft(phi.values), g.rk_squared * w)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ of drho and (CH) dq vanish identically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -42,8 +43,8 @@ class CompressibleState:
     model: ModelKind
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"eps must be finite and positive, got {self.eps}")
         g = self.rho.grid
         if self.mom.grid != g or self.q.grid != g:
             raise ValueError("state fields must share one grid")
@@ -118,11 +119,6 @@ def _wrap(g: TorusGrid, arr: np.ndarray, name: str) -> Field:
         raise NumericsError(f"non-finite values in {name}") from exc
 
 
-def _pmul_hat(g: TorusGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Spectrum of the dealiased pointwise product of two physical arrays."""
-    return np.where(g.dealias_mask, g.fft(a * b), 0.0)
-
-
 def primitives(s: CompressibleState):
     """Recover (u, phi) = (m/rho, q/rho); rejects vacuum."""
     rho = s.rho.values
@@ -131,32 +127,6 @@ def primitives(s: CompressibleState):
     u = VectorField(tuple(Field(g, m.values / rho) for m in s.mom))
     phi = Field(g, s.q.values / rho)
     return u, phi
-
-
-def capillary_force(phi: Field, tensor_form: bool = False) -> VectorField:
-    """Capillary stress -Lap(phi) * grad(phi).
-
-    With ``tensor_form`` the equivalent divergence form
-    -div(grad phi x grad phi - |grad phi|^2/2 I) is evaluated instead.
-    """
-    g = phi.grid
-    ph = np.where(g.dealias_mask, g.fft(phi.values), 0.0)
-    grad = [g.ifft(g.deriv_hat(ph, a)) for a in range(g.dim)]
-    if not tensor_form:
-        lap = g.ifft(g.lap_hat(ph))
-        comps = [g.ifft(-_pmul_hat(g, lap, grad[a])) for a in range(g.dim)]
-        return VectorField(tuple(Field(g, comp) for comp in comps))
-    half_sq = 0.5 * sum(ga * ga for ga in grad)
-    comps = []
-    for i in range(g.dim):
-        acc = np.zeros(g.shape, dtype=complex)
-        for j in range(g.dim):
-            tij = grad[i] * grad[j]
-            if i == j:
-                tij = tij - half_sq
-            acc = acc + g.deriv_hat(np.where(g.dealias_mask, g.fft(tij), 0.0), j)
-        comps.append(g.ifft(-acc))
-    return VectorField(tuple(Field(g, comp) for comp in comps))
 
 
 def rhs_compressible_hat(
@@ -427,10 +397,10 @@ def well_prepared_initial(
 
 
 def _band_limit(g: TorusGrid, arr: np.ndarray, kmax: int) -> np.ndarray:
-    keep = np.ones(g.shape, dtype=bool)
-    for ka in g.wavenumbers:
+    keep = np.ones(g.rshape, dtype=bool)
+    for ka in g.rwavenumbers:
         keep &= np.abs(ka) <= kmax
-    return g.ifft(np.where(keep, g.fft(arr), 0.0))
+    return g.irfft(np.where(keep, g.rfft(arr), 0.0))
 
 
 def taylor_green_bubble(grid: TorusGrid):

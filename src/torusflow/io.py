@@ -44,6 +44,18 @@ class RunConfig:
     sample_cadence: int
 
 
+def _finite(x) -> bool:
+    """True for a number that converts to a finite float."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _take(d: dict, key: str, kinds, where: str, default=_REQUIRED):
     if key not in d:
         if default is _REQUIRED:
@@ -62,6 +74,9 @@ def _take(d: dict, key: str, kinds, where: str, default=_REQUIRED):
         wants_bool = kinds is bool or (isinstance(kinds, tuple) and bool in kinds)
         if not wants_bool:
             raise ConfigError(f"key '{key}' in {where} must be a number, got bool")
+    # json accepts NaN and Infinity, and overlong literals overflow a float
+    if _is_number(val) and not _finite(val):
+        raise ConfigError(f"key '{key}' in {where} must be a finite number, got {val!r}")
     return val
 
 
@@ -123,7 +138,7 @@ def _parse_stepper(sec: dict) -> StepperConfig:
         pic_kwargs["max_iter"] = max_iter
     _no_leftovers(pic_sec, "stepper.picard")
 
-    kwargs = {"picard": PicardOptions(**pic_kwargs)}
+    kwargs = {}
     scheme = _take(sec, "scheme", str, where, default=None)
     if scheme is not None:
         kwargs["scheme"] = scheme
@@ -132,8 +147,10 @@ def _parse_stepper(sec: dict) -> StepperConfig:
         kwargs["cfl"] = float(cfl)
     if "dt_override" in sec:
         dt = sec.pop("dt_override")
-        if dt is not None and not isinstance(dt, _NUM):
-            raise ConfigError("key 'dt_override' in stepper must be a number or null")
+        if dt is not None and not (_is_number(dt) and _finite(dt)):
+            raise ConfigError(
+                f"key 'dt_override' in stepper must be a finite number or null, got {dt!r}"
+            )
         kwargs["dt_override"] = float(dt) if dt is not None else None
     t_end = _take(sec, "t_end", _NUM, where, default=None)
     if t_end is not None:
@@ -143,7 +160,7 @@ def _parse_stepper(sec: dict) -> StepperConfig:
         kwargs["dealias_each_stage"] = deal
     _no_leftovers(sec, where)
     try:
-        return StepperConfig(**kwargs)
+        return StepperConfig(picard=PicardOptions(**pic_kwargs), **kwargs)
     except ValueError as exc:
         raise ConfigError(f"invalid stepper block: {exc}") from exc
 
@@ -238,8 +255,8 @@ def load_sweep_config(path):
     kwargs = {"model": model, "n": grid.n, "dim": grid.dim}
     eps_list = _take(sec, "eps_list", list, "sweep", default=None)
     if eps_list is not None:
-        if not all(isinstance(e, _NUM) for e in eps_list):
-            raise ConfigError("key 'eps_list' in sweep must be a list of numbers")
+        if not all(_is_number(e) and _finite(e) for e in eps_list):
+            raise ConfigError("key 'eps_list' in sweep must be a list of finite numbers")
         kwargs["eps_list"] = tuple(float(e) for e in eps_list)
     t_end = _take(sec, "t_end", _NUM, "sweep", default=None)
     if t_end is not None:
@@ -247,8 +264,10 @@ def load_sweep_config(path):
     if "sample_times" in sec:
         st = sec.pop("sample_times")
         if st is not None:
-            if not isinstance(st, list) or not all(isinstance(t, _NUM) for t in st):
-                raise ConfigError("key 'sample_times' in sweep must be a list of numbers or null")
+            if not isinstance(st, list) or not all(_is_number(t) and _finite(t) for t in st):
+                raise ConfigError(
+                    "key 'sample_times' in sweep must be a list of finite numbers or null"
+                )
             kwargs["sample_times"] = tuple(float(t) for t in st)
     s_index = _take(sec, "s_index", int, "sweep", default=None)
     if s_index is not None:
@@ -281,7 +300,7 @@ def _load_json(path) -> dict:
         raise ConfigError(f"cannot read config {p}: {exc}") from exc
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal too long to parse
         raise ConfigError(f"config {p} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {p} must contain a JSON object at the top level")
@@ -328,7 +347,7 @@ def snapshot_header(path) -> dict:
         line = fh.readline()
     try:
         header = json.loads(line.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # undecodable bytes or malformed JSON
         raise SnapshotError(f"{path}: malformed snapshot header: {exc}") from exc
     if not isinstance(header, dict):
         raise SnapshotError(f"{path}: snapshot header must be a JSON object")
@@ -339,8 +358,8 @@ def snapshot_header(path) -> dict:
             f"(this build reads {SNAPSHOT_SCHEMA_VERSION})"
         )
     time = header.get("time")
-    if isinstance(time, bool) or not isinstance(time, (int, float)):
-        raise SnapshotError(f"{path}: snapshot time must be a number, got {time!r}")
+    if not (_is_number(time) and _finite(time)):
+        raise SnapshotError(f"{path}: snapshot time must be a finite number, got {time!r}")
     return header
 
 
@@ -384,13 +403,15 @@ def read_snapshot(path):
             eps = header.get("eps")
             if eps is None:
                 raise SnapshotError(f"{path}: compressible snapshot lacks eps")
+            if not _is_number(eps):
+                raise SnapshotError(f"{path}: snapshot eps must be a number, got {eps!r}")
             rho = Field(grid, arrays[0])
             mom = VectorField(tuple(Field(grid, a) for a in arrays[1:-1]))
             return CompressibleState(float(eps), rho, mom, Field(grid, arrays[-1]), model)
         if regime == "incompressible":
             u = VectorField(tuple(Field(grid, a) for a in arrays[:-1]))
             return IncompressibleState(u, Field(grid, arrays[-1]), model)
-    except (IndexError, TypeError, ValueError) as exc:
+    except (IndexError, OverflowError, TypeError, ValueError) as exc:
         raise SnapshotError(f"{path}: inconsistent snapshot: {exc}") from exc
     raise SnapshotError(f"{path}: unknown regime {regime!r}")
 

@@ -1,10 +1,24 @@
 """Fourier machinery on the periodic torus [0, 2*pi)^d, d in {1, 2}.
 
-Collocation values live on the uniform n^d grid; spectra use numpy's FFT
-layout with integer wavenumbers k in {-n/2+1, ..., n/2} per axis (the
-Nyquist plane sits at index n/2).  Transforms are unitary up to a single
-1/n^d factor carried by the inverse, so the Fourier-series coefficient of
-mode k is ``fhat[k] / n**d``.
+Collocation values live on the uniform n^d grid; integer wavenumbers run
+over k in {-n/2+1, ..., n/2} per axis (the Nyquist plane sits at index n/2).
+Transforms are unitary up to a single 1/n^d factor carried by the inverse,
+so the Fourier-series coefficient of mode k is ``fhat[k] / n**d``.
+
+Two spectral layouts exist, and this module is the only one that decides
+which runs where:
+
+* the half (rfft) layout, where the last axis keeps only k >= 0 and Hermitian
+  symmetry carries the rest.  The solver core, the diagnostics, the sweep
+  norms and the presets all work on it, through ``rfft``/``irfft``,
+  ``batch_rfft``/``batch_irfft``, the ``r*`` tables, ``hermitian_sq``,
+  ``hs_norm`` and ``refine``;
+* the full (fft) layout, kept only behind the public Field API:
+  ``to_spectral``, ``Field.spectral()``, ``derivative`` and the other
+  Field operators, ``dealias``, the ``solve_*`` functions and ``integral``.
+  Callers and tests index ``Field.spectral().data`` with numpy's fftn
+  layout, so the Field API keeps it.  ``random_band_limited`` also draws on
+  it, because its draws seed the well-prepared initial data.
 
 Products of fields are formed pointwise in physical space; callers are
 expected to dealias them with the 2/3 rule (`dealias`, cutoff floor(n/3)).
@@ -125,6 +139,15 @@ class TorusGrid:
         for ka in self.rwavenumbers:
             mask &= np.abs(ka) <= cut
         return mask
+
+    @cached_property
+    def _rmult(self) -> np.ndarray:
+        """Hermitian multiplicity of each half-layout column: interior
+        last-axis columns also stand for their mirrors and count twice; the
+        k_last = 0 and Nyquist columns count once."""
+        mult = np.full(self.rshape[-1], 2.0)
+        mult[0] = mult[-1] = 1.0
+        return mult
 
     @cached_property
     def _rik(self) -> tuple:
@@ -480,6 +503,17 @@ def l2_norm(f: Field) -> float:
     return float(np.sqrt(np.mean(v * v) * f.grid.volume))
 
 
+def hermitian_sq(g: TorusGrid, ah: np.ndarray, w) -> float:
+    """Weighted squared norm volume * sum_k w_k |c_k|^2 of a real field.
+
+    ``ah`` is the field's half spectrum (``g.rfft``) and ``w`` a weight on
+    the half layout; c_k = fhat_k / n^d, and each column counts with its
+    Hermitian multiplicity, so the sum runs over the full spectrum.
+    """
+    sq = float(np.sum(g._rmult * w * np.abs(ah) ** 2))
+    return g.volume * sq / float(g.n) ** (2 * g.dim)
+
+
 def hs_norm(f: Field, s: int) -> float:
     """Sobolev H^s norm with the Bessel weight (1 + |k|^2)^s.
 
@@ -489,26 +523,32 @@ def hs_norm(f: Field, s: int) -> float:
     if s < 0 or int(s) != s:
         raise ValueError(f"Sobolev index must be a nonnegative integer, got {s}")
     g = f.grid
-    fh = f.spectral().data / g.n**g.dim
-    weight = (1.0 + g.k_squared) ** s
-    return float(np.sqrt(g.volume * np.sum(weight * np.abs(fh) ** 2)))
+    return float(np.sqrt(hermitian_sq(g, g.rfft(f.values), (1.0 + g.rk_squared) ** s)))
 
 
 def refine(f: Field, factor: int = 2) -> np.ndarray:
     """Physical values on a factor-times finer grid via zero-padded spectrum.
 
-    Used for alias-free quadrature of higher-degree integrands.  The stored
-    field must not occupy its Nyquist plane (always true after dealiasing).
+    Used for alias-free quadrature of higher-degree integrands.  A mode on
+    the coarse Nyquist plane is split evenly between +n/2 and -n/2, so the
+    result is the real trigonometric interpolant of the stored values.
     """
+    if int(factor) != factor or factor < 2:
+        raise ValueError(f"refine factor must be an integer >= 2, got {factor}")
     g = f.grid
-    m = factor * g.n
-    fh = np.fft.fftshift(f.spectral().data)
-    big = np.zeros((m,) * g.dim, dtype=complex)
-    lo = m // 2 - g.n // 2
-    sl = tuple(slice(lo, lo + g.n) for _ in range(g.dim))
-    big[sl] = fh
-    vals = np.fft.ifftn(np.fft.ifftshift(big)).real * factor**g.dim
-    return vals
+    gf = TorusGrid(g.dim, int(factor) * g.n)
+    h = g.n // 2
+    fh = g.rfft(f.values)
+    fh[..., h] *= 0.5
+    big = np.zeros(gf.rshape, dtype=complex)
+    if g.dim == 1:
+        big[: h + 1] = fh
+    else:
+        # rows are the full axis: k = 0..n/2 on top, k = -n/2..-1 at the bottom
+        fh[h] *= 0.5
+        big[: h + 1, : h + 1] = fh[: h + 1]
+        big[-h:, : h + 1] = fh[h:]
+    return gf.irfft(big) * factor**g.dim
 
 
 def random_band_limited(

@@ -31,7 +31,7 @@ from .dynamics import (
     rhs_incompressible_hat,
 )
 from .errors import NumericsError
-from .spectral import TorusGrid, batch_irfft, batch_rfft
+from .spectral import TorusGrid, batch_irfft, batch_rfft, hermitian_sq
 
 # nominal wave speed entering the advective step bound of incompressible runs
 _INCOMPRESSIBLE_WAVE_SPEED = 4.0
@@ -436,18 +436,6 @@ def step_imex(state, dt: float, c: Constitutive, model: Optional[ModelKind] = No
         raise NumericsError("non-finite values in IMEX update") from exc
 
 
-def _h1_hat(g: TorusGrid, ah: np.ndarray) -> float:
-    """H^1 norm (Bessel weight, as hs_norm) of a real field from its rfft.
-
-    Interior columns of the half layout also stand for their Hermitian
-    mirrors and count twice; the k_last = 0 and Nyquist columns count once.
-    """
-    mult = np.full(g.rshape[-1], 2.0)
-    mult[0] = mult[-1] = 1.0
-    w = (1.0 + g.rk_squared) * mult
-    return math.sqrt(g.volume * float(np.sum(w * np.abs(ah) ** 2))) / float(g.n) ** g.dim
-
-
 def picard_step(
     s: CompressibleState, dt: float, c: Constitutive, cfg: StepperConfig
 ):
@@ -462,6 +450,7 @@ def picard_step(
     g = s.grid
     nu_bar, eta_bar = _reference_viscosities(c)
     ell_q = _phase_symbol(g, s.model)
+    h1 = 1.0 + g.rk_squared
     zn = [np.where(g.rdealias_mask, z, 0.0) for z in batch_rfft(g, s.as_arrays())]
 
     z = zn
@@ -471,9 +460,8 @@ def picard_step(
     for it in range(1, cfg.picard.max_iter + 1):
         z_new = _lagged_euler(g, zn, z, _rhs_hat(s, c, z), dt, nu_bar, eta_bar, ell_q)
         prev_diff = diff
-        diff = _h1_hat(g, z_new[0] - z[0]) / s.eps + sum(
-            _h1_hat(g, a - b) for a, b in zip(z_new[1:], z[1:])
-        )
+        sq = [hermitian_sq(g, a - b, h1) for a, b in zip(z_new, z)]
+        diff = math.sqrt(sq[0]) / s.eps + sum(math.sqrt(x) for x in sq[1:])
         if 0 < prev_diff < math.inf:
             ratios.append(diff / prev_diff)
         z = z_new

@@ -5,7 +5,6 @@ from torusflow.constitutive import Constitutive, ModelKind
 from torusflow.dynamics import (
     CompressibleState,
     IncompressibleState,
-    capillary_force,
     initial_from_preset,
     make_compressible,
     primitives,
@@ -43,31 +42,26 @@ def uniform_state(g, eps, phi0, model):
 
 
 # ---------------------------------------------------------------------------
-# capillary force
+# capillary force: at uniform density and rest, the momentum tendency of
+# rhs_compressible is the dealiased capillary term -Lap(phi) grad(phi)
+
+
+def capillary_tendency(g, phi):
+    rest = VectorField(tuple(constant_field(g, 0.0) for _ in range(g.dim)))
+    s = make_compressible(0.5, constant_field(g, 1.0), rest, phi, ModelKind.CH)
+    return rhs_compressible(s, Constitutive()).dmom
 
 
 def test_capillary_constant_phase(g2):
-    f = capillary_force(constant_field(g2, 0.7))
+    f = capillary_tendency(g2, constant_field(g2, 0.7))
     assert max(np.max(np.abs(c.values)) for c in f) < 1e-13
 
 
 def test_capillary_single_mode(g1):
     # phi = cos x: -Lap(phi) grad(phi) = -cos(x) sin(x)
     x = g1.coords()[0]
-    f = capillary_force(field_from_values(g1, np.cos(x)))
+    f = capillary_tendency(g1, field_from_values(g1, np.cos(x)))
     assert np.max(np.abs(f[0].values + np.cos(x) * np.sin(x))) < 1e-12
-
-
-def test_capillary_tensor_form_matches(g2, rng):
-    phi = random_band_limited(g2, rng, 5)
-    direct = capillary_force(phi)
-    tensor = capillary_force(phi, tensor_form=True)
-    # the two forms differ by grad(|grad phi|^2/2 + ...) only through
-    # dealiasing; band-limited input keeps them identical after projection
-    pd = leray_project(direct)
-    pt = leray_project(tensor)
-    for a, b in zip(pd, pt):
-        assert np.max(np.abs(a.values - b.values)) < 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,15 @@
 import csv
+import dataclasses
+import functools
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from torusflow.cli import main
 from torusflow.constitutive import ModelKind
@@ -24,7 +30,7 @@ from torusflow.io import (
     write_snapshot,
     write_timeseries,
 )
-from torusflow.spectral import TorusGrid
+from torusflow.spectral import TorusGrid, VectorField, constant_field, field_from_values
 
 
 def write_json(tmp_path, name, payload):
@@ -187,6 +193,11 @@ def test_load_sweep_config(tmp_path):
         {"sweep": {"eps_list": [0.2, 0.4]}},
         {"sweep": {"relax": 1}},
         {"unknown_section": {}},
+        {"sweep": {"eps_list": [0.4, math.nan]}},
+        {"sweep": {"eps_list": [math.inf, 0.2]}},
+        {"sweep": {"eps_list": [2.0, True]}},
+        {"sweep": {"sample_times": [math.nan, 0.01]}},
+        {"sweep": {"t_end": math.nan}},
     ],
 )
 def test_load_sweep_config_rejects(tmp_path, mutate):
@@ -442,8 +453,44 @@ def test_cli_exit_codes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "overrides",
+    [
+        {"stepper": {"t_end": math.inf}},
+        {"stepper": {"t_end": math.nan}},
+        {"stepper": {"dt_override": math.nan}},
+        {"stepper": {"dt_override": math.inf}},
+        {"eps": math.nan},
+        {"eps": math.inf},
+        {"initial": {"kappa0": math.nan}},
+        {"constitutive": {"gamma": math.nan}},
+        {"grid": {"n": 10**400}},
+    ],
+)
+def test_cli_run_rejects_nonfinite_numbers(tmp_path, capsys, overrides):
+    cfg = write_json(tmp_path, "run.json", base_run_config(**overrides))
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error") and "Traceback" not in err
+    key = next(iter(overrides.values()))
+    key = next(iter(key)) if isinstance(key, dict) else next(iter(overrides))
+    assert f"'{key}'" in err
+
+
+@pytest.mark.parametrize(
     "bad",
-    [[1, 2], {"n": "x"}, {"fields": 5}, {"n": 7}, {"dim": 3}, {"time": "x"}],
+    [
+        [1, 2],
+        {"n": "x"},
+        {"fields": 5},
+        {"n": 7},
+        {"dim": 3},
+        {"time": "x"},
+        {"eps": math.nan},
+        {"eps": math.inf},
+        {"eps": True},
+        {"time": math.nan},
+    ],
 )
 def test_cli_audit_malformed_header_exits_4(tmp_path, capsys, g2, bad):
     path = tmp_path / "snap_bad.bin"
@@ -537,3 +584,113 @@ def test_cli_sweep_all_failed_exits_3(tmp_path, capsys):
     assert rows[0]["failed"] == "true"
     assert "density" in rows[0]["reason"]
     assert rows[0]["err_u"] == ""
+
+
+# ---------------------------------------------------------------------------
+# property tests: outside input ends in a valid object or the documented error
+
+_PROPERTY_SETTINGS = settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4)
+)
+
+# key paths of the numeric slots of a run config
+_RUN_NUMERIC_SLOTS = (
+    ("eps",),
+    ("grid", "dim"),
+    ("grid", "n"),
+    ("constitutive", "gamma"),
+    ("constitutive", "pressure_coeff"),
+    ("constitutive", "nu0"),
+    ("constitutive", "eta_upper"),
+    ("stepper", "cfl"),
+    ("stepper", "dt_override"),
+    ("stepper", "t_end"),
+    ("stepper", "picard", "tol"),
+    ("stepper", "picard", "max_iter"),
+    ("initial", "kappa0"),
+    ("initial", "seed"),
+    ("output", "sample_cadence"),
+)
+
+
+def _numbers(obj):
+    """Every int or float field of a config, nested dataclasses included."""
+    for f in dataclasses.fields(obj):
+        val = getattr(obj, f.name)
+        if dataclasses.is_dataclass(val):
+            yield from _numbers(val)
+        elif isinstance(val, (int, float)):
+            yield val
+
+
+@_PROPERTY_SETTINGS
+@given(st.dictionaries(st.sampled_from(_RUN_NUMERIC_SLOTS), _JSON_SCALARS, min_size=1))
+def test_load_config_yields_finite_numbers_or_config_error(tmp_path, slots):
+    payload = base_run_config()
+    for path, value in slots.items():
+        node = payload
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = value
+    try:
+        cfg = load_config(write_json(tmp_path, "prop.json", payload))
+    except ConfigError:
+        return
+    assert all(math.isfinite(x) for x in _numbers(cfg))
+
+
+@functools.lru_cache(maxsize=None)
+def valid_snapshot_bytes() -> bytes:
+    g = TorusGrid(1, 8)
+    x = g.coords()[0]
+    state = make_compressible(
+        0.3,
+        field_from_values(g, 1.0 + 0.01 * np.cos(x)),
+        VectorField((constant_field(g, 0.1),)),
+        constant_field(g, 0.5),
+        ModelKind.CH,
+    )
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "snap.bin"
+        write_snapshot(state, path, time=0.5)
+        return path.read_bytes()
+
+
+@st.composite
+def snapshot_like_bytes(draw):
+    """Arbitrary bytes, a valid snapshot with a spliced-in run of arbitrary
+    bytes, or a valid snapshot with one header value replaced."""
+    base = valid_snapshot_bytes()
+    kind = draw(st.sampled_from(("bytes", "splice", "header")))
+    if kind == "bytes":
+        return draw(st.binary(max_size=300))
+    if kind == "splice":
+        i = draw(st.integers(0, len(base)))
+        j = draw(st.integers(i, len(base)))
+        return base[:i] + draw(st.binary(max_size=16)) + base[j:]
+    line, _, payload = base.partition(b"\n")
+    header = json.loads(line)
+    header[draw(st.sampled_from(sorted(header)))] = draw(_JSON_SCALARS)
+    return json.dumps(header).encode() + b"\n" + payload
+
+
+@_PROPERTY_SETTINGS
+@given(snapshot_like_bytes())
+def test_read_snapshot_yields_state_or_snapshot_error(tmp_path, data):
+    path = tmp_path / "snap.bin"
+    path.write_bytes(data)
+    try:
+        state = read_snapshot(path)
+    except SnapshotError:
+        return
+    assert isinstance(state, (CompressibleState, IncompressibleState))
+    if isinstance(state, CompressibleState):
+        assert math.isfinite(state.eps) and state.eps > 0

@@ -361,12 +361,29 @@ def test_parseval(g2, rng):
     assert l2_norm(f) ** 2 == pytest.approx(spectral_sum, rel=1e-12)
 
 
-def test_refine_interpolates_exactly(g1):
+def test_refine_interpolates_exactly(g1, g2):
     x = g1.coords()[0]
     f = field_from_values(g1, np.sin(3 * x) + 0.2 * np.cos(5 * x))
     fine = refine(f, 2)
     xf = np.arange(2 * g1.n) * np.pi / g1.n
     assert np.max(np.abs(fine - (np.sin(3 * xf) + 0.2 * np.cos(5 * xf)))) < 1e-12
+
+    # 2-d: modes with negative and positive k on axis 0, and a Nyquist-plane
+    # mode, which refine splits evenly between +n/2 and -n/2
+    h = g2.n // 2
+
+    def sample(x, y):
+        return (
+            np.sin(3 * x + 2 * y)
+            + 0.2 * np.cos(-5 * x + 3 * y)
+            + 0.1 * np.sin(-x - 4 * y + 0.3)
+            + 0.05 * np.cos(h * x) * np.cos(2 * y)
+        )
+
+    fine = refine(field_from_values(g2, sample(*g2.coords())), 2)
+    xf = np.arange(2 * g2.n) * np.pi / g2.n
+    want = sample(*np.meshgrid(xf, xf, indexing="ij"))
+    assert np.max(np.abs(fine - want)) < 1e-12
 
 
 def test_random_band_limited_properties(g2, rng):

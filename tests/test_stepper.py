@@ -5,11 +5,20 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from torusflow.constitutive import Constitutive, ModelKind
+from torusflow.diagnostics import (
+    energy_compressible,
+    energy_incompressible,
+    functional_Es,
+    functional_Es_weighted,
+    functional_Fs,
+    modulated_energy,
+)
 from torusflow.dynamics import (
     IncompressibleState,
     initial_from_preset,
     make_compressible,
     primitives,
+    taylor_green_bubble,
     well_prepared_initial,
 )
 from torusflow.errors import NumericsError
@@ -19,8 +28,10 @@ from torusflow.spectral import (
     VectorField,
     constant_field,
     divergence,
+    hermitian_sq,
     hs_norm,
     integral,
+    refine,
 )
 from torusflow.stepper import (
     PicardOptions,
@@ -35,9 +46,9 @@ from torusflow.stepper import (
     step_rk4,
     _etd_tables,
     _etdrk4,
-    _h1_hat,
     _phi123,
 )
+from torusflow.sweep import SweepConfig, _eval_record
 
 
 def rest_compressible(g, eps=0.2, phi0=1.0, model=ModelKind.CH):
@@ -364,12 +375,19 @@ def test_picard_contraction_ratios(g2):
 
 
 def test_picard_increment_norm_matches_hs_norm(rng):
-    # white noise fills every mode, the Nyquist column of the half layout too
+    # Picard measures increments with hermitian_sq on the half layout; the
+    # oracle sums the full spectrum.  White noise fills every mode, the
+    # Nyquist column of the half layout too.
     for g in (TorusGrid(1, 16), TorusGrid(2, 16)):
         f = rng.standard_normal(g.shape)
-        assert np.min(np.abs(g.rfft(f)[..., -1])) > 0.0
-        want = hs_norm(Field(g, f), 1)
-        assert abs(_h1_hat(g, g.rfft(f)) - want) <= 1e-12 * want
+        ah = g.rfft(f)
+        assert np.min(np.abs(ah[..., -1])) > 0.0
+        coeffs = np.fft.fftn(f) / g.n**g.dim
+        for s in (0, 1, 3):
+            want = g.volume * np.sum((1.0 + g.k_squared) ** s * np.abs(coeffs) ** 2)
+            got = hermitian_sq(g, ah, (1.0 + g.rk_squared) ** s)
+            assert abs(got - want) <= 1e-12 * want
+            assert hs_norm(Field(g, f), s) == pytest.approx(math.sqrt(want), rel=1e-12)
 
 
 def test_solver_core_uses_no_full_spectrum_transform(g2, monkeypatch):
@@ -389,6 +407,31 @@ def test_solver_core_uses_no_full_spectrum_transform(g2, monkeypatch):
     step_imex(sc, 1e-4, c)
     step_imex(si, 1e-4, c)
     assert picard_step(sc, 1e-4, c, cfg)[1].converged
+
+
+def test_diagnostics_use_no_full_spectrum_transform(g2, monkeypatch):
+    c = Constitutive()
+    u0, phi0 = initial_from_preset("taylor_green_bubble", g2)
+    sc = well_prepared_initial(u0, phi0, 0.2, 0.1, 0, ModelKind.CH)
+    si = IncompressibleState(u0, phi0, ModelKind.CH)
+    sweep_cfg = SweepConfig(n=g2.n, eps_list=(0.2,))
+
+    def forbidden(self, a):
+        raise AssertionError("full-spectrum transform outside the Field API")
+
+    monkeypatch.setattr(TorusGrid, "fft", forbidden)
+    monkeypatch.setattr(TorusGrid, "ifft", forbidden)
+    energy_compressible(sc, c)
+    energy_incompressible(si, c)
+    modulated_energy(sc, si, c)
+    functional_Es(sc, 2)
+    functional_Es(sc, 2, weight="multiindex")
+    functional_Es_weighted(sc, 2, c)
+    functional_Fs(phi0, 2)
+    hs_norm(phi0, 3)
+    refine(phi0)
+    taylor_green_bubble(g2)
+    _eval_record(sweep_cfg, c, 0.2, [(0.0, sc)], [(0.0, si)], [0.0])
 
 
 def test_picard_requires_compressible(g2):

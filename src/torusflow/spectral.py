@@ -160,6 +160,12 @@ class TorusGrid:
         return tuple(out)
 
     @cached_property
+    def _rik2(self) -> np.ndarray:
+        """sum_a |_rik[a]|^2: rk_squared without the Nyquist components, the
+        symbol of -div grad as the kernels apply it."""
+        return sum(np.abs(ik) ** 2 for ik in self._rik)
+
+    @cached_property
     def rsvv(self) -> np.ndarray:
         """Damping-rate symbol of the spectral vanishing viscosity.
 

@@ -168,7 +168,7 @@ def _eval_record(cfg, c, eps, comp_traj, ref_traj, samples) -> EpsRecord:
     bessel = 1.0 + g.rk_squared
     rho_w = bessel**s
     # sum_a ||d_a rho||^2 in H^grad_idx; first derivatives zero the Nyquist plane
-    grad_w = sum(np.abs(ik) ** 2 for ik in g._rik) * bessel**grad_idx
+    grad_w = g._rik2 * bessel**grad_idx
 
     sup_u = sup_phi = sup_comb = sup_rho = sup_grad = 0.0
     integrand = []
@@ -283,6 +283,12 @@ def acoustic_dispersion_check(
     Re(rho_hat_k) under the compressible dynamics, and times its zero
     crossings.  Returns (measured_freq, predicted_freq) with the prediction
     |k| sqrt(P'(1)) / eps from the linearized acoustic system.
+
+    step_compressible_rk4 integrates that linear system exactly, viscous
+    damping included, so the probe checks the acoustic block of the ETD
+    tables and the mode's weak nonlinearity rather than a time
+    discretization error.  It still samples at the acoustic bound, which
+    resolves the oscillation it times.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")

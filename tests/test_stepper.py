@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
+
+import torusflow.stepper as stepper_module
 
 from torusflow.constitutive import Constitutive, ModelKind
 from torusflow.diagnostics import (
@@ -44,6 +47,7 @@ from torusflow.stepper import (
     step_imex,
     step_incompressible_rk4,
     step_rk4,
+    _block_tables,
     _etd_tables,
     _etdrk4,
     _phi123,
@@ -92,22 +96,36 @@ def test_acoustic_dt_scalings():
 def test_default_dt_selects_bounds():
     g = TorusGrid(2, 32)
     c = Constitutive()
-    s = rest_compressible(g, eps=0.2)
-    acoustic = acoustic_dt(0.2, g, c, 0.4, 0.0)
-    # conserved phase dynamics takes the acoustic bound, explicit or implicit
+    advective = 0.4 * g.dx / 4.0
     cfg = StepperConfig(scheme="rk4", cfl=0.4, t_end=1.0)
-    assert default_dt(s, c, cfg) == pytest.approx(acoustic, rel=1e-12)
+    cfg_imex = StepperConfig(scheme="imex", cfl=0.4, t_end=1.0)
     cfg_picard = StepperConfig(cfl=0.4, t_end=1.0, picard=PicardOptions(enabled=True))
-    assert default_dt(s, c, cfg_picard) == pytest.approx(acoustic, rel=1e-12)
+    for eps in (0.4, 0.2, 0.05):
+        acoustic = acoustic_dt(eps, g, c, 0.4, 0.0)
+        # conserved phase dynamics keeps the acoustic bound for every scheme
+        s = rest_compressible(g, eps=eps)
+        for conf in (cfg, cfg_imex, cfg_picard):
+            assert default_dt(s, c, conf) == pytest.approx(acoustic, rel=1e-12)
+        # relaxational ETDRK4 runs integrate the acoustics exactly and take
+        # the larger of the acoustic and the eps-free advective bound
+        s_ac = rest_compressible(g, eps=eps, model=ModelKind.AC)
+        want = max(acoustic, advective)
+        assert default_dt(s_ac, c, cfg) == pytest.approx(want, rel=1e-12)
+        for conf in (cfg_imex, cfg_picard):
+            assert default_dt(s_ac, c, conf) == pytest.approx(acoustic, rel=1e-12)
+    # sqrt(P'(1))/eps = 3.54 < 4 at eps = 0.4, so the acoustic bound wins there
+    s_ac = rest_compressible(g, eps=0.4, model=ModelKind.AC)
+    assert default_dt(s_ac, c, cfg) > advective
+    assert default_dt(rest_compressible(g, eps=0.05, model=ModelKind.AC), c, cfg) == (
+        pytest.approx(advective, rel=1e-12)
+    )
     # override wins
     cfg2 = StepperConfig(dt_override=1e-4, t_end=1.0)
-    assert default_dt(s, c, cfg2) == 1e-4
-    s_ac = rest_compressible(g, eps=0.2, model=ModelKind.AC)
-    assert default_dt(s_ac, c, cfg) == pytest.approx(acoustic, rel=1e-12)
+    assert default_dt(s_ac, c, cfg2) == 1e-4
     # incompressible runs use a fixed reference wave speed in place of sound
     u = VectorField((constant_field(g, 0.0), constant_field(g, 0.0)))
     s_inc = IncompressibleState(u, constant_field(g, 0.5), ModelKind.AC)
-    assert default_dt(s_inc, c, cfg) == pytest.approx(0.4 * g.dx / 4.0, rel=1e-12)
+    assert default_dt(s_inc, c, cfg) == pytest.approx(advective, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +204,119 @@ def test_etdrk4_is_exact_on_pure_linear():
     forced = _etdrk4(z0, ops, lambda zh: [np.full(1, 0.7 + 0j)], None)
     want = 2.0 * np.exp(lam * dt) + 0.7 * np.expm1(lam * dt) / lam
     assert forced[0][0] == pytest.approx(want, rel=1e-14)
+
+
+def _block_modes(c2):
+    # (svv, visc, |k|): k = 0, under- and over-damped modes, and modes
+    # within 1e-9 and 1e-5 of critical damping visc^2/4 = c2 |k|^2
+    modes = [(0.0, 0.0, 0.0)]
+    for kk in (1.0, 3.0, 10.0, 21.0):
+        crit = 2.0 * math.sqrt(c2) * kk
+        viscs = [0.2 * kk**2, 1e-3 * crit, 3.0 * crit, 50.0 * crit, crit]
+        viscs += [crit * (1.0 + r) for r in (1e-9, -1e-9, 1e-5, -1e-5)]
+        modes += [(svv, v, kk) for v in viscs for svv in (0.0, 40.0, 2000.0)]
+    return np.array(modes).T
+
+
+def test_block_tables_match_expm_oracle():
+    # the top row of exp([[zL, I, 0, 0], [0, 0, I, 0], [0, 0, 0, I], [0]])
+    # holds exp(zL), phi_1(zL), phi_2(zL), phi_3(zL).  Entries are compared
+    # in the balanced variables (sqrt(c2) rho, b), where L is well scaled,
+    # against the largest entry of the oracle.
+    eye, zero = np.eye(2), np.zeros((2, 2))
+    for eps in (1.0, 0.4, 0.05):
+        c2 = 2.0 / eps**2
+        svv, visc, kk = _block_modes(c2)
+        m = -svv - 0.5 * visc
+        s2 = 0.25 * visc**2 - c2 * kk**2
+        det = svv * (visc + svv) + c2 * kk**2
+        bal = np.diag([math.sqrt(c2), 1.0])
+        for dt in (1e-4, 1e-2, 0.1):
+            tabs = _block_tables(m, s2, det, dt)
+            for i in range(len(m)):
+                L = np.array([[-svv[i], -kk[i]], [kk[i] * c2, -visc[i] - svv[i]]])
+                phis = {}
+                for z in (0.5 * dt, dt):
+                    aug = np.block([
+                        [z * L, eye, zero, zero],
+                        [zero, zero, eye, zero],
+                        [zero, zero, zero, eye],
+                        [zero, zero, zero, zero],
+                    ])
+                    top = expm(aug)[:2]
+                    phis[z] = [top[:, 2 * j : 2 * j + 2] for j in range(4)]
+                want = {
+                    "E2": phis[0.5 * dt][0],
+                    "Q": 0.5 * dt * phis[0.5 * dt][1],
+                    "P2h": dt * phis[0.5 * dt][2],
+                    "P2": dt * phis[dt][2],
+                    "P3": dt * phis[dt][3],
+                }
+                assert set(tabs) == set(want)
+                for key, (c0, c1) in tabs.items():
+                    got = bal @ (c0[i] * eye + c1[i] * L) @ np.linalg.inv(bal)
+                    ref = bal @ want[key] @ np.linalg.inv(bal)
+                    err = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+                    assert err <= 1e-10, (eps, dt, key, svv[i], visc[i], kk[i], err)
+
+
+def test_one_step_over_three_acoustic_periods_is_the_damped_oscillator():
+    # the dispersion probe's setup: a small 1-d density mode at rest.  Its
+    # linearisation rho'' + visc rho' + c2 k^2 rho = 0 is integrated exactly,
+    # so one step across 3.2 periods lands on the damped oscillation
+    g = TorusGrid(1, 64)
+    c = Constitutive()
+    eps, k = 0.1, 1
+    amp = 1e-3 * eps**2
+    x = g.coords()[0]
+    rho = Field(g, 1.0 + amp * np.cos(k * x))
+    s = make_compressible(eps, rho, VectorField((constant_field(g, 0.0),)),
+                          constant_field(g, 1.0), ModelKind.CH)
+    c2 = float(c.pressure_prime(1.0)) / eps**2
+    visc = (c.nu0 + c.eta0) * k**2
+    omega = math.sqrt(c2 * k**2 - 0.25 * visc**2)
+    dt = 3.2 * 2.0 * math.pi / omega
+    out = step_compressible_rk4(s, dt, c)
+    want = math.exp(-0.5 * visc * dt) * (
+        math.cos(omega * dt) + 0.5 * visc / omega * math.sin(omega * dt)
+    )
+    assert np.max(np.abs(out.rho.values - 1.0 - amp * want * np.cos(k * x))) < 1e-4 * amp
+
+
+def test_nsac_step_count_does_not_depend_on_eps():
+    g = TorusGrid(2, 32)
+    c = Constitutive()
+    u0, phi0 = initial_from_preset("taylor_green_bubble", g)
+    steps = []
+    for eps in (0.1, 0.05, 0.025):
+        s0 = well_prepared_initial(u0, phi0, eps, 0.1, 0, ModelKind.AC)
+        seen = []
+        out = integrate(s0, c, StepperConfig(t_end=0.2), None, lambda t, s: seen.append(s))
+        steps.append(len(seen))
+        assert all(np.all(np.isfinite(a)) for s in seen for a in s.as_arrays())
+        assert min(float(np.min(s.rho.values)) for s in seen) > 0.0
+        assert out[-1][1] is seen[-1]
+    assert steps[0] == steps[1] == steps[2], steps
+
+
+def test_integrate_builds_each_table_set_once(monkeypatch):
+    # equal intervals between linspace samples differ in their last bits;
+    # every step of an 11-sample run must still reuse one cached table set
+    g = TorusGrid(2, 32)
+    c = Constitutive()
+    u0, phi0 = initial_from_preset("taylor_green_bubble", g)
+    samples = np.linspace(0.0, 0.02, 11)
+    runs = (
+        ("incompressible", IncompressibleState(u0, phi0, ModelKind.CH)),
+        ("compressible", well_prepared_initial(u0, phi0, 0.2, 0.1, 0, ModelKind.AC)),
+    )
+    for regime, s0 in runs:
+        monkeypatch.setattr(stepper_module, "_ETD_CACHE", {})
+        entries = []
+        integrate(s0, c, StepperConfig(t_end=0.02), samples,
+                  lambda t, s: entries.append(stepper_module._ETD_CACHE[regime]))
+        assert len(entries) >= 10
+        assert len({id(e) for e in entries}) == 1, regime
 
 
 # ---------------------------------------------------------------------------

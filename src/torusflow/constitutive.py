@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Field, dealias, laplacian, to_physical, to_spectral
+from .spectral import Field, dealias, laplacian
 
 
 class ModelKind(enum.Enum):
@@ -119,8 +119,8 @@ def chemical_potential(rho: Field, phi: Field) -> Field:
     rvals = rho.values
     if np.min(rvals) <= 0.0:
         raise ValueError("chemical_potential requires a vacuum-free density")
-    lap = laplacian(phi.physical()).data
-    cube = to_physical(dealias(to_spectral(Field(g, phi.values**3)))).data
+    lap = laplacian(phi).values
+    cube = dealias(Field(g, phi.values**3)).values
     vals = -lap / rvals + cube - phi.values
     return Field(g, vals)
 

@@ -7,8 +7,7 @@ weight is also available as a cross-check.  Both weights live on the half
 (``spectral.hermitian_sq``).  Quadratures of quartic and rational
 integrands run on a 2x oversampled grid (``refine``), which makes them
 exact for the polynomial cases and rounding-accurate for smooth states;
-derivatives there come from the fine grid's half-spectrum tables, so no
-diagnostic touches the full-spectrum layout of the Field API.
+derivatives there come from the fine grid's half-spectrum tables.
 """
 
 from __future__ import annotations
@@ -237,17 +236,12 @@ def _alphas(dim: int, s: int):
 
 
 def _deriv_alpha(f: Field, alpha: tuple) -> Field:
-    """D^alpha f as one (i k_a)^order product on the half layout; as in the
-    Field API's derivative, odd orders zero their axis's Nyquist plane and
-    even orders keep it."""
+    """D^alpha f as one product of rderiv symbols on the half layout."""
     g = f.grid
     sym = 1.0
-    for ka, order in zip(g.rwavenumbers, alpha):
+    for axis, order in enumerate(alpha):
         if order:
-            term = (1j * ka.astype(float)) ** order
-            if order % 2:
-                term = np.where(np.abs(ka) == g.n // 2, 0.0, term)
-            sym = sym * term
+            sym = sym * g.rderiv(axis, order)
     return Field(g, g.irfft(sym * g.rfft(f.values)))
 
 

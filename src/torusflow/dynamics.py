@@ -346,7 +346,7 @@ def make_compressible(
     _require_positive(rv, "make_compressible")
     mom = VectorField(tuple(Field(g, rv * comp.values) for comp in u))
     q = Field(g, rv * phi.values)
-    return CompressibleState(eps, rho.physical(), mom, q, model)
+    return CompressibleState(eps, rho, mom, q, model)
 
 
 # perturbations live in modes |k_axis| <= _PERT_KMAX; presets stay below
@@ -397,10 +397,7 @@ def well_prepared_initial(
 
 
 def _band_limit(g: TorusGrid, arr: np.ndarray, kmax: int) -> np.ndarray:
-    keep = np.ones(g.rshape, dtype=bool)
-    for ka in g.rwavenumbers:
-        keep &= np.abs(ka) <= kmax
-    return g.irfft(np.where(keep, g.rfft(arr), 0.0))
+    return g.irfft(np.where(g.rband_mask(kmax), g.rfft(arr), 0.0))
 
 
 def taylor_green_bubble(grid: TorusGrid):

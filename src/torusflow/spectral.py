@@ -5,20 +5,12 @@ over k in {-n/2+1, ..., n/2} per axis (the Nyquist plane sits at index n/2).
 Transforms are unitary up to a single 1/n^d factor carried by the inverse,
 so the Fourier-series coefficient of mode k is ``fhat[k] / n**d``.
 
-Two spectral layouts exist, and this module is the only one that decides
-which runs where:
-
-* the half (rfft) layout, where the last axis keeps only k >= 0 and Hermitian
-  symmetry carries the rest.  The solver core, the diagnostics, the sweep
-  norms and the presets all work on it, through ``rfft``/``irfft``,
-  ``batch_rfft``/``batch_irfft``, the ``r*`` tables, ``hermitian_sq``,
-  ``hs_norm`` and ``refine``;
-* the full (fft) layout, kept only behind the public Field API:
-  ``to_spectral``, ``Field.spectral()``, ``derivative`` and the other
-  Field operators, ``dealias``, the ``solve_*`` functions and ``integral``.
-  Callers and tests index ``Field.spectral().data`` with numpy's fftn
-  layout, so the Field API keeps it.  ``random_band_limited`` also draws on
-  it, because its draws seed the well-prepared initial data.
+Every spectral operation runs on the half (rfft) layout, where the last axis
+keeps only k >= 0 and Hermitian symmetry carries the rest: the ``r*`` tables
+of ``TorusGrid``, ``rfft``/``irfft``, ``batch_rfft``/``batch_irfft``,
+``hermitian_sq``, ``hs_norm`` and ``refine``.  A ``Field`` holds collocation
+values only; each Field operator applies its symbol to the half spectrum and
+transforms back.
 
 Products of fields are formed pointwise in physical space; callers are
 expected to dealias them with the 2/3 rule (`dealias`, cutoff floor(n/3)).
@@ -30,9 +22,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-
-PHYSICAL = "physical"
-SPECTRAL = "spectral"
 
 # peak damping rate (per axis, per time unit) of the high-k spectral
 # vanishing viscosity; see TorusGrid.rsvv
@@ -68,37 +57,6 @@ class TorusGrid:
     def dealias_cutoff(self) -> int:
         return self.n // 3
 
-    @cached_property
-    def wavenumbers(self) -> tuple:
-        """Integer frequency table, one broadcastable array per axis."""
-        k1d = np.fft.fftfreq(self.n, d=1.0 / self.n).astype(np.int64)
-        out = []
-        for axis in range(self.dim):
-            shape = [1] * self.dim
-            shape[axis] = self.n
-            out.append(k1d.reshape(shape))
-        return tuple(out)
-
-    @cached_property
-    def k_squared(self) -> np.ndarray:
-        k2 = np.zeros(self.shape)
-        for ka in self.wavenumbers:
-            k2 = k2 + ka.astype(float) ** 2
-        return k2
-
-    @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        """True where every |k_axis| <= floor(n/3)."""
-        cut = self.dealias_cutoff
-        mask = np.ones(self.shape, dtype=bool)
-        for ka in self.wavenumbers:
-            mask &= np.abs(ka) <= cut
-        return mask
-
-    @cached_property
-    def _nyquist_masks(self) -> tuple:
-        return tuple(np.abs(ka) == self.n // 2 for ka in self.wavenumbers)
-
     def coords(self) -> list:
         """Collocation coordinates, one broadcast array per axis."""
         x1d = np.arange(self.n) * self.dx
@@ -106,8 +64,8 @@ class TorusGrid:
             return [x1d]
         return list(np.meshgrid(x1d, x1d, indexing="ij"))
 
-    # -- half-spectrum (real-transform) layout, used by the hot solver core;
-    # the last axis keeps only k >= 0, Hermitian symmetry carries the rest
+    # -- half-spectrum (real-transform) layout: the last axis keeps only
+    # k >= 0, Hermitian symmetry carries the rest
 
     @property
     def rshape(self) -> tuple:
@@ -132,13 +90,16 @@ class TorusGrid:
             k2 = k2 + ka.astype(float) ** 2
         return k2
 
-    @cached_property
-    def rdealias_mask(self) -> np.ndarray:
-        cut = self.dealias_cutoff
+    def rband_mask(self, kmax: int) -> np.ndarray:
+        """True on the half layout where every |k_axis| <= kmax."""
         mask = np.ones(self.rshape, dtype=bool)
         for ka in self.rwavenumbers:
-            mask &= np.abs(ka) <= cut
+            mask &= np.abs(ka) <= kmax
         return mask
+
+    @cached_property
+    def rdealias_mask(self) -> np.ndarray:
+        return self.rband_mask(self.dealias_cutoff)
 
     @cached_property
     def _rmult(self) -> np.ndarray:
@@ -149,15 +110,24 @@ class TorusGrid:
         mult[0] = mult[-1] = 1.0
         return mult
 
+    def rderiv(self, axis: int, order: int = 1) -> np.ndarray:
+        """Symbol (i k_axis)^order on the half layout, broadcastable.
+
+        Odd orders zero the Nyquist plane, which has no odd-derivative
+        partner, so derivatives of real fields stay real.
+        """
+        if axis < 0 or axis >= self.dim:
+            raise ValueError(f"axis {axis} out of range for dim {self.dim}")
+        ka = self.rwavenumbers[axis]
+        sym = (1j * ka.astype(float)) ** order
+        if order % 2:
+            sym = np.where(np.abs(ka) == self.n // 2, 0.0, sym)
+        return sym
+
     @cached_property
     def _rik(self) -> tuple:
-        """1j*k per axis on the half-spectrum layout, Nyquist zeroed (as in
-        deriv_hat) so first derivatives of real fields stay real."""
-        out = []
-        for ka in self.rwavenumbers:
-            ik = 1j * ka.astype(float)
-            out.append(np.where(np.abs(ka) == self.n // 2, 0.0, ik))
-        return tuple(out)
+        """First-derivative symbols rderiv(axis, 1), one per axis."""
+        return tuple(self.rderiv(a) for a in range(self.dim))
 
     @cached_property
     def _rik2(self) -> np.ndarray:
@@ -218,95 +188,61 @@ class TorusGrid:
     def irfft(self, ah: np.ndarray) -> np.ndarray:
         return np.fft.irfftn(ah, s=self.shape, axes=tuple(range(self.dim)))
 
-    # -- full-spectrum raw-array transforms used by the Field layer --
-
+    # no torusflow code calls these; perfbench/tracing.py wraps them by name
     def fft(self, a: np.ndarray) -> np.ndarray:
         return np.fft.fftn(a)
 
     def ifft(self, ah: np.ndarray) -> np.ndarray:
         return np.fft.ifftn(ah).real
 
-    def deriv_hat(self, ah: np.ndarray, axis: int, order: int = 1) -> np.ndarray:
-        if axis < 0 or axis >= self.dim:
-            raise ValueError(f"axis {axis} out of range for dim {self.dim}")
-        if order not in (1, 2, 3, 4):
-            raise ValueError(f"derivative order must be in 1..4, got {order}")
-        ka = self.wavenumbers[axis].astype(float)
-        out = ah * (1j * ka) ** order
-        if order % 2 == 1:
-            # the Nyquist mode has no odd-derivative partner; zero it so
-            # derivatives of real fields stay real
-            out = np.where(self._nyquist_masks[axis], 0.0, out)
-        return out
-
-    def lap_hat(self, ah: np.ndarray) -> np.ndarray:
-        return -self.k_squared * ah
-
 
 @dataclass(frozen=True)
 class Field:
-    """Scalar field on a TorusGrid, in physical or spectral representation.
+    """Scalar field on a TorusGrid, held as its collocation values.
 
     Treated as an immutable value: operations return new fields and never
-    mutate ``data`` in place.
+    mutate ``values`` in place.
     """
 
     grid: TorusGrid
-    data: np.ndarray
-    rep: str = PHYSICAL
+    values: np.ndarray
 
     def __post_init__(self):
-        if self.rep not in (PHYSICAL, SPECTRAL):
-            raise ValueError(f"unknown representation {self.rep!r}")
-        if self.data.shape != self.grid.shape:
+        if self.values.shape != self.grid.shape:
             raise ValueError(
-                f"data shape {self.data.shape} does not match grid {self.grid.shape}"
+                f"data shape {self.values.shape} does not match grid {self.grid.shape}"
             )
-        if not np.all(np.isfinite(self.data)):
+        if not np.all(np.isfinite(self.values)):
             raise ValueError("field data contains non-finite entries")
 
-    # coercing accessors (no-ops when already in the requested form)
-    def physical(self) -> "Field":
-        return self if self.rep == PHYSICAL else to_physical(self)
-
-    def spectral(self) -> "Field":
-        return self if self.rep == SPECTRAL else to_spectral(self)
-
-    @property
-    def values(self) -> np.ndarray:
-        """Physical collocation values."""
-        return self.physical().data
-
     def __add__(self, other):
-        o = _match(self, other)
-        return Field(self.grid, self.data + o, self.rep)
+        return Field(self.grid, self.values + _match(self, other))
 
     def __sub__(self, other):
-        o = _match(self, other)
-        return Field(self.grid, self.data - o, self.rep)
+        return Field(self.grid, self.values - _match(self, other))
 
     def __mul__(self, scalar):
         if not np.isscalar(scalar):
             return NotImplemented
-        return Field(self.grid, self.data * scalar, self.rep)
+        return Field(self.grid, self.values * scalar)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return Field(self.grid, -self.data, self.rep)
+        return Field(self.grid, -self.values)
 
 
 def _match(f: Field, other) -> np.ndarray:
     if isinstance(other, Field):
-        if other.grid != f.grid or other.rep != f.rep:
-            raise ValueError("field operands must share grid and representation")
-        return other.data
+        if other.grid != f.grid:
+            raise ValueError("field operands must share a grid")
+        return other.values
     raise TypeError(f"cannot combine Field with {type(other)!r}")
 
 
 @dataclass(frozen=True)
 class VectorField:
-    """Tuple of same-grid, same-representation scalar fields."""
+    """Tuple of same-grid scalar fields."""
 
     components: tuple
 
@@ -315,26 +251,15 @@ class VectorField:
         object.__setattr__(self, "components", comps)
         if not comps:
             raise ValueError("vector field needs at least one component")
-        g, r = comps[0].grid, comps[0].rep
-        for c in comps[1:]:
-            if c.grid != g or c.rep != r:
-                raise ValueError("vector components must share grid and representation")
+        g = comps[0].grid
+        if any(c.grid != g for c in comps[1:]):
+            raise ValueError("vector components must share a grid")
         if len(comps) != g.dim:
             raise ValueError(f"expected {g.dim} components, got {len(comps)}")
 
     @property
     def grid(self) -> TorusGrid:
         return self.components[0].grid
-
-    @property
-    def rep(self) -> str:
-        return self.components[0].rep
-
-    def physical(self) -> "VectorField":
-        return VectorField(tuple(c.physical() for c in self.components))
-
-    def spectral(self) -> "VectorField":
-        return VectorField(tuple(c.spectral() for c in self.components))
 
     def __iter__(self):
         return iter(self.components)
@@ -361,33 +286,21 @@ class VectorField:
 
 
 def field_from_values(grid: TorusGrid, values: np.ndarray) -> Field:
-    return Field(grid, np.asarray(values, dtype=float), PHYSICAL)
+    return Field(grid, np.asarray(values, dtype=float))
 
 
 def constant_field(grid: TorusGrid, value: float) -> Field:
-    return Field(grid, np.full(grid.shape, float(value)), PHYSICAL)
+    return Field(grid, np.full(grid.shape, float(value)))
+
+
+def _apply(f: Field, symbol) -> Field:
+    """The field whose half spectrum is symbol * rfft(f)."""
+    g = f.grid
+    return Field(g, g.irfft(symbol * g.rfft(f.values)))
 
 
 # ---------------------------------------------------------------------------
-# transforms
-
-
-def to_spectral(f: Field) -> Field:
-    """Forward FFT; input must be physical."""
-    if f.rep != PHYSICAL:
-        raise ValueError("to_spectral expects a physical-representation field")
-    return Field(f.grid, f.grid.fft(f.data), SPECTRAL)
-
-
-def to_physical(f: Field) -> Field:
-    """Inverse FFT (carries the 1/n^d normalization); input must be spectral."""
-    if f.rep != SPECTRAL:
-        raise ValueError("to_physical expects a spectral-representation field")
-    return Field(f.grid, f.grid.ifft(f.data), PHYSICAL)
-
-
-# ---------------------------------------------------------------------------
-# differential operators (representation-preserving)
+# differential operators
 
 
 def derivative(f: Field, axis: int, order: int = 1) -> Field:
@@ -395,9 +308,9 @@ def derivative(f: Field, axis: int, order: int = 1) -> Field:
 
     Odd orders zero the Nyquist mode so derivatives of real fields are real.
     """
-    fh = f.spectral()
-    out = Field(f.grid, f.grid.deriv_hat(fh.data, axis, order), SPECTRAL)
-    return out if f.rep == SPECTRAL else to_physical(out)
+    if order not in (1, 2, 3, 4):
+        raise ValueError(f"derivative order must be in 1..4, got {order}")
+    return _apply(f, f.grid.rderiv(axis, order))
 
 
 def gradient(f: Field) -> VectorField:
@@ -406,23 +319,16 @@ def gradient(f: Field) -> VectorField:
 
 def divergence(v: VectorField) -> Field:
     g = v.grid
-    acc = np.zeros(g.shape, dtype=complex)
-    for a, comp in enumerate(v.components):
-        acc = acc + g.deriv_hat(comp.spectral().data, a, 1)
-    out = Field(g, acc, SPECTRAL)
-    return out if v.rep == SPECTRAL else to_physical(out)
+    acc = sum(ik * g.rfft(c.values) for ik, c in zip(g._rik, v.components))
+    return Field(g, g.irfft(acc))
 
 
 def laplacian(f: Field) -> Field:
-    fh = f.spectral()
-    out = Field(f.grid, f.grid.lap_hat(fh.data), SPECTRAL)
-    return out if f.rep == SPECTRAL else to_physical(out)
+    return _apply(f, -f.grid.rk_squared)
 
 
 def biharmonic(f: Field) -> Field:
-    fh = f.spectral()
-    out = Field(f.grid, f.grid.k_squared**2 * fh.data, SPECTRAL)
-    return out if f.rep == SPECTRAL else to_physical(out)
+    return _apply(f, f.grid.rk_squared**2)
 
 
 # ---------------------------------------------------------------------------
@@ -432,19 +338,14 @@ def biharmonic(f: Field) -> Field:
 def dealias(f: Field) -> Field:
     """2/3-rule truncation: zero every mode with any |k_axis| > floor(n/3).
 
-    Spectral input only; idempotent.
+    Idempotent.
     """
-    if f.rep != SPECTRAL:
-        raise ValueError("dealias expects a spectral-representation field")
-    return Field(f.grid, np.where(f.grid.dealias_mask, f.data, 0.0), SPECTRAL)
+    return _apply(f, f.grid.rdealias_mask)
 
 
 def dealiased_product(f: Field, g: Field) -> Field:
     """Pointwise product in physical space, then 2/3-rule truncation."""
-    a = f.values * g.values
-    grid = f.grid
-    ah = grid.fft(a)
-    return Field(grid, grid.ifft(np.where(grid.dealias_mask, ah, 0.0)), PHYSICAL)
+    return dealias(Field(f.grid, f.values * g.values))
 
 
 def batch_rfft(grid: TorusGrid, arrs) -> list:
@@ -470,9 +371,7 @@ def solve_helmholtz(a: float, b: float, f: Field) -> Field:
         raise ValueError(f"helmholtz shift must be positive, got a={a}")
     if b < 0:
         raise ValueError(f"helmholtz coefficient must be nonnegative, got b={b}")
-    fh = f.spectral()
-    out = Field(f.grid, fh.data / (a + b * f.grid.k_squared), SPECTRAL)
-    return out if f.rep == SPECTRAL else to_physical(out)
+    return _apply(f, 1.0 / (a + b * f.grid.rk_squared))
 
 
 def solve_biharmonic_shift(a: float, b: float, f: Field) -> Field:
@@ -481,17 +380,14 @@ def solve_biharmonic_shift(a: float, b: float, f: Field) -> Field:
         raise ValueError(f"biharmonic shift must be positive, got a={a}")
     if b < 0:
         raise ValueError(f"biharmonic coefficient must be nonnegative, got b={b}")
-    fh = f.spectral()
-    out = Field(f.grid, fh.data / (a + b * f.grid.k_squared**2), SPECTRAL)
-    return out if f.rep == SPECTRAL else to_physical(out)
+    return _apply(f, 1.0 / (a + b * f.grid.rk_squared**2))
 
 
 def leray_project(v: VectorField) -> VectorField:
     """Remove the gradient part of v; the k=0 mode (mean flow) is preserved."""
     g = v.grid
     phat = g.project_hat([g.rfft(c.values) for c in v.components])
-    out = VectorField(tuple(Field(g, g.irfft(ph)) for ph in phat))
-    return out.spectral() if v.rep == SPECTRAL else out
+    return VectorField(tuple(Field(g, g.irfft(ph)) for ph in phat))
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +396,7 @@ def leray_project(v: VectorField) -> VectorField:
 
 def integral(f: Field) -> float:
     """Integral over the torus (exact for the stored band)."""
-    fh = f.spectral()
-    return float(fh.data[(0,) * f.grid.dim].real) / f.grid.n**f.grid.dim * f.grid.volume
+    return float(np.mean(f.values)) * f.grid.volume
 
 
 def l2_norm(f: Field) -> float:
@@ -560,13 +455,17 @@ def refine(f: Field, factor: int = 2) -> np.ndarray:
 def random_band_limited(
     grid: TorusGrid, rng: np.random.Generator, kmax: int, zero_mean: bool = True
 ) -> Field:
-    """Smooth random real field with modes confined to |k_axis| <= kmax."""
+    """Smooth random real field with modes confined to |k_axis| <= kmax.
+
+    Draws a full complex spectrum A and keeps its Hermitian part
+    (A(k) + conj A(-k)) / 2, the spectrum of a real field.
+    """
     spec = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    keep = np.ones(grid.shape, dtype=bool)
-    for ka in grid.wavenumbers:
-        keep &= np.abs(ka) <= kmax
-    spec = np.where(keep, spec * np.exp(-grid.k_squared / (2.0 * kmax)), 0.0)
+    axes = tuple(range(grid.dim))
+    mirror = np.conj(np.roll(np.flip(spec, axes), 1, axes))  # conj A(-k)
+    half = 0.5 * (spec + mirror)[..., : grid.n // 2 + 1]
+    keep = grid.rband_mask(kmax)
+    half = np.where(keep, half * np.exp(-grid.rk_squared / (2.0 * kmax)), 0.0)
     if zero_mean:
-        spec[(0,) * grid.dim] = 0.0
-    vals = np.fft.ifftn(spec).real  # real part enforces Hermitian symmetry
-    return Field(grid, vals, PHYSICAL)
+        half[(0,) * grid.dim] = 0.0
+    return Field(grid, grid.irfft(half))

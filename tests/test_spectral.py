@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from torusflow.constitutive import ModelKind, chemical_potential
+from torusflow.diagnostics import conservation_ledger
+from torusflow.dynamics import IncompressibleState, initial_from_preset, well_prepared_initial
 from torusflow.spectral import (
     Field,
     TorusGrid,
@@ -24,13 +27,18 @@ from torusflow.spectral import (
     refine,
     solve_biharmonic_shift,
     solve_helmholtz,
-    to_physical,
-    to_spectral,
 )
 
 
 def vec_from(g, *arrays):
     return VectorField(tuple(field_from_values(g, a) for a in arrays))
+
+
+def full_wavenumbers(g):
+    """Integer wavenumbers of numpy's fftn layout, one broadcast array per
+    axis: the oracle for the half-layout tables."""
+    k1d = np.fft.fftfreq(g.n, d=1.0 / g.n)
+    return np.meshgrid(*([k1d] * g.dim), indexing="ij", sparse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -53,10 +61,28 @@ def test_grid_rejects_bad_shapes(dim, n):
 
 
 def test_wavenumbers_integer_and_broadcast(g2):
-    kx, ky = g2.wavenumbers
-    assert kx.shape == (32, 1) and ky.shape == (1, 32)
-    assert set(np.unique(kx.astype(int))) == set(range(-16, 16))
-    assert np.array_equal(g2.k_squared, kx**2 + ky**2)
+    kx, ky = g2.rwavenumbers
+    assert kx.shape == (32, 1) and ky.shape == (1, 17)
+    fx, fy = full_wavenumbers(g2)
+    assert np.array_equal(kx, fx)
+    assert np.array_equal(ky[0], np.abs(fy[0, :17]))
+    assert np.array_equal(g2.rk_squared, kx**2 + ky**2)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_rderiv_symbols(dim):
+    g = TorusGrid(dim, 16)
+    for axis in range(dim):
+        k = g.rwavenumbers[axis].astype(float)
+        nyquist = np.abs(k) == g.n // 2
+        for order in (1, 2, 3, 4):
+            want = (1j * k) ** order
+            if order % 2:
+                want = np.where(nyquist, 0.0, want)
+            assert np.array_equal(g.rderiv(axis, order), want)
+        assert np.array_equal(g._rik[axis], g.rderiv(axis, 1))
+    with pytest.raises(ValueError):
+        g.rderiv(dim, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -64,35 +90,30 @@ def test_wavenumbers_integer_and_broadcast(g2):
 
 
 def test_constant_transforms_to_zero_mode_only(g2):
-    f = to_spectral(constant_field(g2, 3.5))
+    fh = g2.rfft(constant_field(g2, 3.5).values)
     # unscaled forward transform: the k = 0 coefficient is c * n^d
-    assert f.data[0, 0] == pytest.approx(3.5 * 32**2)
-    assert np.max(np.abs(f.data.flatten()[1:])) < 1e-9
+    assert fh[0, 0] == pytest.approx(3.5 * 32**2)
+    assert np.max(np.abs(fh.flatten()[1:])) < 1e-9
 
 
 def test_sine_has_two_modes():
     g = TorusGrid(1, 8)
     x = g.coords()[0]
-    fh = to_spectral(field_from_values(g, np.sin(x))).data
+    f = field_from_values(g, np.sin(x))
+    fh = np.fft.fftn(f.values)
     # sin x = (e^{ix} - e^{-ix}) / 2i: coefficients -+ n/2 i at k = +-1
     assert fh[1] == pytest.approx(-4j)
     assert fh[-1] == pytest.approx(4j)
+    # the half layout is the k >= 0 part of the full spectrum
+    assert np.max(np.abs(g.rfft(f.values) - fh[: g.n // 2 + 1])) < 1e-12
     fh[1] = fh[-1] = 0.0
     assert np.max(np.abs(fh)) < 1e-12
 
 
 def test_round_trip(g2, rng):
     f = random_band_limited(g2, rng, 9)
-    back = to_physical(to_spectral(f))
-    assert np.max(np.abs(back.data - f.data)) < 1e-13
-
-
-def test_rep_coercion_guards(g2):
-    f = constant_field(g2, 1.0)
-    with pytest.raises(ValueError):
-        to_physical(f)
-    with pytest.raises(ValueError):
-        to_spectral(to_spectral(f))
+    back = g2.irfft(g2.rfft(f.values))
+    assert np.max(np.abs(back - f.values)) < 1e-13
 
 
 def test_field_validation(g2):
@@ -201,21 +222,15 @@ def test_dealias_zeroes_high_modes(g1):
     x = g1.coords()[0]
     cut = g1.dealias_cutoff  # 10 at n = 32
     f = field_from_values(g1, np.cos(cut * x) + np.cos((cut + 1) * x))
-    fh = dealias(to_spectral(f))
-    kept = to_physical(fh).values
+    kept = dealias(f).values
     assert np.max(np.abs(kept - np.cos(cut * x))) < 1e-12
 
 
 def test_dealias_idempotent(g2, rng):
-    fh = to_spectral(random_band_limited(g2, rng, 15))
-    once = dealias(fh).data
-    twice = dealias(dealias(fh)).data
-    assert np.array_equal(once, twice)
-
-
-def test_dealias_requires_spectral(g2):
-    with pytest.raises(ValueError):
-        dealias(constant_field(g2, 1.0))
+    f = random_band_limited(g2, rng, 15)
+    once = dealias(f).values
+    twice = dealias(dealias(f)).values
+    assert np.max(np.abs(twice - once)) <= 1e-14 * np.max(np.abs(once))
 
 
 def test_dealiased_product_removes_alias(g1):
@@ -356,7 +371,7 @@ def test_hs_norm_rejects_negative_index(g1):
 
 def test_parseval(g2, rng):
     f = random_band_limited(g2, rng, 10)
-    coeffs = to_spectral(f).data / g2.n**2
+    coeffs = np.fft.fftn(f.values) / g2.n**2
     spectral_sum = g2.volume * np.sum(np.abs(coeffs) ** 2)
     assert l2_norm(f) ** 2 == pytest.approx(spectral_sum, rel=1e-12)
 
@@ -388,8 +403,66 @@ def test_refine_interpolates_exactly(g1, g2):
 
 def test_random_band_limited_properties(g2, rng):
     f = random_band_limited(g2, rng, 5)
-    fh = to_spectral(f).data
-    kx, ky = g2.wavenumbers
+    fh = np.fft.fftn(f.values)
+    kx, ky = full_wavenumbers(g2)
     outside = (np.abs(kx) > 5) | (np.abs(ky) > 5)
     assert np.max(np.abs(fh[outside])) < 1e-9
     assert abs(integral(f)) < 1e-12
+
+
+def _random_band_limited_fftn(grid, rng, kmax, zero_mean=True):
+    """The full-layout formula: the real part of the inverse full transform
+    of the masked, Gaussian-weighted draw."""
+    spec = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    k = full_wavenumbers(grid)
+    keep = np.ones(grid.shape, dtype=bool)
+    for ka in k:
+        keep &= np.abs(ka) <= kmax
+    k2 = sum(ka**2 for ka in k)
+    spec = np.where(keep, spec * np.exp(-k2 / (2.0 * kmax)), 0.0)
+    if zero_mean:
+        spec[(0,) * grid.dim] = 0.0
+    return np.fft.ifftn(spec).real
+
+
+@pytest.mark.parametrize("dim,n", [(1, 32), (2, 16)])
+@pytest.mark.parametrize("zero_mean", [True, False])
+def test_random_band_limited_matches_full_layout_formula(dim, n, zero_mean):
+    g = TorusGrid(dim, n)
+    for kmax in (1, 4, n // 2 - 1, n // 2, n):
+        want = _random_band_limited_fftn(g, np.random.default_rng(kmax), kmax, zero_mean)
+        got = random_band_limited(g, np.random.default_rng(kmax), kmax, zero_mean).values
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_no_full_spectrum_transform(g2, rng, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("full-spectrum transform")
+
+    u0, phi0 = initial_from_preset("taylor_green_bubble", g2)
+    monkeypatch.setattr(np.fft, "fftn", forbidden)
+    monkeypatch.setattr(np.fft, "ifftn", forbidden)
+
+    f = random_band_limited(g2, rng, 9)
+    h = random_band_limited(g2, rng, 9, zero_mean=False)
+    v = VectorField((f, h))
+    for axis in range(2):
+        for order in (1, 2, 3, 4):
+            derivative(f, axis, order)
+    divergence(gradient(f))
+    laplacian(f)
+    biharmonic(f)
+    dealias(f)
+    dealiased_product(f, h)
+    solve_helmholtz(1.0, 0.5, f)
+    solve_biharmonic_shift(1.0, 0.5, f)
+    leray_project(v)
+    integral(f)
+    l2_norm(f)
+    hs_norm(f, 3)
+    refine(f)
+    sc = well_prepared_initial(u0, phi0, 0.2, 0.1, 0, ModelKind.CH)
+    chemical_potential(sc.rho, phi0)
+    assert conservation_ledger([sc, sc]).mass_drift == 0.0
+    si = IncompressibleState(u0, phi0, ModelKind.CH)
+    assert conservation_ledger([si, si]).phase_mass_drift == 0.0

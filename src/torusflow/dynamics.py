@@ -8,12 +8,24 @@ with a Leray projection.  The phase dynamics is either conserved
 All nonlinear products are collocated in physical space and truncated by
 the 2/3 rule; divergences are evaluated spectrally, which makes the means
 of drho and (CH) dq vanish identically.
+
+The half-spectrum kernels rhs_compressible_hat / rhs_incompressible_hat
+take and return one stacked complex array (nvar, *rshape).  Their physical
+fields, products and product spectra live in a per-grid workspace of
+preallocated buffers (a one-slot module cache), transformed through
+batch_rfft / batch_irfft with ``out=`` and one shared work buffer; per
+call they allocate only the returned tendency.  Products that enter the
+tendency only through the same operator are summed before their transform:
+P(rho)/eps^2 rides on the diagonal momentum flux, phi^3 on the curvature
+term of mu and (incompressible) the capillary force on the advection, so a
+2-d compressible call transforms 21 arrays and an incompressible one 14.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -129,109 +141,221 @@ def primitives(s: CompressibleState):
     return u, phi
 
 
+# ---------------------------------------------------------------------------
+# the half-spectrum kernels and their workspace
+
+
+class _Workspace:
+    """Preallocated buffers of the half-spectrum kernels on one grid.
+
+    ``phys`` holds real collocation stacks, ``spec`` half-spectrum stacks and
+    ``work`` the scratch of the two-pass batch transforms; each kernel carves
+    its stacks out of them, sized for the larger of the two kernels (pages a
+    kernel never touches cost no memory).  The symbols are full-shape complex
+    arrays, so every in-place ufunc runs without a broadcast or cast copy.
+    """
+
+    def __init__(self, g: TorusGrid):
+        d = g.dim
+        self.grid = g
+        self.nflux = d * (d + 1) // 2  # symmetric momentum flux, i <= j
+        self.pairs = [(i, j) for i in range(d) for j in range(i, d)]
+        nprod_c = self.nflux + 2 * d + 1
+        # incompressible spectral stack: u, grad u, phi, lap phi, grad phi
+        ndown_i = d + d * d + 2 + d
+        nphys = max(d + 2 + 2 * d + 2 + nprod_c, ndown_i + d + 2)
+        nspec = max(2 * d + 2 + nprod_c, ndown_i + d + 2)
+        self.phys = np.empty((nphys, *g.shape))
+        self.spec = np.empty((nspec, *g.rshape), dtype=complex)
+        # the batch transforms take longer stacks in chunks of this length
+        self.work = np.empty((d + 2, *g.rshape), dtype=complex)
+        self.ik = g._rik_stack
+        self.k2 = g.rk_squared.astype(complex)
+
+    @cached_property
+    def k(self) -> np.ndarray:
+        """Integer wavenumbers as one complex stack (Leray projection)."""
+        g = self.grid
+        return np.stack(np.broadcast_arrays(*g.rwavenumbers)).astype(complex)
+
+    @cached_property
+    def k2safe(self) -> np.ndarray:
+        """|k|^2 with 1 at k = 0, a safe divisor (Leray projection)."""
+        return self.grid._rk2safe.astype(complex)
+
+    def truncate(self, stack: np.ndarray):
+        """2/3-rule truncation of a half-spectrum stack, in place: zero the
+        band rdealias_mask drops, k > cutoff on the half axis and
+        cutoff < |k| on the full one."""
+        g = self.grid
+        cut = g.dealias_cutoff
+        stack[..., cut + 1 :] = 0.0
+        if g.dim == 2:
+            stack[..., cut + 1 : g.n - cut, :] = 0.0
+
+
+# one workspace, rebuilt when the grid changes; like stepper._ETD_CACHE it
+# is invisible to callers, and a single slot keeps memory flat.  The kernels
+# are therefore not re-entrant: run concurrent solves in separate processes,
+# as run_sweep does.
+_WORKSPACE: dict = {}
+
+
+def _workspace(g: TorusGrid) -> _Workspace:
+    w = _WORKSPACE.get("slot")
+    if w is None or w.grid != g:
+        w = _WORKSPACE["slot"] = _Workspace(g)
+    return w
+
+
+def _carve(pool: np.ndarray, *counts: int) -> list:
+    """Consecutive sub-stacks of pool with the given slot counts."""
+    out, start = [], 0
+    for n in counts:
+        out.append(pool[start : start + n])
+        start += n
+    return out
+
+
+def _rowwise(op, x: np.ndarray, y: np.ndarray, out: np.ndarray):
+    """out[r] = op(x[r], y[r]) row by row, where a single array stands for
+    every row: numpy allocates a stack-sized temporary when one operand
+    broadcasts over a stack."""
+    for r in range(len(out)):
+        op(x[r] if x.ndim == out.ndim else x, y[r] if y.ndim == out.ndim else y, out=out[r])
+
+
+def _div_hat(ik: np.ndarray, v, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """out = sum_a ik[a] v[a] on half spectra; tmp is scratch."""
+    np.multiply(ik[0], v[0], out=out)
+    for a in range(1, len(v)):
+        np.multiply(ik[a], v[a], out=tmp)
+        out += tmp
+    return out
+
+
 def rhs_compressible_hat(
     g: TorusGrid,
     eps: float,
-    rh: np.ndarray,
-    mh: list,
-    qh: np.ndarray,
+    zh: np.ndarray,
     c: Constitutive,
     model: ModelKind,
-):
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """Half-spectrum core of the conservative compressible tendencies.
 
-    Takes and returns rfft-layout spectra (rho, momentum components, q).
-    All nonlinear terms are formed pointwise in physical space and
-    2/3-truncated; linear operators act on the spectra directly.  Constant
-    viscosities take a transform-free spectral path.
+    Takes the rfft-layout state stack (rho, momentum components, q) and
+    returns the tendency stack in the same layout, the only array it
+    allocates; given ``out`` (not overlapping zh) it writes the tendency
+    there and allocates nothing.  All nonlinear terms are formed pointwise
+    in physical space in the workspace and 2/3-truncated; linear operators
+    act on the spectra directly.  Constant viscosities take a
+    transform-free spectral path.  One call transforms
+    d(d+1)/2 + 6d + 6 arrays (21 in 2-d).
     """
     d = g.dim
-    mask = g.rdealias_mask
-    ik = g._rik
-    k2 = g.rk_squared
+    w = _workspace(g)
+    ik, k2 = w.ik, w.k2
+    nprod = w.nflux + 2 * d + 1
+    state, down, prods = _carve(w.phys, d + 2, 2 * d + 2, nprod)
+    spec, prod_hat = _carve(w.spec, 2 * d + 2, nprod)
 
-    phys = batch_irfft(g, [rh, *mh, qh])
-    rho, m, q = phys[0], phys[1 : 1 + d], phys[1 + d]
+    batch_irfft(g, zh, out=state, work=w.work)
+    rho, m, q = state[0], state[1 : 1 + d], state[1 + d]
     if not np.all(np.isfinite(rho)):
         raise NumericsError("non-finite density in rhs_compressible")
     _require_positive(rho, "rhs_compressible")
 
-    # primitive fields; the divisions reintroduce out-of-band tails, so truncate
-    prim = batch_rfft(g, [mi / rho for mi in m] + [q / rho])
-    uh = [np.where(mask, z, 0.0) for z in prim[:d]]
-    phih = np.where(mask, prim[d], 0.0)
-
-    down = batch_irfft(
-        g, uh + [phih] + [ik[a] * phih for a in range(d)] + [-k2 * phih]
-    )
-    u = down[:d]
-    phi = down[d]
-    grad_phi = down[d + 1 : d + 1 + d]
-    lap_phi = down[-1]
-
-    drh = np.zeros(g.rshape, dtype=complex)
-    for a in range(d):
-        drh -= ik[a] * mh[a]
+    # primitive fields, carved out of the product stack; the divisions
+    # reintroduce out-of-band tails, so truncate
+    prim = prods[: d + 1]
+    _rowwise(np.divide, m, rho, prim[:d])
+    np.divide(q, rho, out=prim[d])
+    batch_rfft(g, prim, out=spec[: d + 1], work=w.work)
+    w.truncate(spec[: d + 1])
+    uh, phih = spec[:d], spec[d]
+    _rowwise(np.multiply, ik, phih, spec[d + 1 : 2 * d + 1])
+    np.multiply(k2, phih, out=spec[-1])
+    np.negative(spec[-1], out=spec[-1])
+    batch_irfft(g, spec, out=down, work=w.work)
+    u, phi, grad_phi, lap_phi = down[:d], down[d], down[d + 1 : 2 * d + 1], down[-1]
+    # the derivative slots are free from here on
+    divu_hat, tmp = spec[d + 1], spec[d + 2]
 
     # one batched transform for every pointwise product: the symmetric
-    # momentum flux m_i u_j (i <= j), pressure, capillary, phase transport,
-    # the cubic chemistry term, and the density-weighted curvature
-    flux = [m[i] * u[j] for i in range(d) for j in range(i, d)]
-    ntri = len(flux)
-    prods = (
-        flux
-        + [c.pressure(rho)]
-        + [lap_phi * ga for ga in grad_phi]
-        + [q * ua for ua in u]
-        + [phi**3, lap_phi / rho]
-    )
-    ph_hats = [np.where(mask, z, 0.0) for z in batch_rfft(g, prods)]
-    press_hat = ph_hats[ntri]
-    cap_hat = ph_hats[ntri + 1 : ntri + 1 + d]
-    qu_hat = ph_hats[ntri + 1 + d : ntri + 1 + 2 * d]
-    cube_hat, curv_hat = ph_hats[-2], ph_hats[-1]
+    # momentum flux m_i u_j (i <= j) with the pressure P(rho)/eps^2 on its
+    # diagonal, the capillary force, the phase transport and the chemistry
+    # phi^3 - Lap(phi)/rho of mu
+    flux, cap, qu, chem = _carve(prods, w.nflux, d, d, 1)
+    pres = chem[0]  # until the chemistry goes in
+    np.divide(c.pressure(rho), eps**2, out=pres)
+    for idx, (i, j) in enumerate(w.pairs):
+        np.multiply(m[i], u[j], out=flux[idx])
+        if i == j:
+            flux[idx] += pres
+    _rowwise(np.multiply, lap_phi, grad_phi, cap)
+    _rowwise(np.multiply, q, u, qu)
+    # phi*phi*phi: within an ulp of phi**3, whose pow() costs 40x more
+    np.multiply(phi, phi, out=chem[0])
+    chem[0] *= phi
+    chem[0] -= lap_phi / rho
+    batch_rfft(g, prods, out=prod_hat, work=w.work)
+    w.truncate(prod_hat)
+    flux_hat, cap_hat, qu_hat, chem_hat = _carve(prod_hat, w.nflux, d, d, 1)
 
-    def flux_hat(i: int, j: int):
-        lo, hi = min(i, j), max(i, j)
-        return ph_hats[lo * d - lo * (lo - 1) // 2 + (hi - lo)]
+    if out is None:
+        out = np.empty((d + 2, *g.rshape), dtype=complex)
+    drh, dmh, dqh = out[0], out[1 : 1 + d], out[-1]
+    _div_hat(ik, zh[1 : 1 + d], drh, tmp)
+    np.negative(drh, out=drh)
 
-    dmh = []
-    for i in range(d):
-        acc = -ik[i] * press_hat / eps**2 - cap_hat[i]
-        for j in range(d):
-            acc -= ik[j] * flux_hat(i, j)
-        dmh.append(acc)
-
-    divu_hat = np.zeros(g.rshape, dtype=complex)
-    for a in range(d):
-        divu_hat += ik[a] * uh[a]
-    if c.visc_kind == "constant":
-        for i in range(d):
-            dmh[i] += c.nu0 * (-k2) * uh[i] + c.eta0 * ik[i] * divu_hat
-    else:
-        vis_phys = batch_irfft(
-            g, [-k2 * uh[i] for i in range(d)] + [ik[i] * divu_hat for i in range(d)]
-        )
-        nu = c.viscosity_nu(rho, phi)
-        eta = c.viscosity_eta(rho, phi)
-        vis_hats = batch_rfft(
-            g,
-            [nu * vis_phys[i] for i in range(d)]
-            + [eta * vis_phys[d + i] for i in range(d)],
-        )
-        for i in range(d):
-            dmh[i] += np.where(mask, vis_hats[i] + vis_hats[d + i], 0.0)
-
-    mu_hat = -curv_hat + cube_hat - phih
-    dqh = np.zeros(g.rshape, dtype=complex)
-    for a in range(d):
-        dqh -= ik[a] * qu_hat[a]
+    # dq = -div(q u) + A mu with mu_hat = chem_hat - phi_hat
+    mu_hat = chem_hat[0]
+    mu_hat -= phih
+    _div_hat(ik, qu_hat, dqh, tmp)
     if model is ModelKind.CH:
-        dqh += -k2 * mu_hat
+        np.multiply(k2, mu_hat, out=tmp)
+        dqh += tmp
     else:
-        dqh -= mu_hat
+        dqh += mu_hat
+    np.negative(dqh, out=dqh)
 
-    return drh, dmh, dqh
+    def flux_of(i: int, j: int) -> np.ndarray:
+        lo, hi = min(i, j), max(i, j)
+        return flux_hat[lo * d - lo * (lo - 1) // 2 + (hi - lo)]
+
+    for i in range(d):
+        _div_hat(ik, [flux_of(i, j) for j in range(d)], dmh[i], tmp)
+    dmh += cap_hat
+    np.negative(dmh, out=dmh)
+
+    _div_hat(ik, uh, divu_hat, tmp)
+    if c.visc_kind == "constant":
+        # (nu0 (-k^2)) u_i + (eta0 ik_i) div u, in the product slots, which
+        # are free once the tendency holds their terms
+        nu_k2, eta_ik, visc, grad_div = prod_hat[:4]
+        np.multiply(k2, -c.nu0, out=nu_k2)
+        for i in range(d):
+            np.multiply(ik[i], c.eta0, out=eta_ik)
+            np.multiply(nu_k2, uh[i], out=visc)
+            np.multiply(eta_ik, divu_hat, out=grad_div)
+            visc += grad_div
+            dmh[i] += visc
+    else:
+        # nu Lap u + eta grad div u, summed pointwise before one transform;
+        # the product stacks are free once the tendency holds their terms
+        vis_hat, vis = prod_hat[: 2 * d], prods[: 2 * d]
+        _rowwise(np.multiply, k2, uh, vis_hat[:d])
+        np.negative(vis_hat[:d], out=vis_hat[:d])
+        _rowwise(np.multiply, ik, divu_hat, vis_hat[d:])
+        batch_irfft(g, vis_hat, out=vis, work=w.work)
+        vis[:d] *= c.viscosity_nu(rho, phi)
+        vis[d:] *= c.viscosity_eta(rho, phi)
+        vis[:d] += vis[d:]
+        batch_rfft(g, vis[:d], out=vis_hat[:d], work=w.work)
+        w.truncate(vis_hat[:d])
+        dmh += vis_hat[:d]
+    return out
 
 
 def rhs_compressible(s: CompressibleState, c: Constitutive) -> CompressibleTendency:
@@ -243,11 +367,8 @@ def rhs_compressible(s: CompressibleState, c: Constitutive) -> CompressibleTende
     dq   = -div(q u) + A mu,   mu = (-Lap phi)/rho + phi^3 - phi
     """
     g = s.grid
-    zh = batch_rfft(g, list(s.as_arrays()))
-    drh, dmh, dqh = rhs_compressible_hat(
-        g, s.eps, zh[0], zh[1 : 1 + g.dim], zh[-1], c, s.model
-    )
-    out = batch_irfft(g, [drh, *dmh, dqh])
+    zh = batch_rfft(g, s.as_arrays())
+    out = batch_irfft(g, rhs_compressible_hat(g, s.eps, zh, c, s.model))
     return CompressibleTendency(
         _wrap(g, out[0], "density tendency"),
         VectorField(
@@ -261,70 +382,109 @@ def rhs_compressible(s: CompressibleState, c: Constitutive) -> CompressibleTende
 
 
 def rhs_incompressible_hat(
-    g: TorusGrid, uh_in: list, ph_in: np.ndarray, c: Constitutive, model: ModelKind
-):
-    """Half-spectrum core of the incompressible tendencies (rho = 1)."""
+    g: TorusGrid,
+    zh: np.ndarray,
+    c: Constitutive,
+    model: ModelKind,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Half-spectrum core of the incompressible tendencies (rho = 1).
+
+    Takes the rfft-layout stack (velocity components, phi) and returns the
+    tendency stack, the only array it allocates (none with ``out``, as in
+    rhs_compressible_hat); the velocity tendency is Leray-projected.  One
+    call transforms d^2 + 3d + 4 arrays (14 in 2-d).
+    """
     d = g.dim
-    mask = g.rdealias_mask
-    ik = g._rik
-    k2 = g.rk_squared
+    w = _workspace(g)
+    ik, k2 = w.ik, w.k2
+    ndown = d + d * d + 2 + d
+    down_hat, prod_hat = _carve(w.spec, ndown, d + 2)
+    down, prods = _carve(w.phys, ndown, d + 2)
+    uh = zh[:d]
 
-    uh = list(uh_in)
-    phih = np.where(mask, ph_in, 0.0)
-    grads = [ik[j] * uh[i] for i in range(d) for j in range(d)]
-    down = batch_irfft(
-        g,
-        uh
-        + grads
-        + [phih, -k2 * phih]
-        + [ik[a] * phih for a in range(d)],
-    )
-    u = down[:d]
-    grad_u = [down[d + i * d : d + (i + 1) * d] for i in range(d)]
-    phi = down[d + d * d]
-    lap_phi = down[d + d * d + 1]
-    grad_phi = down[d + d * d + 2 :]
-
-    constant_nu = c.visc_kind == "constant"
-    advect = [
-        sum(u[j] * grad_u[i][j] for j in range(d)) for i in range(d)
-    ]
-    prods = (
-        advect
-        + [lap_phi * ga for ga in grad_phi]
-        + [sum(u[j] * grad_phi[j] for j in range(d)), phi**3]
-    )
-    if not constant_nu:
-        lap_u = batch_irfft(g, [-k2 * uh[i] for i in range(d)])
-        nu = c.viscosity_nu(np.ones(g.shape), phi)
-        prods = prods + [nu * lap_u[i] for i in range(d)]
-    ph_hats = [np.where(mask, z, 0.0) for z in batch_rfft(g, prods)]
-
-    du_hat = []
+    # spectral stack: u, grad u (row d*i + j holds d_j u_i), phi, lap phi,
+    # grad phi
+    u_s, gu_s, phih, lap_s, gp_s = _carve(down_hat, d, d * d, 1, 1, d)
+    np.copyto(u_s, uh)
     for i in range(d):
-        acc = -ph_hats[i] - ph_hats[d + i]
-        if constant_nu:
-            acc += c.nu0 * (-k2) * uh[i]
-        else:
-            acc += ph_hats[2 * d + 2 + i]
-        du_hat.append(acc)
-    du_hat = g.project_hat(du_hat)
+        _rowwise(np.multiply, ik, uh[i], gu_s[d * i : d * (i + 1)])
+    np.copyto(phih, zh[-1:])
+    w.truncate(phih)
+    phih = phih[0]
+    np.multiply(k2, phih, out=lap_s[0])
+    np.negative(lap_s, out=lap_s)
+    _rowwise(np.multiply, ik, phih, gp_s)
+    batch_irfft(g, down_hat, out=down, work=w.work)
+    u, grad_u, phi, lap_phi, grad_phi = _carve(down, d, d * d, 1, 1, d)
+    phi, lap_phi = phi[0], lap_phi[0]
+    # the velocity-gradient slots are free from here on
+    tmp = gu_s
 
-    mu_hat = k2 * phih + ph_hats[2 * d + 1] - phih
-    dphi_hat = -ph_hats[2 * d]
+    # advection plus capillary force u.grad u_i + Lap(phi) d_i phi, the
+    # phase transport u.grad phi and the cube phi^3, in one transform
+    adv, transport, cube = _carve(prods, d, 1, 1)
+    scratch = cube[0]  # until the cube goes in
+    _rowwise(np.multiply, lap_phi, grad_phi, adv)
+    for i in range(d):
+        for j in range(d):
+            np.multiply(u[j], grad_u[d * i + j], out=scratch)
+            adv[i] += scratch
+    np.multiply(u[0], grad_phi[0], out=transport[0])
+    for j in range(1, d):
+        np.multiply(u[j], grad_phi[j], out=scratch)
+        transport[0] += scratch
+    np.multiply(phi, phi, out=cube[0])
+    cube[0] *= phi
+    constant_nu = c.visc_kind == "constant"
+    if not constant_nu:
+        # subtract nu Lap u before the transform; grad u is spent
+        lap_u = grad_u[:d]
+        _rowwise(np.multiply, k2, uh, tmp[:d])
+        np.negative(tmp[:d], out=tmp[:d])
+        batch_irfft(g, tmp[:d], out=lap_u, work=w.work)
+        lap_u *= c.viscosity_nu(np.ones(g.shape), phi)
+        adv -= lap_u
+    batch_rfft(g, prods, out=prod_hat, work=w.work)
+    w.truncate(prod_hat)
+    adv_hat, transport_hat, cube_hat = _carve(prod_hat, d, 1, 1)
+
+    if out is None:
+        out = np.empty((d + 1, *g.rshape), dtype=complex)
+    du_hat, dphi_hat = out[:d], out[-1]
+    np.negative(adv_hat, out=du_hat)
+    if constant_nu:
+        nu_k2, visc = tmp[0], tmp[1 : 1 + d]
+        np.multiply(k2, -c.nu0, out=nu_k2)
+        _rowwise(np.multiply, nu_k2, uh, visc)
+        du_hat += visc
+    # Leray projection in place: du -= k (k . du) / |k|^2, mean flow kept
+    div, irr = tmp[d], tmp[:d]
+    _div_hat(w.k, du_hat, div, tmp[0])
+    _rowwise(np.multiply, w.k, div, irr)
+    _rowwise(np.divide, irr, w.k2safe, irr)
+    irr[(slice(None),) + (0,) * d] = 0.0
+    du_hat -= irr
+
+    # dphi = -u.grad phi + A mu with mu_hat = k^2 phi_hat + cube_hat - phi_hat
+    mu_hat = cube_hat[0]
+    np.multiply(k2, phih, out=tmp[0])
+    mu_hat += tmp[0]
+    mu_hat -= phih
     if model is ModelKind.CH:
-        dphi_hat = dphi_hat + (-k2) * mu_hat
+        np.multiply(k2, mu_hat, out=dphi_hat)
+        dphi_hat += transport_hat[0]
     else:
-        dphi_hat = dphi_hat - mu_hat
-    return du_hat, dphi_hat
+        np.add(transport_hat[0], mu_hat, out=dphi_hat)
+    np.negative(dphi_hat, out=dphi_hat)
+    return out
 
 
 def rhs_incompressible(s: IncompressibleState, c: Constitutive) -> IncompressibleTendency:
     """Leray-projected velocity tendency and phase tendency (rho = 1)."""
     g = s.grid
-    zh = batch_rfft(g, list(s.as_arrays()))
-    du_hat, dphi_hat = rhs_incompressible_hat(g, zh[:-1], zh[-1], c, s.model)
-    out = batch_irfft(g, du_hat + [dphi_hat])
+    zh = batch_rfft(g, s.as_arrays())
+    out = batch_irfft(g, rhs_incompressible_hat(g, zh, c, s.model))
     return IncompressibleTendency(
         VectorField(
             tuple(_wrap(g, a, f"velocity[{i}] tendency") for i, a in enumerate(out[:-1]))

@@ -130,6 +130,11 @@ class TorusGrid:
         return tuple(self.rderiv(a) for a in range(self.dim))
 
     @cached_property
+    def _rik_stack(self) -> np.ndarray:
+        """_rik broadcast to one (dim, *rshape) stack, for stacked arithmetic."""
+        return np.stack(np.broadcast_arrays(*self._rik))
+
+    @cached_property
     def _rik2(self) -> np.ndarray:
         """sum_a |_rik[a]|^2: rk_squared without the Nyquist components, the
         symbol of -div grad as the kernels apply it."""
@@ -348,17 +353,50 @@ def dealiased_product(f: Field, g: Field) -> Field:
     return dealias(Field(f.grid, f.values * g.values))
 
 
-def batch_rfft(grid: TorusGrid, arrs) -> list:
-    """Half-spectrum transforms of several real arrays in one backend call."""
-    axes = tuple(range(1, 1 + grid.dim))
-    out = np.fft.rfftn(np.stack(arrs), axes=axes)
-    return [out[i] for i in range(out.shape[0])]
+def batch_rfft(grid: TorusGrid, arrs, out=None, work=None) -> np.ndarray:
+    """Half-spectrum transforms of a stack of real arrays, (k, *shape) ->
+    (k, *rshape).
+
+    In 2-d the transform runs as two 1-d passes, rfft along the last axis
+    into ``work`` and fft along the first into ``out``; this matches rfftn
+    bit for bit.  A ``work`` stack with fewer slots than the input takes it
+    in chunks of its length.  With both buffers given nothing is allocated.
+    ``out`` must not overlap the input or ``work``: numpy copies an operand
+    that overlaps its output.
+    """
+    a = np.asarray(arrs)
+    if grid.dim == 1:
+        return np.fft.rfft(a, axis=-1, out=out)
+    if out is None:
+        out = np.empty(a.shape[:-1] + (grid.n // 2 + 1,), dtype=complex)
+    if work is None:
+        work = np.empty_like(out)
+    for i in range(0, len(a), len(work)):
+        chunk = a[i : i + len(work)]
+        w = work[: len(chunk)]
+        np.fft.rfft(chunk, axis=-1, out=w)
+        np.fft.fft(w, axis=-2, out=out[i : i + len(chunk)])
+    return out
 
 
-def batch_irfft(grid: TorusGrid, hats) -> list:
-    axes = tuple(range(1, 1 + grid.dim))
-    out = np.fft.irfftn(np.stack(hats), s=grid.shape, axes=axes)
-    return [out[i] for i in range(out.shape[0])]
+def batch_irfft(grid: TorusGrid, hats, out=None, work=None) -> np.ndarray:
+    """Inverse of batch_rfft, (k, *rshape) -> (k, *shape): ifft along the
+    first axis into ``work``, then irfft along the last into ``out``
+    (irfftn bit for bit), in chunks as there.  The input is left
+    unchanged."""
+    h = np.asarray(hats)
+    if grid.dim == 1:
+        return np.fft.irfft(h, n=grid.n, axis=-1, out=out)
+    if out is None:
+        out = np.empty(h.shape[:-1] + (grid.n,))
+    if work is None:
+        work = np.empty_like(h)
+    for i in range(0, len(h), len(work)):
+        chunk = h[i : i + len(work)]
+        w = work[: len(chunk)]
+        np.fft.ifft(chunk, axis=-2, out=w)
+        np.fft.irfft(w, n=grid.n, axis=-1, out=out[i : i + len(chunk)])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,11 @@ conserved (nsch) runs keep the acoustic bound for accuracy, see default_dt.
 constant-coefficient solves.  A Picard loop provides a fully implicit Euler
 step on the conservative variables for verification runs.  Every scheme
 evaluates its tendencies through the half-spectrum kernels
-rhs_compressible_hat / rhs_incompressible_hat.
+rhs_compressible_hat / rhs_incompressible_hat and carries its spectral
+state as one stacked complex array (nvar, *rshape).  ETDRK4 keeps its
+stage values in cached stacks (a one-slot cache like the table cache) and
+has the kernels write their tendencies into them, so a step allocates
+little beyond the new state.
 """
 
 from __future__ import annotations
@@ -295,14 +299,28 @@ def _cached_tables(regime: str, key: tuple, dt: float, build: Callable):
     return hit[1]
 
 
+# stage stacks of _etdrk4, reused while the state shape repeats; a single
+# slot keeps memory flat, and no stage stack leaves the step
+_STAGE_CACHE: dict = {}
+
+
+def _stage_stacks(shape: tuple) -> list:
+    hit = _STAGE_CACHE.get("slot")
+    if hit is None or hit[0] != shape:
+        hit = (shape, [np.empty(shape, dtype=complex) for _ in range(5)])
+        _STAGE_CACHE["slot"] = hit
+    return hit[1]
+
+
 def _etdrk4(zh, ops, nonlin, mask):
     """One ETDRK4 step of z' = L z + N(z) in Krogstie's tableau ETDRK4-B
     (Hochbruck & Ostermann, SINUM 43 (2005), sec. 5).
 
-    zh is the spectral state list; ops(key, list) applies the table key of L
-    at the step h (see _etd_tables); nonlin(list) returns fft(rhs(z)) - L0*z,
-    with L0 the part of L that the tendency itself contains.  With N_i the
-    remainder at stage i, the four stages are
+    zh is the stacked spectral state (nvar, *rshape); the step consumes it
+    as scratch.  ops(key, z, out) writes the table key of L at the step h
+    (see _etd_tables) applied to z into out; nonlin(z, out) writes
+    fft(rhs(z)) - L0*z into out, with L0 the part of L that the tendency
+    itself contains.  With N_i the remainder at stage i, the four stages are
 
         U2 = E2 u + Q N1
         U3 = U2 + P2h (N2 - N1)
@@ -311,33 +329,47 @@ def _etdrk4(zh, ops, nonlin, mask):
 
     where E2 U2 + Q N1 = exp(hL) u + h phi_1(hL) N1, so five tables serve
     the whole step.  L is integrated exactly: a purely linear system steps
-    by exp(hL).
+    by exp(hL).  Five cached stacks and zh hold the stages, each reused once
+    its value is spent; only u+ is allocated.
     """
+    n1, n2, qn1, u2, u3 = _stage_stacks(zh.shape)
+    z = zh
     if mask is not None:
-        zh = [np.where(mask, z, 0.0) for z in zh]
-    n1 = nonlin(zh)
-    qn1 = ops("Q", n1)
-    u2 = [e + q for e, q in zip(ops("E2", zh), qn1)]
-    n2 = nonlin(u2)
-    u3 = [u + p for u, p in zip(u2, ops("P2h", [y - x for x, y in zip(n1, n2)]))]
-    n3 = nonlin(u3)
-    u4 = [
-        e + q + p
-        for e, q, p in zip(
-            ops("E2", u2), qn1, ops("P2", [2.0 * (y - x) for x, y in zip(n1, n3)])
-        )
-    ]
-    n4 = nonlin(u4)
-    out = [
-        u + p2 + p3
-        for u, p2, p3 in zip(
-            u4,
-            ops("P2", [2.0 * b - a - d for a, b, d in zip(n1, n2, n4)]),
-            ops("P3", [4.0 * (a - b - c + d) for a, b, c, d in zip(n1, n2, n3, n4)]),
-        )
-    ]
+        z *= mask
+    nonlin(z, n1)
+    ops("Q", n1, qn1)
+    ops("E2", z, u2)
+    u2 += qn1
+    nonlin(u2, n2)
+    np.subtract(n2, n1, out=z)
+    ops("P2h", z, u3)
+    u3 += u2
+    n3 = z
+    nonlin(u3, n3)
+    # U4 goes to u3; 2 N3 - 2 N1 passes through u2 and its P2 through qn1
+    ops("E2", u2, u3)
+    u3 += qn1
+    np.subtract(n3, n1, out=u2)
+    u2 *= 2.0
+    ops("P2", u2, qn1)
+    u3 += qn1
+    # fold N1..N3 into the last two weights' inputs, so N4 can take n1
+    a, b = qn1, u2
+    np.multiply(n2, 2.0, out=a)
+    a -= n1
+    np.subtract(n1, n2, out=b)
+    b -= n3
+    nonlin(u3, n1)
+    a -= n1
+    b += n1
+    b *= 4.0
+    out = np.empty_like(zh)
+    ops("P2", a, out)
+    out += u3
+    ops("P3", b, n2)
+    out += n2
     if mask is not None:
-        out = [np.where(mask, z, 0.0) for z in out]
+        out *= mask
     return out
 
 
@@ -354,18 +386,12 @@ def _phase_symbol(g: TorusGrid, model: ModelKind) -> np.ndarray:
     return -k2 + 1.0
 
 
-def _rhs_hat(s, c: Constitutive, zh: list) -> list:
-    """Tendency spectra of the state layout zh, with s supplying regime,
-    model and eps."""
-    g = s.grid
-    d = g.dim
+def _rhs_hat(s, c: Constitutive, zh: np.ndarray, out=None) -> np.ndarray:
+    """Tendency stack of the state stack zh, with s supplying regime, model
+    and eps; written into out when given."""
     if isinstance(s, CompressibleState):
-        drh, dmh, dqh = rhs_compressible_hat(
-            g, s.eps, zh[0], zh[1 : 1 + d], zh[-1], c, s.model
-        )
-        return [drh, *dmh, dqh]
-    du_hat, dphi_hat = rhs_incompressible_hat(g, zh[:d], zh[-1], c, s.model)
-    return [*du_hat, dphi_hat]
+        return rhs_compressible_hat(s.grid, s.eps, zh, c, s.model, out)
+    return rhs_incompressible_hat(s.grid, zh, c, s.model, out)
 
 
 def _acoustic_tables(g: TorusGrid, nu_bar: float, eta_bar: float, c2: float, dt: float):
@@ -413,8 +439,8 @@ def step_compressible_rk4(
     p1 = float(c.pressure_prime(1.0))
     c2 = p1 / s.eps**2
     ell_q = _phase_symbol(g, s.model)
-    ik = g._rik
-    k2 = g.rk_squared
+    ik = g._rik_stack
+    nu_k2 = nu_bar * g.rk_squared
     svv = g.rsvv
     block, sol_t, c2_kk, inv_kk, l_bb, q_t = _cached_tables(
         "compressible",
@@ -426,34 +452,33 @@ def step_compressible_rk4(
         ),
     )
 
-    def ops(key: str, zl: list) -> list:
+    def ops(key: str, z: np.ndarray, out: np.ndarray):
         c0, c1 = block[key]
-        f = sol_t[key]
-        rho, mom = zl[0], zl[1 : 1 + d]
-        div = sum(a * x for a, x in zip(ik, mom))  # |k| b
+        rho, mom = z[0], z[1 : 1 + d]
+        div = np.sum(ik * mom, axis=0)  # |k| b
         b = inv_kk * div
-        rho_new = c0 * rho + c1 * (-svv * rho - div)
         b_new = c0 * b + c1 * (c2_kk * rho + l_bb * b)
+        f = sol_t[key]
+        out[0] = c0 * rho + c1 * (-svv * rho - div)
         # the gradient part of m is -i k b/|k|: f on the solenoidal part,
         # b_new on the gradient part
-        v = inv_kk * (f * b - b_new)
-        return [rho_new, *[f * x + a * v for a, x in zip(ik, mom)], q_t[key] * zl[-1]]
+        np.multiply(f, mom, out=out[1 : 1 + d])
+        out[1 : 1 + d] += ik * (inv_kk * (f * b - b_new))
+        np.multiply(q_t[key], z[-1], out=out[-1])
 
     # the tables carry the extra -svv damping while the remainder still
     # subtracts the bare linear part, so the integrated system is rhs - svv*z
-    def nonlin(zh: list) -> list:
-        t = _rhs_hat(s, c, zh)
-        mom = zh[1 : 1 + d]
-        div = sum(a * x for a, x in zip(ik, mom))
+    def nonlin(z: np.ndarray, out: np.ndarray):
+        _rhs_hat(s, c, z, out)
+        mom = z[1 : 1 + d]
+        div = np.sum(ik * mom, axis=0)
+        out[0] += div
+        out[1 : 1 + d] += nu_k2 * mom
         # the linear pressure and the bulk viscosity are the gradient ik*pot
-        pot = c2 * zh[0] - eta_bar * div
-        return [
-            t[0] + div,
-            *[tm + nu_bar * k2 * x + a * pot for tm, x, a in zip(t[1 : 1 + d], mom, ik)],
-            t[-1] - ell_q * zh[-1],
-        ]
+        out[1 : 1 + d] += ik * (c2 * z[0] - eta_bar * div)
+        out[-1] -= ell_q * z[-1]
 
-    zh = batch_rfft(g, list(s.as_arrays()))
+    zh = batch_rfft(g, s.as_arrays())
     mask = g.rdealias_mask if dealias_each_stage else None
     zh_new = _etdrk4(zh, ops, nonlin, mask)
     try:
@@ -471,26 +496,25 @@ def step_incompressible_rk4(
     d = g.dim
     nu_bar, _ = _reference_viscosities(c)
     ell_phi = _phase_symbol(g, s.model)
-    k2 = g.rk_squared
+    nu_k2 = nu_bar * g.rk_squared
     svv = g.rsvv
     u_t, phi_t = _cached_tables(
         "incompressible",
         (g, s.model, nu_bar),
         dt,
-        lambda: (_etd_tables(-nu_bar * k2 - svv, dt), _etd_tables(ell_phi - svv, dt)),
+        lambda: (_etd_tables(-nu_k2 - svv, dt), _etd_tables(ell_phi - svv, dt)),
     )
 
-    def ops(key: str, zl: list) -> list:
-        return [*[u_t[key] * z for z in zl[:d]], phi_t[key] * zl[-1]]
+    def ops(key: str, z: np.ndarray, out: np.ndarray):
+        np.multiply(u_t[key], z[:d], out=out[:d])
+        np.multiply(phi_t[key], z[-1], out=out[-1])
 
-    def nonlin(zh: list) -> list:
-        t = _rhs_hat(s, c, zh)
-        return [
-            *[a + nu_bar * k2 * z for a, z in zip(t[:d], zh[:d])],
-            t[-1] - ell_phi * zh[-1],
-        ]
+    def nonlin(z: np.ndarray, out: np.ndarray):
+        _rhs_hat(s, c, z, out)
+        out[:d] += nu_k2 * z[:d]
+        out[-1] -= ell_phi * z[-1]
 
-    zh = batch_rfft(g, list(s.as_arrays()))
+    zh = batch_rfft(g, s.as_arrays())
     mask = g.rdealias_mask if dealias_each_stage else None
     zh_new = _etdrk4(zh, ops, nonlin, mask)
     try:
@@ -503,39 +527,36 @@ def step_incompressible_rk4(
 # implicit solves: first-order IMEX and Picard-iterated implicit Euler
 
 
-def _lagged_euler(g: TorusGrid, zn: list, z: list, tend: list, dt: float,
-                  nu_bar: float, eta_bar: float, ell: np.ndarray) -> list:
+def _lagged_euler(g: TorusGrid, zn: np.ndarray, z: np.ndarray, tend: np.ndarray,
+                  dt: float, nu_bar: float, eta_bar: float, ell: np.ndarray) -> np.ndarray:
     """Implicit Euler update with the constant-coefficient core solved exactly
     and the rest of the tendency lagged at z:
 
         (1 - dt*L) z_new = zn + dt*(tend - L z),
 
-    L = 0 on a leading density slot (when the layout has one), the reference
-    viscous operator L v = -nu k^2 v + eta ik (ik . v) on the velocity/momentum
-    block, and ell on the phase.  With ik from _rik, L is -nu k^2 on the
-    solenoidal part of v and -(nu k^2 + eta |k|^2) on its gradient part
-    -ik (ik . v)/|k|^2, which fixes its resolvent.
+    on state stacks.  L = 0 on a leading density slot (when the layout has
+    one), the reference viscous operator L v = -nu k^2 v + eta ik (ik . v)
+    on the velocity/momentum block, and ell on the phase.  With ik from
+    _rik, L is -nu k^2 on the solenoidal part of v and -(nu k^2 + eta |k|^2)
+    on its gradient part -ik (ik . v)/|k|^2, which fixes its resolvent.
     """
     d = g.dim
     lead = len(zn) - d - 1
     vel = slice(lead, lead + d)
-    ik = g._rik
+    ik = g._rik_stack
     k2 = g.rk_squared
     kk2 = g._rik2
-    div = sum(a * v for a, v in zip(ik, z[vel]))
-    rhs = [
-        v0 + dt * (f + nu_bar * k2 * v - eta_bar * a * div)
-        for v0, f, v, a in zip(zn[vel], tend[vel], z[vel], ik)
-    ]
+    div = np.sum(ik * z[vel], axis=0)
+    rhs = zn[vel] + dt * (tend[vel] + nu_bar * k2 * z[vel] - eta_bar * ik * div)
     r_sol = 1.0 / (1.0 + dt * nu_bar * k2)
     r_grad = 1.0 / (1.0 + dt * (nu_bar * k2 + eta_bar * kk2))
     # ik = 0 wherever |k| = 0, so the safe divisor there changes nothing
-    w = (r_grad - r_sol) / np.where(kk2 > 0, kk2, 1.0) * sum(a * v for a, v in zip(ik, rhs))
-    return [
-        *[a + dt * f for a, f in zip(zn[:lead], tend[:lead])],
-        *[r_sol * v - a * w for a, v in zip(ik, rhs)],
-        (zn[-1] + dt * (tend[-1] - ell * z[-1])) / (1.0 - dt * ell),
-    ]
+    w = (r_grad - r_sol) / np.where(kk2 > 0, kk2, 1.0) * np.sum(ik * rhs, axis=0)
+    out = np.empty_like(zn)
+    out[:lead] = zn[:lead] + dt * tend[:lead]
+    out[vel] = r_sol * rhs - ik * w
+    out[-1] = (zn[-1] + dt * (tend[-1] - ell * z[-1])) / (1.0 - dt * ell)
+    return out
 
 
 def step_imex(state, dt: float, c: Constitutive, model: Optional[ModelKind] = None):
@@ -579,7 +600,7 @@ def picard_step(
     nu_bar, eta_bar = _reference_viscosities(c)
     ell_q = _phase_symbol(g, s.model)
     h1 = 1.0 + g.rk_squared
-    zn = [np.where(g.rdealias_mask, z, 0.0) for z in batch_rfft(g, s.as_arrays())]
+    zn = batch_rfft(g, s.as_arrays()) * g.rdealias_mask
 
     z = zn
     ratios = []
@@ -588,7 +609,7 @@ def picard_step(
     for it in range(1, cfg.picard.max_iter + 1):
         z_new = _lagged_euler(g, zn, z, _rhs_hat(s, c, z), dt, nu_bar, eta_bar, ell_q)
         prev_diff = diff
-        sq = [hermitian_sq(g, a - b, h1) for a, b in zip(z_new, z)]
+        sq = [hermitian_sq(g, row, h1) for row in z_new - z]
         diff = math.sqrt(sq[0]) / s.eps + sum(math.sqrt(x) for x in sq[1:])
         if 0 < prev_diff < math.inf:
             ratios.append(diff / prev_diff)

@@ -29,9 +29,6 @@ from .spectral import Field, TorusGrid, VectorField, hermitian_sq, hs_norm, l2_n
 from .stepper import StepperConfig, integrate, step_compressible_rk4
 from .diagnostics import modulated_energy
 
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     model: ModelKind = ModelKind.CH
@@ -190,7 +187,7 @@ def _eval_record(cfg, c, eps, comp_traj, ref_traj, samples) -> EpsRecord:
         dist_trace.append(dist)
         full_trace.append(full)
 
-    err_int = float(_trapezoid(np.asarray(integrand), np.asarray(samples)))
+    err_int = float(np.trapezoid(np.asarray(integrand), np.asarray(samples)))
     return EpsRecord(
         eps=eps,
         err_u=sup_u,

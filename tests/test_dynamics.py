@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,13 +11,17 @@ from torusflow.dynamics import (
     make_compressible,
     primitives,
     rhs_compressible,
+    rhs_compressible_hat,
     rhs_incompressible,
+    rhs_incompressible_hat,
     well_prepared_initial,
 )
 from torusflow.errors import VacuumError
 from torusflow.spectral import (
     Field,
+    TorusGrid,
     VectorField,
+    batch_rfft,
     constant_field,
     divergence,
     field_from_values,
@@ -249,6 +255,94 @@ def test_affine_viscosity_enters_momentum(g2, rng):
         for a, b in zip(t_const.du, t_affine.du)
     )
     assert diff > 1e-9  # the phi^2-dependent part must actually act
+
+
+def test_affine_viscosity_at_uniform_phase_matches_constant(g2):
+    # at rho = 1 and uniform phi0 the affine law is the constant law with
+    # nu0 + nu_phi phi0^2 and eta0 + eta_phi phi0^2, so the transformed
+    # affine branch must reproduce the spectral constant one
+    x, y = g2.coords()
+    u = VectorField((
+        Field(g2, np.sin(x) * np.cos(y) + 0.3 * np.sin(2 * x)),
+        Field(g2, -np.cos(x) * np.sin(y) + 0.2 * np.cos(y)),
+    ))
+    phi0 = 0.6
+    s = make_compressible(
+        0.3, constant_field(g2, 1.0), u, constant_field(g2, phi0), ModelKind.AC
+    )
+    zh = batch_rfft(g2, s.as_arrays())
+    affine = Constitutive(
+        visc_kind="affine", nu0=0.1, nu_rho=0.3, nu_phi=0.5,
+        eta0=0.2, eta_rho=0.7, eta_phi=0.4,
+    )
+    const = Constitutive(nu0=0.1 + 0.5 * phi0**2, eta0=0.2 + 0.4 * phi0**2)
+    mom = slice(1, 1 + g2.dim)
+    t_affine = rhs_compressible_hat(g2, s.eps, zh, affine, s.model)[mom]
+    t_const = rhs_compressible_hat(g2, s.eps, zh, const, s.model)[mom]
+    scale = np.max(np.abs(t_const))
+    assert np.max(np.abs(t_affine - t_const)) <= 1e-12 * scale
+    # the viscous part is a sizeable share of the tendency compared here
+    t_base = rhs_compressible_hat(g2, s.eps, zh, Constitutive(nu0=0.1, eta0=0.2), s.model)
+    assert np.max(np.abs(t_base[mom] - t_const)) > 1e-2 * scale
+
+
+# ---------------------------------------------------------------------------
+# the half-spectrum kernels share one workspace; what they return is theirs
+
+
+def _compressible_stacks(g):
+    u0, phi0 = initial_from_preset("taylor_green_bubble", g)
+    a = well_prepared_initial(u0, phi0, 0.2, 0.1, 1, ModelKind.CH)
+    b = well_prepared_initial(u0, phi0, 0.1, 0.3, 2, ModelKind.CH)
+    return batch_rfft(g, a.as_arrays()), batch_rfft(g, b.as_arrays())
+
+
+def test_compressible_kernel_result_survives_the_next_call(g2):
+    c = Constitutive()
+    za, zb = _compressible_stacks(g2)
+    za_in = za.copy()
+    first = rhs_compressible_hat(g2, 0.2, za, c, ModelKind.CH)
+    kept = first.copy()
+    second = rhs_compressible_hat(g2, 0.1, zb, c, ModelKind.CH)
+    assert not np.allclose(second, kept)
+    assert np.array_equal(first, kept)
+    assert np.array_equal(za, za_in)
+    assert np.array_equal(first, rhs_compressible_hat(g2, 0.2, za, c, ModelKind.CH))
+
+
+def test_incompressible_kernel_result_survives_the_next_call(g2):
+    c = Constitutive()
+    za = batch_rfft(g2, IncompressibleState(
+        *initial_from_preset("taylor_green_bubble", g2), ModelKind.CH).as_arrays())
+    zb = batch_rfft(g2, IncompressibleState(
+        *initial_from_preset("single_mode", g2), ModelKind.CH).as_arrays())
+    za_in = za.copy()
+    first = rhs_incompressible_hat(g2, za, c, ModelKind.CH)
+    kept = first.copy()
+    second = rhs_incompressible_hat(g2, zb, c, ModelKind.CH)
+    assert not np.allclose(second, kept)
+    assert np.array_equal(first, kept)
+    assert np.array_equal(za, za_in)
+    assert np.array_equal(first, rhs_incompressible_hat(g2, za, c, ModelKind.CH))
+
+
+def test_compressible_kernel_allocates_little_beyond_its_tendency():
+    g = TorusGrid(2, 64)
+    c = Constitutive()
+    za, _ = _compressible_stacks(g)
+    rhs_compressible_hat(g, 0.2, za, c, ModelKind.CH)  # builds the workspace
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        t = rhs_compressible_hat(g, 0.2, za, c, ModelKind.CH)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert peak <= 2 * t.nbytes, (peak, t.nbytes)
 
 
 # ---------------------------------------------------------------------------

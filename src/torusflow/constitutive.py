@@ -33,7 +33,7 @@ def double_well(phi):
 def double_well_prime(phi):
     """G'(phi) = phi^3 - phi."""
     p = np.asarray(phi, dtype=float) if not isinstance(phi, Field) else phi.values
-    return p**3 - p
+    return p * p * p - p
 
 
 @dataclass(frozen=True)
@@ -120,8 +120,9 @@ def chemical_potential(rho: Field, phi: Field) -> Field:
     if np.min(rvals) <= 0.0:
         raise ValueError("chemical_potential requires a vacuum-free density")
     lap = laplacian(phi).values
-    cube = dealias(Field(g, phi.values**3)).values
-    vals = -lap / rvals + cube - phi.values
+    p = phi.values
+    cube = dealias(Field(g, p * p * p)).values
+    vals = -lap / rvals + cube - p
     return Field(g, vals)
 
 

@@ -5,14 +5,26 @@ the multi-index sum over derivatives up to order s; the exact multi-index
 weight is also available as a cross-check.  Both weights live on the half
 (rfft) layout and are summed with Hermitian multiplicities
 (``spectral.hermitian_sq``).  Quadratures of quartic and rational
-integrands run on a 2x oversampled grid (``refine``), which makes them
-exact for the polynomial cases and rounding-accurate for smooth states;
-derivatives there come from the fine grid's half-spectrum tables.
+integrands run on a 2x oversampled grid, which makes them exact for the
+polynomial cases and rounding-accurate for smooth states.  Each report
+refines all of its fields in one stacked ``refine`` call, and the 2x grid
+(with its tables) is built once per grid size.
+
+On the 2x grid, discrete Parseval turns the quadratic spectral terms into
+Hermitian-weighted sums over its half spectrum, with the derivative symbols
+``_rik`` / ``_rik2``: the gradient energy 1/2 int |grad phi|^2, the
+constant-viscosity dissipation nu int |grad u|^2 + eta int (div u)^2, the CH
+dissipation int |grad mu|^2 and the 1/2 int |grad(phi_e - phi)|^2 term of
+the modulated distance.  They equal the fine-grid means to round-off.  The
+kinetic, internal and double-well terms, the AC dissipation int rho mu^2 and
+the affine viscosity law (nu(rho, phi) and eta(rho, phi) weight the
+integrand point by point) stay pointwise means on the 2x grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -23,6 +35,8 @@ from .errors import VacuumError
 from .spectral import (
     Field,
     TorusGrid,
+    batch_irfft,
+    batch_rfft,
     divergence,
     hermitian_sq,
     hs_norm,
@@ -67,35 +81,42 @@ class EnergyReport:
     time: float
 
 
+@lru_cache(maxsize=None)
+def _fine_grid(g: TorusGrid) -> TorusGrid:
+    """The 2x grid of ``g``; one instance per grid size keeps its tables."""
+    return TorusGrid(g.dim, 2 * g.n)
+
+
 def _fine_mean(gf: TorusGrid, arr: np.ndarray) -> float:
     return float(np.mean(arr)) * gf.volume
 
 
-def _fine_grad(gf: TorusGrid, a: np.ndarray) -> list:
-    """Spectral gradient of a fine-grid array; the Nyquist plane is zeroed."""
-    ah = gf.rfft(a)
-    return [gf.irfft(ik * ah) for ik in gf._rik]
-
-
-def _fine_terms(gf: TorusGrid, rho, u: list, phi, c: Constitutive, model: ModelKind):
+def _fine_terms(gf: TorusGrid, rho, phi, hats, c: Constitutive, model: ModelKind):
     """Gradient and potential energies and the dissipation rate of the energy
-    law on the fine grid; ``rho`` is all ones for incompressible states."""
-    ph = gf.rfft(phi)
-    gradient = _fine_mean(
-        gf, 0.5 * sum(gf.irfft(ik * ph) ** 2 for ik in gf._rik)
-    )
+    law on the fine grid.  ``hats`` stacks the half spectra of (phi, u_1, ..);
+    ``rho`` is 1.0 for incompressible states."""
+    ph, uh = hats[0], hats[1:]
+    gradient = 0.5 * hermitian_sq(gf, ph, gf._rik2)
     potential = _fine_mean(gf, 0.25 * rho * (phi * phi - 1.0) ** 2)
 
-    grad_u = [_fine_grad(gf, ua) for ua in u]
-    grad_u_sq = sum(d * d for row in grad_u for d in row)
-    divu = sum(grad_u[a][a] for a in range(gf.dim))
-    nu = c.viscosity_nu(rho, phi)
-    eta = c.viscosity_eta(rho, phi)
-    dissipation = _fine_mean(gf, nu * grad_u_sq + eta * divu * divu)
+    if c.visc_kind == "constant":
+        divh = sum(ik * h for ik, h in zip(gf._rik, uh))
+        dissipation = c.nu0 * sum(hermitian_sq(gf, h, gf._rik2) for h in uh)
+        dissipation += c.eta0 * hermitian_sq(gf, divh, 1.0)
+    else:
+        # nu(rho, phi) and eta(rho, phi) weight the integrand point by point
+        d = gf.dim
+        grad_hat = uh[:, None] * gf._rik_stack  # [a, b]: d_b u_a
+        grad_u = batch_irfft(gf, grad_hat.reshape(d * d, *gf.rshape))
+        divu = sum(grad_u[a * d + a] for a in range(d))
+        nu = c.viscosity_nu(rho, phi)
+        eta = c.viscosity_eta(rho, phi)
+        grad_u_sq = np.sum(grad_u * grad_u, axis=0)
+        dissipation = _fine_mean(gf, nu * grad_u_sq + eta * divu * divu)
 
-    mu = gf.irfft(gf.rk_squared * ph) / rho + phi**3 - phi
+    mu = gf.irfft(gf.rk_squared * ph) / rho + phi * phi * phi - phi
     if model is ModelKind.CH:
-        dissipation += _fine_mean(gf, sum(d * d for d in _fine_grad(gf, mu)))
+        dissipation += hermitian_sq(gf, gf.rfft(mu), gf._rik2)
     else:
         dissipation += _fine_mean(gf, rho * mu * mu)
     return gradient, potential, dissipation
@@ -106,18 +127,18 @@ def energy_compressible(
 ) -> EnergyReport:
     """Energy components int 1/2 rho|u|^2 + eps^-2 omega(rho) + 1/2|grad phi|^2
     + 1/4 rho(phi^2-1)^2 and the dissipation rate of the energy law."""
-    g = s.grid
-    gf = TorusGrid(g.dim, 2 * g.n)
-    rho = refine(s.rho)
+    gf = _fine_grid(s.grid)
+    fine = refine([s.rho, s.q, *s.mom])
+    rho = fine[0]
     if np.min(rho) <= 0:
         raise VacuumError("energy_compressible: nonpositive density")
-    m = [refine(comp) for comp in s.mom]
-    q = refine(s.q)
-    u = [mi / rho for mi in m]
-
-    kinetic = _fine_mean(gf, 0.5 * sum(mi * ui for mi, ui in zip(m, u)))
+    kinetic = _fine_mean(gf, 0.5 * sum(mi * (mi / rho) for mi in fine[2:]))
     internal = _fine_mean(gf, c.omega(rho)) / s.eps**2
-    gradient, potential, dissipation = _fine_terms(gf, rho, u, q / rho, c, s.model)
+    # (q, m_1, ..) -> (phi, u_1, ..) in place, transformed as one stack
+    prim = fine[1:]
+    prim /= rho
+    hats = batch_rfft(gf, prim)
+    gradient, potential, dissipation = _fine_terms(gf, rho, prim[0], hats, c, s.model)
     total = kinetic + internal + gradient + potential
     return EnergyReport(kinetic, internal, gradient, potential, total, dissipation, time)
 
@@ -125,14 +146,11 @@ def energy_compressible(
 def energy_incompressible(
     s: IncompressibleState, c: Constitutive, time: float = 0.0
 ) -> EnergyReport:
-    g = s.grid
-    gf = TorusGrid(g.dim, 2 * g.n)
-    u = [refine(comp) for comp in s.u]
-
-    kinetic = _fine_mean(gf, 0.5 * sum(ua * ua for ua in u))
-    gradient, potential, dissipation = _fine_terms(
-        gf, np.ones(gf.shape), u, refine(s.phi), c, s.model
-    )
+    gf = _fine_grid(s.grid)
+    fine = refine([s.phi, *s.u])
+    kinetic = _fine_mean(gf, 0.5 * sum(ua * ua for ua in fine[1:]))
+    hats = batch_rfft(gf, fine)
+    gradient, potential, dissipation = _fine_terms(gf, 1.0, fine[0], hats, c, s.model)
     total = kinetic + gradient + potential
     return EnergyReport(kinetic, 0.0, gradient, potential, total, dissipation, time)
 
@@ -148,28 +166,25 @@ def modulated_energy(
     """
     if cs.grid != is_.grid:
         raise ValueError("modulated_energy requires states on the same grid")
-    g = cs.grid
-    gf = TorusGrid(g.dim, 2 * g.n)
-    rho = refine(cs.rho)
+    gf = _fine_grid(cs.grid)
+    d = gf.dim
+    fine = refine([cs.rho, cs.q, *cs.mom, is_.phi, *is_.u])
+    rho, phi, u = fine[0], fine[2 + d], fine[3 + d :]
     if np.min(rho) <= 0:
         raise VacuumError("modulated_energy: nonpositive density")
-    m = [refine(comp) for comp in cs.mom]
-    q = refine(cs.q)
-    ue = [mi / rho for mi in m]
-    phie = q / rho
-    u = [refine(comp) for comp in is_.u]
-    phi = refine(is_.phi)
+    # (q, m_1, ..) -> (phi_e, u_e1, ..) in place
+    fine[1 : 2 + d] /= rho
+    phie, ue = fine[1], fine[2 : 2 + d]
 
     sqrt_rho = np.sqrt(rho)
     kin = 0.5 * sum((sqrt_rho * a - b) ** 2 for a, b in zip(ue, u))
     p1 = float(c.pressure(np.ones(())))
     pi_e = (c.omega(rho) - p1 * (rho - 1.0)) / cs.eps**2
 
-    grad_d_sq = sum(d * d for d in _fine_grad(gf, phie - phi))
-
-    distance = _fine_mean(gf, kin + pi_e + 0.5 * grad_d_sq)
+    grad_d = 0.5 * hermitian_sq(gf, gf.rfft(phie - phi), gf._rik2)
+    distance = _fine_mean(gf, kin + pi_e) + grad_d
     bulk = _fine_mean(
-        gf, 0.25 * rho * (phie**2 - 1.0) ** 2 + 0.25 * (phi**2 - 1.0) ** 2
+        gf, 0.25 * rho * (phie * phie - 1.0) ** 2 + 0.25 * (phi * phi - 1.0) ** 2
     )
     return distance + bulk, distance
 
@@ -213,19 +228,23 @@ def functional_Es_weighted(s_state: CompressibleState, s: int, c: Constitutive) 
     """Density/pressure-weighted variant sum int P'(rho)/(eps^2 rho)|D^a(rho-1)|^2
     + rho|D^a u|^2; equivalent to functional_Es while rho stays near 1."""
     g = s_state.grid
-    gf = TorusGrid(g.dim, 2 * g.n)
-    rho_f = refine(s_state.rho)
+    gf = _fine_grid(g)
+    u, _ = _primitive_fields(s_state)
+    dens = Field(g, s_state.rho.values - 1.0)
+    alphas = _alphas(g.dim, s)
+    # one refinement of rho and every D^alpha of (rho - 1, u_1, ..)
+    fine = refine(
+        [s_state.rho] + [_deriv_alpha(f, alpha) for alpha in alphas for f in (dens, *u)]
+    )
+    rho_f = fine[0]
     if np.min(rho_f) <= 0:
         raise VacuumError("functional_Es_weighted: nonpositive density")
-    u, _ = _primitive_fields(s_state)
     wrho = c.pressure_prime(rho_f) / rho_f / s_state.eps**2
     out = 0.0
-    dens = Field(g, s_state.rho.values - 1.0)
-    for alpha in _alphas(g.dim, s):
-        da = _deriv_alpha(dens, alpha)
-        out += _fine_mean(gf, wrho * refine(da) ** 2)
-        for comp in u:
-            out += _fine_mean(gf, rho_f * refine(_deriv_alpha(comp, alpha)) ** 2)
+    for block in fine[1:].reshape(len(alphas), 1 + g.dim, *gf.shape):
+        out += _fine_mean(gf, wrho * block[0] ** 2)
+        for comp in block[1:]:
+            out += _fine_mean(gf, rho_f * comp**2)
     return out
 
 

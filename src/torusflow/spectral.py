@@ -465,29 +465,42 @@ def hs_norm(f: Field, s: int) -> float:
     return float(np.sqrt(hermitian_sq(g, g.rfft(f.values), (1.0 + g.rk_squared) ** s)))
 
 
-def refine(f: Field, factor: int = 2) -> np.ndarray:
+def refine(f, factor: int = 2) -> np.ndarray:
     """Physical values on a factor-times finer grid via zero-padded spectrum.
 
     Used for alias-free quadrature of higher-degree integrands.  A mode on
     the coarse Nyquist plane is split evenly between +n/2 and -n/2, so the
     result is the real trigonometric interpolant of the stored values.
+    ``f`` is a Field, or a sequence of Fields on one grid, refined as one
+    stack (one batch_rfft, one padding, one inverse pass per axis) into a
+    (k, *fine shape) array; each slot equals the single-field refinement bit
+    for bit, and both equal irfftn of the zero-padded half spectrum.
     """
     if int(factor) != factor or factor < 2:
         raise ValueError(f"refine factor must be an integer >= 2, got {factor}")
-    g = f.grid
-    gf = TorusGrid(g.dim, int(factor) * g.n)
+    fields = [f] if isinstance(f, Field) else list(f)
+    if not fields:
+        raise ValueError("refine needs at least one field")
+    g = fields[0].grid
+    if any(x.grid != g for x in fields[1:]):
+        raise ValueError("refined fields must share a grid")
+    nf = int(factor) * g.n
     h = g.n // 2
-    fh = g.rfft(f.values)
+    fh = batch_rfft(g, [x.values for x in fields])
     fh[..., h] *= 0.5
-    big = np.zeros(gf.rshape, dtype=complex)
-    if g.dim == 1:
-        big[: h + 1] = fh
-    else:
-        # rows are the full axis: k = 0..n/2 on top, k = -n/2..-1 at the bottom
-        fh[h] *= 0.5
-        big[: h + 1, : h + 1] = fh[: h + 1]
-        big[-h:, : h + 1] = fh[h:]
-    return gf.irfft(big) * factor**g.dim
+    if g.dim == 2:
+        # rows are the full axis: k = 0..n/2 on top, k = -n/2..-1 at the
+        # bottom; only the stored columns are transformed, the rest are zero
+        fh[:, h] *= 0.5
+        tall = np.zeros((len(fields), nf, h + 1), dtype=complex)
+        tall[:, : h + 1] = fh[:, : h + 1]
+        tall[:, -h:] = fh[:, h:]
+        fh = np.fft.ifft(tall, axis=-2)
+        del tall
+    # irfft zero-pads the last axis up to the fine half spectrum
+    out = np.fft.irfft(fh, n=nf, axis=-1)
+    out *= factor**g.dim
+    return out[0] if isinstance(f, Field) else out
 
 
 def random_band_limited(

@@ -9,7 +9,16 @@ from torusflow.constitutive import (
     double_well,
     double_well_prime,
 )
-from torusflow.spectral import constant_field, field_from_values, integral, laplacian
+from torusflow.spectral import (
+    Field,
+    TorusGrid,
+    constant_field,
+    dealias,
+    field_from_values,
+    integral,
+    laplacian,
+    random_band_limited,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -30,6 +39,24 @@ def test_double_well_prime_is_gradient():
     h = 1e-6
     fd = (double_well(phi + h) - double_well(phi - h)) / (2 * h)
     assert np.max(np.abs(fd - double_well_prime(phi))) < 1e-8
+
+
+def test_cube_by_products_matches_pow():
+    # p*p*p is within an ulp of p**3 (libm pow), so G'(phi) and mu move by
+    # round-off only
+    phi = np.linspace(-1.7, 1.7, 1001)
+    want = phi**3 - phi
+    got = double_well_prime(phi)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    g = TorusGrid(2, 32)
+    rng = np.random.default_rng(5)
+    phi_f = random_band_limited(g, rng, 8, zero_mean=False)
+    rho = Field(g, 1.0 + 0.2 * random_band_limited(g, rng, 8).values)
+    p = phi_f.values
+    want = -laplacian(phi_f).values / rho.values + dealias(Field(g, p**3)).values - p
+    got = chemical_potential(rho, phi_f).values
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def test_double_well_accepts_fields(g2):

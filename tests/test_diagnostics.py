@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from torusflow import diagnostics
 from torusflow.constitutive import Constitutive, ModelKind
 from torusflow.diagnostics import (
     ConservationReport,
@@ -32,6 +34,7 @@ from torusflow.spectral import (
     constant_field,
     field_from_values,
     l2_norm,
+    refine,
 )
 from torusflow.stepper import step_compressible_rk4, step_incompressible_rk4
 
@@ -208,6 +211,136 @@ def test_energy_decays_monotonically():
             s = step_incompressible_rk4(s, 1e-3, c)
         es.append(energy_incompressible(s, c).total)
     assert all(b < a for a, b in zip(es, es[1:]))
+
+
+# ---------------------------------------------------------------------------
+# quadratures against the physical-space formulas on the 2x grid
+#
+# The diagnostics take the spectral quadratic terms as Parseval sums over the
+# fine grid's half spectrum; the references below evaluate every term as a
+# pointwise mean of fine-grid derivatives, as the diagnostics once did.
+
+
+def _ref_grad(gf, a):
+    ah = gf.rfft(a)
+    return [gf.irfft(ik * ah) for ik in gf._rik]
+
+
+def _ref_terms(gf, rho, u, phi, c, model):
+    mean = lambda a: float(np.mean(a)) * gf.volume
+    gradient = mean(0.5 * sum(d * d for d in _ref_grad(gf, phi)))
+    potential = mean(0.25 * rho * (phi**2 - 1.0) ** 2)
+    grad_u = [_ref_grad(gf, a) for a in u]
+    divu = sum(grad_u[a][a] for a in range(gf.dim))
+    nu, eta = c.viscosity_nu(rho, phi), c.viscosity_eta(rho, phi)
+    diss = mean(nu * sum(d * d for row in grad_u for d in row) + eta * divu * divu)
+    mu = gf.irfft(gf.rk_squared * gf.rfft(phi)) / rho + phi**3 - phi
+    if model is ModelKind.CH:
+        diss += mean(sum(d * d for d in _ref_grad(gf, mu)))
+    else:
+        diss += mean(rho * mu * mu)
+    return gradient, potential, diss
+
+
+def _ref_energy_compressible(s, c):
+    gf = TorusGrid(s.grid.dim, 2 * s.grid.n)
+    rho = refine(s.rho)
+    m = [refine(comp) for comp in s.mom]
+    u = [mi / rho for mi in m]
+    kinetic = float(np.mean(0.5 * sum(mi * ui for mi, ui in zip(m, u)))) * gf.volume
+    internal = float(np.mean(c.omega(rho))) * gf.volume / s.eps**2
+    gradient, potential, diss = _ref_terms(gf, rho, u, refine(s.q) / rho, c, s.model)
+    return (kinetic, internal, gradient, potential, diss)
+
+
+def _ref_energy_incompressible(s, c):
+    gf = TorusGrid(s.grid.dim, 2 * s.grid.n)
+    u = [refine(comp) for comp in s.u]
+    kinetic = float(np.mean(0.5 * sum(a * a for a in u))) * gf.volume
+    gradient, potential, diss = _ref_terms(
+        gf, np.ones(gf.shape), u, refine(s.phi), c, s.model
+    )
+    return (kinetic, 0.0, gradient, potential, diss)
+
+
+def _ref_modulated(cs, is_, c):
+    gf = TorusGrid(cs.grid.dim, 2 * cs.grid.n)
+    rho = refine(cs.rho)
+    ue = [refine(comp) / rho for comp in cs.mom]
+    phie = refine(cs.q) / rho
+    u = [refine(comp) for comp in is_.u]
+    phi = refine(is_.phi)
+    kin = 0.5 * sum((np.sqrt(rho) * a - b) ** 2 for a, b in zip(ue, u))
+    p1 = float(c.pressure(np.ones(())))
+    pi_e = (c.omega(rho) - p1 * (rho - 1.0)) / cs.eps**2
+    grad_d_sq = sum(d * d for d in _ref_grad(gf, phie - phi))
+    distance = float(np.mean(kin + pi_e + 0.5 * grad_d_sq)) * gf.volume
+    bulk = float(
+        np.mean(0.25 * rho * (phie**2 - 1.0) ** 2 + 0.25 * (phi**2 - 1.0) ** 2)
+    ) * gf.volume
+    return distance + bulk, distance
+
+
+def _parts(rep):
+    return (rep.kinetic, rep.internal, rep.gradient, rep.potential, rep.dissipation)
+
+
+def _close(got, want, rel):
+    return all(abs(a - b) <= rel * abs(b) for a, b in zip(got, want))
+
+
+AFFINE = Constitutive(
+    visc_kind="affine", nu0=0.1, nu_rho=0.3, nu_phi=0.5, eta0=0.2, eta_rho=0.2, eta_phi=0.1
+)
+
+
+@pytest.mark.parametrize("model", [ModelKind.CH, ModelKind.AC])
+@pytest.mark.parametrize("c", [Constitutive(), AFFINE], ids=["constant", "affine"])
+def test_quadratures_match_physical_space_reference(model, c):
+    g = TorusGrid(2, 32)
+    u0, phi0 = initial_from_preset("taylor_green_bubble", g)
+    # a large perturbation, so u = m / rho and phi = q / rho fill the fine band
+    cs = well_prepared_initial(u0, phi0, 0.5, 3.0, 3, model)
+    is_ = IncompressibleState(u0, phi0, model)
+    assert _close(_parts(energy_compressible(cs, c)), _ref_energy_compressible(cs, c), 1e-13)
+    assert _close(
+        _parts(energy_incompressible(is_, c)), _ref_energy_incompressible(is_, c), 1e-13
+    )
+    assert _close(modulated_energy(cs, is_, c), _ref_modulated(cs, is_, c), 1e-13)
+
+
+@pytest.mark.parametrize("model", [ModelKind.CH, ModelKind.AC])
+def test_flat_affine_law_matches_constant_law(model):
+    # an affine law with every slope zero takes the pointwise branch, the
+    # constant law the Parseval branch; both integrate the same dissipation
+    g = TorusGrid(2, 32)
+    u0, phi0 = initial_from_preset("taylor_green_bubble", g)
+    cs = well_prepared_initial(u0, phi0, 0.5, 3.0, 3, model)
+    is_ = IncompressibleState(u0, phi0, model)
+    const, flat = Constitutive(nu0=0.1, eta0=0.2), Constitutive(visc_kind="affine", nu0=0.1, eta0=0.2)
+    for energy, state in ((energy_compressible, cs), (energy_incompressible, is_)):
+        assert _close(_parts(energy(state, flat)), _parts(energy(state, const)), 1e-13)
+
+
+def test_fine_grid_tables_built_once_per_size():
+    assert diagnostics._fine_grid(TorusGrid(2, 32)) is diagnostics._fine_grid(TorusGrid(2, 32))
+
+
+@pytest.mark.parametrize("model", [ModelKind.CH, ModelKind.AC])
+def test_energy_compressible_memory_peak(model):
+    # the 2x-grid temporaries of one call stay under 16 fine-grid real arrays
+    g = TorusGrid(2, 64)
+    u0, phi0 = initial_from_preset("taylor_green_bubble", g)
+    cs = well_prepared_initial(u0, phi0, 0.1, 1.0, 7, model)
+    c = Constitutive()
+    energy_compressible(cs, c)  # the fine grid's cached tables
+    tracemalloc.start()
+    try:
+        energy_compressible(cs, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * (2 * g.n) ** 2 * 8
 
 
 # ---------------------------------------------------------------------------

@@ -423,6 +423,50 @@ def test_refine_interpolates_exactly(g1, g2):
     assert np.max(np.abs(fine - want)) < 1e-12
 
 
+def _refine_reference(f, factor):
+    """irfftn of the zero-padded half spectrum, the Nyquist plane split evenly."""
+    g = f.grid
+    h = g.n // 2
+    fh = np.fft.rfftn(f.values)
+    fh[..., h] *= 0.5
+    big = np.zeros(TorusGrid(g.dim, factor * g.n).rshape, dtype=complex)
+    if g.dim == 1:
+        big[: h + 1] = fh
+    else:
+        fh[h] *= 0.5
+        big[: h + 1, : h + 1] = fh[: h + 1]
+        big[-h:, : h + 1] = fh[h:]
+    fine = np.fft.irfftn(big, s=(factor * g.n,) * g.dim, axes=tuple(range(g.dim)))
+    return fine * factor**g.dim
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("factor", [2, 3])
+def test_refine_stack_matches_single_field_bit_for_bit(dim, factor, rng):
+    g = TorusGrid(dim, 16)
+    h = g.n // 2
+    x = g.coords()[0]
+    fields = [random_band_limited(g, rng, h, zero_mean=False) for _ in range(4)]
+    # Nyquist content on every axis
+    nyq = np.cos(h * x) * (1.0 + 0.5 * np.cos(h * g.coords()[-1]))
+    fields.append(Field(g, fields[0].values + nyq))
+    stack = refine(fields, factor)
+    assert stack.shape == (len(fields),) + (factor * g.n,) * dim
+    for f, slot in zip(fields, stack):
+        single = refine(f, factor)
+        assert np.array_equal(slot, single)
+        assert np.array_equal(single, _refine_reference(f, factor))
+
+
+def test_refine_stack_validation(g1, g2):
+    with pytest.raises(ValueError):
+        refine([])
+    with pytest.raises(ValueError):
+        refine([constant_field(g2, 1.0), constant_field(TorusGrid(2, 16), 1.0)])
+    with pytest.raises(ValueError):
+        refine(constant_field(g1, 1.0), 1)
+
+
 def test_random_band_limited_properties(g2, rng):
     f = random_band_limited(g2, rng, 5)
     fh = np.fft.fftn(f.values)

@@ -40,13 +40,18 @@ def double_well_prime(phi):
 class Constitutive:
     """Material parameters.
 
-    Viscosities are either constant or affine in (rho - 1, phi^2), clamped
-    pointwise to [*_star, *_upper] so they stay positive.
+    The viscosities are affine in (rho - 1, phi^2),
+
+        nu(rho, phi) = nu0 + nu_rho (rho - 1) + nu_phi phi^2
+
+    and likewise eta, clamped pointwise to [*_star, *_upper] so they stay
+    positive.  With every slope 0 the law is the constant one, nu0 and eta0
+    exactly, and the kernels take their constant-coefficient path (see
+    constant_viscosity).
     """
 
     gamma: float = 2.0
     pressure_coeff: float = 1.0
-    visc_kind: str = "constant"  # "constant" | "affine"
     nu0: float = 0.1
     nu_rho: float = 0.0
     nu_phi: float = 0.0
@@ -63,8 +68,6 @@ class Constitutive:
             raise ValueError(f"gamma must be >= 1, got {self.gamma}")
         if self.pressure_coeff <= 0.0:
             raise ValueError(f"pressure_coeff must be positive, got {self.pressure_coeff}")
-        if self.visc_kind not in ("constant", "affine"):
-            raise ValueError(f"visc_kind must be 'constant' or 'affine', got {self.visc_kind!r}")
         for lo, hi, name in (
             (self.nu_star, self.nu_upper, "nu"),
             (self.eta_star, self.eta_upper, "eta"),
@@ -96,19 +99,20 @@ class Constitutive:
 
     # -- viscosities ------------------------------------------------------
 
+    @property
+    def constant_viscosity(self) -> bool:
+        """True when every slope is 0, so nu = nu0 and eta = eta0 everywhere."""
+        return self.nu_rho == self.nu_phi == self.eta_rho == self.eta_phi == 0.0
+
     def viscosity_nu(self, rho, phi):
         r, wrap = _unwrap(rho)
         p, _ = _unwrap(phi)
-        if self.visc_kind == "constant":
-            return wrap(np.full_like(np.asarray(r, dtype=float), self.nu0))
         raw = self.nu0 + self.nu_rho * (r - 1.0) + self.nu_phi * p * p
         return wrap(np.clip(raw, self.nu_star, self.nu_upper))
 
     def viscosity_eta(self, rho, phi):
         r, wrap = _unwrap(rho)
         p, _ = _unwrap(phi)
-        if self.visc_kind == "constant":
-            return wrap(np.full_like(np.asarray(r, dtype=float), self.eta0))
         raw = self.eta0 + self.eta_rho * (r - 1.0) + self.eta_phi * p * p
         return wrap(np.clip(raw, self.eta_star, self.eta_upper))
 

@@ -17,8 +17,8 @@ constant-viscosity dissipation nu int |grad u|^2 + eta int (div u)^2, the CH
 dissipation int |grad mu|^2 and the 1/2 int |grad(phi_e - phi)|^2 term of
 the modulated distance.  They equal the fine-grid means to round-off.  The
 kinetic, internal and double-well terms, the AC dissipation int rho mu^2 and
-the affine viscosity law (nu(rho, phi) and eta(rho, phi) weight the
-integrand point by point) stay pointwise means on the 2x grid.
+a viscosity law with a nonzero slope (nu(rho, phi) and eta(rho, phi) weight
+the integrand point by point) stay pointwise means on the 2x grid.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .constitutive import Constitutive, ModelKind
-from .dynamics import CompressibleState, IncompressibleState
+from .dynamics import CompressibleState, IncompressibleState, primitives
 from .errors import VacuumError
 from .spectral import (
     Field,
@@ -99,7 +99,7 @@ def _fine_terms(gf: TorusGrid, rho, phi, hats, c: Constitutive, model: ModelKind
     gradient = 0.5 * hermitian_sq(gf, ph, gf._rik2)
     potential = _fine_mean(gf, 0.25 * rho * (phi * phi - 1.0) ** 2)
 
-    if c.visc_kind == "constant":
+    if c.constant_viscosity:
         divh = sum(ik * h for ik, h in zip(gf._rik, uh))
         dissipation = c.nu0 * sum(hermitian_sq(gf, h, gf._rik2) for h in uh)
         dissipation += c.eta0 * hermitian_sq(gf, divh, 1.0)
@@ -218,7 +218,7 @@ def functional_Es(s_state: CompressibleState, s: int, weight: str = "spectral") 
     """
     g = s_state.grid
     w = _weight(g, s, weight)
-    u, _ = _primitive_fields(s_state)
+    u, _ = primitives(s_state)
     out = hermitian_sq(g, g.rfft(s_state.rho.values - 1.0), w) / s_state.eps**2
     out += sum(hermitian_sq(g, g.rfft(comp.values), w) for comp in u)
     return out
@@ -229,7 +229,7 @@ def functional_Es_weighted(s_state: CompressibleState, s: int, c: Constitutive) 
     + rho|D^a u|^2; equivalent to functional_Es while rho stays near 1."""
     g = s_state.grid
     gf = _fine_grid(g)
-    u, _ = _primitive_fields(s_state)
+    u, _ = primitives(s_state)
     dens = Field(g, s_state.rho.values - 1.0)
     alphas = _alphas(g.dim, s)
     # one refinement of rho and every D^alpha of (rho - 1, u_1, ..)
@@ -262,16 +262,6 @@ def _deriv_alpha(f: Field, alpha: tuple) -> Field:
         if order:
             sym = sym * g.rderiv(axis, order)
     return Field(g, g.irfft(sym * g.rfft(f.values)))
-
-
-def _primitive_fields(s_state: CompressibleState):
-    g = s_state.grid
-    rho = s_state.rho.values
-    if np.min(rho) <= 0:
-        raise VacuumError("functional evaluation: nonpositive density")
-    u = tuple(Field(g, comp.values / rho) for comp in s_state.mom)
-    phi = Field(g, s_state.q.values / rho)
-    return u, phi
 
 
 def functional_Fs(phi: Field, s: int, weight: str = "spectral") -> float:

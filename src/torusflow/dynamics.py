@@ -249,9 +249,9 @@ def rhs_compressible_hat(
     allocates; given ``out`` (not overlapping zh) it writes the tendency
     there and allocates nothing.  All nonlinear terms are formed pointwise
     in physical space in the workspace and 2/3-truncated; linear operators
-    act on the spectra directly.  Constant viscosities take a
-    transform-free spectral path.  One call transforms
-    d(d+1)/2 + 6d + 6 arrays (21 in 2-d).
+    act on the spectra directly.  A constant viscosity law (every slope 0,
+    Constitutive.constant_viscosity) takes a transform-free spectral path.
+    One call transforms d(d+1)/2 + 6d + 6 arrays (21 in 2-d).
     """
     d = g.dim
     w = _workspace(g)
@@ -330,7 +330,7 @@ def rhs_compressible_hat(
     np.negative(dmh, out=dmh)
 
     _div_hat(ik, uh, divu_hat, tmp)
-    if c.visc_kind == "constant":
+    if c.constant_viscosity:
         # (nu0 (-k^2)) u_i + (eta0 ik_i) div u, in the product slots, which
         # are free once the tendency holds their terms
         nu_k2, eta_ik, visc, grad_div = prod_hat[:4]
@@ -436,7 +436,7 @@ def rhs_incompressible_hat(
         transport[0] += scratch
     np.multiply(phi, phi, out=cube[0])
     cube[0] *= phi
-    constant_nu = c.visc_kind == "constant"
+    constant_nu = c.constant_viscosity
     if not constant_nu:
         # subtract nu Lap u before the transform; grad u is spent
         lap_u = grad_u[:d]

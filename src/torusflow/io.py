@@ -113,9 +113,6 @@ def _parse_constitutive(sec: dict) -> Constitutive:
         val = _take(sec, name, _NUM, where, default=None)
         if val is not None:
             kwargs[name] = float(val)
-    kind = _take(sec, "visc_kind", str, where, default=None)
-    if kind is not None:
-        kwargs["visc_kind"] = kind
     _no_leftovers(sec, where)
     try:
         return Constitutive(**kwargs)
@@ -127,9 +124,6 @@ def _parse_stepper(sec: dict) -> StepperConfig:
     where = "stepper"
     pic_sec = _section(sec, "picard", where)
     pic_kwargs = {}
-    enabled = _take(pic_sec, "enabled", bool, "stepper.picard", default=None)
-    if enabled is not None:
-        pic_kwargs["enabled"] = enabled
     tol = _take(pic_sec, "tol", _NUM, "stepper.picard", default=None)
     if tol is not None:
         pic_kwargs["tol"] = float(tol)
@@ -155,9 +149,6 @@ def _parse_stepper(sec: dict) -> StepperConfig:
     t_end = _take(sec, "t_end", _NUM, where, default=None)
     if t_end is not None:
         kwargs["t_end"] = float(t_end)
-    deal = _take(sec, "dealias_each_stage", bool, where, default=None)
-    if deal is not None:
-        kwargs["dealias_each_stage"] = deal
     _no_leftovers(sec, where)
     try:
         return StepperConfig(picard=PicardOptions(**pic_kwargs), **kwargs)

@@ -1,18 +1,20 @@
 """Time integration.
 
-The production "rk4" scheme is ETDRK4 in Krogstie's tableau ETDRK4-B
-(Hochbruck & Ostermann, SINUM 43 (2005)).  The stiff constant-coefficient
-cores are integrated exactly: the phase operator, the reference viscous
-operator, the spectral vanishing viscosity and, in the compressible system,
-the linearised acoustics (the 2x2 block coupling density and the gradient
-part of the momentum through the sound speed sqrt(P'(1))/eps).  The
-remainder goes through the four stages of the tableau.  Relaxational (nsac)
-compressible runs therefore step at a bound that does not depend on eps;
-conserved (nsch) runs keep the acoustic bound for accuracy, see default_dt.
-"imex" is a first-order splitting with explicit transport and implicit
-constant-coefficient solves.  A Picard loop provides a fully implicit Euler
-step on the conservative variables for verification runs.  Every scheme
-evaluates its tendencies through the half-spectrum kernels
+StepperConfig.scheme is the one setting that picks how a step is taken:
+"rk4", "imex" or "picard".  The production "rk4" scheme is ETDRK4 in
+Krogstie's tableau ETDRK4-B (Hochbruck & Ostermann, SINUM 43 (2005)).  The
+stiff constant-coefficient cores are integrated exactly: the phase
+operator, the reference viscous operator, the spectral vanishing viscosity
+and, in the compressible system, the linearised acoustics (the 2x2 block
+coupling density and the gradient part of the momentum through the sound
+speed sqrt(P'(1))/eps).  The remainder goes through the four stages of the
+tableau.  Relaxational (nsac) compressible runs therefore step at a bound
+that does not depend on eps; conserved (nsch) runs keep the acoustic bound
+for accuracy, see default_dt.  "imex" is a first-order splitting with
+explicit transport and implicit constant-coefficient solves.  "picard" is
+a fully implicit Euler step on the conservative variables, solved by
+Picard iteration, for verification runs of the compressible system.  Every
+scheme evaluates its tendencies through the half-spectrum kernels
 rhs_compressible_hat / rhs_incompressible_hat and carries its spectral
 state as one stacked complex array (nvar, *rshape).  ETDRK4 keeps its
 stage values in cached stacks (a one-slot cache like the table cache) and
@@ -31,9 +33,7 @@ import numpy as np
 from .constitutive import Constitutive, ModelKind
 from .dynamics import (
     CompressibleState,
-    CompressibleTendency,
     IncompressibleState,
-    IncompressibleTendency,
     primitives,
     rhs_compressible_hat,
     rhs_incompressible_hat,
@@ -47,7 +47,8 @@ _INCOMPRESSIBLE_WAVE_SPEED = 4.0
 
 @dataclass(frozen=True)
 class PicardOptions:
-    enabled: bool = False
+    """Tolerance and iteration cap of the "picard" scheme."""
+
     tol: float = 1e-10
     max_iter: int = 50
 
@@ -65,11 +66,12 @@ class StepperConfig:
     dt_override: Optional[float] = None
     t_end: float = 1.0
     picard: PicardOptions = field(default_factory=PicardOptions)
-    dealias_each_stage: bool = True
 
     def __post_init__(self):
-        if self.scheme not in ("rk4", "imex"):
-            raise ValueError(f"scheme must be 'rk4' or 'imex', got {self.scheme!r}")
+        if self.scheme not in ("rk4", "imex", "picard"):
+            raise ValueError(
+                f"scheme must be 'rk4', 'imex' or 'picard', got {self.scheme!r}"
+            )
         if not 0 < self.cfl <= 1:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
         if self.dt_override is not None and self.dt_override <= 0:
@@ -99,65 +101,7 @@ def acoustic_dt(
 
 
 # ---------------------------------------------------------------------------
-# generic classical RK4; used directly for ODE-style right-hand sides
-
-
-def _tend_arrays(t):
-    if isinstance(t, CompressibleTendency):
-        return [t.drho.values, *[x.values for x in t.dmom], t.dq.values]
-    if isinstance(t, IncompressibleTendency):
-        return [*[x.values for x in t.du], t.dphi.values]
-    raise TypeError(f"unsupported tendency type {type(t)!r}")
-
-
-def _nudged(state, tend, a: float):
-    if isinstance(state, np.ndarray):
-        out = state + a * tend
-        if not np.all(np.isfinite(out)):
-            raise NumericsError("non-finite values in RK4 stage")
-        return out
-    base = state.as_arrays()
-    try:
-        return state.with_arrays([x + a * y for x, y in zip(base, _tend_arrays(tend))])
-    except ValueError as exc:
-        raise NumericsError("non-finite values in RK4 stage") from exc
-
-
-def _combined(state, tends, dt: float):
-    if isinstance(state, np.ndarray):
-        k1, k2, k3, k4 = tends
-        out = state + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(out)):
-            raise NumericsError("non-finite values in RK4 update")
-        return out
-    base = state.as_arrays()
-    parts = [_tend_arrays(t) for t in tends]
-    new = [
-        x + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
-        for x, a, b, c, d in zip(base, *parts)
-    ]
-    try:
-        return state.with_arrays(new)
-    except ValueError as exc:
-        raise NumericsError("non-finite values in RK4 update") from exc
-
-
-def step_rk4(state, rhs: Callable, dt: float):
-    """One classical RK4 step of d(state)/dt = rhs(state).
-
-    Works on bare numpy arrays and on the PDE state types alike.
-    """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    k1 = rhs(state)
-    k2 = rhs(_nudged(state, k1, 0.5 * dt))
-    k3 = rhs(_nudged(state, k2, 0.5 * dt))
-    k4 = rhs(_nudged(state, k3, dt))
-    return _combined(state, (k1, k2, k3, k4), dt)
-
-
-# ---------------------------------------------------------------------------
-# exponential time differencing RK4 on the PDE states
+# exponential time differencing RK4
 
 # terms of the phi_3 Taylor series used on |z| < 1; the first dropped term
 # is below 1/22! ~ 9e-22, far under rounding
@@ -317,10 +261,11 @@ def _etdrk4(zh, ops, nonlin, mask):
     (Hochbruck & Ostermann, SINUM 43 (2005), sec. 5).
 
     zh is the stacked spectral state (nvar, *rshape); the step consumes it
-    as scratch.  ops(key, z, out) writes the table key of L at the step h
-    (see _etd_tables) applied to z into out; nonlin(z, out) writes
-    fft(rhs(z)) - L0*z into out, with L0 the part of L that the tendency
-    itself contains.  With N_i the remainder at stage i, the four stages are
+    as scratch.  mask, the dealiasing mask, multiplies the state on entry
+    and the update on exit.  ops(key, z, out) writes the table key of L at
+    the step h (see _etd_tables) applied to z into out; nonlin(z, out)
+    writes fft(rhs(z)) - L0*z into out, with L0 the part of L that the
+    tendency itself contains.  With N_i the remainder at stage i, the four stages are
 
         U2 = E2 u + Q N1
         U3 = U2 + P2h (N2 - N1)
@@ -334,8 +279,7 @@ def _etdrk4(zh, ops, nonlin, mask):
     """
     n1, n2, qn1, u2, u3 = _stage_stacks(zh.shape)
     z = zh
-    if mask is not None:
-        z *= mask
+    z *= mask
     nonlin(z, n1)
     ops("Q", n1, qn1)
     ops("E2", z, u2)
@@ -368,8 +312,7 @@ def _etdrk4(zh, ops, nonlin, mask):
     out += u3
     ops("P3", b, n2)
     out += n2
-    if mask is not None:
-        out *= mask
+    out *= mask
     return out
 
 
@@ -422,7 +365,7 @@ def _acoustic_tables(g: TorusGrid, nu_bar: float, eta_bar: float, c2: float, dt:
 
 
 def step_compressible_rk4(
-    s: CompressibleState, dt: float, c: Constitutive, dealias_each_stage: bool = True
+    s: CompressibleState, dt: float, c: Constitutive
 ) -> CompressibleState:
     """ETDRK4 step of the conservative compressible system.
 
@@ -479,8 +422,7 @@ def step_compressible_rk4(
         out[-1] -= ell_q * z[-1]
 
     zh = batch_rfft(g, s.as_arrays())
-    mask = g.rdealias_mask if dealias_each_stage else None
-    zh_new = _etdrk4(zh, ops, nonlin, mask)
+    zh_new = _etdrk4(zh, ops, nonlin, g.rdealias_mask)
     try:
         return s.with_arrays(batch_irfft(g, zh_new))
     except ValueError as exc:
@@ -488,7 +430,7 @@ def step_compressible_rk4(
 
 
 def step_incompressible_rk4(
-    s: IncompressibleState, dt: float, c: Constitutive, dealias_each_stage: bool = True
+    s: IncompressibleState, dt: float, c: Constitutive
 ) -> IncompressibleState:
     """ETDRK4 step of the projected incompressible system (exact linear part
     -nu|k|^2 - svv on velocity, the phase symbol minus svv on phi)."""
@@ -515,8 +457,7 @@ def step_incompressible_rk4(
         out[-1] -= ell_phi * z[-1]
 
     zh = batch_rfft(g, s.as_arrays())
-    mask = g.rdealias_mask if dealias_each_stage else None
-    zh_new = _etdrk4(zh, ops, nonlin, mask)
+    zh_new = _etdrk4(zh, ops, nonlin, g.rdealias_mask)
     try:
         return s.with_arrays(batch_irfft(g, zh_new))
     except ValueError as exc:
@@ -643,7 +584,7 @@ def default_dt(state, c: Constitutive, cfg: StepperConfig) -> float:
 
     Incompressible runs take the advective bound
     cfl*dx/(umax + _INCOMPRESSIBLE_WAVE_SPEED).  Compressible runs take the
-    acoustic bound, except ETDRK4 (rk4 without Picard) runs of the
+    acoustic bound, except ETDRK4 (scheme "rk4") runs of the
     relaxational model: their step integrates the linear acoustics exactly,
     so they take the larger of the acoustic bound and the advective one,
     which does not depend on eps.  The conserved model keeps the acoustic
@@ -659,13 +600,13 @@ def default_dt(state, c: Constitutive, cfg: StepperConfig) -> float:
     if not isinstance(state, CompressibleState):
         return advective
     acoustic = acoustic_dt(state.eps, g, c, cfg.cfl, umax)
-    if state.model is ModelKind.AC and cfg.scheme == "rk4" and not cfg.picard.enabled:
+    if state.model is ModelKind.AC and cfg.scheme == "rk4":
         return max(acoustic, advective)
     return acoustic
 
 
 def _make_stepper(state, c: Constitutive, cfg: StepperConfig) -> Callable:
-    if cfg.picard.enabled:
+    if cfg.scheme == "picard":
         if not isinstance(state, CompressibleState):
             raise ValueError("picard stepping applies to compressible runs only")
 
@@ -682,8 +623,8 @@ def _make_stepper(state, c: Constitutive, cfg: StepperConfig) -> Callable:
     if cfg.scheme == "imex":
         return lambda s, dt: step_imex(s, dt, c)
     if isinstance(state, CompressibleState):
-        return lambda s, dt: step_compressible_rk4(s, dt, c, cfg.dealias_each_stage)
-    return lambda s, dt: step_incompressible_rk4(s, dt, c, cfg.dealias_each_stage)
+        return lambda s, dt: step_compressible_rk4(s, dt, c)
+    return lambda s, dt: step_incompressible_rk4(s, dt, c)
 
 
 def integrate(

@@ -32,7 +32,6 @@ from torusflow.dynamics import (
     IncompressibleState,
     initial_from_preset,
     make_compressible,
-    rhs_compressible,
     well_prepared_initial,
 )
 from torusflow.spectral import (
@@ -53,7 +52,6 @@ from torusflow.stepper import (
     acoustic_dt,
     integrate,
     picard_step,
-    step_rk4,
 )
 from torusflow.sweep import SweepConfig, run_sweep
 
@@ -204,9 +202,8 @@ def test_uniform_relaxation_ode_oracle():
         constant_field(g, phi0),
         ModelKind.AC,
     )
-    dt = 1e-3
-    for _ in range(1000):
-        s = step_rk4(s, lambda st: rhs_compressible(st, c), dt)
+    # the production path: integrate's default scheme at 1000 fixed steps
+    s = integrate(s, c, StepperConfig(dt_override=1e-3, t_end=1.0))[-1][1]
     phi_num = float(np.max(s.q.values / s.rho.values))
     phi_spread = float(np.ptp(s.q.values / s.rho.values))
 
@@ -337,7 +334,7 @@ def test_picard_contraction_and_order():
     s0 = well_prepared_initial(u0, phi0, 0.2, 0.1, 0, ModelKind.CH)
     dt = acoustic_dt(0.2, g, c, cfl=0.25, umax=0.0)
     cfg = StepperConfig(
-        picard=PicardOptions(enabled=True, tol=1e-10, max_iter=50), t_end=1.0
+        scheme="picard", picard=PicardOptions(tol=1e-10, max_iter=50), t_end=1.0
     )
 
     s = s0

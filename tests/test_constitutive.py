@@ -148,16 +148,14 @@ def test_constant_viscosity_ignores_fields():
 
 
 def test_affine_viscosity():
-    c = Constitutive(visc_kind="affine", nu0=1.0, nu_rho=0.5, nu_phi=0.2)
+    c = Constitutive(nu0=1.0, nu_rho=0.5, nu_phi=0.2)
     # nu = 1 + 0.5*(rho - 1) + 0.2*phi^2
     assert c.viscosity_nu(1.2, 0.0) == pytest.approx(1.1)
     assert c.viscosity_nu(1.0, 1.0) == pytest.approx(1.2)
 
 
 def test_affine_viscosity_clamps():
-    c = Constitutive(
-        visc_kind="affine", nu0=0.1, nu_rho=10.0, nu_star=1e-3, nu_upper=1.0
-    )
+    c = Constitutive(nu0=0.1, nu_rho=10.0, nu_star=1e-3, nu_upper=1.0)
     assert c.viscosity_nu(0.0, 0.0) == pytest.approx(1e-3)  # raw would be -9.9
     assert c.viscosity_nu(5.0, 0.0) == pytest.approx(1.0)  # raw would be 40.1
 
@@ -167,7 +165,7 @@ def test_affine_viscosity_clamps():
     [
         dict(gamma=0.5),
         dict(pressure_coeff=0.0),
-        dict(visc_kind="cubic"),
+        dict(eta_star=2.0, eta_upper=1.0),
         dict(nu_star=0.0),
         dict(nu_star=2.0, nu_upper=1.0),
         dict(nu0=200.0),

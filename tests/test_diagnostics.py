@@ -289,9 +289,7 @@ def _close(got, want, rel):
     return all(abs(a - b) <= rel * abs(b) for a, b in zip(got, want))
 
 
-AFFINE = Constitutive(
-    visc_kind="affine", nu0=0.1, nu_rho=0.3, nu_phi=0.5, eta0=0.2, eta_rho=0.2, eta_phi=0.1
-)
+AFFINE = Constitutive(nu0=0.1, nu_rho=0.3, nu_phi=0.5, eta0=0.2, eta_rho=0.2, eta_phi=0.1)
 
 
 @pytest.mark.parametrize("model", [ModelKind.CH, ModelKind.AC])
@@ -310,16 +308,21 @@ def test_quadratures_match_physical_space_reference(model, c):
 
 
 @pytest.mark.parametrize("model", [ModelKind.CH, ModelKind.AC])
-def test_flat_affine_law_matches_constant_law(model):
-    # an affine law with every slope zero takes the pointwise branch, the
-    # constant law the Parseval branch; both integrate the same dissipation
+def test_flat_affine_law_matches_constant_law(model, monkeypatch):
+    # a law with every slope zero takes the Parseval branch; forced through
+    # the pointwise branch it must integrate the same dissipation
     g = TorusGrid(2, 32)
     u0, phi0 = initial_from_preset("taylor_green_bubble", g)
     cs = well_prepared_initial(u0, phi0, 0.5, 3.0, 3, model)
     is_ = IncompressibleState(u0, phi0, model)
-    const, flat = Constitutive(nu0=0.1, eta0=0.2), Constitutive(visc_kind="affine", nu0=0.1, eta0=0.2)
+    c = Constitutive(nu0=0.1, eta0=0.2)
+    assert c.constant_viscosity
     for energy, state in ((energy_compressible, cs), (energy_incompressible, is_)):
-        assert _close(_parts(energy(state, flat)), _parts(energy(state, const)), 1e-13)
+        spectral = energy(state, c)
+        with monkeypatch.context() as m:
+            m.setattr(Constitutive, "constant_viscosity", property(lambda self: False))
+            pointwise = energy(state, c)
+        assert _close(_parts(pointwise), _parts(spectral), 1e-13)
 
 
 def test_fine_grid_tables_built_once_per_size():

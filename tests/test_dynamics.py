@@ -247,9 +247,7 @@ def test_affine_viscosity_enters_momentum(g2, rng):
     phi = random_band_limited(g2, rng, 4)
     s = IncompressibleState(u, phi, ModelKind.CH)
     t_const = rhs_incompressible(s, Constitutive(nu0=0.1))
-    t_affine = rhs_incompressible(
-        s, Constitutive(visc_kind="affine", nu0=0.1, nu_phi=0.5)
-    )
+    t_affine = rhs_incompressible(s, Constitutive(nu0=0.1, nu_phi=0.5))
     diff = max(
         np.max(np.abs(a.values - b.values))
         for a, b in zip(t_const.du, t_affine.du)
@@ -272,8 +270,7 @@ def test_affine_viscosity_at_uniform_phase_matches_constant(g2):
     )
     zh = batch_rfft(g2, s.as_arrays())
     affine = Constitutive(
-        visc_kind="affine", nu0=0.1, nu_rho=0.3, nu_phi=0.5,
-        eta0=0.2, eta_rho=0.7, eta_phi=0.4,
+        nu0=0.1, nu_rho=0.3, nu_phi=0.5, eta0=0.2, eta_rho=0.7, eta_phi=0.4
     )
     const = Constitutive(nu0=0.1 + 0.5 * phi0**2, eta0=0.2 + 0.4 * phi0**2)
     mom = slice(1, 1 + g2.dim)

@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -11,8 +12,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import torusflow.stepper as stepper_module
 from torusflow.cli import main
-from torusflow.constitutive import ModelKind
+from torusflow.constitutive import Constitutive, ModelKind
+from torusflow.diagnostics import energy_compressible
 from torusflow.dynamics import (
     CompressibleState,
     IncompressibleState,
@@ -31,6 +34,7 @@ from torusflow.io import (
     write_timeseries,
 )
 from torusflow.spectral import TorusGrid, VectorField, constant_field, field_from_values
+from torusflow.stepper import default_dt, integrate, picard_step
 
 
 def write_json(tmp_path, name, payload):
@@ -74,13 +78,13 @@ def test_load_config_full_roundtrip(tmp_path):
         "model": "nsac",
         "regime": "incompressible",
         "grid": {"dim": 2, "n": 32},
-        "constitutive": {"gamma": 1.4, "nu0": 0.05, "visc_kind": "affine"},
+        "constitutive": {"gamma": 1.4, "nu0": 0.05, "nu_phi": 0.2},
         "stepper": {
             "scheme": "imex",
             "cfl": 0.3,
             "dt_override": 1e-4,
             "t_end": 0.25,
-            "picard": {"enabled": False, "tol": 1e-9, "max_iter": 20},
+            "picard": {"tol": 1e-9, "max_iter": 20},
         },
         "initial": {"preset": "single_mode", "kappa0": 0.05, "seed": 7},
         "output": {"directory": "out", "sample_cadence": 5},
@@ -91,10 +95,12 @@ def test_load_config_full_roundtrip(tmp_path):
     assert cfg.eps is None
     assert cfg.grid.n == 32
     assert cfg.constitutive.gamma == 1.4
-    assert cfg.constitutive.visc_kind == "affine"
+    assert cfg.constitutive.nu_phi == 0.2
+    assert not cfg.constitutive.constant_viscosity
     assert cfg.stepper.scheme == "imex"
     assert cfg.stepper.dt_override == 1e-4
     assert cfg.stepper.picard.tol == 1e-9
+    assert cfg.stepper.picard.max_iter == 20
     assert cfg.initial == "single_mode"
     assert cfg.kappa0 == 0.05
     assert cfg.seed == 7
@@ -135,6 +141,10 @@ def test_load_config_null_dt_override(tmp_path):
             ),
             "dim",
         ),
+        # keys removed with the switches they set; each names itself
+        (base_run_config(constitutive={"visc_kind": "affine"}), "visc_kind"),
+        (base_run_config(stepper={"dealias_each_stage": True}), "dealias_each_stage"),
+        (base_run_config(stepper={"picard": {"enabled": True}}), "enabled"),
     ],
 )
 def test_load_config_rejects(tmp_path, payload, fragment):
@@ -142,6 +152,62 @@ def test_load_config_rejects(tmp_path, payload, fragment):
     p = write_json(tmp_path, "bad.json", payload)
     with pytest.raises(ConfigError, match=fragment):
         load_config(p)
+
+
+def test_constitutive_slopes_act_without_a_switch(tmp_path):
+    # slopes alone give the affine law: its dissipation on the initial state
+    # is not the constant law's (61.65 against 58.08 here)
+    payload = base_run_config(
+        grid={"n": 32}, constitutive={"nu_phi": 0.5, "eta_rho": 0.3}
+    )
+    cfg = load_config(write_json(tmp_path, "run.json", payload))
+    c = cfg.constitutive
+    u0, phi0 = initial_from_preset(cfg.initial, cfg.grid)
+    s = well_prepared_initial(u0, phi0, cfg.eps, cfg.kappa0, cfg.seed, cfg.model)
+    affine = energy_compressible(s, c).dissipation
+    constant = energy_compressible(s, Constitutive(nu0=c.nu0, eta0=c.eta0)).dissipation
+    assert affine > 1.05 * constant
+    assert c.viscosity_nu(1.0, 1.0) == pytest.approx(0.6, rel=1e-15)
+    assert c.viscosity_eta(2.0, 0.0) == pytest.approx(0.4, rel=1e-15)
+
+
+def test_picard_scheme_loads_and_integrates(tmp_path, monkeypatch):
+    payload = base_run_config(
+        grid={"n": 32}, stepper={"scheme": "picard", "cfl": 0.25, "t_end": 0.01}
+    )
+    cfg = load_config(write_json(tmp_path, "run.json", payload))
+    assert cfg.stepper.scheme == "picard"
+    reports = []
+
+    def counted(*args):
+        out = picard_step(*args)
+        reports.append(out[1])
+        return out
+
+    monkeypatch.setattr(stepper_module, "picard_step", counted)
+    u0, phi0 = initial_from_preset(cfg.initial, cfg.grid)
+    s0 = well_prepared_initial(u0, phi0, cfg.eps, cfg.kappa0, cfg.seed, cfg.model)
+    s = integrate(s0, cfg.constitutive, cfg.stepper)[-1][1]
+    assert reports and all(rep.converged for rep in reports)
+    assert len(reports) == math.ceil(0.01 / default_dt(s0, cfg.constitutive, cfg.stepper))
+    assert all(np.all(np.isfinite(a)) for a in s.as_arrays())
+
+
+def _readme_schema_blocks():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = text.split("\n## Config schema\n", 1)[1].split("\n## ", 1)[0]
+    return [json.loads(block) for block in re.findall(r"```json\n(.*?)```", section, re.S)]
+
+
+def test_readme_config_schema_loads(tmp_path):
+    # the documented schema passes the strict parser, so the two cannot
+    # drift apart unnoticed
+    run, sweep_block = _readme_schema_blocks()
+    cfg = load_config(write_json(tmp_path, "run.json", run))
+    assert cfg.stepper.scheme == run["stepper"]["scheme"]
+    assert cfg.constitutive.constant_viscosity
+    sweep_cfg, _ = load_sweep_config(write_json(tmp_path, "sweep.json", sweep_block))
+    assert list(sweep_cfg.eps_list) == sweep_block["sweep"]["eps_list"]
 
 
 def test_load_config_bad_files(tmp_path):
@@ -694,3 +760,16 @@ def test_read_snapshot_yields_state_or_snapshot_error(tmp_path, data):
     assert isinstance(state, (CompressibleState, IncompressibleState))
     if isinstance(state, CompressibleState):
         assert math.isfinite(state.eps) and state.eps > 0
+
+
+# ---------------------------------------------------------------------------
+# package surface
+
+
+def test_star_import_resolves_every_export():
+    import torusflow
+
+    namespace = {}
+    exec("from torusflow import *", namespace)
+    assert [name for name in torusflow.__all__ if name not in namespace] == []
+    assert len(set(torusflow.__all__)) == len(torusflow.__all__)

@@ -3,12 +3,15 @@
 Subcommands: run (one configured simulation), sweep (the eps convergence
 study), audit (recompute diagnostics from stored snapshots), dispersion
 (acoustic frequency probe).  Exit codes: 0 success, 2 config error,
-3 numerical failure, 4 IO error.
+3 numerical failure, 4 IO error.  A ValueError raised once the config and
+the initial state are built (by the integration, the observer or the
+diagnostics of run, sweep and audit) is a numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import glob
 import sys
 from pathlib import Path
@@ -120,6 +123,17 @@ def _initial_state(cfg: RunConfig):
     return IncompressibleState(u0, phi0, cfg.model)
 
 
+@contextlib.contextmanager
+def _simulating():
+    """Past the config and the initial state, a ValueError comes from the
+    integration, the observer or the diagnostics: a numerical failure
+    (exit 3), not a config error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise NumericsError(f"{type(exc).__name__}: {exc}") from exc
+
+
 def _run_row(state, c, t: float) -> dict:
     if hasattr(state, "rho"):
         rep = energy_compressible(state, c, time=t)
@@ -159,10 +173,7 @@ def _cmd_run(args) -> int:
         else _RUN_COLUMNS_INCOMPRESSIBLE
     )
 
-    rows = [_run_row(state, c, 0.0)]
     step_counter = [0]
-    if args.snapshots_every:
-        write_snapshot(state, outdir / "snap_000000.bin", time=0.0)
 
     def observer(t, st):
         step_counter[0] += 1
@@ -172,10 +183,14 @@ def _cmd_run(args) -> int:
         if args.snapshots_every and k % args.snapshots_every == 0:
             write_snapshot(st, outdir / f"snap_{k:06d}.bin", time=t)
 
-    samples = integrate(state, c, cfg.stepper, [cfg.stepper.t_end], observer=observer)
-    t_final, final_state = samples[-1]
-    if step_counter[0] % cfg.sample_cadence != 0:
-        rows.append(_run_row(final_state, c, t_final))
+    with _simulating():
+        rows = [_run_row(state, c, 0.0)]
+        if args.snapshots_every:
+            write_snapshot(state, outdir / "snap_000000.bin", time=0.0)
+        samples = integrate(state, c, cfg.stepper, [cfg.stepper.t_end], observer=observer)
+        t_final, final_state = samples[-1]
+        if step_counter[0] % cfg.sample_cadence != 0:
+            rows.append(_run_row(final_state, c, t_final))
     if args.snapshots_every and step_counter[0] % args.snapshots_every != 0:
         write_snapshot(final_state, outdir / f"snap_{step_counter[0]:06d}.bin", time=t_final)
 
@@ -216,7 +231,8 @@ def _cmd_sweep(args) -> int:
     if args.parallel < 1:
         raise ConfigError(f"--parallel must be >= 1, got {args.parallel}")
 
-    result = run_sweep(cfg, c, parallel=args.parallel)
+    with _simulating():
+        result = run_sweep(cfg, c, parallel=args.parallel)
     outdir = Path(args.out or ".")
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -270,7 +286,8 @@ def _cmd_audit(args) -> int:
     for p in paths:
         header = snapshot_header(p)
         state = read_snapshot(p)
-        row = _run_row(state, c, float(header["time"]))
+        with _simulating():
+            row = _run_row(state, c, float(header["time"]))
         row = {"snapshot": Path(p).name, **row}
         if columns is None:
             columns = list(row.keys())
@@ -312,6 +329,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
+        # raised before any stepping: config parsing, initial data, CLI
+        # values; later ones are re-raised as NumericsError (_simulating)
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericsError as exc:

@@ -89,13 +89,21 @@ class Constitutive:
         r, wrap = _unwrap(rho)
         return wrap(self.pressure_coeff * self.gamma * r ** (self.gamma - 1.0))
 
-    def omega(self, rho):
-        """Elastic potential: a*rho*(rho^(g-1) - 1)/(g-1), a*rho*log(rho) at g=1."""
+    def omega(self, rho, out=None):
+        """Elastic potential: a*rho*(rho^(g-1) - 1)/(g-1), a*rho*log(rho) at g=1.
+
+        Given an array ``out``, every step but the g = 1 product a*rho is
+        written there (the energy reports pass a workspace buffer).
+        """
         r, wrap = _unwrap(rho)
         a, g = self.pressure_coeff, self.gamma
         if abs(g - 1.0) < 1e-12:
-            return wrap(a * r * np.log(r))
-        return wrap(a * (r * (r ** (g - 1.0) - 1.0) / (g - 1.0)))
+            return wrap(np.multiply(a * r, np.log(r, out=out), out=out))
+        res = np.power(r, g - 1.0, out=out)
+        res = np.subtract(res, 1.0, out=out)
+        res = np.multiply(r, res, out=out)
+        res = np.divide(res, g - 1.0, out=out)
+        return wrap(np.multiply(a, res, out=out))
 
     # -- viscosities ------------------------------------------------------
 

@@ -19,10 +19,20 @@ the modulated distance.  They equal the fine-grid means to round-off.  The
 kinetic, internal and double-well terms, the AC dissipation int rho mu^2 and
 a viscosity law with a nonzero slope (nu(rho, phi) and eta(rho, phi) weight
 the integrand point by point) stay pointwise means on the 2x grid.
+
+The reports form every integrand in a per-grid workspace on the 2x grid
+(_FineWorkspace: the refined stack, one complex pool shared by refine and
+the fine half spectra, two real scratch arrays) with ``out=`` ufuncs, in the
+order of the allocating formulas, so a warm report allocates no grid-sized
+array and returns the same bits.  Like the RHS kernels' workspace it is a
+one-slot module cache, built on the first report and rebuilt when the grid
+changes, and it is not re-entrant: run concurrent solves in separate
+processes, as run_sweep does.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -30,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .constitutive import Constitutive, ModelKind
-from .dynamics import CompressibleState, IncompressibleState, primitives
+from .dynamics import CompressibleState, IncompressibleState, _div_hat, primitives
 from .errors import VacuumError
 from .spectral import (
     Field,
@@ -42,6 +52,7 @@ from .spectral import (
     hs_norm,
     integral,
     refine,
+    refine_work_size,
 )
 
 
@@ -91,34 +102,110 @@ def _fine_mean(gf: TorusGrid, arr: np.ndarray) -> float:
     return float(np.mean(arr)) * gf.volume
 
 
-def _fine_terms(gf: TorusGrid, rho, phi, hats, c: Constitutive, model: ModelKind):
+class _FineWorkspace:
+    """Preallocated buffers of the energy reports of one grid, on its 2x grid.
+
+    ``fine`` is the refined stack, sized for the largest report
+    (modulated_energy refines rho, q, m, phi and u).  ``pool`` is one complex
+    buffer: refine carves it first for its padded and column spectra, then
+    the reports reuse it as ``spec``, d + 3 fine half-spectrum slots (the
+    spectra of phi and u, a working spectrum and a transform scratch), and
+    ``sq_work``, the real scratch pair of hermitian_sq.  ``real`` holds two
+    fine-grid scratch arrays for the pointwise integrands.  Pages a report
+    never touches cost no memory.
+    """
+
+    def __init__(self, g: TorusGrid):
+        d = g.dim
+        gf = _fine_grid(g)
+        self.grid = g
+        self.fine_grid = gf
+        self.fine = np.empty((3 + 2 * d, *gf.shape))
+        slot = math.prod(gf.rshape)
+        nspec = d + 3
+        self.pool = np.empty(
+            max(refine_work_size(g, len(self.fine)), (nspec + 1) * slot), dtype=complex
+        )
+        self.spec = self.pool[: nspec * slot].reshape(nspec, *gf.rshape)
+        sq = self.pool[nspec * slot : (nspec + 1) * slot]
+        self.sq_work = sq.view(float).reshape(2, *gf.rshape)
+        self.real = np.empty((2, *gf.shape))
+
+
+# one workspace, rebuilt when the grid changes, as dynamics keeps the RHS
+# kernels' one; the reports are therefore not re-entrant either: run
+# concurrent solves in separate processes, as run_sweep does
+_WORKSPACE: dict = {}
+
+
+def _workspace(g: TorusGrid) -> _FineWorkspace:
+    w = _WORKSPACE.get("slot")
+    if w is None or w.grid != g:
+        w = _WORKSPACE["slot"] = _FineWorkspace(g)
+    return w
+
+
+def _fine_terms(w: _FineWorkspace, rho, phi, hats, c: Constitutive, model: ModelKind):
     """Gradient and potential energies and the dissipation rate of the energy
-    law on the fine grid.  ``hats`` stacks the half spectra of (phi, u_1, ..);
-    ``rho`` is 1.0 for incompressible states."""
+    law on the fine grid.  ``hats`` stacks the half spectra of (phi, u_1, ..)
+    in the workspace's first slots; ``rho`` is 1.0 for incompressible
+    states.  Every integrand is formed in the workspace."""
+    gf = w.fine_grid
+    d = gf.dim
     ph, uh = hats[0], hats[1:]
-    gradient = 0.5 * hermitian_sq(gf, ph, gf._rik2)
-    potential = _fine_mean(gf, 0.25 * rho * (phi * phi - 1.0) ** 2)
+    a, b = w.real
+    spec, tmp = w.spec[d + 1], w.spec[d + 2 :]
+    gradient = 0.5 * hermitian_sq(gf, ph, gf._rik2, w.sq_work)
+    # 1/4 rho (phi^2 - 1)^2
+    np.multiply(phi, phi, out=b)
+    b -= 1.0
+    np.square(b, out=b)
+    np.multiply(0.25, rho, out=a)
+    a *= b
+    potential = _fine_mean(gf, a)
 
     if c.constant_viscosity:
-        divh = sum(ik * h for ik, h in zip(gf._rik, uh))
-        dissipation = c.nu0 * sum(hermitian_sq(gf, h, gf._rik2) for h in uh)
-        dissipation += c.eta0 * hermitian_sq(gf, divh, 1.0)
+        _div_hat(gf._rik, uh, spec, tmp[0])
+        dissipation = c.nu0 * sum(hermitian_sq(gf, h, gf._rik2, w.sq_work) for h in uh)
+        dissipation += c.eta0 * hermitian_sq(gf, spec, 1.0, w.sq_work)
     else:
-        # nu(rho, phi) and eta(rho, phi) weight the integrand point by point
-        d = gf.dim
-        grad_hat = uh[:, None] * gf._rik_stack  # [a, b]: d_b u_a
-        grad_u = batch_irfft(gf, grad_hat.reshape(d * d, *gf.rshape))
-        divu = sum(grad_u[a * d + a] for a in range(d))
+        # nu(rho, phi) and eta(rho, phi) weight the integrand point by point;
+        # each d_j u_i comes back to the 2x grid in turn, into the stack's
+        # last slot, which no energy report fills
+        grad_sq, div_u, comp = a, b, w.fine[-1]
+        grad_sq.fill(0.0)
+        div_u.fill(0.0)
+        for i in range(d):
+            for j in range(d):
+                np.multiply(uh[i], gf._rik_stack[j], out=spec)
+                batch_irfft(gf, spec[None], out=comp[None], work=tmp)
+                if i == j:
+                    div_u += comp
+                comp *= comp
+                grad_sq += comp
         nu = c.viscosity_nu(rho, phi)
         eta = c.viscosity_eta(rho, phi)
-        grad_u_sq = np.sum(grad_u * grad_u, axis=0)
-        dissipation = _fine_mean(gf, nu * grad_u_sq + eta * divu * divu)
+        nu *= grad_sq
+        eta *= div_u
+        eta *= div_u
+        nu += eta
+        dissipation = _fine_mean(gf, nu)
 
-    mu = gf.irfft(gf.rk_squared * ph) / rho + phi * phi * phi - phi
+    # mu = -Lap phi / rho + phi^3 - phi
+    np.multiply(gf.rk_squared, ph, out=spec)
+    mu = gf.irfft(spec, out=a, work=tmp)
+    mu /= rho
+    np.multiply(phi, phi, out=b)
+    b *= phi
+    mu += b
+    mu -= phi
     if model is ModelKind.CH:
-        dissipation += hermitian_sq(gf, gf.rfft(mu), gf._rik2)
+        mu_hat = gf.rfft(mu, out=spec, work=tmp)
+        dissipation += hermitian_sq(gf, mu_hat, gf._rik2, w.sq_work)
     else:
-        dissipation += _fine_mean(gf, rho * mu * mu)
+        np.multiply(rho, mu, out=b)
+        b *= mu
+        dissipation += _fine_mean(gf, b)
     return gradient, potential, dissipation
 
 
@@ -127,18 +214,28 @@ def energy_compressible(
 ) -> EnergyReport:
     """Energy components int 1/2 rho|u|^2 + eps^-2 omega(rho) + 1/2|grad phi|^2
     + 1/4 rho(phi^2-1)^2 and the dissipation rate of the energy law."""
-    gf = _fine_grid(s.grid)
-    fine = refine([s.rho, s.q, *s.mom])
+    w = _workspace(s.grid)
+    gf = w.fine_grid
+    d = gf.dim
+    fine = refine([s.rho, s.q, *s.mom], out=w.fine[: d + 2], work=w.pool)
     rho = fine[0]
     if np.min(rho) <= 0:
         raise VacuumError("energy_compressible: nonpositive density")
-    kinetic = _fine_mean(gf, 0.5 * sum(mi * (mi / rho) for mi in fine[2:]))
-    internal = _fine_mean(gf, c.omega(rho)) / s.eps**2
+    a, b = w.real
+    # 1/2 sum_i m_i (m_i / rho)
+    a.fill(0.0)
+    for mi in fine[2:]:
+        np.divide(mi, rho, out=b)
+        np.multiply(mi, b, out=b)
+        a += b
+    a *= 0.5
+    kinetic = _fine_mean(gf, a)
+    internal = _fine_mean(gf, c.omega(rho, out=a)) / s.eps**2
     # (q, m_1, ..) -> (phi, u_1, ..) in place, transformed as one stack
     prim = fine[1:]
     prim /= rho
-    hats = batch_rfft(gf, prim)
-    gradient, potential, dissipation = _fine_terms(gf, rho, prim[0], hats, c, s.model)
+    hats = batch_rfft(gf, prim, out=w.spec[: d + 1], work=w.spec[d + 1 : d + 2])
+    gradient, potential, dissipation = _fine_terms(w, rho, prim[0], hats, c, s.model)
     total = kinetic + internal + gradient + potential
     return EnergyReport(kinetic, internal, gradient, potential, total, dissipation, time)
 
@@ -146,11 +243,20 @@ def energy_compressible(
 def energy_incompressible(
     s: IncompressibleState, c: Constitutive, time: float = 0.0
 ) -> EnergyReport:
-    gf = _fine_grid(s.grid)
-    fine = refine([s.phi, *s.u])
-    kinetic = _fine_mean(gf, 0.5 * sum(ua * ua for ua in fine[1:]))
-    hats = batch_rfft(gf, fine)
-    gradient, potential, dissipation = _fine_terms(gf, 1.0, fine[0], hats, c, s.model)
+    w = _workspace(s.grid)
+    gf = w.fine_grid
+    d = gf.dim
+    fine = refine([s.phi, *s.u], out=w.fine[: d + 1], work=w.pool)
+    a, b = w.real
+    # 1/2 sum_i u_i u_i
+    a.fill(0.0)
+    for ua in fine[1:]:
+        np.multiply(ua, ua, out=b)
+        a += b
+    a *= 0.5
+    kinetic = _fine_mean(gf, a)
+    hats = batch_rfft(gf, fine, out=w.spec[: d + 1], work=w.spec[d + 1 : d + 2])
+    gradient, potential, dissipation = _fine_terms(w, 1.0, fine[0], hats, c, s.model)
     total = kinetic + gradient + potential
     return EnergyReport(kinetic, 0.0, gradient, potential, total, dissipation, time)
 
@@ -166,26 +272,52 @@ def modulated_energy(
     """
     if cs.grid != is_.grid:
         raise ValueError("modulated_energy requires states on the same grid")
-    gf = _fine_grid(cs.grid)
+    w = _workspace(cs.grid)
+    gf = w.fine_grid
     d = gf.dim
-    fine = refine([cs.rho, cs.q, *cs.mom, is_.phi, *is_.u])
+    fine = refine([cs.rho, cs.q, *cs.mom, is_.phi, *is_.u], out=w.fine, work=w.pool)
     rho, phi, u = fine[0], fine[2 + d], fine[3 + d :]
     if np.min(rho) <= 0:
         raise VacuumError("modulated_energy: nonpositive density")
     # (q, m_1, ..) -> (phi_e, u_e1, ..) in place
     fine[1 : 2 + d] /= rho
     phie, ue = fine[1], fine[2 : 2 + d]
+    a, b = w.real
 
-    sqrt_rho = np.sqrt(rho)
-    kin = 0.5 * sum((sqrt_rho * a - b) ** 2 for a, b in zip(ue, u))
+    # 1/2 sum_i (sqrt(rho) u_ei - u_i)^2 + Pi_e, summed in the u_e slots
+    np.sqrt(rho, out=a)
+    for x, y in zip(ue, u):
+        np.multiply(a, x, out=x)
+        x -= y
+        np.square(x, out=x)
+    kin = ue[0]
+    for x in ue[1:]:
+        kin += x
+    kin *= 0.5
     p1 = float(c.pressure(np.ones(())))
-    pi_e = (c.omega(rho) - p1 * (rho - 1.0)) / cs.eps**2
+    pi_e = c.omega(rho, out=b)
+    np.subtract(rho, 1.0, out=a)
+    np.multiply(p1, a, out=a)
+    pi_e -= a
+    pi_e /= cs.eps**2
+    kin += pi_e
 
-    grad_d = 0.5 * hermitian_sq(gf, gf.rfft(phie - phi), gf._rik2)
-    distance = _fine_mean(gf, kin + pi_e) + grad_d
-    bulk = _fine_mean(
-        gf, 0.25 * rho * (phie * phie - 1.0) ** 2 + 0.25 * (phi * phi - 1.0) ** 2
-    )
+    np.subtract(phie, phi, out=a)
+    dh = gf.rfft(a, out=w.spec[0], work=w.spec[1:2])
+    grad_d = 0.5 * hermitian_sq(gf, dh, gf._rik2, w.sq_work)
+    distance = _fine_mean(gf, kin) + grad_d
+    # 1/4 rho (phi_e^2 - 1)^2 + 1/4 (phi^2 - 1)^2
+    np.multiply(0.25, rho, out=a)
+    np.multiply(phie, phie, out=b)
+    b -= 1.0
+    np.square(b, out=b)
+    a *= b
+    np.multiply(phi, phi, out=b)
+    b -= 1.0
+    np.square(b, out=b)
+    np.multiply(0.25, b, out=b)
+    a += b
+    bulk = _fine_mean(gf, a)
     return distance + bulk, distance
 
 

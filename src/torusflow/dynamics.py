@@ -14,7 +14,12 @@ take and return one stacked complex array (nvar, *rshape).  Their physical
 fields, products and product spectra live in a per-grid workspace of
 preallocated buffers (a one-slot module cache), transformed through
 batch_rfft / batch_irfft with ``out=`` and one shared work buffer; per
-call they allocate only the returned tendency.  Products that enter the
+call they allocate only the returned tendency.  Stacks the kernel
+2/3-truncates anyway (the primitive, product and viscous spectra, and the
+derivative and viscous spectra it transforms back) take the band-pruned
+transforms (``band=True``), whose full-axis pass skips the half-axis
+columns above the cutoff; a state stack may arrive untruncated (IMEX
+passes an unmasked one) and keeps the full transform.  Products that enter the
 tendency only through the same operator are summed before their transform:
 P(rho)/eps^2 rides on the diagonal momentum flux, phi^3 on the curvature
 term of mu and (incompressible) the capillary force on the advection, so a
@@ -271,13 +276,13 @@ def rhs_compressible_hat(
     prim = prods[: d + 1]
     _rowwise(np.divide, m, rho, prim[:d])
     np.divide(q, rho, out=prim[d])
-    batch_rfft(g, prim, out=spec[: d + 1], work=w.work)
+    batch_rfft(g, prim, out=spec[: d + 1], work=w.work, band=True)
     w.truncate(spec[: d + 1])
     uh, phih = spec[:d], spec[d]
     _rowwise(np.multiply, ik, phih, spec[d + 1 : 2 * d + 1])
     np.multiply(k2, phih, out=spec[-1])
     np.negative(spec[-1], out=spec[-1])
-    batch_irfft(g, spec, out=down, work=w.work)
+    batch_irfft(g, spec, out=down, work=w.work, band=True)
     u, phi, grad_phi, lap_phi = down[:d], down[d], down[d + 1 : 2 * d + 1], down[-1]
     # the derivative slots are free from here on
     divu_hat, tmp = spec[d + 1], spec[d + 2]
@@ -299,7 +304,7 @@ def rhs_compressible_hat(
     np.multiply(phi, phi, out=chem[0])
     chem[0] *= phi
     chem[0] -= lap_phi / rho
-    batch_rfft(g, prods, out=prod_hat, work=w.work)
+    batch_rfft(g, prods, out=prod_hat, work=w.work, band=True)
     w.truncate(prod_hat)
     flux_hat, cap_hat, qu_hat, chem_hat = _carve(prod_hat, w.nflux, d, d, 1)
 
@@ -348,11 +353,11 @@ def rhs_compressible_hat(
         _rowwise(np.multiply, k2, uh, vis_hat[:d])
         np.negative(vis_hat[:d], out=vis_hat[:d])
         _rowwise(np.multiply, ik, divu_hat, vis_hat[d:])
-        batch_irfft(g, vis_hat, out=vis, work=w.work)
+        batch_irfft(g, vis_hat, out=vis, work=w.work, band=True)
         vis[:d] *= c.viscosity_nu(rho, phi)
         vis[d:] *= c.viscosity_eta(rho, phi)
         vis[:d] += vis[d:]
-        batch_rfft(g, vis[:d], out=vis_hat[:d], work=w.work)
+        batch_rfft(g, vis[:d], out=vis_hat[:d], work=w.work, band=True)
         w.truncate(vis_hat[:d])
         dmh += vis_hat[:d]
     return out
@@ -445,7 +450,7 @@ def rhs_incompressible_hat(
         batch_irfft(g, tmp[:d], out=lap_u, work=w.work)
         lap_u *= c.viscosity_nu(np.ones(g.shape), phi)
         adv -= lap_u
-    batch_rfft(g, prods, out=prod_hat, work=w.work)
+    batch_rfft(g, prods, out=prod_hat, work=w.work, band=True)
     w.truncate(prod_hat)
     adv_hat, transport_hat, cube_hat = _carve(prod_hat, d, 1, 1)
 

@@ -122,6 +122,7 @@ def _parse_constitutive(sec: dict) -> Constitutive:
 
 def _parse_stepper(sec: dict) -> StepperConfig:
     where = "stepper"
+    has_picard = "picard" in sec
     pic_sec = _section(sec, "picard", where)
     pic_kwargs = {}
     tol = _take(pic_sec, "tol", _NUM, "stepper.picard", default=None)
@@ -136,6 +137,12 @@ def _parse_stepper(sec: dict) -> StepperConfig:
     scheme = _take(sec, "scheme", str, where, default=None)
     if scheme is not None:
         kwargs["scheme"] = scheme
+    # the block tunes the "picard" scheme alone; any other would ignore it
+    if has_picard and scheme != "picard":
+        raise ConfigError(
+            f"stepper.picard applies to scheme 'picard' only, got scheme "
+            f"{scheme or StepperConfig.scheme!r}"
+        )
     cfl = _take(sec, "cfl", _NUM, where, default=None)
     if cfl is not None:
         kwargs["cfl"] = float(cfl)
@@ -219,6 +226,8 @@ def load_config(path) -> RunConfig:
 
     if grid.dim < 2 and regime == "incompressible":
         raise ConfigError("incompressible regime requires dim = 2")
+    if stepper.scheme == "picard" and regime == "incompressible":
+        raise ConfigError("scheme 'picard' applies to the compressible regime only")
     return RunConfig(
         model=model,
         regime=regime,

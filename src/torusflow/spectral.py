@@ -14,6 +14,11 @@ transforms back.
 
 Products of fields are formed pointwise in physical space; callers are
 expected to dealias them with the 2/3 rule (`dealias`, cutoff floor(n/3)).
+The batch transforms, ``refine``, ``hermitian_sq`` and the grid's
+``rfft``/``irfft`` take optional caller-owned buffers, so the solver and the
+diagnostics can run without allocating; without them they allocate, and no
+result aliases a buffer the caller did not pass.  A stack that its caller
+2/3-truncates anyway can take the band-pruned transforms (``band=True``).
 """
 
 from __future__ import annotations
@@ -187,11 +192,15 @@ class TorusGrid:
             raise ValueError("Leray projection requires dim >= 2")
         return [vh - irr for vh, irr in zip(vhat, self.irrotational_hat(vhat))]
 
-    def rfft(self, a: np.ndarray) -> np.ndarray:
-        return np.fft.rfftn(a)
+    # one array through the batch transforms (rfftn / irfftn bit for bit);
+    # out and work are their buffers, out one array and work a stack
+    def rfft(self, a: np.ndarray, out=None, work=None) -> np.ndarray:
+        slot = None if out is None else out[None]
+        return batch_rfft(self, np.asarray(a)[None], out=slot, work=work)[0]
 
-    def irfft(self, ah: np.ndarray) -> np.ndarray:
-        return np.fft.irfftn(ah, s=self.shape, axes=tuple(range(self.dim)))
+    def irfft(self, ah: np.ndarray, out=None, work=None) -> np.ndarray:
+        slot = None if out is None else out[None]
+        return batch_irfft(self, np.asarray(ah)[None], out=slot, work=work)[0]
 
     # no torusflow code calls these; perfbench/tracing.py wraps them by name
     def fft(self, a: np.ndarray) -> np.ndarray:
@@ -353,7 +362,7 @@ def dealiased_product(f: Field, g: Field) -> Field:
     return dealias(Field(f.grid, f.values * g.values))
 
 
-def batch_rfft(grid: TorusGrid, arrs, out=None, work=None) -> np.ndarray:
+def batch_rfft(grid: TorusGrid, arrs, out=None, work=None, *, band=False) -> np.ndarray:
     """Half-spectrum transforms of a stack of real arrays, (k, *shape) ->
     (k, *rshape).
 
@@ -363,6 +372,11 @@ def batch_rfft(grid: TorusGrid, arrs, out=None, work=None) -> np.ndarray:
     in chunks of its length.  With both buffers given nothing is allocated.
     ``out`` must not overlap the input or ``work``: numpy copies an operand
     that overlaps its output.
+
+    ``band=True`` is for a stack its caller 2/3-truncates straight away
+    (Orszag's rule): the full-axis pass then runs only on the half-axis
+    columns up to the dealias cutoff and the columns above it are zeroed.
+    Every kept mode equals the full transform's bit for bit.
     """
     a = np.asarray(arrs)
     if grid.dim == 1:
@@ -371,19 +385,25 @@ def batch_rfft(grid: TorusGrid, arrs, out=None, work=None) -> np.ndarray:
         out = np.empty(a.shape[:-1] + (grid.n // 2 + 1,), dtype=complex)
     if work is None:
         work = np.empty_like(out)
+    cols = slice(grid.dealias_cutoff + 1 if band else None)
     for i in range(0, len(a), len(work)):
         chunk = a[i : i + len(work)]
         w = work[: len(chunk)]
         np.fft.rfft(chunk, axis=-1, out=w)
-        np.fft.fft(w, axis=-2, out=out[i : i + len(chunk)])
+        np.fft.fft(w[..., cols], axis=-2, out=out[i : i + len(chunk), ..., cols])
+    if band:
+        out[..., cols.stop :] = 0.0
     return out
 
 
-def batch_irfft(grid: TorusGrid, hats, out=None, work=None) -> np.ndarray:
+def batch_irfft(grid: TorusGrid, hats, out=None, work=None, *, band=False) -> np.ndarray:
     """Inverse of batch_rfft, (k, *rshape) -> (k, *shape): ifft along the
     first axis into ``work``, then irfft along the last into ``out``
     (irfftn bit for bit), in chunks as there.  The input is left
-    unchanged."""
+    unchanged.  ``band=True`` promises a 2/3-truncated input: the full-axis
+    pass then skips the all-zero half-axis columns above the cutoff, with a
+    bit-identical result.
+    """
     h = np.asarray(hats)
     if grid.dim == 1:
         return np.fft.irfft(h, n=grid.n, axis=-1, out=out)
@@ -391,10 +411,13 @@ def batch_irfft(grid: TorusGrid, hats, out=None, work=None) -> np.ndarray:
         out = np.empty(h.shape[:-1] + (grid.n,))
     if work is None:
         work = np.empty_like(h)
+    cols = slice(grid.dealias_cutoff + 1 if band else None)
+    if band:
+        work[..., cols.stop :] = 0.0
     for i in range(0, len(h), len(work)):
         chunk = h[i : i + len(work)]
         w = work[: len(chunk)]
-        np.fft.ifft(chunk, axis=-2, out=w)
+        np.fft.ifft(chunk[..., cols], axis=-2, out=w[..., cols])
         np.fft.irfft(w, n=grid.n, axis=-1, out=out[i : i + len(chunk)])
     return out
 
@@ -442,15 +465,23 @@ def l2_norm(f: Field) -> float:
     return float(np.sqrt(np.mean(v * v) * f.grid.volume))
 
 
-def hermitian_sq(g: TorusGrid, ah: np.ndarray, w) -> float:
+def hermitian_sq(g: TorusGrid, ah: np.ndarray, w, work=None) -> float:
     """Weighted squared norm volume * sum_k w_k |c_k|^2 of a real field.
 
     ``ah`` is the field's half spectrum (``g.rfft``) and ``w`` a weight on
     the half layout; c_k = fhat_k / n^d, and each column counts with its
-    Hermitian multiplicity, so the sum runs over the full spectrum.
+    Hermitian multiplicity, so the sum runs over the full spectrum.  A real
+    ``work`` stack (2, *rshape) takes the weighted table and the summand,
+    so nothing is allocated.
     """
-    sq = float(np.sum(g._rmult * w * np.abs(ah) ** 2))
-    return g.volume * sq / float(g.n) ** (2 * g.dim)
+    if work is None:
+        work = np.empty((2, *g.rshape))
+    wt, sq = work
+    np.multiply(g._rmult, w, out=wt)
+    np.abs(ah, out=sq)
+    np.square(sq, out=sq)
+    np.multiply(wt, sq, out=sq)
+    return g.volume * float(np.sum(sq)) / float(g.n) ** (2 * g.dim)
 
 
 def hs_norm(f: Field, s: int) -> float:
@@ -465,16 +496,32 @@ def hs_norm(f: Field, s: int) -> float:
     return float(np.sqrt(hermitian_sq(g, g.rfft(f.values), (1.0 + g.rk_squared) ** s)))
 
 
-def refine(f, factor: int = 2) -> np.ndarray:
+def refine_work_size(g: TorusGrid, k: int, factor: int = 2) -> int:
+    """Complex entries of the ``work`` buffer refine needs for k fields."""
+    h = g.n // 2
+    if g.dim == 1:
+        return (k + 1) * (h + 1)
+    return 2 * k * factor * g.n * (h + 1)
+
+
+def refine(f, factor: int = 2, *, out=None, work=None) -> np.ndarray:
     """Physical values on a factor-times finer grid via zero-padded spectrum.
 
     Used for alias-free quadrature of higher-degree integrands.  A mode on
     the coarse Nyquist plane is split evenly between +n/2 and -n/2, so the
     result is the real trigonometric interpolant of the stored values.
     ``f`` is a Field, or a sequence of Fields on one grid, refined as one
-    stack (one batch_rfft, one padding, one inverse pass per axis) into a
-    (k, *fine shape) array; each slot equals the single-field refinement bit
-    for bit, and both equal irfftn of the zero-padded half spectrum.
+    stack (one padding, one inverse pass per axis) into a (k, *fine shape)
+    array; each slot equals the single-field refinement bit for bit, and
+    both equal irfftn of the zero-padded half spectrum.
+
+    ``out`` (a (k, *fine shape) stack) and ``work`` (a contiguous complex
+    buffer of at least refine_work_size entries) are optional buffers, as
+    for batch_rfft; with both nothing of the grid's size is allocated, and
+    the result is ``out``.  In 2-d ``work`` holds the zero-padded spectra
+    and their column transforms; the coarse spectra and their transform
+    scratch share the latter's memory, since they are spent before it is
+    written.
     """
     if int(factor) != factor or factor < 2:
         raise ValueError(f"refine factor must be an integer >= 2, got {factor}")
@@ -484,21 +531,34 @@ def refine(f, factor: int = 2) -> np.ndarray:
     g = fields[0].grid
     if any(x.grid != g for x in fields[1:]):
         raise ValueError("refined fields must share a grid")
+    k = len(fields)
     nf = int(factor) * g.n
     h = g.n // 2
-    fh = batch_rfft(g, [x.values for x in fields])
+    if work is None:
+        work = np.empty(refine_work_size(g, k, factor), dtype=complex)
+    if out is None:
+        out = np.empty((k,) + (nf,) * g.dim)
+    pool = work.reshape(-1)
+    padded = k * nf * (h + 1) if g.dim == 2 else 0
+    one = g.n ** (g.dim - 1) * (h + 1)
+    fh = pool[padded : padded + k * one].reshape((k,) + g.rshape)
+    scratch = pool[padded + k * one : padded + (k + 1) * one].reshape((1,) + g.rshape)
+    # one field at a time, so no stacked copy of the inputs is made
+    for i, x in enumerate(fields):
+        batch_rfft(g, x.values[None], out=fh[i : i + 1], work=scratch)
     fh[..., h] *= 0.5
     if g.dim == 2:
         # rows are the full axis: k = 0..n/2 on top, k = -n/2..-1 at the
         # bottom; only the stored columns are transformed, the rest are zero
         fh[:, h] *= 0.5
-        tall = np.zeros((len(fields), nf, h + 1), dtype=complex)
+        tall = pool[:padded].reshape(k, nf, h + 1)
+        cols = pool[padded : 2 * padded].reshape(k, nf, h + 1)
         tall[:, : h + 1] = fh[:, : h + 1]
+        tall[:, h + 1 : nf - h] = 0.0
         tall[:, -h:] = fh[:, h:]
-        fh = np.fft.ifft(tall, axis=-2)
-        del tall
+        fh = np.fft.ifft(tall, axis=-2, out=cols)
     # irfft zero-pads the last axis up to the fine half spectrum
-    out = np.fft.irfft(fh, n=nf, axis=-1)
+    np.fft.irfft(fh, n=nf, axis=-1, out=out)
     out *= factor**g.dim
     return out[0] if isinstance(f, Field) else out
 

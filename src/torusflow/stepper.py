@@ -18,8 +18,10 @@ scheme evaluates its tendencies through the half-spectrum kernels
 rhs_compressible_hat / rhs_incompressible_hat and carries its spectral
 state as one stacked complex array (nvar, *rshape).  ETDRK4 keeps its
 stage values in cached stacks (a one-slot cache like the table cache) and
-has the kernels write their tendencies into them, so a step allocates
-little beyond the new state.
+has the kernels write their tendencies into them.  Its ops and nonlin
+closures apply the real tables with ``out=`` ufuncs in a few cached scratch
+spectra, in the order of the allocating expressions (same bits), so a step
+allocates little beyond the new state.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .constitutive import Constitutive, ModelKind
 from .dynamics import (
     CompressibleState,
     IncompressibleState,
+    _div_hat,
     primitives,
     rhs_compressible_hat,
     rhs_incompressible_hat,
@@ -243,17 +246,17 @@ def _cached_tables(regime: str, key: tuple, dt: float, build: Callable):
     return hit[1]
 
 
-# stage stacks of _etdrk4, reused while the state shape repeats; a single
-# slot keeps memory flat, and no stage stack leaves the step
+# the stage stacks of _etdrk4 and the scratch of the steppers' ops/nonlin
+# closures, one slot each, reused while the shape repeats; a single slot
+# keeps memory flat, and no cached stack leaves the step
 _STAGE_CACHE: dict = {}
 
 
-def _stage_stacks(shape: tuple) -> list:
-    hit = _STAGE_CACHE.get("slot")
-    if hit is None or hit[0] != shape:
-        hit = (shape, [np.empty(shape, dtype=complex) for _ in range(5)])
-        _STAGE_CACHE["slot"] = hit
-    return hit[1]
+def _cached_stack(name: str, shape: tuple) -> np.ndarray:
+    hit = _STAGE_CACHE.get(name)
+    if hit is None or hit.shape != shape:
+        hit = _STAGE_CACHE[name] = np.empty(shape, dtype=complex)
+    return hit
 
 
 def _etdrk4(zh, ops, nonlin, mask):
@@ -277,7 +280,7 @@ def _etdrk4(zh, ops, nonlin, mask):
     by exp(hL).  Five cached stacks and zh hold the stages, each reused once
     its value is spent; only u+ is allocated.
     """
-    n1, n2, qn1, u2, u3 = _stage_stacks(zh.shape)
+    n1, n2, qn1, u2, u3 = _cached_stack("stages", (5, *zh.shape))
     z = zh
     z *= mask
     nonlin(z, n1)
@@ -364,6 +367,15 @@ def _acoustic_tables(g: TorusGrid, nu_bar: float, eta_bar: float, c2: float, dt:
     return block, sol, c2 * kk, inv_kk, -visc - svv
 
 
+def _kdot(ik: np.ndarray, v: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """out = sum_a ik[a] v[a] with tmp as scratch, bit for bit as
+    np.sum(ik * v, axis=0) forms it: that sum starts from +0, which turns a
+    -0 total into +0."""
+    _div_hat(ik, v, out, tmp)
+    out += 0.0
+    return out
+
+
 def step_compressible_rk4(
     s: CompressibleState, dt: float, c: Constitutive
 ) -> CompressibleState:
@@ -374,52 +386,81 @@ def step_compressible_rk4(
     the momentum, the reference viscosity on the solenoidal momentum and the
     phase symbol on q, each minus svv.  The sound speed sqrt(P'(1))/eps
     therefore sets no step bound.  Runs entirely on the half-spectrum
-    layout.
+    layout; ops and nonlin work in four cached scratch spectra.
     """
     g = s.grid
     d = g.dim
     nu_bar, eta_bar = _reference_viscosities(c)
     p1 = float(c.pressure_prime(1.0))
     c2 = p1 / s.eps**2
-    ell_q = _phase_symbol(g, s.model)
     ik = g._rik_stack
-    nu_k2 = nu_bar * g.rk_squared
-    svv = g.rsvv
-    block, sol_t, c2_kk, inv_kk, l_bb, q_t = _cached_tables(
-        "compressible",
-        (g, s.model, nu_bar, eta_bar, s.eps, p1),
-        dt,
-        lambda: (
+
+    def build():
+        ell_q = _phase_symbol(g, s.model)
+        return (
             *_acoustic_tables(g, nu_bar, eta_bar, c2, dt),
-            _etd_tables(ell_q - svv, dt),
-        ),
+            _etd_tables(ell_q - g.rsvv, dt),
+            ell_q,
+            nu_bar * g.rk_squared,
+            -g.rsvv,
+        )
+
+    block, sol_t, c2_kk, inv_kk, l_bb, q_t, ell_q, nu_k2, neg_svv = _cached_tables(
+        "compressible", (g, s.model, nu_bar, eta_bar, s.eps, p1), dt, build
     )
+    scratch = _cached_stack("scratch", (4, *g.rshape))
 
     def ops(key: str, z: np.ndarray, out: np.ndarray):
+        div, b, b_new, t = scratch
         c0, c1 = block[key]
         rho, mom = z[0], z[1 : 1 + d]
-        div = np.sum(ik * mom, axis=0)  # |k| b
-        b = inv_kk * div
-        b_new = c0 * b + c1 * (c2_kk * rho + l_bb * b)
-        f = sol_t[key]
-        out[0] = c0 * rho + c1 * (-svv * rho - div)
+        _kdot(ik, mom, div, t)  # |k| b
+        np.multiply(inv_kk, div, out=b)
+        # b_new = c0 b + c1 (c2|k| rho + l_bb b); out[0] is scratch until set
+        np.multiply(c0, b, out=b_new)
+        np.multiply(c2_kk, rho, out=t)
+        np.multiply(l_bb, b, out=out[0])
+        t += out[0]
+        np.multiply(c1, t, out=t)
+        b_new += t
+        # out[0] = c0 rho + c1 (-svv rho - |k| b)
+        np.multiply(neg_svv, rho, out=t)
+        t -= div
+        np.multiply(c1, t, out=t)
+        np.multiply(c0, rho, out=out[0])
+        out[0] += t
         # the gradient part of m is -i k b/|k|: f on the solenoidal part,
         # b_new on the gradient part
+        f = sol_t[key]
         np.multiply(f, mom, out=out[1 : 1 + d])
-        out[1 : 1 + d] += ik * (inv_kk * (f * b - b_new))
+        np.multiply(f, b, out=t)
+        t -= b_new
+        np.multiply(inv_kk, t, out=t)
+        for a in range(d):
+            np.multiply(ik[a], t, out=div)
+            out[1 + a] += div
         np.multiply(q_t[key], z[-1], out=out[-1])
 
     # the tables carry the extra -svv damping while the remainder still
     # subtracts the bare linear part, so the integrated system is rhs - svv*z
     def nonlin(z: np.ndarray, out: np.ndarray):
         _rhs_hat(s, c, z, out)
+        div, pot, _, t = scratch
         mom = z[1 : 1 + d]
-        div = np.sum(ik * mom, axis=0)
+        _kdot(ik, mom, div, t)
         out[0] += div
-        out[1 : 1 + d] += nu_k2 * mom
+        for a in range(d):
+            np.multiply(nu_k2, mom[a], out=t)
+            out[1 + a] += t
         # the linear pressure and the bulk viscosity are the gradient ik*pot
-        out[1 : 1 + d] += ik * (c2 * z[0] - eta_bar * div)
-        out[-1] -= ell_q * z[-1]
+        np.multiply(c2, z[0], out=pot)
+        np.multiply(eta_bar, div, out=t)
+        pot -= t
+        for a in range(d):
+            np.multiply(ik[a], pot, out=t)
+            out[1 + a] += t
+        np.multiply(ell_q, z[-1], out=t)
+        out[-1] -= t
 
     zh = batch_rfft(g, s.as_arrays())
     zh_new = _etdrk4(zh, ops, nonlin, g.rdealias_mask)
@@ -437,15 +478,21 @@ def step_incompressible_rk4(
     g = s.grid
     d = g.dim
     nu_bar, _ = _reference_viscosities(c)
-    ell_phi = _phase_symbol(g, s.model)
-    nu_k2 = nu_bar * g.rk_squared
-    svv = g.rsvv
-    u_t, phi_t = _cached_tables(
-        "incompressible",
-        (g, s.model, nu_bar),
-        dt,
-        lambda: (_etd_tables(-nu_k2 - svv, dt), _etd_tables(ell_phi - svv, dt)),
+
+    def build():
+        ell_phi = _phase_symbol(g, s.model)
+        nu_k2 = nu_bar * g.rk_squared
+        return (
+            _etd_tables(-nu_k2 - g.rsvv, dt),
+            _etd_tables(ell_phi - g.rsvv, dt),
+            ell_phi,
+            nu_k2,
+        )
+
+    u_t, phi_t, ell_phi, nu_k2 = _cached_tables(
+        "incompressible", (g, s.model, nu_bar), dt, build
     )
+    scratch = _cached_stack("scratch", (4, *g.rshape))
 
     def ops(key: str, z: np.ndarray, out: np.ndarray):
         np.multiply(u_t[key], z[:d], out=out[:d])
@@ -453,8 +500,12 @@ def step_incompressible_rk4(
 
     def nonlin(z: np.ndarray, out: np.ndarray):
         _rhs_hat(s, c, z, out)
-        out[:d] += nu_k2 * z[:d]
-        out[-1] -= ell_phi * z[-1]
+        t = scratch[0]
+        for a in range(d):
+            np.multiply(nu_k2, z[a], out=t)
+            out[a] += t
+        np.multiply(ell_phi, z[-1], out=t)
+        out[-1] -= t
 
     zh = batch_rfft(g, s.as_arrays())
     zh_new = _etdrk4(zh, ops, nonlin, g.rdealias_mask)

@@ -347,6 +347,142 @@ def test_energy_compressible_memory_peak(model):
 
 
 # ---------------------------------------------------------------------------
+# the 2x-grid workspace: the allocating formulas are the bit-for-bit oracle
+
+
+def _alloc_mean(gf, arr):
+    return float(np.mean(arr)) * gf.volume
+
+
+def _alloc_hermitian_sq(g, ah, w):
+    sq = float(np.sum(g._rmult * w * np.abs(ah) ** 2))
+    return g.volume * sq / float(g.n) ** (2 * g.dim)
+
+
+def _alloc_terms(gf, rho, phi, hats, c, model):
+    """Gradient, potential and dissipation as the reports formed them before
+    their workspace, each step allocating its result."""
+    ph, uh = hats[0], hats[1:]
+    gradient = 0.5 * _alloc_hermitian_sq(gf, ph, gf._rik2)
+    potential = _alloc_mean(gf, 0.25 * rho * (phi * phi - 1.0) ** 2)
+    if c.constant_viscosity:
+        divh = sum(ik * h for ik, h in zip(gf._rik, uh))
+        dissipation = c.nu0 * sum(_alloc_hermitian_sq(gf, h, gf._rik2) for h in uh)
+        dissipation += c.eta0 * _alloc_hermitian_sq(gf, divh, 1.0)
+    else:
+        d = gf.dim
+        grad_hat = uh[:, None] * gf._rik_stack  # [a, b]: d_b u_a
+        grad_u = np.stack([gf.irfft(h) for h in grad_hat.reshape(d * d, *gf.rshape)])
+        divu = sum(grad_u[a * d + a] for a in range(d))
+        nu = c.viscosity_nu(rho, phi)
+        eta = c.viscosity_eta(rho, phi)
+        grad_u_sq = np.sum(grad_u * grad_u, axis=0)
+        dissipation = _alloc_mean(gf, nu * grad_u_sq + eta * divu * divu)
+    mu = gf.irfft(gf.rk_squared * ph) / rho + phi * phi * phi - phi
+    if model is ModelKind.CH:
+        dissipation += _alloc_hermitian_sq(gf, gf.rfft(mu), gf._rik2)
+    else:
+        dissipation += _alloc_mean(gf, rho * mu * mu)
+    return gradient, potential, dissipation
+
+
+def _alloc_energy_compressible(s, c):
+    gf = TorusGrid(s.grid.dim, 2 * s.grid.n)
+    fine = refine([s.rho, s.q, *s.mom])
+    rho = fine[0]
+    kinetic = _alloc_mean(gf, 0.5 * sum(mi * (mi / rho) for mi in fine[2:]))
+    internal = _alloc_mean(gf, c.omega(rho)) / s.eps**2
+    prim = fine[1:] / rho
+    hats = np.stack([gf.rfft(a) for a in prim])
+    gradient, potential, dissipation = _alloc_terms(gf, rho, prim[0], hats, c, s.model)
+    total = kinetic + internal + gradient + potential
+    return (kinetic, internal, gradient, potential, total, dissipation)
+
+
+def _alloc_energy_incompressible(s, c):
+    gf = TorusGrid(s.grid.dim, 2 * s.grid.n)
+    fine = refine([s.phi, *s.u])
+    kinetic = _alloc_mean(gf, 0.5 * sum(ua * ua for ua in fine[1:]))
+    hats = np.stack([gf.rfft(a) for a in fine])
+    gradient, potential, dissipation = _alloc_terms(gf, 1.0, fine[0], hats, c, s.model)
+    total = kinetic + gradient + potential
+    return (kinetic, 0.0, gradient, potential, total, dissipation)
+
+
+def _alloc_modulated(cs, is_, c):
+    gf = TorusGrid(cs.grid.dim, 2 * cs.grid.n)
+    d = gf.dim
+    fine = refine([cs.rho, cs.q, *cs.mom, is_.phi, *is_.u])
+    rho, phi, u = fine[0], fine[2 + d], fine[3 + d :]
+    phie, ue = fine[1] / rho, fine[2 : 2 + d] / rho
+    sqrt_rho = np.sqrt(rho)
+    kin = 0.5 * sum((sqrt_rho * a - b) ** 2 for a, b in zip(ue, u))
+    p1 = float(c.pressure(np.ones(())))
+    pi_e = (c.omega(rho) - p1 * (rho - 1.0)) / cs.eps**2
+    grad_d = 0.5 * _alloc_hermitian_sq(gf, gf.rfft(phie - phi), gf._rik2)
+    distance = _alloc_mean(gf, kin + pi_e) + grad_d
+    bulk = _alloc_mean(
+        gf, 0.25 * rho * (phie * phie - 1.0) ** 2 + 0.25 * (phi * phi - 1.0) ** 2
+    )
+    return (distance + bulk, distance)
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def _report(rep):
+    return (rep.kinetic, rep.internal, rep.gradient, rep.potential, rep.total, rep.dissipation)
+
+
+@pytest.mark.parametrize("model", [ModelKind.CH, ModelKind.AC])
+@pytest.mark.parametrize("c", [Constitutive(), AFFINE], ids=["constant", "affine"])
+def test_reports_equal_allocating_formulas_bit_for_bit(model, c):
+    g = TorusGrid(2, 32)
+    u0, phi0 = initial_from_preset("taylor_green_bubble", g)
+    cs = well_prepared_initial(u0, phi0, 0.5, 3.0, 3, model)
+    is_ = IncompressibleState(u0, phi0, model)
+    for _ in range(2):
+        cs = step_compressible_rk4(cs, 2e-3, c)
+        is_ = step_incompressible_rk4(is_, 2e-3, c)
+    # twice: the second call reuses the workspace the first one built
+    for _ in range(2):
+        assert _hex(_report(energy_compressible(cs, c))) == _hex(
+            _alloc_energy_compressible(cs, c)
+        )
+        assert _hex(_report(energy_incompressible(is_, c))) == _hex(
+            _alloc_energy_incompressible(is_, c)
+        )
+        assert _hex(modulated_energy(cs, is_, c)) == _hex(_alloc_modulated(cs, is_, c))
+
+
+@pytest.mark.parametrize("model", [ModelKind.CH, ModelKind.AC])
+def test_warm_reports_allocate_no_grid_sized_buffers(model):
+    # a warm call forms its integrands in the per-grid workspace: its
+    # tracemalloc peak stays within 2 fine-grid real arrays (the allocating
+    # formulas peaked at 11-23)
+    g = TorusGrid(2, 64)
+    u0, phi0 = initial_from_preset("taylor_green_bubble", g)
+    cs = well_prepared_initial(u0, phi0, 0.1, 1.0, 7, model)
+    is_ = IncompressibleState(u0, phi0, model)
+    c = Constitutive()
+    fine_array = (2 * g.n) ** 2 * 8
+    for report in (
+        lambda: energy_compressible(cs, c),
+        lambda: energy_incompressible(is_, c),
+        lambda: modulated_energy(cs, is_, c),
+    ):
+        report()  # builds the workspace and the fine grid's tables
+        tracemalloc.start()
+        try:
+            report()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * fine_array
+
+
+# ---------------------------------------------------------------------------
 # modulated energy
 
 

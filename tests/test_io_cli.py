@@ -74,13 +74,16 @@ def test_load_config_minimal_defaults(tmp_path):
 
 
 def test_load_config_full_roundtrip(tmp_path):
+    # every key set; the picard block goes with its scheme, which runs
+    # compressible states only
     payload = {
         "model": "nsac",
-        "regime": "incompressible",
+        "regime": "compressible",
+        "eps": 0.3,
         "grid": {"dim": 2, "n": 32},
         "constitutive": {"gamma": 1.4, "nu0": 0.05, "nu_phi": 0.2},
         "stepper": {
-            "scheme": "imex",
+            "scheme": "picard",
             "cfl": 0.3,
             "dt_override": 1e-4,
             "t_end": 0.25,
@@ -91,13 +94,13 @@ def test_load_config_full_roundtrip(tmp_path):
     }
     cfg = load_config(write_json(tmp_path, "run.json", payload))
     assert cfg.model is ModelKind.AC
-    assert cfg.regime == "incompressible"
-    assert cfg.eps is None
+    assert cfg.regime == "compressible"
+    assert cfg.eps == 0.3
     assert cfg.grid.n == 32
     assert cfg.constitutive.gamma == 1.4
     assert cfg.constitutive.nu_phi == 0.2
     assert not cfg.constitutive.constant_viscosity
-    assert cfg.stepper.scheme == "imex"
+    assert cfg.stepper.scheme == "picard"
     assert cfg.stepper.dt_override == 1e-4
     assert cfg.stepper.picard.tol == 1e-9
     assert cfg.stepper.picard.max_iter == 20
@@ -145,6 +148,13 @@ def test_load_config_null_dt_override(tmp_path):
         (base_run_config(constitutive={"visc_kind": "affine"}), "visc_kind"),
         (base_run_config(stepper={"dealias_each_stage": True}), "dealias_each_stage"),
         (base_run_config(stepper={"picard": {"enabled": True}}), "enabled"),
+        # a picard block that no scheme would read, named as such
+        (base_run_config(stepper={"picard": {"tol": 1e-3}}), "stepper.picard"),
+        (base_run_config(stepper={"scheme": "imex", "picard": {}}), "stepper.picard"),
+        (
+            base_run_config(regime="incompressible", eps=None, stepper={"scheme": "picard"}),
+            "compressible regime",
+        ),
     ],
 )
 def test_load_config_rejects(tmp_path, payload, fragment):
@@ -518,6 +528,35 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_run_value_error_mid_run_exits_3(tmp_path, capsys, monkeypatch):
+    # a ValueError from the diagnostics after the initial state is built is
+    # a numerical failure, not a config error
+    import torusflow.cli as cli_module
+
+    calls = []
+
+    def third_call_fails(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise ValueError("injected diagnostics failure")
+        return energy_compressible(*args, **kwargs)
+
+    monkeypatch.setattr(cli_module, "energy_compressible", third_call_fails)
+    cfg = run_config_file(
+        tmp_path,
+        regime="compressible",
+        eps=0.2,
+        stepper={"dt_override": 1e-4, "t_end": 5e-4},
+        output={"sample_cadence": 1},
+    )
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert len(calls) == 3
+    assert err.startswith("numerical failure") and "injected" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "overrides",
     [
@@ -701,6 +740,9 @@ def _numbers(obj):
 @given(st.dictionaries(st.sampled_from(_RUN_NUMERIC_SLOTS), _JSON_SCALARS, min_size=1))
 def test_load_config_yields_finite_numbers_or_config_error(tmp_path, slots):
     payload = base_run_config()
+    if any(path[:2] == ("stepper", "picard") for path in slots):
+        # the picard block is read with its own scheme only
+        payload["stepper"] = {"scheme": "picard"}
     for path, value in slots.items():
         node = payload
         for key in path[:-1]:

@@ -25,6 +25,7 @@ from torusflow.spectral import (
     leray_project,
     random_band_limited,
     refine,
+    refine_work_size,
     solve_biharmonic_shift,
     solve_helmholtz,
 )
@@ -456,6 +457,50 @@ def test_refine_stack_matches_single_field_bit_for_bit(dim, factor, rng):
         single = refine(f, factor)
         assert np.array_equal(slot, single)
         assert np.array_equal(single, _refine_reference(f, factor))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint8)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_refine_result_survives_the_next_call(dim, rng):
+    # the allocating call owns its result; the buffered one fills the
+    # caller's buffers with the same bits
+    g = TorusGrid(dim, 16)
+    f = random_band_limited(g, rng, 7, zero_mean=False)
+    h = random_band_limited(g, rng, 7)
+    first = refine([f, h])
+    kept = first.copy()
+    second = refine([h, f])
+    assert np.array_equal(_bits(first), _bits(kept))
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(_bits(second[::-1]), _bits(first))
+    out = np.empty_like(first)
+    work = np.full(refine_work_size(g, 2), np.nan, dtype=complex)
+    assert refine([f, h], out=out, work=work) is out
+    assert np.array_equal(_bits(out), _bits(first))
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128])
+@pytest.mark.parametrize("k", [2, 5])
+def test_band_pruned_transforms_match_full_transforms_bit_for_bit(n, k, rng):
+    # a work stack of 3 slots takes 2 arrays whole and 5 in chunks; the
+    # oracle is rfftn / irfftn of each array, then the 2/3 truncation
+    g = TorusGrid(2, n)
+    cut = g.dealias_cutoff
+    arrs = rng.standard_normal((k, n, n))
+    work = np.full((3, *g.rshape), np.nan, dtype=complex)
+    full = np.stack([np.fft.rfftn(a) for a in arrs])
+    got = batch_rfft(g, arrs, work=work, band=True)
+    assert np.array_equal(_bits(got[..., : cut + 1]), _bits(full[..., : cut + 1]))
+    assert not np.any(got[..., cut + 1 :])
+    full[..., cut + 1 :] = 0.0
+    full[..., cut + 1 : n - cut, :] = 0.0
+    work[:] = np.nan
+    back = batch_irfft(g, full, work=work, band=True)
+    want = np.stack([np.fft.irfftn(h, s=g.shape, axes=(0, 1)) for h in full])
+    assert np.array_equal(_bits(back), _bits(want))
 
 
 def test_refine_stack_validation(g1, g2):

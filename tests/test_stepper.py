@@ -282,6 +282,143 @@ def test_integrate_builds_each_table_set_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the in-place ETD operators: the allocating closures are the oracle
+
+_TABLE_KEYS = ("E2", "Q", "P2h", "P2", "P3")
+
+
+def _captured_closures(step, s, dt, c, monkeypatch):
+    """The ops and nonlin closures the step hands to _etdrk4."""
+    seen = {}
+
+    def capture(zh, ops, nonlin, mask):
+        seen.update(ops=ops, nonlin=nonlin, mask=mask)
+        return zh
+
+    with monkeypatch.context() as m:
+        m.setattr(stepper_module, "_etdrk4", capture)
+        step(s, dt, c)
+    return seen["ops"], seen["nonlin"], seen["mask"]
+
+
+def _alloc_compressible_closures(s, dt, c):
+    """ops and nonlin of step_compressible_rk4 as written with allocating
+    operators."""
+    sm = stepper_module
+    g = s.grid
+    d = g.dim
+    nu_bar, eta_bar = sm._reference_viscosities(c)
+    c2 = float(c.pressure_prime(1.0)) / s.eps**2
+    ell_q = sm._phase_symbol(g, s.model)
+    ik = g._rik_stack
+    nu_k2 = nu_bar * g.rk_squared
+    svv = g.rsvv
+    block, sol_t, c2_kk, inv_kk, l_bb = sm._acoustic_tables(g, nu_bar, eta_bar, c2, dt)
+    q_t = sm._etd_tables(ell_q - svv, dt)
+
+    def ops(key, z, out):
+        c0, c1 = block[key]
+        rho, mom = z[0], z[1 : 1 + d]
+        div = np.sum(ik * mom, axis=0)
+        b = inv_kk * div
+        b_new = c0 * b + c1 * (c2_kk * rho + l_bb * b)
+        f = sol_t[key]
+        out[0] = c0 * rho + c1 * (-svv * rho - div)
+        np.multiply(f, mom, out=out[1 : 1 + d])
+        out[1 : 1 + d] += ik * (inv_kk * (f * b - b_new))
+        np.multiply(q_t[key], z[-1], out=out[-1])
+
+    def nonlin(z, out):
+        sm._rhs_hat(s, c, z, out)
+        mom = z[1 : 1 + d]
+        div = np.sum(ik * mom, axis=0)
+        out[0] += div
+        out[1 : 1 + d] += nu_k2 * mom
+        out[1 : 1 + d] += ik * (c2 * z[0] - eta_bar * div)
+        out[-1] -= ell_q * z[-1]
+
+    return ops, nonlin
+
+
+def _alloc_incompressible_closures(s, dt, c):
+    sm = stepper_module
+    g = s.grid
+    d = g.dim
+    nu_bar, _ = sm._reference_viscosities(c)
+    ell_phi = sm._phase_symbol(g, s.model)
+    nu_k2 = nu_bar * g.rk_squared
+    u_t = sm._etd_tables(-nu_k2 - g.rsvv, dt)
+    phi_t = sm._etd_tables(ell_phi - g.rsvv, dt)
+
+    def ops(key, z, out):
+        np.multiply(u_t[key], z[:d], out=out[:d])
+        np.multiply(phi_t[key], z[-1], out=out[-1])
+
+    def nonlin(z, out):
+        sm._rhs_hat(s, c, z, out)
+        out[:d] += nu_k2 * z[:d]
+        out[-1] -= ell_phi * z[-1]
+
+    return ops, nonlin
+
+
+def _same_bits(a, b):
+    return np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+def _check_closures(got, want, zh, rng):
+    ops, nonlin, mask = got
+    ref_ops, ref_nonlin = want
+    z = zh * mask
+    # a second, rough stack for the linear operators
+    w = (rng.standard_normal(zh.shape) + 1j * rng.standard_normal(zh.shape)) * mask
+    for key in _TABLE_KEYS:
+        for v in (z, w):
+            out, ref = np.full_like(v, np.nan), np.full_like(v, np.nan)
+            ops(key, v, out)
+            ref_ops(key, v, ref)
+            assert _same_bits(out, ref), key
+    out, ref = np.full_like(z, np.nan), np.full_like(z, np.nan)
+    nonlin(z, out)
+    ref_nonlin(z, ref)
+    assert _same_bits(out, ref)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("model", list(ModelKind))
+@pytest.mark.parametrize("affine", [False, True], ids=["constant", "affine"])
+def test_compressible_etd_closures_match_allocating_closures(
+    dim, model, affine, rng, monkeypatch
+):
+    g = TorusGrid(dim, 32)
+    c = Constitutive(nu_phi=0.4, eta_rho=0.3) if affine else Constitutive()
+    x = g.coords()
+    if dim == 2:
+        u0, phi0 = taylor_green_bubble(g)
+    else:
+        u0 = VectorField((constant_field(g, 0.3),))
+        phi0 = Field(g, 0.5 * np.cos(x[0]))
+    s = well_prepared_initial(u0, phi0, 0.2, 2.0, 4, model)
+    dt = 3e-3
+    got = _captured_closures(step_compressible_rk4, s, dt, c, monkeypatch)
+    want = _alloc_compressible_closures(s, dt, c)
+    _check_closures(got, want, stepper_module.batch_rfft(g, s.as_arrays()), rng)
+
+
+@pytest.mark.parametrize("model", list(ModelKind))
+@pytest.mark.parametrize("affine", [False, True], ids=["constant", "affine"])
+def test_incompressible_etd_closures_match_allocating_closures(model, affine, rng, monkeypatch):
+    g = TorusGrid(2, 32)
+    c = Constitutive(nu_phi=0.4) if affine else Constitutive()
+    u0, phi0 = taylor_green_bubble(g)
+    s = IncompressibleState(u0, phi0, model)
+    dt = 5e-3
+    got = _captured_closures(step_incompressible_rk4, s, dt, c, monkeypatch)
+    want = _alloc_incompressible_closures(s, dt, c)
+    _check_closures(got, want, stepper_module.batch_rfft(g, s.as_arrays()), rng)
+
+
+# ---------------------------------------------------------------------------
 # PDE steppers: fixed points and conservation
 
 

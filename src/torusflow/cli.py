@@ -162,6 +162,8 @@ def _run_row(state, c, t: float) -> dict:
 
 
 def _cmd_run(args) -> int:
+    if args.snapshots_every < 0:
+        raise ConfigError(f"--snapshots-every must be >= 0, got {args.snapshots_every}")
     cfg = load_config(args.config)
     outdir = Path(args.out or cfg.outdir or ".")
     outdir.mkdir(parents=True, exist_ok=True)

@@ -1,10 +1,11 @@
-"""Constitutive laws: barotropic pressure, double well, viscosities.
+"""Constitutive laws: barotropic pressure and viscosities, on arrays.
 
 The pressure is the power law p_e(rho) = a * rho**gamma.  Its elastic
 potential omega satisfies rho * omega'(rho) - omega(rho) = p_e(rho) with
 omega(1) = 0 (so omega'(1) = p_e(1)); energy comparisons downstream use
 the relative form omega(rho) - p_e(1) * (rho - 1), which is nonnegative
-by convexity.
+by convexity.  The laws act on floats and arrays (collocation values),
+not on Fields.
 """
 
 from __future__ import annotations
@@ -14,26 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Field, dealias, laplacian
-
 
 class ModelKind(enum.Enum):
     """Phase dynamics: conserved (CH) or relaxational (AC)."""
 
     CH = "nsch"
     AC = "nsac"
-
-
-def double_well(phi):
-    """G(phi) = (phi^2 - 1)^2 / 4."""
-    p = np.asarray(phi, dtype=float) if not isinstance(phi, Field) else phi.values
-    return 0.25 * (p * p - 1.0) ** 2
-
-
-def double_well_prime(phi):
-    """G'(phi) = phi^3 - phi."""
-    p = np.asarray(phi, dtype=float) if not isinstance(phi, Field) else phi.values
-    return p * p * p - p
 
 
 @dataclass(frozen=True)
@@ -82,12 +69,12 @@ class Constitutive:
     # -- pressure family -------------------------------------------------
 
     def pressure(self, rho):
-        r, wrap = _unwrap(rho)
-        return wrap(self.pressure_coeff * r**self.gamma)
+        r = np.asarray(rho, dtype=float)
+        return self.pressure_coeff * r**self.gamma
 
     def pressure_prime(self, rho):
-        r, wrap = _unwrap(rho)
-        return wrap(self.pressure_coeff * self.gamma * r ** (self.gamma - 1.0))
+        r = np.asarray(rho, dtype=float)
+        return self.pressure_coeff * self.gamma * r ** (self.gamma - 1.0)
 
     def omega(self, rho, out=None):
         """Elastic potential: a*rho*(rho^(g-1) - 1)/(g-1), a*rho*log(rho) at g=1.
@@ -95,15 +82,15 @@ class Constitutive:
         Given an array ``out``, every step but the g = 1 product a*rho is
         written there (the energy reports pass a workspace buffer).
         """
-        r, wrap = _unwrap(rho)
+        r = np.asarray(rho, dtype=float)
         a, g = self.pressure_coeff, self.gamma
         if abs(g - 1.0) < 1e-12:
-            return wrap(np.multiply(a * r, np.log(r, out=out), out=out))
+            return np.multiply(a * r, np.log(r, out=out), out=out)
         res = np.power(r, g - 1.0, out=out)
         res = np.subtract(res, 1.0, out=out)
         res = np.multiply(r, res, out=out)
         res = np.divide(res, g - 1.0, out=out)
-        return wrap(np.multiply(a, res, out=out))
+        return np.multiply(a, res, out=out)
 
     # -- viscosities ------------------------------------------------------
 
@@ -113,35 +100,14 @@ class Constitutive:
         return self.nu_rho == self.nu_phi == self.eta_rho == self.eta_phi == 0.0
 
     def viscosity_nu(self, rho, phi):
-        r, wrap = _unwrap(rho)
-        p, _ = _unwrap(phi)
+        r = np.asarray(rho, dtype=float)
+        p = np.asarray(phi, dtype=float)
         raw = self.nu0 + self.nu_rho * (r - 1.0) + self.nu_phi * p * p
-        return wrap(np.clip(raw, self.nu_star, self.nu_upper))
+        return np.clip(raw, self.nu_star, self.nu_upper)
 
     def viscosity_eta(self, rho, phi):
-        r, wrap = _unwrap(rho)
-        p, _ = _unwrap(phi)
+        r = np.asarray(rho, dtype=float)
+        p = np.asarray(phi, dtype=float)
         raw = self.eta0 + self.eta_rho * (r - 1.0) + self.eta_phi * p * p
-        return wrap(np.clip(raw, self.eta_star, self.eta_upper))
+        return np.clip(raw, self.eta_star, self.eta_upper)
 
-
-def chemical_potential(rho: Field, phi: Field) -> Field:
-    """mu = (-Lap phi) / rho + phi^3 - phi, with spectral Lap and dealiased cube."""
-    g = phi.grid
-    rvals = rho.values
-    if np.min(rvals) <= 0.0:
-        raise ValueError("chemical_potential requires a vacuum-free density")
-    lap = laplacian(phi).values
-    p = phi.values
-    cube = dealias(Field(g, p * p * p)).values
-    vals = -lap / rvals + cube - p
-    return Field(g, vals)
-
-
-def _unwrap(x):
-    """Accept Field or array-like; return (values, rewrapper)."""
-    if isinstance(x, Field):
-        grid = x.grid
-        return x.values, lambda v: Field(grid, np.asarray(v, dtype=float))
-    arr = np.asarray(x, dtype=float)
-    return arr, lambda v: v

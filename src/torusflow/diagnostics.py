@@ -1,8 +1,9 @@
-"""Norms, energy reports, modulated-energy distance, conservation ledgers.
+"""Energy reports, modulated-energy distance, the scaled functional E_s,
+conservation ledgers.
 
-Sobolev norms use the Bessel weight (1 + |k|^2)^s, which is equivalent to
-the multi-index sum over derivatives up to order s; the exact multi-index
-weight is also available as a cross-check.  Both weights live on the half
+``functional_Es`` uses the Bessel weight (1 + |k|^2)^s, which is equivalent
+to the multi-index sum over derivatives up to order s; the exact multi-index
+weight is kept as its cross-check.  Both weights live on the half
 (rfft) layout and are summed with Hermitian multiplicities
 (``spectral.hermitian_sq``).  Quadratures of quartic and rational
 integrands run on a 2x oversampled grid, which makes them exact for the
@@ -43,42 +44,15 @@ from .constitutive import Constitutive, ModelKind
 from .dynamics import CompressibleState, IncompressibleState, _div_hat, primitives
 from .errors import VacuumError
 from .spectral import (
-    Field,
     TorusGrid,
     batch_irfft,
     batch_rfft,
     divergence,
     hermitian_sq,
-    hs_norm,
     integral,
     refine,
     refine_work_size,
 )
-
-
-def sobolev_norm(f: Field, s: int) -> float:
-    """H^s norm sqrt(sum_k (1+|k|^2)^s |c_k|^2 * volume); s=0 is the L2 norm."""
-    return hs_norm(f, s)
-
-
-@dataclass(frozen=True)
-class SobolevSpec:
-    """Sobolev index plus an optional weight for the scaled density slot."""
-
-    s: int
-    eps_weight: Optional[float] = None
-
-    def __post_init__(self):
-        if self.s < 0:
-            raise ValueError(f"Sobolev index must be nonnegative, got {self.s}")
-        if self.eps_weight is not None and self.eps_weight <= 0:
-            raise ValueError(f"eps_weight must be positive, got {self.eps_weight}")
-
-    def validate_for(self, grid: TorusGrid):
-        if self.s > grid.n / 3:
-            raise ValueError(
-                f"Sobolev index {self.s} is not resolvable on n = {grid.n} (need s <= n/3)"
-            )
 
 
 @dataclass(frozen=True)
@@ -322,7 +296,7 @@ def modulated_energy(
 
 
 # ---------------------------------------------------------------------------
-# scaled functionals
+# scaled functional
 
 
 def _weight(g: TorusGrid, s: int, weight: str) -> np.ndarray:
@@ -356,51 +330,10 @@ def functional_Es(s_state: CompressibleState, s: int, weight: str = "spectral") 
     return out
 
 
-def functional_Es_weighted(s_state: CompressibleState, s: int, c: Constitutive) -> float:
-    """Density/pressure-weighted variant sum int P'(rho)/(eps^2 rho)|D^a(rho-1)|^2
-    + rho|D^a u|^2; equivalent to functional_Es while rho stays near 1."""
-    g = s_state.grid
-    gf = _fine_grid(g)
-    u, _ = primitives(s_state)
-    dens = Field(g, s_state.rho.values - 1.0)
-    alphas = _alphas(g.dim, s)
-    # one refinement of rho and every D^alpha of (rho - 1, u_1, ..)
-    fine = refine(
-        [s_state.rho] + [_deriv_alpha(f, alpha) for alpha in alphas for f in (dens, *u)]
-    )
-    rho_f = fine[0]
-    if np.min(rho_f) <= 0:
-        raise VacuumError("functional_Es_weighted: nonpositive density")
-    wrho = c.pressure_prime(rho_f) / rho_f / s_state.eps**2
-    out = 0.0
-    for block in fine[1:].reshape(len(alphas), 1 + g.dim, *gf.shape):
-        out += _fine_mean(gf, wrho * block[0] ** 2)
-        for comp in block[1:]:
-            out += _fine_mean(gf, rho_f * comp**2)
-    return out
-
-
 def _alphas(dim: int, s: int):
     if dim == 1:
         return [(a,) for a in range(s + 1)]
     return [(a, b) for a in range(s + 1) for b in range(s + 1 - a)]
-
-
-def _deriv_alpha(f: Field, alpha: tuple) -> Field:
-    """D^alpha f as one product of rderiv symbols on the half layout."""
-    g = f.grid
-    sym = 1.0
-    for axis, order in enumerate(alpha):
-        if order:
-            sym = sym * g.rderiv(axis, order)
-    return Field(g, g.irfft(sym * g.rfft(f.values)))
-
-
-def functional_Fs(phi: Field, s: int, weight: str = "spectral") -> float:
-    """Phase regularity functional sum_{|a|<=s} int |grad D^a phi|^2."""
-    g = phi.grid
-    w = _weight(g, s, weight)
-    return hermitian_sq(g, g.rfft(phi.values), g.rk_squared * w)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -107,17 +106,6 @@ class IncompressibleState:
         return IncompressibleState(u, Field(g, arrays[-1]), self.model)
 
 
-class CompressibleTendency(NamedTuple):
-    drho: Field
-    dmom: VectorField
-    dq: Field
-
-
-class IncompressibleTendency(NamedTuple):
-    du: VectorField
-    dphi: Field
-
-
 # ---------------------------------------------------------------------------
 # assembly helpers on raw arrays
 
@@ -127,13 +115,6 @@ def _require_positive(rho: np.ndarray, where: str):
     if rmin <= 0.0:
         idx = np.unravel_index(int(np.argmin(rho)), rho.shape)
         raise VacuumError(f"{where}: density reached {rmin:.6e} at grid index {idx}")
-
-
-def _wrap(g: TorusGrid, arr: np.ndarray, name: str) -> Field:
-    try:
-        return Field(g, arr)
-    except ValueError as exc:
-        raise NumericsError(f"non-finite values in {name}") from exc
 
 
 def primitives(s: CompressibleState):
@@ -247,7 +228,12 @@ def rhs_compressible_hat(
     model: ModelKind,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Half-spectrum core of the conservative compressible tendencies.
+    """Half-spectrum core of the conservative compressible tendencies
+
+        drho = -div m
+        dm   = -div(m x u) - (1/eps^2) grad P(rho) + nu Lap u + eta grad(div u)
+               - Lap(phi) grad(phi)
+        dq   = -div(q u) + A mu,   mu = (-Lap phi)/rho + phi^3 - phi.
 
     Takes the rfft-layout state stack (rho, momentum components, q) and
     returns the tendency stack in the same layout, the only array it
@@ -363,29 +349,6 @@ def rhs_compressible_hat(
     return out
 
 
-def rhs_compressible(s: CompressibleState, c: Constitutive) -> CompressibleTendency:
-    """Tendencies of the conservative compressible system.
-
-    drho = -div m
-    dmom = -div(m x u) - (1/eps^2) grad P(rho) + nu*Lap u + eta*grad(div u)
-           - Lap(phi) grad(phi)
-    dq   = -div(q u) + A mu,   mu = (-Lap phi)/rho + phi^3 - phi
-    """
-    g = s.grid
-    zh = batch_rfft(g, s.as_arrays())
-    out = batch_irfft(g, rhs_compressible_hat(g, s.eps, zh, c, s.model))
-    return CompressibleTendency(
-        _wrap(g, out[0], "density tendency"),
-        VectorField(
-            tuple(
-                _wrap(g, a, f"momentum[{i}] tendency")
-                for i, a in enumerate(out[1 : 1 + g.dim])
-            )
-        ),
-        _wrap(g, out[-1], "phase tendency"),
-    )
-
-
 def rhs_incompressible_hat(
     g: TorusGrid,
     zh: np.ndarray,
@@ -483,19 +446,6 @@ def rhs_incompressible_hat(
         np.add(transport_hat[0], mu_hat, out=dphi_hat)
     np.negative(dphi_hat, out=dphi_hat)
     return out
-
-
-def rhs_incompressible(s: IncompressibleState, c: Constitutive) -> IncompressibleTendency:
-    """Leray-projected velocity tendency and phase tendency (rho = 1)."""
-    g = s.grid
-    zh = batch_rfft(g, s.as_arrays())
-    out = batch_irfft(g, rhs_incompressible_hat(g, zh, c, s.model))
-    return IncompressibleTendency(
-        VectorField(
-            tuple(_wrap(g, a, f"velocity[{i}] tendency") for i, a in enumerate(out[:-1]))
-        ),
-        _wrap(g, out[-1], "phase tendency"),
-    )
 
 
 # ---------------------------------------------------------------------------

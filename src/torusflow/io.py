@@ -214,6 +214,8 @@ def load_config(path) -> RunConfig:
     if kappa0 < 0:
         raise ConfigError(f"key 'kappa0' in initial must be nonnegative, got {kappa0}")
     seed = _take(init, "seed", int, "initial", default=0)
+    if seed < 0:
+        raise ConfigError(f"key 'seed' in initial must be >= 0, got {seed}")
     _no_leftovers(init, "initial")
 
     out = _section(raw, "output", where)

@@ -172,26 +172,6 @@ class TorusGrid:
         k2[(0,) * self.dim] = 1.0
         return k2
 
-    def irrotational_hat(self, vhat: list) -> list:
-        """Gradient part k (k . v) / |k|^2 of a half-spectrum vector field.
-
-        The k = 0 mode (mean flow) counts as solenoidal, so v minus this is
-        the Leray projection of v.
-        """
-        div = sum(ka * vh for ka, vh in zip(self.rwavenumbers, vhat))
-        out = []
-        for ka in self.rwavenumbers:
-            irr = ka * div / self._rk2safe
-            irr[(0,) * self.dim] = 0.0
-            out.append(irr)
-        return out
-
-    def project_hat(self, vhat: list) -> list:
-        """Leray projection of a half-spectrum vector field; mean flow kept."""
-        if self.dim < 2:
-            raise ValueError("Leray projection requires dim >= 2")
-        return [vh - irr for vh, irr in zip(vhat, self.irrotational_hat(vhat))]
-
     # one array through the batch transforms (rfftn / irfftn bit for bit);
     # out and work are their buffers, out one array and work a stack
     def rfft(self, a: np.ndarray, out=None, work=None) -> np.ndarray:
@@ -299,10 +279,6 @@ class VectorField:
     __rmul__ = __mul__
 
 
-def field_from_values(grid: TorusGrid, values: np.ndarray) -> Field:
-    return Field(grid, np.asarray(values, dtype=float))
-
-
 def constant_field(grid: TorusGrid, value: float) -> Field:
     return Field(grid, np.full(grid.shape, float(value)))
 
@@ -346,7 +322,7 @@ def biharmonic(f: Field) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# dealiasing and products
+# dealiasing and the batch transforms
 
 
 def dealias(f: Field) -> Field:
@@ -355,11 +331,6 @@ def dealias(f: Field) -> Field:
     Idempotent.
     """
     return _apply(f, f.grid.rdealias_mask)
-
-
-def dealiased_product(f: Field, g: Field) -> Field:
-    """Pointwise product in physical space, then 2/3-rule truncation."""
-    return dealias(Field(f.grid, f.values * g.values))
 
 
 def batch_rfft(grid: TorusGrid, arrs, out=None, work=None, *, band=False) -> np.ndarray:
@@ -423,32 +394,23 @@ def batch_irfft(grid: TorusGrid, hats, out=None, work=None, *, band=False) -> np
 
 
 # ---------------------------------------------------------------------------
-# constant-coefficient solves
-
-
-def solve_helmholtz(a: float, b: float, f: Field) -> Field:
-    """Solve (a - b*Lap) u = f spectrally; requires a > 0, b >= 0."""
-    if a <= 0:
-        raise ValueError(f"helmholtz shift must be positive, got a={a}")
-    if b < 0:
-        raise ValueError(f"helmholtz coefficient must be nonnegative, got b={b}")
-    return _apply(f, 1.0 / (a + b * f.grid.rk_squared))
-
-
-def solve_biharmonic_shift(a: float, b: float, f: Field) -> Field:
-    """Solve (a + b*Lap^2) u = f spectrally; requires a > 0, b >= 0."""
-    if a <= 0:
-        raise ValueError(f"biharmonic shift must be positive, got a={a}")
-    if b < 0:
-        raise ValueError(f"biharmonic coefficient must be nonnegative, got b={b}")
-    return _apply(f, 1.0 / (a + b * f.grid.rk_squared**2))
+# Leray projection
 
 
 def leray_project(v: VectorField) -> VectorField:
-    """Remove the gradient part of v; the k=0 mode (mean flow) is preserved."""
+    """Remove the gradient part k (k . v) / |k|^2 of v; the k = 0 mode (mean
+    flow) counts as solenoidal and is preserved."""
     g = v.grid
-    phat = g.project_hat([g.rfft(c.values) for c in v.components])
-    return VectorField(tuple(Field(g, g.irfft(ph)) for ph in phat))
+    if g.dim < 2:
+        raise ValueError("Leray projection requires dim >= 2")
+    vhat = [g.rfft(c.values) for c in v.components]
+    div = sum(ka * vh for ka, vh in zip(g.rwavenumbers, vhat))
+    out = []
+    for ka, vh in zip(g.rwavenumbers, vhat):
+        irr = ka * div / g._rk2safe
+        irr[(0,) * g.dim] = 0.0
+        out.append(Field(g, g.irfft(vh - irr)))
+    return VectorField(tuple(out))
 
 
 # ---------------------------------------------------------------------------

@@ -551,7 +551,7 @@ def _lagged_euler(g: TorusGrid, zn: np.ndarray, z: np.ndarray, tend: np.ndarray,
     return out
 
 
-def step_imex(state, dt: float, c: Constitutive, model: Optional[ModelKind] = None):
+def step_imex(state, dt: float, c: Constitutive):
     """First-order IMEX step: explicit transport/pressure/capillary, implicit
     constant-coefficient viscosity and phase stiffness (-Lap^2 for the
     conserved model, Lap for the relaxational one)."""
@@ -559,16 +559,12 @@ def step_imex(state, dt: float, c: Constitutive, model: Optional[ModelKind] = No
         raise ValueError(f"dt must be positive, got {dt}")
     if not isinstance(state, (CompressibleState, IncompressibleState)):
         raise TypeError(f"unsupported state type {type(state)!r}")
-    if model is None:
-        model = state.model
-    elif model is not state.model:
-        raise ValueError(f"model {model} does not match state model {state.model}")
     g = state.grid
     nu_bar, eta_bar = _reference_viscosities(c)
     if isinstance(state, IncompressibleState):
         eta_bar = 0.0  # the projected velocity has no grad-div part
     k2 = g.rk_squared
-    stiff = k2**2 if model is ModelKind.CH else k2
+    stiff = k2**2 if state.model is ModelKind.CH else k2
     zh = batch_rfft(g, state.as_arrays())
     out_hat = _lagged_euler(g, zh, zh, _rhs_hat(state, c, zh), dt, nu_bar, eta_bar, -stiff)
     try:

@@ -72,6 +72,8 @@ class SweepConfig:
             )
         if self.kappa0 < 0:
             raise ValueError(f"kappa0 must be nonnegative, got {self.kappa0}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.cfl <= 1:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
         if self.model is ModelKind.AC and self.s_index < 3:
@@ -216,7 +218,8 @@ def run_sweep(cfg: SweepConfig, c: Constitutive, parallel: int = 1) -> SweepResu
 
     legs = []
     if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as ex:
+        # a fork-based pool starts every worker at the first submit
+        with ProcessPoolExecutor(max_workers=min(parallel, len(cfg.eps_list))) as ex:
             futs = [
                 ex.submit(_run_compressible_leg, cfg, c, eps, samples)
                 for eps in cfg.eps_list

@@ -2,66 +2,69 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from torusflow.constitutive import (
-    Constitutive,
-    ModelKind,
-    chemical_potential,
-    double_well,
-    double_well_prime,
+from torusflow.constitutive import Constitutive, ModelKind
+from torusflow.diagnostics import energy_incompressible
+from torusflow.dynamics import (
+    CompressibleState,
+    IncompressibleState,
+    make_compressible,
+    rhs_compressible_hat,
+    rhs_incompressible_hat,
 )
+from torusflow.errors import VacuumError
 from torusflow.spectral import (
     Field,
-    TorusGrid,
+    VectorField,
+    batch_irfft,
+    batch_rfft,
     constant_field,
-    dealias,
-    field_from_values,
-    integral,
     laplacian,
-    random_band_limited,
 )
+
+
+def rest(g):
+    return VectorField(tuple(constant_field(g, 0.0) for _ in range(g.dim)))
+
+
+def solver_mu(rho, phi):
+    """The chemical potential as the compressible kernel evaluates it: with
+    u = 0 the Allen-Cahn phase tendency is dq = -mu."""
+    g = rho.grid
+    s = make_compressible(0.5, rho, rest(g), phi, ModelKind.AC)
+    zh = batch_rfft(g, s.as_arrays())
+    return -batch_irfft(g, rhs_compressible_hat(g, s.eps, zh, Constitutive(), s.model))[-1]
+
+
+def solver_double_well(g, phi0):
+    """(G(phi0), G'(phi0)) of the double well G = (phi^2 - 1)^2 / 4 as the
+    solver evaluates them at a uniform phase: the potential energy per unit
+    volume, and minus the incompressible Allen-Cahn tendency at rest."""
+    s = IncompressibleState(rest(g), constant_field(g, phi0), ModelKind.AC)
+    potential = energy_incompressible(s, Constitutive()).potential / g.volume
+    zh = batch_rfft(g, s.as_arrays())
+    dphi = batch_irfft(g, rhs_incompressible_hat(g, zh, Constitutive(), s.model))[-1]
+    return potential, -float(np.mean(dphi))
 
 
 # ---------------------------------------------------------------------------
 # double well
 
 
-def test_double_well_values():
-    assert double_well(1.0) == pytest.approx(0.0)
-    assert double_well(-1.0) == pytest.approx(0.0)
-    assert double_well(0.0) == pytest.approx(0.25)
-    assert double_well_prime(1.0) == pytest.approx(0.0)
-    assert double_well_prime(-1.0) == pytest.approx(0.0)
-    assert double_well_prime(0.5) == pytest.approx(0.125 - 0.5)
+def test_double_well_values(g2):
+    assert solver_double_well(g2, 1.0)[0] == pytest.approx(0.0)
+    assert solver_double_well(g2, -1.0)[0] == pytest.approx(0.0)
+    assert solver_double_well(g2, 0.0)[0] == pytest.approx(0.25)
+    assert solver_double_well(g2, 1.0)[1] == pytest.approx(0.0)
+    assert solver_double_well(g2, -1.0)[1] == pytest.approx(0.0)
+    assert solver_double_well(g2, 0.5)[1] == pytest.approx(0.125 - 0.5)
 
 
-def test_double_well_prime_is_gradient():
-    phi = np.linspace(-2, 2, 41)
+def test_double_well_prime_is_gradient(g2):
+    # the energy report's potential and the kernels' phi^3 - phi are one law
     h = 1e-6
-    fd = (double_well(phi + h) - double_well(phi - h)) / (2 * h)
-    assert np.max(np.abs(fd - double_well_prime(phi))) < 1e-8
-
-
-def test_cube_by_products_matches_pow():
-    # p*p*p is within an ulp of p**3 (libm pow), so G'(phi) and mu move by
-    # round-off only
-    phi = np.linspace(-1.7, 1.7, 1001)
-    want = phi**3 - phi
-    got = double_well_prime(phi)
-    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
-
-    g = TorusGrid(2, 32)
-    rng = np.random.default_rng(5)
-    phi_f = random_band_limited(g, rng, 8, zero_mean=False)
-    rho = Field(g, 1.0 + 0.2 * random_band_limited(g, rng, 8).values)
-    p = phi_f.values
-    want = -laplacian(phi_f).values / rho.values + dealias(Field(g, p**3)).values - p
-    got = chemical_potential(rho, phi_f).values
-    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
-
-
-def test_double_well_accepts_fields(g2):
-    f = constant_field(g2, 0.5)
-    assert np.max(np.abs(double_well(f) - double_well(0.5))) < 1e-14
+    for phi in np.linspace(-2, 2, 41):
+        fd = (solver_double_well(g2, phi + h)[0] - solver_double_well(g2, phi - h)[0]) / (2 * h)
+        assert abs(fd - solver_double_well(g2, phi)[1]) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -182,39 +185,40 @@ def test_constitutive_validation(kwargs):
 
 
 def test_chemical_potential_at_pure_phase(g2):
-    mu = chemical_potential(constant_field(g2, 1.0), constant_field(g2, 1.0))
-    assert np.max(np.abs(mu.values)) < 1e-13
+    mu = solver_mu(constant_field(g2, 1.0), constant_field(g2, 1.0))
+    assert np.max(np.abs(mu)) < 1e-13
 
 
 def test_chemical_potential_constant_phase(g2):
-    mu = chemical_potential(constant_field(g2, 2.0), constant_field(g2, 0.5))
-    assert np.max(np.abs(mu.values - (0.125 - 0.5))) < 1e-13
+    mu = solver_mu(constant_field(g2, 2.0), constant_field(g2, 0.5))
+    assert np.max(np.abs(mu - (0.125 - 0.5))) < 1e-13
 
 
 def test_chemical_potential_single_mode(g1):
     # phi = cos x, rho = 1: mu = cos x + dealias(cos^3 x) - cos x
     # cos^3 x = (3 cos x + cos 3x)/4 survives dealiasing intact at n = 32
     x = g1.coords()[0]
-    mu = chemical_potential(
-        constant_field(g1, 1.0), field_from_values(g1, np.cos(x))
-    )
+    mu = solver_mu(constant_field(g1, 1.0), Field(g1, np.cos(x)))
     expect = 0.75 * np.cos(x) + 0.25 * np.cos(3 * x)
-    assert np.max(np.abs(mu.values - expect)) < 1e-12
+    assert np.max(np.abs(mu - expect)) < 1e-12
 
 
 def test_chemical_potential_density_scales_curvature(g1):
     x = g1.coords()[0]
-    phi = field_from_values(g1, np.cos(x))
-    rho = field_from_values(g1, np.full(g1.shape, 4.0))
-    mu = chemical_potential(rho, phi)
+    phi = Field(g1, np.cos(x))
+    rho = Field(g1, np.full(g1.shape, 4.0))
+    mu = solver_mu(rho, phi)
     lap_term = -laplacian(phi).values / 4.0
     expect = lap_term + 0.75 * np.cos(x) + 0.25 * np.cos(3 * x) - np.cos(x)
-    assert np.max(np.abs(mu.values - expect)) < 1e-12
+    assert np.max(np.abs(mu - expect)) < 1e-12
 
 
 def test_chemical_potential_rejects_vacuum(g2):
-    with pytest.raises(ValueError):
-        chemical_potential(constant_field(g2, 0.0), constant_field(g2, 0.5))
+    # assembled by hand: make_compressible rejects vacuum before the kernel
+    zero = constant_field(g2, 0.0)
+    s = CompressibleState(0.5, zero, rest(g2), zero, ModelKind.AC)
+    with pytest.raises(VacuumError):
+        rhs_compressible_hat(g2, s.eps, batch_rfft(g2, s.as_arrays()), Constitutive(), s.model)
 
 
 def test_model_kind_members():

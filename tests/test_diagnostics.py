@@ -9,15 +9,11 @@ from torusflow.constitutive import Constitutive, ModelKind
 from torusflow.diagnostics import (
     ConservationReport,
     EnergyReport,
-    SobolevSpec,
     conservation_ledger,
     energy_compressible,
     energy_incompressible,
     functional_Es,
-    functional_Es_weighted,
-    functional_Fs,
     modulated_energy,
-    sobolev_norm,
 )
 from torusflow.dynamics import (
     CompressibleState,
@@ -32,7 +28,7 @@ from torusflow.spectral import (
     TorusGrid,
     VectorField,
     constant_field,
-    field_from_values,
+    hs_norm,
     l2_norm,
     refine,
 )
@@ -42,7 +38,7 @@ VOL2 = (2.0 * math.pi) ** 2
 
 
 def vec(g, *arrays):
-    return VectorField(tuple(field_from_values(g, a) for a in arrays))
+    return VectorField(tuple(Field(g, a) for a in arrays))
 
 
 def zero_vec(g):
@@ -55,25 +51,12 @@ def zero_vec(g):
 
 def test_sobolev_norm_single_mode(g1):
     x = g1.coords()[0]
-    f = field_from_values(g1, np.sin(x))
+    f = Field(g1, np.sin(x))
     # |c_{+-1}|^2 = 1/4 each, weight (1+1)^s, volume 2 pi
     for s in (0, 1, 2):
         expect = math.sqrt(2.0 * math.pi * 2.0**s * 0.5)
-        assert sobolev_norm(f, s) == pytest.approx(expect, rel=1e-12)
-    assert sobolev_norm(f, 0) == pytest.approx(l2_norm(f), rel=1e-13)
-
-
-def test_sobolev_spec_validation():
-    spec = SobolevSpec(3, eps_weight=2.0)
-    assert spec.s == 3
-    with pytest.raises(ValueError):
-        SobolevSpec(-1)
-    with pytest.raises(ValueError):
-        SobolevSpec(2, eps_weight=0.0)
-    g = TorusGrid(2, 32)
-    SobolevSpec(10).validate_for(g)
-    with pytest.raises(ValueError):
-        SobolevSpec(11).validate_for(g)
+        assert hs_norm(f, s) == pytest.approx(expect, rel=1e-12)
+    assert hs_norm(f, 0) == pytest.approx(l2_norm(f), rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +105,7 @@ def test_energy_internal_scales_with_eps(g1):
     c = Constitutive()
     eps = 0.25
     x = g1.coords()[0]
-    rho = field_from_values(g1, 1.0 + 0.1 * eps * np.cos(x))
+    rho = Field(g1, 1.0 + 0.1 * eps * np.cos(x))
     u = VectorField((constant_field(g1, 0.0),))
     s = make_compressible(eps, rho, u, constant_field(g1, 0.0), ModelKind.CH)
     rep = energy_compressible(s, c)
@@ -132,7 +115,7 @@ def test_energy_internal_scales_with_eps(g1):
 def test_energy_compressible_vacuum(g2):
     c = Constitutive()
     x, _ = g2.coords()
-    rho = field_from_values(g2, 1.0 + 1.5 * np.cos(x))
+    rho = Field(g2, 1.0 + 1.5 * np.cos(x))
     s = CompressibleState(
         1.0, rho, zero_vec(g2), constant_field(g2, 0.0), ModelKind.CH
     )
@@ -147,7 +130,7 @@ def test_energy_incompressible_components(g2):
     #   chemistry: mu = -lap phi + phi^3 - phi = cos^3 x
     c = Constitutive()
     x, _ = g2.coords()
-    phi = field_from_values(g2, np.cos(x))
+    phi = Field(g2, np.cos(x))
     s_ch = IncompressibleState(zero_vec(g2), phi, ModelKind.CH)
     rep = energy_incompressible(s_ch, c, time=1.0)
     assert rep.kinetic == pytest.approx(0.0, abs=1e-14)
@@ -503,7 +486,7 @@ def test_modulated_energy_density_term(g2):
     c = Constitutive()
     eps, d = 0.5, 0.1
     x, _ = g2.coords()
-    rho = field_from_values(g2, 1.0 + d * np.cos(x))
+    rho = Field(g2, 1.0 + d * np.cos(x))
     cs = CompressibleState(
         eps, rho, zero_vec(g2), constant_field(g2, 0.0), ModelKind.CH
     )
@@ -548,7 +531,7 @@ def test_modulated_energy_grid_mismatch(g2):
 def test_modulated_energy_vacuum(g2):
     c = Constitutive()
     x, _ = g2.coords()
-    rho = field_from_values(g2, 1.0 + 1.5 * np.cos(x))
+    rho = Field(g2, 1.0 + 1.5 * np.cos(x))
     cs = CompressibleState(
         1.0, rho, zero_vec(g2), constant_field(g2, 0.0), ModelKind.CH
     )
@@ -563,8 +546,8 @@ def test_modulated_energy_vacuum(g2):
 
 def one_mode_state(g, eps, d, cu):
     x = g.coords()[0]
-    rho = field_from_values(g, 1.0 + d * np.cos(x))
-    u = VectorField((field_from_values(g, cu * np.sin(x)),))
+    rho = Field(g, 1.0 + d * np.cos(x))
+    u = VectorField((Field(g, cu * np.sin(x)),))
     return make_compressible(eps, rho, u, constant_field(g, 0.0), ModelKind.CH)
 
 
@@ -581,45 +564,9 @@ def test_functional_Es_single_mode(g1):
         functional_Es(s, 2, weight="banana")
 
 
-def test_functional_Es_weighted_exact_at_gamma_two(g1):
-    # P'(rho)/rho = 2 identically for the quadratic pressure law, and the
-    # rho-weighted velocity integrals pick up no correction from the k = 1
-    # density mode, so the weighted functional is exactly
-    # 2 * (density part) + (velocity part) of the multi-index form
-    c = Constitutive(gamma=2.0)
-    eps, d, cu = 0.2, 0.05, 0.5
-    s = one_mode_state(g1, eps, d, cu)
-    expect = math.pi * (2.0 * 3.0 * d * d / eps**2 + 3.0 * cu * cu)
-    assert functional_Es_weighted(s, 2, c) == pytest.approx(expect, rel=1e-9)
-
-
-def test_functional_Es_weighted_matches_multiindex_at_unit_density(g1):
-    # at rho = 1 the density part vanishes and the weights are the plain
-    # velocity integrals for any pressure law
-    c = Constitutive(gamma=1.4)
-    s = one_mode_state(g1, 0.3, 0.0, 0.7)
-    assert functional_Es_weighted(s, 3, c) == pytest.approx(
-        functional_Es(s, 3, weight="multiindex"), rel=1e-9
-    )
-
-
-def test_functional_Fs_single_mode(g2):
-    x, _ = g2.coords()
-    phi = field_from_values(g2, np.cos(x))
-    # s = 0: int |grad phi|^2 = vol / 2
-    assert functional_Fs(phi, 0) == pytest.approx(0.5 * VOL2, rel=1e-12)
-    # k = (1,0): Bessel (1+1)^2 = 4 vs multi-index 1 + 1 + 1 = 3
-    assert functional_Fs(phi, 2) == pytest.approx(2.0 * VOL2, rel=1e-12)
-    assert functional_Fs(phi, 2, weight="multiindex") == pytest.approx(
-        1.5 * VOL2, rel=1e-12
-    )
-    with pytest.raises(ValueError):
-        functional_Fs(phi, 1, weight="exact")
-
-
 def test_functional_Es_vacuum_guard(g1):
     x = g1.coords()[0]
-    rho = field_from_values(g1, 1.0 + 2.0 * np.cos(x))
+    rho = Field(g1, 1.0 + 2.0 * np.cos(x))
     u = VectorField((constant_field(g1, 0.0),))
     s = CompressibleState(1.0, rho, u, constant_field(g1, 0.0), ModelKind.CH)
     with pytest.raises(VacuumError):
@@ -651,8 +598,8 @@ def test_ledger_incompressible(g2):
     x, _ = g2.coords()
     u = VectorField(
         (
-            field_from_values(g2, np.sin(x) * 0.0),
-            field_from_values(g2, np.sin(x)),
+            Field(g2, np.sin(x) * 0.0),
+            Field(g2, np.sin(x)),
         )
     )
     s = IncompressibleState(u, constant_field(g2, 0.25), ModelKind.AC)

@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,9 +11,7 @@ from torusflow.dynamics import (
     initial_from_preset,
     make_compressible,
     primitives,
-    rhs_compressible,
     rhs_compressible_hat,
-    rhs_incompressible,
     rhs_incompressible_hat,
     well_prepared_initial,
 )
@@ -21,14 +20,12 @@ from torusflow.spectral import (
     Field,
     TorusGrid,
     VectorField,
+    batch_irfft,
     batch_rfft,
     constant_field,
     divergence,
-    field_from_values,
-    gradient,
     hs_norm,
     integral,
-    laplacian,
     leray_project,
     random_band_limited,
 )
@@ -41,6 +38,28 @@ def div_free_noise(g, rng, kmax=5):
     return leray_project(v)
 
 
+def vec(g, arrays):
+    return VectorField(tuple(Field(g, a) for a in arrays))
+
+
+# the physics checks read the kernels' tendencies in physical space:
+# batch_rfft, the half-spectrum kernel, batch_irfft
+
+
+def compressible_tendency(s, c):
+    g = s.grid
+    zh = batch_rfft(g, s.as_arrays())
+    t = batch_irfft(g, rhs_compressible_hat(g, s.eps, zh, c, s.model))
+    return SimpleNamespace(drho=t[0], dmom=t[1:-1], dq=t[-1])
+
+
+def incompressible_tendency(s, c):
+    g = s.grid
+    zh = batch_rfft(g, s.as_arrays())
+    t = batch_irfft(g, rhs_incompressible_hat(g, zh, c, s.model))
+    return SimpleNamespace(du=t[:-1], dphi=t[-1])
+
+
 def uniform_state(g, eps, phi0, model):
     rho = constant_field(g, 1.0)
     u = VectorField(tuple(constant_field(g, 0.0) for _ in range(g.dim)))
@@ -49,25 +68,25 @@ def uniform_state(g, eps, phi0, model):
 
 # ---------------------------------------------------------------------------
 # capillary force: at uniform density and rest, the momentum tendency of
-# rhs_compressible is the dealiased capillary term -Lap(phi) grad(phi)
+# the compressible kernel is the dealiased capillary term -Lap(phi) grad(phi)
 
 
 def capillary_tendency(g, phi):
     rest = VectorField(tuple(constant_field(g, 0.0) for _ in range(g.dim)))
     s = make_compressible(0.5, constant_field(g, 1.0), rest, phi, ModelKind.CH)
-    return rhs_compressible(s, Constitutive()).dmom
+    return compressible_tendency(s, Constitutive()).dmom
 
 
 def test_capillary_constant_phase(g2):
     f = capillary_tendency(g2, constant_field(g2, 0.7))
-    assert max(np.max(np.abs(c.values)) for c in f) < 1e-13
+    assert np.max(np.abs(f)) < 1e-13
 
 
 def test_capillary_single_mode(g1):
     # phi = cos x: -Lap(phi) grad(phi) = -cos(x) sin(x)
     x = g1.coords()[0]
-    f = capillary_tendency(g1, field_from_values(g1, np.cos(x)))
-    assert np.max(np.abs(f[0].values + np.cos(x) * np.sin(x))) < 1e-12
+    f = capillary_tendency(g1, Field(g1, np.cos(x)))
+    assert np.max(np.abs(f[0] + np.cos(x) * np.sin(x))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +106,7 @@ def test_primitives_divides_density(g2):
 
 
 def test_primitives_round_trip(g2, rng):
-    rho = field_from_values(g2, 1.0 + 0.3 * random_band_limited(g2, rng, 4).values)
+    rho = Field(g2, 1.0 + 0.3 * random_band_limited(g2, rng, 4).values)
     u = div_free_noise(g2, rng, 4)
     phi = random_band_limited(g2, rng, 4)
     s = make_compressible(0.2, rho, u, phi, ModelKind.CH)
@@ -121,54 +140,54 @@ def test_state_validation(g2):
 
 def test_uniform_rest_state_is_steady_ch(g2):
     s = uniform_state(g2, 0.2, 0.5, ModelKind.CH)
-    t = rhs_compressible(s, Constitutive())
-    assert np.max(np.abs(t.drho.values)) < 1e-12
-    assert max(np.max(np.abs(a.values)) for a in t.dmom) < 1e-11
-    assert np.max(np.abs(t.dq.values)) < 1e-11
+    t = compressible_tendency(s, Constitutive())
+    assert np.max(np.abs(t.drho)) < 1e-12
+    assert np.max(np.abs(t.dmom)) < 1e-11
+    assert np.max(np.abs(t.dq)) < 1e-11
 
 
 def test_uniform_rest_state_relaxes_ac(g2):
     s = uniform_state(g2, 0.2, 0.5, ModelKind.AC)
-    t = rhs_compressible(s, Constitutive())
+    t = compressible_tendency(s, Constitutive())
     # dq = -mu = phi - phi^3 pointwise at rho = 1, u = 0
-    assert np.max(np.abs(t.dq.values - (0.5 - 0.125))) < 1e-12
-    assert np.max(np.abs(t.drho.values)) < 1e-12
+    assert np.max(np.abs(t.dq - (0.5 - 0.125))) < 1e-12
+    assert np.max(np.abs(t.drho)) < 1e-12
 
 
 @pytest.mark.parametrize("phi0", [-1.0, 1.0])
 def test_pure_phase_equilibria(g2, phi0):
     for model in ModelKind:
         s = uniform_state(g2, 0.3, phi0, model)
-        t = rhs_compressible(s, Constitutive())
-        assert np.max(np.abs(t.drho.values)) < 1e-12
-        assert max(np.max(np.abs(a.values)) for a in t.dmom) < 1e-11
-        assert np.max(np.abs(t.dq.values)) < 1e-11
+        t = compressible_tendency(s, Constitutive())
+        assert np.max(np.abs(t.drho)) < 1e-12
+        assert np.max(np.abs(t.dmom)) < 1e-11
+        assert np.max(np.abs(t.dq)) < 1e-11
 
 
 def test_pressure_gradient_scaling(g1, rng):
     # rest state with rho = 1 + delta cos x: dm = -P'(rho) rho_x / eps^2
     x = g1.coords()[0]
     delta = 1e-3
-    rho = field_from_values(g1, 1.0 + delta * np.cos(x))
+    rho = Field(g1, 1.0 + delta * np.cos(x))
     u = VectorField((constant_field(g1, 0.0),))
     phi = constant_field(g1, 1.0)
     for eps in (0.5, 0.1):
         s = make_compressible(eps, rho, u, phi, ModelKind.CH)
-        t = rhs_compressible(s, Constitutive(gamma=2.0))
+        t = compressible_tendency(s, Constitutive(gamma=2.0))
         # P = rho^2: -dP/dx = 2 rho delta sin x; mu-gradient vanishes at phi=1
         expect = 2.0 * (1.0 + delta * np.cos(x)) * delta * np.sin(x) / eps**2
-        assert np.max(np.abs(t.dmom[0].values - expect)) < 1e-9 / eps**2
+        assert np.max(np.abs(t.dmom[0] - expect)) < 1e-9 / eps**2
 
 
 def test_mass_and_phase_tendencies_have_zero_mean(g2, rng):
-    rho = field_from_values(g2, 1.0 + 0.2 * random_band_limited(g2, rng, 4).values)
+    rho = Field(g2, 1.0 + 0.2 * random_band_limited(g2, rng, 4).values)
     u = div_free_noise(g2, rng, 4)
     phi = random_band_limited(g2, rng, 4)
     s = make_compressible(0.2, rho, u, phi, ModelKind.CH)
-    t = rhs_compressible(s, Constitutive())
+    t = compressible_tendency(s, Constitutive())
     # drho = -div m and the conserved-phase dq are exact divergences
-    assert abs(integral(t.drho)) < 1e-12
-    assert abs(integral(t.dq)) < 1e-12
+    assert abs(integral(Field(g2, t.drho))) < 1e-12
+    assert abs(integral(Field(g2, t.dq))) < 1e-12
 
 
 def test_compressible_matches_incompressible_at_unit_density(g2, rng):
@@ -180,13 +199,13 @@ def test_compressible_matches_incompressible_at_unit_density(g2, rng):
     c = Constitutive()
     for model in ModelKind:
         s = make_compressible(0.2, constant_field(g2, 1.0), u, phi, model)
-        tc = rhs_compressible(s, c)
-        ti = rhs_incompressible(IncompressibleState(u, phi, model), c)
-        proj = leray_project(tc.dmom)
+        tc = compressible_tendency(s, c)
+        ti = incompressible_tendency(IncompressibleState(u, phi, model), c)
+        proj = leray_project(vec(g2, tc.dmom))
         for a, b in zip(proj, ti.du):
-            assert np.max(np.abs(a.values - b.values)) < 1e-11
-        assert np.max(np.abs(tc.dq.values - ti.dphi.values)) < 1e-11
-        assert np.max(np.abs(tc.drho.values)) < 1e-12
+            assert np.max(np.abs(a.values - b)) < 1e-11
+        assert np.max(np.abs(tc.dq - ti.dphi)) < 1e-11
+        assert np.max(np.abs(tc.drho)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -198,16 +217,16 @@ def test_incompressible_rest_equilibrium(g2):
     for model in ModelKind:
         for phi0 in (-1.0, 1.0):
             s = IncompressibleState(u, constant_field(g2, phi0), model)
-            t = rhs_incompressible(s, Constitutive())
-            assert max(np.max(np.abs(a.values)) for a in t.du) < 1e-12
-            assert np.max(np.abs(t.dphi.values)) < 1e-12
+            t = incompressible_tendency(s, Constitutive())
+            assert np.max(np.abs(t.du)) < 1e-12
+            assert np.max(np.abs(t.dphi)) < 1e-12
 
 
 def test_incompressible_ac_relaxation(g2):
     u = VectorField((constant_field(g2, 0.0), constant_field(g2, 0.0)))
     s = IncompressibleState(u, constant_field(g2, 0.5), ModelKind.AC)
-    t = rhs_incompressible(s, Constitutive())
-    assert np.max(np.abs(t.dphi.values - 0.375)) < 1e-13
+    t = incompressible_tendency(s, Constitutive())
+    assert np.max(np.abs(t.dphi - 0.375)) < 1e-13
 
 
 def test_taylor_green_decays_by_viscosity(g2):
@@ -216,42 +235,39 @@ def test_taylor_green_decays_by_viscosity(g2):
     x, y = g2.coords()
     a = 0.3
     u = VectorField((
-        field_from_values(g2, a * np.sin(x) * np.cos(y)),
-        field_from_values(g2, -a * np.cos(x) * np.sin(y)),
+        Field(g2, a * np.sin(x) * np.cos(y)),
+        Field(g2, -a * np.cos(x) * np.sin(y)),
     ))
     c = Constitutive(nu0=0.25)
     s = IncompressibleState(u, constant_field(g2, 0.0), ModelKind.CH)
-    t = rhs_incompressible(s, c)
+    t = incompressible_tendency(s, c)
     for du, ui in zip(t.du, u):
-        assert np.max(np.abs(du.values + 2.0 * 0.25 * ui.values)) < 1e-12
-    assert np.max(np.abs(t.dphi.values)) < 1e-12
+        assert np.max(np.abs(du + 2.0 * 0.25 * ui.values)) < 1e-12
+    assert np.max(np.abs(t.dphi)) < 1e-12
 
 
 def test_incompressible_tendency_divergence_free(g2, rng):
     u = div_free_noise(g2, rng, 6)
     phi = random_band_limited(g2, rng, 6)
     for model in ModelKind:
-        t = rhs_incompressible(IncompressibleState(u, phi, model), Constitutive())
-        assert np.max(np.abs(divergence(t.du).values)) < 1e-10
+        t = incompressible_tendency(IncompressibleState(u, phi, model), Constitutive())
+        assert np.max(np.abs(divergence(vec(g2, t.du)).values)) < 1e-10
 
 
 def test_incompressible_phase_mass_conserved_ch(g2, rng):
     u = div_free_noise(g2, rng, 6)
     phi = random_band_limited(g2, rng, 6)
-    t = rhs_incompressible(IncompressibleState(u, phi, ModelKind.CH), Constitutive())
-    assert abs(integral(t.dphi)) < 1e-12
+    t = incompressible_tendency(IncompressibleState(u, phi, ModelKind.CH), Constitutive())
+    assert abs(integral(Field(g2, t.dphi))) < 1e-12
 
 
 def test_affine_viscosity_enters_momentum(g2, rng):
     u = div_free_noise(g2, rng, 4)
     phi = random_band_limited(g2, rng, 4)
     s = IncompressibleState(u, phi, ModelKind.CH)
-    t_const = rhs_incompressible(s, Constitutive(nu0=0.1))
-    t_affine = rhs_incompressible(s, Constitutive(nu0=0.1, nu_phi=0.5))
-    diff = max(
-        np.max(np.abs(a.values - b.values))
-        for a, b in zip(t_const.du, t_affine.du)
-    )
+    t_const = incompressible_tendency(s, Constitutive(nu0=0.1))
+    t_affine = incompressible_tendency(s, Constitutive(nu0=0.1, nu_phi=0.5))
+    diff = np.max(np.abs(t_const.du - t_affine.du))
     assert diff > 1e-9  # the phi^2-dependent part must actually act
 
 

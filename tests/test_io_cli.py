@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import functools
@@ -33,8 +34,9 @@ from torusflow.io import (
     write_snapshot,
     write_timeseries,
 )
-from torusflow.spectral import TorusGrid, VectorField, constant_field, field_from_values
+from torusflow.spectral import Field, TorusGrid, VectorField, constant_field
 from torusflow.stepper import default_dt, integrate, picard_step
+from torusflow.sweep import SweepConfig
 
 
 def write_json(tmp_path, name, payload):
@@ -498,6 +500,18 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["run", "--config", str(bad)]) == 2
     # 2: bad CLI arguments (argparse failure, message on stderr)
     assert main(["run"]) == 2
+    # 2: negative snapshot cadence (a config error, not a silent |N|)
+    good = write_json(tmp_path, "good.json", base_run_config())
+    out = tmp_path / "neg"
+    assert main(["run", "--config", str(good), "--out", str(out),
+                 "--snapshots-every", "-2"]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "--snapshots-every" in err and "Traceback" not in err
+    # 2: negative seed (numpy's generator would reject it mid-run)
+    neg_seed = write_json(tmp_path, "seed.json", base_run_config(initial={"seed": -1}))
+    assert main(["run", "--config", str(neg_seed), "--out", str(out)]) == 2
+    assert not out.exists()
     # 2: bad dispersion parameters (validation error before any stepping)
     assert main(["dispersion", "--eps", "-1.0", "--k", "1"]) == 2
     # 3: numerical failure (perturbation amplitude drives density negative)
@@ -706,6 +720,15 @@ _JSON_SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4)
 )
 
+# JSON scalars, plus in-range numbers and the non-finite and overflowing
+# values JSON admits, so that a share of the examples are valid configs
+_SLOT_SCALARS = st.one_of(
+    _JSON_SCALARS,
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=12),
+    st.sampled_from([math.nan, math.inf, -math.inf, 10**400]),
+)
+
 # key paths of the numeric slots of a run config
 _RUN_NUMERIC_SLOTS = (
     ("eps",),
@@ -727,17 +750,24 @@ _RUN_NUMERIC_SLOTS = (
 
 
 def _numbers(obj):
-    """Every int or float field of a config, nested dataclasses included."""
+    """Every int or float field of a config, nested dataclasses and the
+    elements of tuple fields included."""
     for f in dataclasses.fields(obj):
         val = getattr(obj, f.name)
         if dataclasses.is_dataclass(val):
             yield from _numbers(val)
+        elif isinstance(val, tuple):
+            yield from (x for x in val if isinstance(x, (int, float)))
         elif isinstance(val, (int, float)):
             yield val
 
 
 @_PROPERTY_SETTINGS
-@given(st.dictionaries(st.sampled_from(_RUN_NUMERIC_SLOTS), _JSON_SCALARS, min_size=1))
+@given(
+    st.dictionaries(
+        st.sampled_from(_RUN_NUMERIC_SLOTS), _SLOT_SCALARS, min_size=1, max_size=3
+    )
+)
 def test_load_config_yields_finite_numbers_or_config_error(tmp_path, slots):
     payload = base_run_config()
     if any(path[:2] == ("stepper", "picard") for path in slots):
@@ -753,6 +783,46 @@ def test_load_config_yields_finite_numbers_or_config_error(tmp_path, slots):
     except ConfigError:
         return
     assert all(math.isfinite(x) for x in _numbers(cfg))
+    assert cfg.seed >= 0  # np.random.default_rng rejects a negative seed
+
+
+# numeric slots of a sweep config: a key of the sweep block, or (key, index)
+# for an element of its eps_list or sample_times
+_SWEEP_NUMERIC_SLOTS = (
+    ("eps_list", 0),
+    ("eps_list", 1),
+    ("t_end",),
+    ("sample_times", 0),
+    ("sample_times", 1),
+    ("sample_times", 2),
+    ("s_index",),
+    ("kappa0",),
+    ("seed",),
+    ("cfl",),
+)
+
+
+@_PROPERTY_SETTINGS
+@given(
+    st.dictionaries(
+        st.sampled_from(_SWEEP_NUMERIC_SLOTS), _SLOT_SCALARS, min_size=1, max_size=3
+    )
+)
+def test_load_sweep_config_yields_config_or_config_error(tmp_path, slots):
+    payload = json.loads(sweep_config_file(tmp_path).read_text())
+    sec = payload["sweep"]
+    for path, value in slots.items():
+        if len(path) == 2:
+            sec[path[0]][path[1]] = value
+        else:
+            sec[path[0]] = value
+    try:
+        cfg, _ = load_sweep_config(write_json(tmp_path, "prop.json", payload))
+    except ConfigError:
+        return
+    assert isinstance(cfg, SweepConfig)
+    assert all(math.isfinite(x) for x in _numbers(cfg))
+    assert cfg.seed >= 0  # np.random.default_rng rejects a negative seed
 
 
 @functools.lru_cache(maxsize=None)
@@ -761,7 +831,7 @@ def valid_snapshot_bytes() -> bytes:
     x = g.coords()[0]
     state = make_compressible(
         0.3,
-        field_from_values(g, 1.0 + 0.01 * np.cos(x)),
+        Field(g, 1.0 + 0.01 * np.cos(x)),
         VectorField((constant_field(g, 0.1),)),
         constant_field(g, 0.5),
         ModelKind.CH,
@@ -815,3 +885,28 @@ def test_star_import_resolves_every_export():
     exec("from torusflow import *", namespace)
     assert [name for name in torusflow.__all__ if name not in namespace] == []
     assert len(set(torusflow.__all__)) == len(torusflow.__all__)
+
+
+def test_every_export_is_used_or_listed_as_library_api():
+    # an export must be referenced by another module of the package
+    # (outside its own definition) or be named in README's "Library API"
+    import torusflow
+
+    pkg = Path(torusflow.__file__).parent
+    used = set()
+    for path in pkg.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text()).body:
+            own = getattr(stmt, "name", None)
+            used.update(
+                node.id
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)
+                and node.id != own
+            )
+    readme = (pkg.parent.parent / "README.md").read_text()
+    section = readme.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
+    listed = set(re.findall(r"`(\w+)`", section))
+    assert [n for n in torusflow.__all__ if n not in used | listed] == []

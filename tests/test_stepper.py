@@ -11,8 +11,6 @@ from torusflow.diagnostics import (
     energy_compressible,
     energy_incompressible,
     functional_Es,
-    functional_Es_weighted,
-    functional_Fs,
     modulated_energy,
 )
 from torusflow.dynamics import (
@@ -546,13 +544,6 @@ def test_imex_fixed_point(g2):
         assert np.max(np.abs(out.q.values + 1.0)) < 1e-12
 
 
-def test_imex_model_mismatch_rejected(g2):
-    c = Constitutive()
-    s = rest_compressible(g2, model=ModelKind.CH)
-    with pytest.raises(ValueError):
-        step_imex(s, 1e-3, c, model=ModelKind.AC)
-
-
 def test_imex_first_order_against_rk4():
     # against a fixed fourth-order reference, the first-order splitting
     # error must halve when dt halves (Richardson behaviour)
@@ -670,8 +661,6 @@ def test_diagnostics_use_no_full_spectrum_transform(g2, monkeypatch):
     modulated_energy(sc, si, c)
     functional_Es(sc, 2)
     functional_Es(sc, 2, weight="multiindex")
-    functional_Es_weighted(sc, 2, c)
-    functional_Fs(phi0, 2)
     hs_norm(phi0, 3)
     refine(phi0)
     taylor_green_bubble(g2)

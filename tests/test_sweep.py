@@ -1,8 +1,10 @@
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+import torusflow.sweep as sweep_module
 from torusflow.constitutive import Constitutive, ModelKind
 from torusflow.errors import NumericsError
 from torusflow.sweep import (
@@ -148,6 +150,38 @@ def test_run_sweep_deterministic_and_parallel_agree():
     for a, b in zip(r1.records, r3.records):
         for fam in FAMILIES:
             assert getattr(a, fam) == getattr(b, fam)
+
+
+def test_run_sweep_caps_workers_at_the_leg_count(monkeypatch):
+    # a fork-based pool starts all max_workers processes at the first
+    # submit, so --parallel 64 on a 2-leg sweep must ask for 2; the fake
+    # pool runs each leg inline and starts no process
+    seen = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            try:
+                fut.set_result(fn(*args))
+            except Exception as exc:
+                fut.set_exception(exc)
+            return fut
+
+    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", InlinePool)
+    cfg = smoke_config()
+    res = run_sweep(cfg, Constitutive(), parallel=64)
+    assert seen and all(k <= len(cfg.eps_list) for k in seen)
+    assert [r.eps for r in res.records] == list(cfg.eps_list)
+    assert not any(r.failed for r in res.records)
 
 
 def test_run_sweep_records_failed_leg():

@@ -37,29 +37,9 @@ from .io import (
 )
 from .spectral import divergence, integral
 from .stepper import integrate
-from .sweep import acoustic_dispersion_check, run_sweep, with_eps_list
+from .sweep import ERROR_FAMILIES, acoustic_dispersion_check, run_sweep, with_eps_list
 
-_RUN_COLUMNS_COMPRESSIBLE = [
-    "time",
-    "kinetic",
-    "internal",
-    "gradient",
-    "potential",
-    "total",
-    "dissipation",
-    "mass",
-    "phase_mass",
-]
-_RUN_COLUMNS_INCOMPRESSIBLE = [
-    "time",
-    "kinetic",
-    "gradient",
-    "potential",
-    "total",
-    "dissipation",
-    "phase_mass",
-    "div_u_max",
-]
+_SWEEP_ERROR_COLUMNS = ("eps", "failed", "reason", *ERROR_FAMILIES)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -169,11 +149,6 @@ def _cmd_run(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     c = cfg.constitutive
     state = _initial_state(cfg)
-    columns = (
-        _RUN_COLUMNS_COMPRESSIBLE
-        if cfg.regime == "compressible"
-        else _RUN_COLUMNS_INCOMPRESSIBLE
-    )
 
     step_counter = [0]
 
@@ -197,26 +172,13 @@ def _cmd_run(args) -> int:
         write_snapshot(final_state, outdir / f"snap_{step_counter[0]:06d}.bin", time=t_final)
 
     csv_path = outdir / "timeseries.csv"
-    write_timeseries(rows, csv_path, columns)
+    write_timeseries(rows, csv_path)
     if not args.quiet:
         print(
             f"run complete: {step_counter[0]} steps to t = {t_final:g}, "
             f"total energy {rows[-1]['total']:.6e}, wrote {csv_path}"
         )
     return 0
-
-
-_SWEEP_ERROR_COLUMNS = [
-    "eps",
-    "failed",
-    "reason",
-    "err_u",
-    "err_phi",
-    "err_combined",
-    "err_rho",
-    "err_grad_rho",
-    "err_time_integrated",
-]
 
 
 def _cmd_sweep(args) -> int:
@@ -238,16 +200,15 @@ def _cmd_sweep(args) -> int:
     outdir = Path(args.out or ".")
     outdir.mkdir(parents=True, exist_ok=True)
 
+    # failed legs carry nan errors; emit empty cells instead of tripping
+    # the finite-values contract of the CSV writer
     err_rows = []
     for r in result.records:
         row = {k: getattr(r, k) for k in _SWEEP_ERROR_COLUMNS}
         if r.failed:
-            # failed legs carry nan errors; emit empty cells instead of
-            # tripping the finite-values contract of the CSV writer
-            for k in _SWEEP_ERROR_COLUMNS[3:]:
-                row[k] = ""
+            row.update(dict.fromkeys(ERROR_FAMILIES, ""))
         err_rows.append(row)
-    write_timeseries(err_rows, outdir / "sweep_errors.csv", _SWEEP_ERROR_COLUMNS)
+    write_timeseries(err_rows, outdir / "sweep_errors.csv")
 
     slope_rows = [
         {"family": fam, "slope": s, "intercept": b, "r2": r2}
@@ -284,17 +245,13 @@ def _cmd_audit(args) -> int:
         raise ConfigError(f"no snapshots match {args.snapshots!r}")
     c = _constitutive_from(args.config)
     rows = []
-    columns = None
     for p in paths:
         header = snapshot_header(p)
         state = read_snapshot(p)
         with _simulating():
             row = _run_row(state, c, float(header["time"]))
-        row = {"snapshot": Path(p).name, **row}
-        if columns is None:
-            columns = list(row.keys())
-        rows.append(row)
-    write_timeseries(rows, args.out, columns)
+        rows.append({"snapshot": Path(p).name, **row})
+    write_timeseries(rows, args.out)
     print(f"audited {len(rows)} snapshots -> {args.out}")
     return 0
 

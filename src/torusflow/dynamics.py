@@ -113,7 +113,7 @@ class IncompressibleState:
 def _require_positive(rho: np.ndarray, where: str):
     rmin = float(np.min(rho))
     if rmin <= 0.0:
-        idx = np.unravel_index(int(np.argmin(rho)), rho.shape)
+        idx = tuple(int(i) for i in np.unravel_index(int(np.argmin(rho)), rho.shape))
         raise VacuumError(f"{where}: density reached {rmin:.6e} at grid index {idx}")
 
 
@@ -254,8 +254,8 @@ def rhs_compressible_hat(
     batch_irfft(g, zh, out=state, work=w.work)
     rho, m, q = state[0], state[1 : 1 + d], state[1 + d]
     if not np.all(np.isfinite(rho)):
-        raise NumericsError("non-finite density in rhs_compressible")
-    _require_positive(rho, "rhs_compressible")
+        raise NumericsError("non-finite density in rhs_compressible_hat")
+    _require_positive(rho, "rhs_compressible_hat")
 
     # primitive fields, carved out of the product stack; the divisions
     # reintroduce out-of-band tails, so truncate

@@ -11,9 +11,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -64,7 +64,9 @@ def _take(d: dict, key: str, kinds, where: str, default=_REQUIRED):
     val = d.pop(key)
     if kinds is not None and not isinstance(val, kinds):
         names = (
-            kinds.__name__ if isinstance(kinds, type) else "/".join(k.__name__ for k in kinds)
+            kinds.__name__
+            if isinstance(kinds, type)
+            else "/".join("null" if k is type(None) else k.__name__ for k in kinds)
         )
         raise ConfigError(
             f"key '{key}' in {where} must be {names}, got {type(val).__name__}"
@@ -91,87 +93,67 @@ def _section(d: dict, key: str, where: str) -> dict:
 
 
 _NUM = (int, float)
+# the JSON types each kind accepts; a tuple is a list of finite numbers
+_JSON_KINDS = {float: _NUM, int: (int,), str: (str,), tuple: (list,)}
+
+
+def _kinds(cls, *skip) -> dict:
+    """The kinds of a dataclass's fields, in field order, skip left out."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls) if f.name not in skip}
+
+
+def _options(sec: dict, where: str, **kinds) -> dict:
+    """Pop the block's keys, each of its kind (float, int, str, tuple, or an
+    Optional of one), and reject any other key.  A float takes any number
+    and returns it as a float; a tuple takes a list of finite numbers and
+    returns a tuple of floats.  A key that is absent, or null where its kind
+    admits None, is left out of the result."""
+    out = {}
+    for key, kind in kinds.items():
+        base, *null = get_args(kind) or (kind,)
+        val = _take(sec, key, _JSON_KINDS[base] + tuple(null), where, default=None)
+        if val is None:
+            continue
+        if base is tuple:
+            if not all(_is_number(x) and _finite(x) for x in val):
+                raise ConfigError(f"key '{key}' in {where} must be a list of finite numbers")
+            val = tuple(float(x) for x in val)
+        out[key] = float(val) if base is float else val
+    _no_leftovers(sec, where)
+    return out
+
+
+def _build(cls, kwargs: dict, block: str):
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"invalid {block} block: {exc}") from exc
 
 
 def _parse_constitutive(sec: dict) -> Constitutive:
-    where = "constitutive"
-    kwargs = {}
-    for name in (
-        "gamma",
-        "pressure_coeff",
-        "nu0",
-        "nu_rho",
-        "nu_phi",
-        "eta0",
-        "eta_rho",
-        "eta_phi",
-        "nu_star",
-        "nu_upper",
-        "eta_star",
-        "eta_upper",
-    ):
-        val = _take(sec, name, _NUM, where, default=None)
-        if val is not None:
-            kwargs[name] = float(val)
-    _no_leftovers(sec, where)
-    try:
-        return Constitutive(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"invalid constitutive block: {exc}") from exc
+    kwargs = _options(sec, "constitutive", **_kinds(Constitutive))
+    return _build(Constitutive, kwargs, "constitutive")
 
 
 def _parse_stepper(sec: dict) -> StepperConfig:
-    where = "stepper"
     has_picard = "picard" in sec
-    pic_sec = _section(sec, "picard", where)
-    pic_kwargs = {}
-    tol = _take(pic_sec, "tol", _NUM, "stepper.picard", default=None)
-    if tol is not None:
-        pic_kwargs["tol"] = float(tol)
-    max_iter = _take(pic_sec, "max_iter", int, "stepper.picard", default=None)
-    if max_iter is not None:
-        pic_kwargs["max_iter"] = max_iter
-    _no_leftovers(pic_sec, "stepper.picard")
-
-    kwargs = {}
-    scheme = _take(sec, "scheme", str, where, default=None)
-    if scheme is not None:
-        kwargs["scheme"] = scheme
+    pic_sec = _section(sec, "picard", "stepper")
+    picard = _options(pic_sec, "stepper.picard", **_kinds(PicardOptions))
+    kwargs = _options(sec, "stepper", **_kinds(StepperConfig, "picard"))
     # the block tunes the "picard" scheme alone; any other would ignore it
+    scheme = kwargs.get("scheme", StepperConfig.scheme)
     if has_picard and scheme != "picard":
         raise ConfigError(
-            f"stepper.picard applies to scheme 'picard' only, got scheme "
-            f"{scheme or StepperConfig.scheme!r}"
+            f"stepper.picard applies to scheme 'picard' only, got scheme {scheme!r}"
         )
-    cfl = _take(sec, "cfl", _NUM, where, default=None)
-    if cfl is not None:
-        kwargs["cfl"] = float(cfl)
-    if "dt_override" in sec:
-        dt = sec.pop("dt_override")
-        if dt is not None and not (_is_number(dt) and _finite(dt)):
-            raise ConfigError(
-                f"key 'dt_override' in stepper must be a finite number or null, got {dt!r}"
-            )
-        kwargs["dt_override"] = float(dt) if dt is not None else None
-    t_end = _take(sec, "t_end", _NUM, where, default=None)
-    if t_end is not None:
-        kwargs["t_end"] = float(t_end)
-    _no_leftovers(sec, where)
-    try:
-        return StepperConfig(picard=PicardOptions(**pic_kwargs), **kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"invalid stepper block: {exc}") from exc
+    kwargs["picard"] = _build(PicardOptions, picard, "stepper")
+    return _build(StepperConfig, kwargs, "stepper")
 
 
 def _parse_grid(sec: dict) -> TorusGrid:
-    where = "grid"
-    dim = _take(sec, "dim", int, where, default=2)
-    n = _take(sec, "n", int, where, default=64)
-    _no_leftovers(sec, where)
-    try:
-        return TorusGrid(dim, n)
-    except ValueError as exc:
-        raise ConfigError(f"invalid grid block: {exc}") from exc
+    kwargs = {"dim": 2, "n": 64, **_options(sec, "grid", **_kinds(TorusGrid))}
+    return _build(TorusGrid, kwargs, "grid")
 
 
 def _parse_model(raw: str) -> ModelKind:
@@ -204,26 +186,27 @@ def load_config(path) -> RunConfig:
     constitutive = _parse_constitutive(_section(raw, "constitutive", where))
     stepper = _parse_stepper(_section(raw, "stepper", where))
 
-    init = _section(raw, "initial", where)
-    preset = _take(init, "preset", str, "initial", default="taylor_green_bubble")
+    init = _options(
+        _section(raw, "initial", where), "initial", preset=str, kappa0=float, seed=int
+    )
+    preset = init.get("preset", "taylor_green_bubble")
     if preset not in PRESETS:
         raise ConfigError(
             f"unknown preset {preset!r} in initial; available: {sorted(PRESETS)}"
         )
-    kappa0 = float(_take(init, "kappa0", _NUM, "initial", default=0.1))
+    kappa0 = init.get("kappa0", 0.1)
     if kappa0 < 0:
         raise ConfigError(f"key 'kappa0' in initial must be nonnegative, got {kappa0}")
-    seed = _take(init, "seed", int, "initial", default=0)
+    seed = init.get("seed", 0)
     if seed < 0:
         raise ConfigError(f"key 'seed' in initial must be >= 0, got {seed}")
-    _no_leftovers(init, "initial")
 
-    out = _section(raw, "output", where)
-    outdir = _take(out, "directory", str, "output", default=None)
-    cadence = _take(out, "sample_cadence", int, "output", default=10)
+    out = _options(
+        _section(raw, "output", where), "output", directory=str, sample_cadence=int
+    )
+    cadence = out.get("sample_cadence", 10)
     if cadence < 1:
         raise ConfigError(f"key 'sample_cadence' in output must be >= 1, got {cadence}")
-    _no_leftovers(out, "output")
     _no_leftovers(raw, where)
 
     if grid.dim < 2 and regime == "incompressible":
@@ -240,7 +223,7 @@ def load_config(path) -> RunConfig:
         initial=preset,
         kappa0=kappa0,
         seed=seed,
-        outdir=outdir,
+        outdir=out.get("directory"),
         sample_cadence=cadence,
     )
 
@@ -252,46 +235,14 @@ def load_sweep_config(path):
     model = _parse_model(_take(raw, "model", str, where))
     grid = _parse_grid(_section(raw, "grid", where))
     constitutive = _parse_constitutive(_section(raw, "constitutive", where))
-
-    sec = _section(raw, "sweep", where)
-    kwargs = {"model": model, "n": grid.n, "dim": grid.dim}
-    eps_list = _take(sec, "eps_list", list, "sweep", default=None)
-    if eps_list is not None:
-        if not all(_is_number(e) and _finite(e) for e in eps_list):
-            raise ConfigError("key 'eps_list' in sweep must be a list of finite numbers")
-        kwargs["eps_list"] = tuple(float(e) for e in eps_list)
-    t_end = _take(sec, "t_end", _NUM, "sweep", default=None)
-    if t_end is not None:
-        kwargs["t_end"] = float(t_end)
-    if "sample_times" in sec:
-        st = sec.pop("sample_times")
-        if st is not None:
-            if not isinstance(st, list) or not all(_is_number(t) and _finite(t) for t in st):
-                raise ConfigError(
-                    "key 'sample_times' in sweep must be a list of finite numbers or null"
-                )
-            kwargs["sample_times"] = tuple(float(t) for t in st)
-    s_index = _take(sec, "s_index", int, "sweep", default=None)
-    if s_index is not None:
-        kwargs["s_index"] = s_index
-    preset = _take(sec, "preset", str, "sweep", default=None)
-    if preset is not None:
-        kwargs["initial"] = preset
-    kappa0 = _take(sec, "kappa0", _NUM, "sweep", default=None)
-    if kappa0 is not None:
-        kwargs["kappa0"] = float(kappa0)
-    seed = _take(sec, "seed", int, "sweep", default=None)
-    if seed is not None:
-        kwargs["seed"] = seed
-    cfl = _take(sec, "cfl", _NUM, "sweep", default=None)
-    if cfl is not None:
-        kwargs["cfl"] = float(cfl)
-    _no_leftovers(sec, "sweep")
+    kinds = _kinds(SweepConfig, "model", "n", "dim")
+    # the sweep block names SweepConfig.initial "preset"
+    kinds = {("preset" if k == "initial" else k): v for k, v in kinds.items()}
+    kwargs = _options(_section(raw, "sweep", where), "sweep", **kinds)
+    kwargs["initial"] = kwargs.pop("preset", SweepConfig.initial)
     _no_leftovers(raw, where)
-    try:
-        return SweepConfig(**kwargs), constitutive
-    except ValueError as exc:
-        raise ConfigError(f"invalid sweep block: {exc}") from exc
+    kwargs.update(model=model, n=grid.n, dim=grid.dim)
+    return _build(SweepConfig, kwargs, "sweep"), constitutive
 
 
 def _load_json(path) -> dict:
@@ -313,15 +264,22 @@ def _load_json(path) -> dict:
 # snapshots
 
 
+def _field_names(regime: str, dim: int) -> list:
+    """A snapshot's field names, in payload order."""
+    axes = "xy"[:dim]
+    if regime == "compressible":
+        return ["rho", *(f"mom_{ax}" for ax in axes), "q"]
+    return [*(f"u_{ax}" for ax in axes), "phi"]
+
+
 def _state_fields(state):
     if isinstance(state, CompressibleState):
-        names = ["rho"] + [f"mom_{ax}" for ax in "xy"[: state.grid.dim]] + ["q"]
-        arrays = state.as_arrays()
-        return "compressible", names, arrays, state.eps
-    if isinstance(state, IncompressibleState):
-        names = [f"u_{ax}" for ax in "xy"[: state.grid.dim]] + ["phi"]
-        return "incompressible", names, state.as_arrays(), None
-    raise TypeError(f"unsupported state type {type(state)!r}")
+        regime, eps = "compressible", state.eps
+    elif isinstance(state, IncompressibleState):
+        regime, eps = "incompressible", None
+    else:
+        raise TypeError(f"unsupported state type {type(state)!r}")
+    return regime, _field_names(regime, state.grid.dim), state.as_arrays(), eps
 
 
 def write_snapshot(state, path, time: float = 0.0):
@@ -381,8 +339,13 @@ def read_snapshot(path):
         raise SnapshotError(f"{path}: incomplete snapshot header: {exc}") from exc
     if type(dim) is not int or type(n) is not int:
         raise SnapshotError(f"{path}: dim and n must be integers, got {dim!r} and {n!r}")
-    if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
-        raise SnapshotError(f"{path}: fields must be a list of names, got {names!r}")
+    if regime not in ("compressible", "incompressible"):
+        raise SnapshotError(f"{path}: unknown regime {regime!r}")
+    layout = _field_names(regime, dim)
+    if names != layout:
+        raise SnapshotError(
+            f"{path}: fields {names!r} do not match the {dim}-d {regime} layout {layout}"
+        )
     try:
         grid = TorusGrid(dim, n)
     except ValueError as exc:
@@ -399,7 +362,7 @@ def read_snapshot(path):
         arrays.append(
             np.frombuffer(chunk, dtype="<f8").astype(float).reshape(grid.shape)
         )
-    # field counts, eps and payload values are checked by the state types
+    # eps and payload values are checked by the state types
     try:
         if regime == "compressible":
             eps = header.get("eps")
@@ -410,12 +373,10 @@ def read_snapshot(path):
             rho = Field(grid, arrays[0])
             mom = VectorField(tuple(Field(grid, a) for a in arrays[1:-1]))
             return CompressibleState(float(eps), rho, mom, Field(grid, arrays[-1]), model)
-        if regime == "incompressible":
-            u = VectorField(tuple(Field(grid, a) for a in arrays[:-1]))
-            return IncompressibleState(u, Field(grid, arrays[-1]), model)
-    except (IndexError, OverflowError, TypeError, ValueError) as exc:
+        u = VectorField(tuple(Field(grid, a) for a in arrays[:-1]))
+        return IncompressibleState(u, Field(grid, arrays[-1]), model)
+    except (OverflowError, TypeError, ValueError) as exc:
         raise SnapshotError(f"{path}: inconsistent snapshot: {exc}") from exc
-    raise SnapshotError(f"{path}: unknown regime {regime!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -111,7 +111,7 @@ class SweepResult:
     slopes: dict = field(default_factory=dict)
 
 
-_ERROR_FAMILIES = (
+ERROR_FAMILIES = (
     "err_u",
     "err_phi",
     "err_combined",
@@ -147,11 +147,15 @@ def _reference_stepper_config(cfg: SweepConfig) -> StepperConfig:
 
 
 def _run_compressible_leg(cfg: SweepConfig, c: Constitutive, eps: float, samples):
-    """Integrate one compressible leg; module-level so sweeps can fork workers."""
+    """Integrate one compressible leg, or return the NumericsError that
+    stopped it; module-level so sweeps can fork workers."""
     g = TorusGrid(cfg.dim, cfg.n)
     u0, phi0 = initial_from_preset(cfg.initial, g)
-    state = well_prepared_initial(u0, phi0, eps, cfg.kappa0, cfg.seed, cfg.model)
-    return integrate(state, c, _reference_stepper_config(cfg), samples)
+    try:
+        state = well_prepared_initial(u0, phi0, eps, cfg.kappa0, cfg.seed, cfg.model)
+        return integrate(state, c, _reference_stepper_config(cfg), samples)
+    except NumericsError as exc:
+        return exc
 
 
 def _eval_record(cfg, c, eps, comp_traj, ref_traj, samples) -> EpsRecord:
@@ -216,7 +220,6 @@ def run_sweep(cfg: SweepConfig, c: Constitutive, parallel: int = 1) -> SweepResu
         IncompressibleState(u0, phi0, cfg.model), c, _reference_stepper_config(cfg), samples
     )
 
-    legs = []
     if parallel > 1:
         # a fork-based pool starts every worker at the first submit
         with ProcessPoolExecutor(max_workers=min(parallel, len(cfg.eps_list))) as ex:
@@ -224,27 +227,19 @@ def run_sweep(cfg: SweepConfig, c: Constitutive, parallel: int = 1) -> SweepResu
                 ex.submit(_run_compressible_leg, cfg, c, eps, samples)
                 for eps in cfg.eps_list
             ]
-            for fut in futs:
-                try:
-                    legs.append(fut.result())
-                except NumericsError as exc:
-                    legs.append(exc)
+            legs = [fut.result() for fut in futs]
     else:
-        for eps in cfg.eps_list:
-            try:
-                legs.append(_run_compressible_leg(cfg, c, eps, samples))
-            except NumericsError as exc:
-                legs.append(exc)
+        legs = [_run_compressible_leg(cfg, c, eps, samples) for eps in cfg.eps_list]
 
     records = []
     for eps, leg in zip(cfg.eps_list, legs):
-        if isinstance(leg, Exception):
+        if isinstance(leg, NumericsError):
             records.append(EpsRecord(eps=eps, failed=True, reason=str(leg)))
         else:
             records.append(_eval_record(cfg, c, eps, leg, ref, samples))
 
     slopes = {}
-    for family in _ERROR_FAMILIES:
+    for family in ERROR_FAMILIES:
         pts = [
             (r.eps, getattr(r, family))
             for r in records

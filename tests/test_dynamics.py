@@ -15,7 +15,7 @@ from torusflow.dynamics import (
     rhs_incompressible_hat,
     well_prepared_initial,
 )
-from torusflow.errors import VacuumError
+from torusflow.errors import NumericsError, VacuumError
 from torusflow.spectral import (
     Field,
     TorusGrid,
@@ -121,6 +121,26 @@ def test_vacuum_rejected(g2):
     u = VectorField((constant_field(g2, 0.0), constant_field(g2, 0.0)))
     with pytest.raises(VacuumError):
         make_compressible(0.2, rho, u, constant_field(g2, 0.0), ModelKind.CH)
+
+
+@pytest.mark.parametrize(
+    "dip,reason",
+    [
+        (-0.5, "rhs_compressible_hat: density reached -5.000000e-01 at grid index (3, 5)"),
+        (np.nan, "non-finite density in rhs_compressible_hat"),
+    ],
+    ids=["vacuum", "non_finite"],
+)
+def test_kernel_failure_reason(g2, dip, reason):
+    # the reason lands in sweep_errors.csv and on stderr: it names the
+    # kernel and prints the grid index as plain ints
+    rho = np.ones(g2.shape)
+    rho[3, 5] = dip
+    zero = np.zeros(g2.shape)
+    zh = batch_rfft(g2, [rho, zero, zero, zero])
+    with pytest.raises(NumericsError) as info:
+        rhs_compressible_hat(g2, 0.5, zh, Constitutive(), ModelKind.CH)
+    assert str(info.value) == reason
 
 
 def test_state_validation(g2):

@@ -20,6 +20,7 @@ from torusflow.diagnostics import energy_compressible
 from torusflow.dynamics import (
     CompressibleState,
     IncompressibleState,
+    PRESETS,
     initial_from_preset,
     make_compressible,
     well_prepared_initial,
@@ -218,6 +219,10 @@ def test_readme_config_schema_loads(tmp_path):
     cfg = load_config(write_json(tmp_path, "run.json", run))
     assert cfg.stepper.scheme == run["stepper"]["scheme"]
     assert cfg.constitutive.constant_viscosity
+    # the parser takes the constitutive keys from the dataclass, so a new
+    # field is a new config key and must be documented
+    fields = sorted(f.name for f in dataclasses.fields(Constitutive))
+    assert sorted(run["constitutive"]) == fields
     sweep_cfg, _ = load_sweep_config(write_json(tmp_path, "sweep.json", sweep_block))
     assert list(sweep_cfg.eps_list) == sweep_block["sweep"]["eps_list"]
 
@@ -609,6 +614,9 @@ def test_cli_run_rejects_nonfinite_numbers(tmp_path, capsys, overrides):
         {"eps": math.inf},
         {"eps": True},
         {"time": math.nan},
+        # the names must be the writer's, in its order: rho first
+        {"fields": ["q", "mom_x", "mom_y", "rho"]},
+        {"fields": ["a", "b", "c", "d"]},
     ],
 )
 def test_cli_audit_malformed_header_exits_4(tmp_path, capsys, g2, bad):
@@ -720,33 +728,50 @@ _JSON_SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4)
 )
 
-# JSON scalars, plus in-range numbers and the non-finite and overflowing
-# values JSON admits, so that a share of the examples are valid configs
+# JSON scalars, plus in-range numbers, the non-finite and overflowing
+# values JSON admits, and valid strings, so that a share of the examples
+# are valid configs
 _SLOT_SCALARS = st.one_of(
     _JSON_SCALARS,
     st.floats(min_value=0.0, max_value=1.0),
     st.integers(min_value=0, max_value=12),
     st.sampled_from([math.nan, math.inf, -math.inf, 10**400]),
+    st.sampled_from(["rk4", "imex", "picard", "single_mode", "out"]),
 )
 
-# key paths of the numeric slots of a run config
-_RUN_NUMERIC_SLOTS = (
+# key paths of the slots of a run config: every key of the blocks, the
+# constitutive ones taken from the dataclass the parser reads them from
+_RUN_SLOTS = (
     ("eps",),
     ("grid", "dim"),
     ("grid", "n"),
-    ("constitutive", "gamma"),
-    ("constitutive", "pressure_coeff"),
-    ("constitutive", "nu0"),
-    ("constitutive", "eta_upper"),
+    *(("constitutive", f.name) for f in dataclasses.fields(Constitutive)),
+    ("stepper", "scheme"),
     ("stepper", "cfl"),
     ("stepper", "dt_override"),
     ("stepper", "t_end"),
     ("stepper", "picard", "tol"),
     ("stepper", "picard", "max_iter"),
+    ("initial", "preset"),
     ("initial", "kappa0"),
     ("initial", "seed"),
+    ("output", "directory"),
     ("output", "sample_cadence"),
 )
+
+
+def run_payload(slots):
+    """The base run config with each slot path set to its value."""
+    payload = base_run_config()
+    if any(path[:2] == ("stepper", "picard") for path in slots):
+        # the picard block is read with its own scheme only
+        payload["stepper"] = {"scheme": "picard"}
+    for path, value in slots.items():
+        node = payload
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = value
+    return payload
 
 
 def _numbers(obj):
@@ -763,59 +788,55 @@ def _numbers(obj):
 
 
 @_PROPERTY_SETTINGS
-@given(
-    st.dictionaries(
-        st.sampled_from(_RUN_NUMERIC_SLOTS), _SLOT_SCALARS, min_size=1, max_size=3
-    )
-)
+@given(st.dictionaries(st.sampled_from(_RUN_SLOTS), _SLOT_SCALARS, min_size=1, max_size=3))
 def test_load_config_yields_finite_numbers_or_config_error(tmp_path, slots):
-    payload = base_run_config()
-    if any(path[:2] == ("stepper", "picard") for path in slots):
-        # the picard block is read with its own scheme only
-        payload["stepper"] = {"scheme": "picard"}
-    for path, value in slots.items():
-        node = payload
-        for key in path[:-1]:
-            node = node.setdefault(key, {})
-        node[path[-1]] = value
     try:
-        cfg = load_config(write_json(tmp_path, "prop.json", payload))
+        cfg = load_config(write_json(tmp_path, "prop.json", run_payload(slots)))
     except ConfigError:
         return
     assert all(math.isfinite(x) for x in _numbers(cfg))
     assert cfg.seed >= 0  # np.random.default_rng rejects a negative seed
+    assert cfg.stepper.scheme in ("rk4", "imex", "picard")
+    assert cfg.initial in PRESETS
+    assert cfg.outdir is None or isinstance(cfg.outdir, str)
 
 
-# numeric slots of a sweep config: a key of the sweep block, or (key, index)
-# for an element of its eps_list or sample_times
-_SWEEP_NUMERIC_SLOTS = (
+# slots of a sweep config: a key of the sweep block, or (key, index) for an
+# element of its eps_list or sample_times
+_SWEEP_SLOTS = (
+    ("eps_list",),
     ("eps_list", 0),
     ("eps_list", 1),
     ("t_end",),
+    ("sample_times",),
     ("sample_times", 0),
     ("sample_times", 1),
     ("sample_times", 2),
     ("s_index",),
+    ("preset",),
     ("kappa0",),
     ("seed",),
     ("cfl",),
 )
 
 
-@_PROPERTY_SETTINGS
-@given(
-    st.dictionaries(
-        st.sampled_from(_SWEEP_NUMERIC_SLOTS), _SLOT_SCALARS, min_size=1, max_size=3
-    )
-)
-def test_load_sweep_config_yields_config_or_config_error(tmp_path, slots):
+def sweep_slots_payload(tmp_path, slots):
+    """The CLI sweep config with each slot set; a whole list set to a
+    scalar or null overrides its elements."""
     payload = json.loads(sweep_config_file(tmp_path).read_text())
     sec = payload["sweep"]
-    for path, value in slots.items():
+    for path, value in sorted(slots.items(), key=lambda kv: -len(kv[0])):
         if len(path) == 2:
             sec[path[0]][path[1]] = value
         else:
             sec[path[0]] = value
+    return payload
+
+
+@_PROPERTY_SETTINGS
+@given(st.dictionaries(st.sampled_from(_SWEEP_SLOTS), _SLOT_SCALARS, min_size=1, max_size=3))
+def test_load_sweep_config_yields_config_or_config_error(tmp_path, slots):
+    payload = sweep_slots_payload(tmp_path, slots)
     try:
         cfg, _ = load_sweep_config(write_json(tmp_path, "prop.json", payload))
     except ConfigError:
@@ -823,6 +844,27 @@ def test_load_sweep_config_yields_config_or_config_error(tmp_path, slots):
     assert isinstance(cfg, SweepConfig)
     assert all(math.isfinite(x) for x in _numbers(cfg))
     assert cfg.seed >= 0  # np.random.default_rng rejects a negative seed
+    assert isinstance(cfg.eps_list, tuple) and cfg.initial in PRESETS
+    assert cfg.sample_times is None or isinstance(cfg.sample_times, tuple)
+
+
+def test_null_unsets_only_dt_override_and_sample_times(tmp_path):
+    # null elsewhere is a config error, not a silent default
+    for path in _RUN_SLOTS:
+        p = write_json(tmp_path, "null.json", run_payload({path: None}))
+        if path == ("stepper", "dt_override"):
+            assert load_config(p).stepper.dt_override is None
+        else:
+            with pytest.raises(ConfigError, match=path[-1]):
+                load_config(p)
+    for path in (path for path in _SWEEP_SLOTS if len(path) == 1):
+        payload = sweep_slots_payload(tmp_path, {path: None})
+        p = write_json(tmp_path, "null.json", payload)
+        if path == ("sample_times",):
+            assert load_sweep_config(p)[0].sample_times is None
+        else:
+            with pytest.raises(ConfigError, match=path[0]):
+                load_sweep_config(p)
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,4 +1,5 @@
 import math
+import re
 from concurrent.futures import Future
 
 import numpy as np
@@ -152,10 +153,10 @@ def test_run_sweep_deterministic_and_parallel_agree():
             assert getattr(a, fam) == getattr(b, fam)
 
 
-def test_run_sweep_caps_workers_at_the_leg_count(monkeypatch):
-    # a fork-based pool starts all max_workers processes at the first
-    # submit, so --parallel 64 on a 2-leg sweep must ask for 2; the fake
-    # pool runs each leg inline and starts no process
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Replace the sweep's process pool by one that runs each leg inline
+    and starts no process; returns the max_workers of each pool made."""
     seen = []
 
     class InlinePool:
@@ -177,22 +178,33 @@ def test_run_sweep_caps_workers_at_the_leg_count(monkeypatch):
             return fut
 
     monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", InlinePool)
+    return seen
+
+
+def test_run_sweep_caps_workers_at_the_leg_count(inline_pool):
+    # a fork-based pool starts all max_workers processes at the first
+    # submit, so --parallel 64 on a 2-leg sweep must ask for 2
     cfg = smoke_config()
     res = run_sweep(cfg, Constitutive(), parallel=64)
-    assert seen and all(k <= len(cfg.eps_list) for k in seen)
+    assert inline_pool and all(k <= len(cfg.eps_list) for k in inline_pool)
     assert [r.eps for r in res.records] == list(cfg.eps_list)
     assert not any(r.failed for r in res.records)
 
 
-def test_run_sweep_records_failed_leg():
+@pytest.mark.parametrize("parallel", [1, 2], ids=["serial", "pool"])
+def test_run_sweep_records_failed_leg(inline_pool, parallel):
     # a perturbation amplitude far beyond well-prepared scaling drives the
-    # density negative; the leg must be recorded, not crash the sweep
+    # density negative; the leg must be recorded, not crash the sweep,
+    # whether it ran in the caller or in a pool
     c = Constitutive()
     cfg = smoke_config(eps_list=(0.4,), sample_times=(0.0, 0.02), kappa0=2000.0)
-    res = run_sweep(cfg, c)
+    res = run_sweep(cfg, c, parallel=parallel)
+    assert inline_pool == ([] if parallel == 1 else [1])
     rec = res.records[0]
     assert rec.failed
-    assert "density" in rec.reason
+    assert re.fullmatch(
+        r"make_compressible: density reached -\S+ at grid index \(\d+, \d+\)", rec.reason
+    )
     assert math.isnan(rec.err_u)
     assert res.slopes == {}
 

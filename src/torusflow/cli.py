@@ -145,10 +145,10 @@ def _cmd_run(args) -> int:
     if args.snapshots_every < 0:
         raise ConfigError(f"--snapshots-every must be >= 0, got {args.snapshots_every}")
     cfg = load_config(args.config)
+    state = _initial_state(cfg)
     outdir = Path(args.out or cfg.outdir or ".")
     outdir.mkdir(parents=True, exist_ok=True)
     c = cfg.constitutive
-    state = _initial_state(cfg)
 
     step_counter = [0]
 

@@ -8,8 +8,7 @@ weight is kept as its cross-check.  Both weights live on the half
 (``spectral.hermitian_sq``).  Quadratures of quartic and rational
 integrands run on a 2x oversampled grid, which makes them exact for the
 polynomial cases and rounding-accurate for smooth states.  Each report
-refines all of its fields in one stacked ``refine`` call, and the 2x grid
-(with its tables) is built once per grid size.
+refines all of its fields in one stacked ``refine`` call.
 
 On the 2x grid, discrete Parseval turns the quadratic spectral terms into
 Hermitian-weighted sums over its half spectrum, with the derivative symbols
@@ -25,26 +24,30 @@ The reports form every integrand in a per-grid workspace on the 2x grid
 (_FineWorkspace: the refined stack, one complex pool shared by refine and
 the fine half spectra, two real scratch arrays) with ``out=`` ufuncs, in the
 order of the allocating formulas, so a warm report allocates no grid-sized
-array and returns the same bits.  Like the RHS kernels' workspace it is a
-one-slot module cache, built on the first report and rebuilt when the grid
-changes, and it is not re-entrant: run concurrent solves in separate
-processes, as run_sweep does.
+array and returns the same bits.  The workspace, with its 2x grid and that
+grid's tables, is a slot of ``spectral._one_slot``, built on the first
+report and rebuilt when the grid changes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .constitutive import Constitutive, ModelKind
-from .dynamics import CompressibleState, IncompressibleState, _div_hat, primitives
-from .errors import VacuumError
+from .dynamics import (
+    CompressibleState,
+    IncompressibleState,
+    _div_hat,
+    _require_positive,
+    primitives,
+)
 from .spectral import (
     TorusGrid,
+    _one_slot,
     batch_irfft,
     batch_rfft,
     divergence,
@@ -66,12 +69,6 @@ class EnergyReport:
     time: float
 
 
-@lru_cache(maxsize=None)
-def _fine_grid(g: TorusGrid) -> TorusGrid:
-    """The 2x grid of ``g``; one instance per grid size keeps its tables."""
-    return TorusGrid(g.dim, 2 * g.n)
-
-
 def _fine_mean(gf: TorusGrid, arr: np.ndarray) -> float:
     return float(np.mean(arr)) * gf.volume
 
@@ -91,8 +88,7 @@ class _FineWorkspace:
 
     def __init__(self, g: TorusGrid):
         d = g.dim
-        gf = _fine_grid(g)
-        self.grid = g
+        gf = TorusGrid(d, 2 * g.n)
         self.fine_grid = gf
         self.fine = np.empty((3 + 2 * d, *gf.shape))
         slot = math.prod(gf.rshape)
@@ -106,17 +102,8 @@ class _FineWorkspace:
         self.real = np.empty((2, *gf.shape))
 
 
-# one workspace, rebuilt when the grid changes, as dynamics keeps the RHS
-# kernels' one; the reports are therefore not re-entrant either: run
-# concurrent solves in separate processes, as run_sweep does
-_WORKSPACE: dict = {}
-
-
 def _workspace(g: TorusGrid) -> _FineWorkspace:
-    w = _WORKSPACE.get("slot")
-    if w is None or w.grid != g:
-        w = _WORKSPACE["slot"] = _FineWorkspace(g)
-    return w
+    return _one_slot("diagnostics.workspace", g, lambda: _FineWorkspace(g))
 
 
 def _fine_terms(w: _FineWorkspace, rho, phi, hats, c: Constitutive, model: ModelKind):
@@ -193,8 +180,7 @@ def energy_compressible(
     d = gf.dim
     fine = refine([s.rho, s.q, *s.mom], out=w.fine[: d + 2], work=w.pool)
     rho = fine[0]
-    if np.min(rho) <= 0:
-        raise VacuumError("energy_compressible: nonpositive density")
+    _require_positive(rho, "energy_compressible (2x grid)")
     a, b = w.real
     # 1/2 sum_i m_i (m_i / rho)
     a.fill(0.0)
@@ -251,8 +237,7 @@ def modulated_energy(
     d = gf.dim
     fine = refine([cs.rho, cs.q, *cs.mom, is_.phi, *is_.u], out=w.fine, work=w.pool)
     rho, phi, u = fine[0], fine[2 + d], fine[3 + d :]
-    if np.min(rho) <= 0:
-        raise VacuumError("modulated_energy: nonpositive density")
+    _require_positive(rho, "modulated_energy (2x grid)")
     # (q, m_1, ..) -> (phi_e, u_e1, ..) in place
     fine[1 : 2 + d] /= rho
     phie, ue = fine[1], fine[2 : 2 + d]

@@ -12,18 +12,22 @@ of drho and (CH) dq vanish identically.
 The half-spectrum kernels rhs_compressible_hat / rhs_incompressible_hat
 take and return one stacked complex array (nvar, *rshape).  Their physical
 fields, products and product spectra live in a per-grid workspace of
-preallocated buffers (a one-slot module cache), transformed through
-batch_rfft / batch_irfft with ``out=`` and one shared work buffer; per
-call they allocate only the returned tendency.  Stacks the kernel
-2/3-truncates anyway (the primitive, product and viscous spectra, and the
-derivative and viscous spectra it transforms back) take the band-pruned
-transforms (``band=True``), whose full-axis pass skips the half-axis
-columns above the cutoff; a state stack may arrive untruncated (IMEX
-passes an unmasked one) and keeps the full transform.  Products that enter the
-tendency only through the same operator are summed before their transform:
-P(rho)/eps^2 rides on the diagonal momentum flux, phi^3 on the curvature
-term of mu and (incompressible) the capillary force on the advection, so a
-2-d compressible call transforms 21 arrays and an incompressible one 14.
+preallocated buffers (a slot of ``spectral._one_slot``), transformed
+through batch_rfft / batch_irfft with ``out=`` and one shared work buffer;
+per call they allocate only the returned tendency.  The primitive, product
+and viscous spectra come 2/3-truncated from the band-pruned forward
+transform (``band=True``), and the derivative and viscous spectra go back
+through the band-pruned inverse; a state stack may arrive untruncated
+(IMEX passes an unmasked one) and keeps the full transform.  Products
+that enter the tendency only through the same operator are summed before
+their transform: P(rho)/eps^2 rides on the diagonal momentum flux, phi^3
+on the curvature term of mu and (incompressible) the capillary force on
+the advection, so a 2-d compressible call transforms 21 arrays and an
+incompressible one 14.
+
+Each state class owns its array layout: ``as_arrays`` and ``from_arrays``
+run in the order of ``field_names``, which also names a snapshot's fields,
+and ``STATES`` maps each regime name to its class.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -40,17 +45,21 @@ from .spectral import (
     Field,
     TorusGrid,
     VectorField,
+    _one_slot,
     batch_irfft,
     batch_rfft,
     divergence,
     hs_norm,
     random_band_limited,
+    truncate,
 )
 
 
 @dataclass(frozen=True)
 class CompressibleState:
     """Conservative state (rho, m = rho*u, q = rho*phi) at Mach parameter eps."""
+
+    REGIME: ClassVar[str] = "compressible"
 
     eps: float
     rho: Field
@@ -69,19 +78,30 @@ class CompressibleState:
     def grid(self) -> TorusGrid:
         return self.rho.grid
 
+    @staticmethod
+    def field_names(dim: int) -> list:
+        """Names of the as_arrays slots on a dim-d grid."""
+        return ["rho", *(f"mom_{ax}" for ax in "xy"[:dim]), "q"]
+
     def as_arrays(self) -> list:
         return [self.rho.values, *[m.values for m in self.mom], self.q.values]
 
-    def with_arrays(self, arrays: list) -> "CompressibleState":
-        g = self.grid
-        rho = Field(g, arrays[0])
+    @classmethod
+    def from_arrays(cls, g: TorusGrid, arrays: list, model: ModelKind, eps):
+        """The state whose as_arrays are ``arrays``, at Mach parameter
+        float(eps)."""
         mom = VectorField(tuple(Field(g, a) for a in arrays[1:-1]))
-        return CompressibleState(self.eps, rho, mom, Field(g, arrays[-1]), self.model)
+        return cls(float(eps), Field(g, arrays[0]), mom, Field(g, arrays[-1]), model)
+
+    def with_arrays(self, arrays: list) -> "CompressibleState":
+        return self.from_arrays(self.grid, arrays, self.model, self.eps)
 
 
 @dataclass(frozen=True)
 class IncompressibleState:
     """Divergence-free velocity plus order parameter."""
+
+    REGIME: ClassVar[str] = "incompressible"
 
     u: VectorField
     phi: Field
@@ -97,13 +117,27 @@ class IncompressibleState:
     def grid(self) -> TorusGrid:
         return self.u.grid
 
+    @staticmethod
+    def field_names(dim: int) -> list:
+        """Names of the as_arrays slots on a dim-d grid."""
+        return [*(f"u_{ax}" for ax in "xy"[:dim]), "phi"]
+
     def as_arrays(self) -> list:
         return [*[c.values for c in self.u], self.phi.values]
 
-    def with_arrays(self, arrays: list) -> "IncompressibleState":
-        g = self.grid
+    @classmethod
+    def from_arrays(cls, g: TorusGrid, arrays: list, model: ModelKind, eps=None):
+        """The state whose as_arrays are ``arrays``; there is no Mach
+        parameter, so ``eps`` is ignored."""
         u = VectorField(tuple(Field(g, a) for a in arrays[:-1]))
-        return IncompressibleState(u, Field(g, arrays[-1]), self.model)
+        return cls(u, Field(g, arrays[-1]), model)
+
+    def with_arrays(self, arrays: list) -> "IncompressibleState":
+        return self.from_arrays(self.grid, arrays, self.model)
+
+
+# the state class of each regime, by its name in configs and snapshots
+STATES = {cls.REGIME: cls for cls in (CompressibleState, IncompressibleState)}
 
 
 # ---------------------------------------------------------------------------
@@ -169,29 +203,9 @@ class _Workspace:
         """|k|^2 with 1 at k = 0, a safe divisor (Leray projection)."""
         return self.grid._rk2safe.astype(complex)
 
-    def truncate(self, stack: np.ndarray):
-        """2/3-rule truncation of a half-spectrum stack, in place: zero the
-        band rdealias_mask drops, k > cutoff on the half axis and
-        cutoff < |k| on the full one."""
-        g = self.grid
-        cut = g.dealias_cutoff
-        stack[..., cut + 1 :] = 0.0
-        if g.dim == 2:
-            stack[..., cut + 1 : g.n - cut, :] = 0.0
-
-
-# one workspace, rebuilt when the grid changes; like stepper._ETD_CACHE it
-# is invisible to callers, and a single slot keeps memory flat.  The kernels
-# are therefore not re-entrant: run concurrent solves in separate processes,
-# as run_sweep does.
-_WORKSPACE: dict = {}
-
 
 def _workspace(g: TorusGrid) -> _Workspace:
-    w = _WORKSPACE.get("slot")
-    if w is None or w.grid != g:
-        w = _WORKSPACE["slot"] = _Workspace(g)
-    return w
+    return _one_slot("dynamics.workspace", g, lambda: _Workspace(g))
 
 
 def _carve(pool: np.ndarray, *counts: int) -> list:
@@ -258,12 +272,11 @@ def rhs_compressible_hat(
     _require_positive(rho, "rhs_compressible_hat")
 
     # primitive fields, carved out of the product stack; the divisions
-    # reintroduce out-of-band tails, so truncate
+    # reintroduce out-of-band tails, which the band transform truncates
     prim = prods[: d + 1]
     _rowwise(np.divide, m, rho, prim[:d])
     np.divide(q, rho, out=prim[d])
     batch_rfft(g, prim, out=spec[: d + 1], work=w.work, band=True)
-    w.truncate(spec[: d + 1])
     uh, phih = spec[:d], spec[d]
     _rowwise(np.multiply, ik, phih, spec[d + 1 : 2 * d + 1])
     np.multiply(k2, phih, out=spec[-1])
@@ -291,7 +304,6 @@ def rhs_compressible_hat(
     chem[0] *= phi
     chem[0] -= lap_phi / rho
     batch_rfft(g, prods, out=prod_hat, work=w.work, band=True)
-    w.truncate(prod_hat)
     flux_hat, cap_hat, qu_hat, chem_hat = _carve(prod_hat, w.nflux, d, d, 1)
 
     if out is None:
@@ -344,7 +356,6 @@ def rhs_compressible_hat(
         vis[d:] *= c.viscosity_eta(rho, phi)
         vis[:d] += vis[d:]
         batch_rfft(g, vis[:d], out=vis_hat[:d], work=w.work, band=True)
-        w.truncate(vis_hat[:d])
         dmh += vis_hat[:d]
     return out
 
@@ -378,8 +389,7 @@ def rhs_incompressible_hat(
     for i in range(d):
         _rowwise(np.multiply, ik, uh[i], gu_s[d * i : d * (i + 1)])
     np.copyto(phih, zh[-1:])
-    w.truncate(phih)
-    phih = phih[0]
+    phih = truncate(g, phih)[0]
     np.multiply(k2, phih, out=lap_s[0])
     np.negative(lap_s, out=lap_s)
     _rowwise(np.multiply, ik, phih, gp_s)
@@ -414,7 +424,6 @@ def rhs_incompressible_hat(
         lap_u *= c.viscosity_nu(np.ones(g.shape), phi)
         adv -= lap_u
     batch_rfft(g, prods, out=prod_hat, work=w.work, band=True)
-    w.truncate(prod_hat)
     adv_hat, transport_hat, cube_hat = _carve(prod_hat, d, 1, 1)
 
     if out is None:

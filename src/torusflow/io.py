@@ -4,6 +4,8 @@ Configs are strict JSON: unknown keys are rejected with their location so a
 typo never silently falls back to a default.  Snapshots are a one-line JSON
 header followed by concatenated little-endian float64 arrays in physical
 representation, row-major, in header order; the round trip is bit-exact.
+The state classes (``dynamics.STATES``) give each regime's field names and
+array layout.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from typing import Optional, get_args, get_type_hints
 import numpy as np
 
 from .constitutive import Constitutive, ModelKind
-from .dynamics import CompressibleState, IncompressibleState, PRESETS
+from .dynamics import PRESETS, STATES, CompressibleState
 from .errors import ConfigError, SnapshotError
-from .spectral import Field, TorusGrid, VectorField
+from .spectral import TorusGrid
 from .stepper import PicardOptions, StepperConfig
 from .sweep import SweepConfig
 
@@ -264,47 +266,30 @@ def _load_json(path) -> dict:
 # snapshots
 
 
-def _field_names(regime: str, dim: int) -> list:
-    """A snapshot's field names, in payload order."""
-    axes = "xy"[:dim]
-    if regime == "compressible":
-        return ["rho", *(f"mom_{ax}" for ax in axes), "q"]
-    return [*(f"u_{ax}" for ax in axes), "phi"]
-
-
-def _state_fields(state):
-    if isinstance(state, CompressibleState):
-        regime, eps = "compressible", state.eps
-    elif isinstance(state, IncompressibleState):
-        regime, eps = "incompressible", None
-    else:
-        raise TypeError(f"unsupported state type {type(state)!r}")
-    return regime, _field_names(regime, state.grid.dim), state.as_arrays(), eps
-
-
 def write_snapshot(state, path, time: float = 0.0):
     """One-line JSON header plus little-endian float64 payload."""
-    regime, names, arrays, eps = _state_fields(state)
+    if not isinstance(state, tuple(STATES.values())):
+        raise TypeError(f"unsupported state type {type(state)!r}")
     g = state.grid
     header = {
         "schema_version": SNAPSHOT_SCHEMA_VERSION,
         "time": time,
         "model": state.model.value,
-        "regime": regime,
-        "eps": eps,
+        "regime": state.REGIME,
+        "eps": getattr(state, "eps", None),
         "dim": g.dim,
         "n": g.n,
-        "fields": names,
+        "fields": state.field_names(g.dim),
     }
+    arrays = state.as_arrays()
     payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
         fh.write(payload)
 
 
-def snapshot_header(path) -> dict:
-    with open(path, "rb") as fh:
-        line = fh.readline()
+def _parse_header(path, line: bytes) -> dict:
+    """The checked header of a snapshot, from its first line."""
     try:
         header = json.loads(line.decode())
     except ValueError as exc:  # undecodable bytes or malformed JSON
@@ -323,11 +308,15 @@ def snapshot_header(path) -> dict:
     return header
 
 
-def read_snapshot(path):
-    """Inverse of write_snapshot; bit-exact round trip."""
-    header = snapshot_header(path)
+def snapshot_header(path) -> dict:
     with open(path, "rb") as fh:
-        fh.readline()
+        return _parse_header(path, fh.readline())
+
+
+def read_snapshot(path):
+    """Inverse of write_snapshot; bit-exact round trip.  Opens the file once."""
+    with open(path, "rb") as fh:
+        header = _parse_header(path, fh.readline())
         payload = fh.read()
     try:
         dim = header["dim"]
@@ -339,9 +328,10 @@ def read_snapshot(path):
         raise SnapshotError(f"{path}: incomplete snapshot header: {exc}") from exc
     if type(dim) is not int or type(n) is not int:
         raise SnapshotError(f"{path}: dim and n must be integers, got {dim!r} and {n!r}")
-    if regime not in ("compressible", "incompressible"):
+    cls = STATES.get(regime) if isinstance(regime, str) else None
+    if cls is None:
         raise SnapshotError(f"{path}: unknown regime {regime!r}")
-    layout = _field_names(regime, dim)
+    layout = cls.field_names(dim)
     if names != layout:
         raise SnapshotError(
             f"{path}: fields {names!r} do not match the {dim}-d {regime} layout {layout}"
@@ -362,19 +352,15 @@ def read_snapshot(path):
         arrays.append(
             np.frombuffer(chunk, dtype="<f8").astype(float).reshape(grid.shape)
         )
+    eps = header.get("eps")
+    if cls is CompressibleState:
+        if eps is None:
+            raise SnapshotError(f"{path}: compressible snapshot lacks eps")
+        if not _is_number(eps):
+            raise SnapshotError(f"{path}: snapshot eps must be a number, got {eps!r}")
     # eps and payload values are checked by the state types
     try:
-        if regime == "compressible":
-            eps = header.get("eps")
-            if eps is None:
-                raise SnapshotError(f"{path}: compressible snapshot lacks eps")
-            if not _is_number(eps):
-                raise SnapshotError(f"{path}: snapshot eps must be a number, got {eps!r}")
-            rho = Field(grid, arrays[0])
-            mom = VectorField(tuple(Field(grid, a) for a in arrays[1:-1]))
-            return CompressibleState(float(eps), rho, mom, Field(grid, arrays[-1]), model)
-        u = VectorField(tuple(Field(grid, a) for a in arrays[:-1]))
-        return IncompressibleState(u, Field(grid, arrays[-1]), model)
+        return cls.from_arrays(grid, arrays, model, eps)
     except (OverflowError, TypeError, ValueError) as exc:
         raise SnapshotError(f"{path}: inconsistent snapshot: {exc}") from exc
 

@@ -17,8 +17,13 @@ expected to dealias them with the 2/3 rule (`dealias`, cutoff floor(n/3)).
 The batch transforms, ``refine``, ``hermitian_sq`` and the grid's
 ``rfft``/``irfft`` take optional caller-owned buffers, so the solver and the
 diagnostics can run without allocating; without them they allocate, and no
-result aliases a buffer the caller did not pass.  A stack that its caller
-2/3-truncates anyway can take the band-pruned transforms (``band=True``).
+result aliases a buffer the caller did not pass.  ``truncate`` is the 2/3
+rule on a half-spectrum stack, in place; ``batch_rfft(band=True)`` returns
+the truncated spectrum, and ``batch_irfft(band=True)`` takes one.
+
+Every cache of the solver and the reports (the kernels' workspace, the
+reports' 2x-grid workspace, the ETDRK4 tables and stage stacks) is a slot
+of ``_one_slot``.
 """
 
 from __future__ import annotations
@@ -27,6 +32,24 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+_SLOTS: dict = {}
+
+
+def _one_slot(name: str, key, build):
+    """build(), kept under ``name`` while ``key`` repeats.
+
+    Each name holds one value, and a new key replaces it, so memory stays
+    flat; a hit returns what a rebuild would, so no caller can tell the
+    cache is there.  The cached values are shared buffers, so nothing that
+    uses a slot is re-entrant: run concurrent solves in separate processes,
+    as run_sweep does, not in threads.
+    """
+    hit = _SLOTS.get(name)
+    if hit is None or hit[0] != key:
+        hit = _SLOTS[name] = (key, build())
+    return hit[1]
+
 
 # peak damping rate (per axis, per time unit) of the high-k spectral
 # vanishing viscosity; see TorusGrid.rsvv
@@ -333,6 +356,17 @@ def dealias(f: Field) -> Field:
     return _apply(f, f.grid.rdealias_mask)
 
 
+def truncate(grid: TorusGrid, stack: np.ndarray) -> np.ndarray:
+    """2/3-rule truncation of a half-spectrum stack, in place: zero the modes
+    rdealias_mask drops, k > cutoff on the half axis and cutoff < |k| on the
+    full one.  Returns the stack."""
+    cut = grid.dealias_cutoff
+    stack[..., cut + 1 :] = 0.0
+    if grid.dim == 2:
+        stack[..., cut + 1 : grid.n - cut, :] = 0.0
+    return stack
+
+
 def batch_rfft(grid: TorusGrid, arrs, out=None, work=None, *, band=False) -> np.ndarray:
     """Half-spectrum transforms of a stack of real arrays, (k, *shape) ->
     (k, *rshape).
@@ -344,14 +378,15 @@ def batch_rfft(grid: TorusGrid, arrs, out=None, work=None, *, band=False) -> np.
     ``out`` must not overlap the input or ``work``: numpy copies an operand
     that overlaps its output.
 
-    ``band=True`` is for a stack its caller 2/3-truncates straight away
-    (Orszag's rule): the full-axis pass then runs only on the half-axis
-    columns up to the dealias cutoff and the columns above it are zeroed.
-    Every kept mode equals the full transform's bit for bit.
+    ``band=True`` returns the 2/3-truncated spectrum (see ``truncate``;
+    Orszag's rule): in 2-d the full-axis pass then runs only on the
+    half-axis columns up to the dealias cutoff.  Every kept mode equals the
+    full transform's bit for bit.
     """
     a = np.asarray(arrs)
     if grid.dim == 1:
-        return np.fft.rfft(a, axis=-1, out=out)
+        out = np.fft.rfft(a, axis=-1, out=out)
+        return truncate(grid, out) if band else out
     if out is None:
         out = np.empty(a.shape[:-1] + (grid.n // 2 + 1,), dtype=complex)
     if work is None:
@@ -362,9 +397,7 @@ def batch_rfft(grid: TorusGrid, arrs, out=None, work=None, *, band=False) -> np.
         w = work[: len(chunk)]
         np.fft.rfft(chunk, axis=-1, out=w)
         np.fft.fft(w[..., cols], axis=-2, out=out[i : i + len(chunk), ..., cols])
-    if band:
-        out[..., cols.stop :] = 0.0
-    return out
+    return truncate(grid, out) if band else out
 
 
 def batch_irfft(grid: TorusGrid, hats, out=None, work=None, *, band=False) -> np.ndarray:

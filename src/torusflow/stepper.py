@@ -16,12 +16,13 @@ a fully implicit Euler step on the conservative variables, solved by
 Picard iteration, for verification runs of the compressible system.  Every
 scheme evaluates its tendencies through the half-spectrum kernels
 rhs_compressible_hat / rhs_incompressible_hat and carries its spectral
-state as one stacked complex array (nvar, *rshape).  ETDRK4 keeps its
-stage values in cached stacks (a one-slot cache like the table cache) and
-has the kernels write their tendencies into them.  Its ops and nonlin
+state as one stacked complex array (nvar, *rshape), which _to_state turns
+back into the next state.  ETDRK4 keeps its stage values in cached stacks
+and has the kernels write their tendencies into them.  Its ops and nonlin
 closures apply the real tables with ``out=`` ufuncs in a few cached scratch
 spectra, in the order of the allocating expressions (same bits), so a step
-allocates little beyond the new state.
+allocates little beyond the new state.  The tables (one set per regime),
+the stage stacks and the scratch are slots of ``spectral._one_slot``.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .dynamics import (
     rhs_incompressible_hat,
 )
 from .errors import NumericsError
-from .spectral import TorusGrid, batch_irfft, batch_rfft, hermitian_sq
+from .spectral import TorusGrid, _one_slot, batch_irfft, batch_rfft, hermitian_sq
 
 # nominal wave speed entering the advective step bound of incompressible runs
 _INCOMPRESSIBLE_WAVE_SPEED = 4.0
@@ -230,33 +231,17 @@ def _block_tables(m: np.ndarray, s2: np.ndarray, det: np.ndarray, dt: float) -> 
     }
 
 
-# one table set per regime, rebuilt when grid, model, reference viscosities,
-# eps, P'(1) or dt change; dt is constant over the equal sampling intervals
-# of integrate.  A hit returns what a rebuild would, so no caller can tell
-# the cache is there; a single slot keeps memory flat when dt changes.
-_ETD_CACHE: dict = {}
-
-
 def _cached_tables(regime: str, key: tuple, dt: float, build: Callable):
-    """build(), kept while (key, dt) repeats."""
-    hit = _ETD_CACHE.get(regime)
-    if hit is None or hit[0] != (key, dt):
-        hit = ((key, dt), build())
-        _ETD_CACHE[regime] = hit
-    return hit[1]
-
-
-# the stage stacks of _etdrk4 and the scratch of the steppers' ops/nonlin
-# closures, one slot each, reused while the shape repeats; a single slot
-# keeps memory flat, and no cached stack leaves the step
-_STAGE_CACHE: dict = {}
+    """build(), kept while (key, dt) repeats: the regime's one table set,
+    rebuilt when grid, model, reference viscosities, eps, P'(1) or dt
+    change; dt is constant over the equal sampling intervals of integrate."""
+    return _one_slot(f"stepper.tables.{regime}", (key, dt), build)
 
 
 def _cached_stack(name: str, shape: tuple) -> np.ndarray:
-    hit = _STAGE_CACHE.get(name)
-    if hit is None or hit.shape != shape:
-        hit = _STAGE_CACHE[name] = np.empty(shape, dtype=complex)
-    return hit
+    """A complex stack kept while its shape repeats: the stage stacks of
+    _etdrk4 and the scratch of the ops/nonlin closures; none leaves the step."""
+    return _one_slot(f"stepper.{name}", shape, lambda: np.empty(shape, dtype=complex))
 
 
 def _etdrk4(zh, ops, nonlin, mask):
@@ -317,6 +302,15 @@ def _etdrk4(zh, ops, nonlin, mask):
     out += n2
     out *= mask
     return out
+
+
+def _to_state(s, zh: np.ndarray, scheme: str):
+    """The state of s's kind whose stacked spectrum is zh; a non-finite value
+    is a NumericsError naming the scheme."""
+    try:
+        return s.with_arrays(batch_irfft(s.grid, zh))
+    except ValueError as exc:
+        raise NumericsError(f"non-finite values in {scheme} update") from exc
 
 
 def _reference_viscosities(c: Constitutive):
@@ -463,11 +457,7 @@ def step_compressible_rk4(
         out[-1] -= t
 
     zh = batch_rfft(g, s.as_arrays())
-    zh_new = _etdrk4(zh, ops, nonlin, g.rdealias_mask)
-    try:
-        return s.with_arrays(batch_irfft(g, zh_new))
-    except ValueError as exc:
-        raise NumericsError("non-finite values in RK4 update") from exc
+    return _to_state(s, _etdrk4(zh, ops, nonlin, g.rdealias_mask), "RK4")
 
 
 def step_incompressible_rk4(
@@ -508,11 +498,7 @@ def step_incompressible_rk4(
         out[-1] -= t
 
     zh = batch_rfft(g, s.as_arrays())
-    zh_new = _etdrk4(zh, ops, nonlin, g.rdealias_mask)
-    try:
-        return s.with_arrays(batch_irfft(g, zh_new))
-    except ValueError as exc:
-        raise NumericsError("non-finite values in RK4 update") from exc
+    return _to_state(s, _etdrk4(zh, ops, nonlin, g.rdealias_mask), "RK4")
 
 
 # ---------------------------------------------------------------------------
@@ -567,10 +553,7 @@ def step_imex(state, dt: float, c: Constitutive):
     stiff = k2**2 if state.model is ModelKind.CH else k2
     zh = batch_rfft(g, state.as_arrays())
     out_hat = _lagged_euler(g, zh, zh, _rhs_hat(state, c, zh), dt, nu_bar, eta_bar, -stiff)
-    try:
-        return state.with_arrays(batch_irfft(g, out_hat))
-    except ValueError as exc:
-        raise NumericsError("non-finite values in IMEX update") from exc
+    return _to_state(state, out_hat, "IMEX")
 
 
 def picard_step(
@@ -606,11 +589,7 @@ def picard_step(
             converged = True
             break
 
-    report = PicardReport(it, converged, tuple(ratios), diff)
-    try:
-        return s.with_arrays(batch_irfft(g, z)), report
-    except ValueError as exc:
-        raise NumericsError("non-finite values in Picard update") from exc
+    return _to_state(s, z, "Picard"), PicardReport(it, converged, tuple(ratios), diff)
 
 
 # ---------------------------------------------------------------------------

@@ -309,7 +309,23 @@ def test_flat_affine_law_matches_constant_law(model, monkeypatch):
 
 
 def test_fine_grid_tables_built_once_per_size():
-    assert diagnostics._fine_grid(TorusGrid(2, 32)) is diagnostics._fine_grid(TorusGrid(2, 32))
+    # every report on one grid reuses one 2x-grid object, so its tables are
+    # built once
+    g = TorusGrid(2, 32)
+    u0, phi0 = initial_from_preset("taylor_green_bubble", g)
+    cs = well_prepared_initial(u0, phi0, 0.2, 0.1, 0, ModelKind.CH)
+    is_ = IncompressibleState(u0, phi0, ModelKind.CH)
+    c = Constitutive()
+    energy_compressible(cs, c)
+    gf = diagnostics._workspace(g).fine_grid
+    assert gf == TorusGrid(2, 64)
+    for report in (
+        lambda: energy_compressible(cs, c),
+        lambda: energy_incompressible(is_, c),
+        lambda: modulated_energy(cs, is_, c),
+    ):
+        report()
+        assert diagnostics._workspace(g).fine_grid is gf
 
 
 @pytest.mark.parametrize("model", [ModelKind.CH, ModelKind.AC])

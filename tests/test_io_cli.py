@@ -381,6 +381,58 @@ def test_snapshot_unknown_regime(tmp_path, g2):
         read_snapshot(path)
 
 
+def _snapshot_states():
+    """A state of each regime and grid dimension the solver admits; an
+    incompressible state needs dim 2."""
+    g1, g2 = TorusGrid(1, 16), TorusGrid(2, 16)
+    u0, phi0 = initial_from_preset("single_mode", g2)
+    x = g1.coords()[0]
+    one_d = make_compressible(
+        0.5,
+        Field(g1, 1.0 + 0.1 * np.cos(x)),
+        VectorField((Field(g1, np.sin(x)),)),
+        Field(g1, np.cos(2 * x)),
+        ModelKind.AC,
+    )
+    return [one_d, sample_compressible(g2), IncompressibleState(u0, phi0, ModelKind.CH)]
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_snapshot_fields_come_from_the_state_class(tmp_path, index):
+    s = _snapshot_states()[index]
+    dim = s.grid.dim
+    path = tmp_path / "snap.bin"
+    write_snapshot(s, path)
+    header = snapshot_header(path)
+    names = type(s).field_names(dim)
+    assert header["fields"] == names
+    assert header["regime"] == s.REGIME
+    assert len(names) == len(s.as_arrays()) == len(set(names))
+    back = read_snapshot(path)
+    assert type(back) is type(s)
+    for a, b in zip(s.as_arrays(), back.as_arrays()):
+        assert np.array_equal(a, b)
+
+
+def test_read_snapshot_opens_the_file_once(tmp_path, g2, monkeypatch):
+    import builtins
+
+    path = tmp_path / "snap.bin"
+    write_snapshot(sample_compressible(g2), path)
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) == str(path):
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    read_snapshot(path)
+    monkeypatch.undo()
+    assert len(opened) == 1
+
+
 # ---------------------------------------------------------------------------
 # CSV emission
 
@@ -529,6 +581,13 @@ def test_cli_exit_codes(tmp_path, capsys):
         stepper={"dt_override": 1e-4, "t_end": 5e-4},
     )
     assert main(["run", "--config", str(vac), "--out", str(tmp_path / "v")]) == 3
+    # 2: an initial state that cannot be built (both presets are 2-d), and
+    # no output directory
+    flat = write_json(tmp_path, "flat.json", base_run_config(grid={"dim": 1, "n": 32}))
+    flat_out = tmp_path / "flat_out"
+    assert main(["run", "--config", str(flat), "--out", str(flat_out)]) == 2
+    assert not flat_out.exists()
+    assert "taylor_green_bubble is a 2-d preset" in capsys.readouterr().err
     # 4: unreadable snapshot
     junk = tmp_path / "snap_junk.bin"
     junk.write_bytes(b"\x00\x01 not a snapshot\n")
@@ -545,6 +604,23 @@ def test_cli_exit_codes(tmp_path, capsys):
         == 2
     )
     capsys.readouterr()
+
+
+def test_cli_audit_vacuum_names_the_2x_grid_point(tmp_path, capsys, g2):
+    # one negative density value: the report says where and how deep
+    s = sample_compressible(g2)
+    rho = s.rho.values.copy()
+    rho[3, 5] = -0.1
+    bad = CompressibleState(s.eps, Field(g2, rho), s.mom, s.q, s.model)
+    write_snapshot(bad, tmp_path / "snap_000000.bin")
+    rc = main(["audit", "--snapshots", str(tmp_path / "snap_*.bin"),
+               "--out", str(tmp_path / "audit.csv")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert (
+        "energy_compressible (2x grid): density reached -1.000000e-01 "
+        "at grid index (6, 10)" in err
+    ), err
 
 
 def test_cli_run_value_error_mid_run_exits_3(tmp_path, capsys, monkeypatch):

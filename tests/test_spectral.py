@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import torusflow.spectral as spectral_module
+
 from torusflow.constitutive import ModelKind
 from torusflow.diagnostics import conservation_ledger
 from torusflow.dynamics import IncompressibleState, initial_from_preset, well_prepared_initial
@@ -8,6 +10,7 @@ from torusflow.spectral import (
     Field,
     TorusGrid,
     VectorField,
+    _one_slot,
     batch_irfft,
     batch_rfft,
     biharmonic,
@@ -436,21 +439,46 @@ def test_refine_result_survives_the_next_call(dim, rng):
 @pytest.mark.parametrize("k", [2, 5])
 def test_band_pruned_transforms_match_full_transforms_bit_for_bit(n, k, rng):
     # a work stack of 3 slots takes 2 arrays whole and 5 in chunks; the
-    # oracle is rfftn / irfftn of each array, then the 2/3 truncation
-    g = TorusGrid(2, n)
-    cut = g.dealias_cutoff
-    arrs = rng.standard_normal((k, n, n))
-    work = np.full((3, *g.rshape), np.nan, dtype=complex)
-    full = np.stack([np.fft.rfftn(a) for a in arrs])
-    got = batch_rfft(g, arrs, work=work, band=True)
-    assert np.array_equal(_bits(got[..., : cut + 1]), _bits(full[..., : cut + 1]))
-    assert not np.any(got[..., cut + 1 :])
-    full[..., cut + 1 :] = 0.0
-    full[..., cut + 1 : n - cut, :] = 0.0
-    work[:] = np.nan
-    back = batch_irfft(g, full, work=work, band=True)
-    want = np.stack([np.fft.irfftn(h, s=g.shape, axes=(0, 1)) for h in full])
-    assert np.array_equal(_bits(back), _bits(want))
+    # oracle is rfftn / irfftn of each array with the 2/3 truncation, in
+    # 2-d and in 1-d
+    for dim in (2, 1):
+        g = TorusGrid(dim, n)
+        cut = g.dealias_cutoff
+        axes = tuple(range(dim))
+        arrs = rng.standard_normal((k, *g.shape))
+        work = np.full((3, *g.rshape), np.nan, dtype=complex)
+        full = np.stack([np.fft.rfftn(a) for a in arrs])
+        full[..., cut + 1 :] = 0.0
+        if dim == 2:
+            full[..., cut + 1 : n - cut, :] = 0.0
+        got = batch_rfft(g, arrs, work=work, band=True)
+        assert np.array_equal(_bits(got), _bits(full))
+        assert np.array_equal(got == 0, ~np.broadcast_to(g.rdealias_mask, got.shape))
+        work[:] = np.nan
+        back = batch_irfft(g, full, work=work, band=True)
+        want = np.stack([np.fft.irfftn(h, s=g.shape, axes=axes) for h in full])
+        assert np.array_equal(_bits(back), _bits(want))
+
+
+def test_one_slot_cache_keeps_one_value_per_name(monkeypatch):
+    monkeypatch.setattr(spectral_module, "_SLOTS", {})
+    builds = []
+
+    def build(tag):
+        builds.append(tag)
+        return [tag]
+
+    a = _one_slot("test.a", 1, lambda: build("a1"))
+    assert _one_slot("test.a", 1, lambda: build("again")) is a
+    b = _one_slot("test.b", 1, lambda: build("b1"))
+    assert b is not a and _one_slot("test.a", 1, lambda: build("again")) is a
+    a2 = _one_slot("test.a", 2, lambda: build("a2"))
+    assert a2 == ["a2"] and a2 is not a
+    assert _one_slot("test.a", 2, lambda: build("again")) is a2
+    # the slot holds the newest key only
+    assert _one_slot("test.a", 1, lambda: build("a1 again")) == ["a1 again"]
+    assert _one_slot("test.b", 1, lambda: build("again")) is b
+    assert builds == ["a1", "b1", "a2", "a1 again"]
 
 
 def test_refine_stack_validation(g1, g2):

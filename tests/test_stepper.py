@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import torusflow.spectral as spectral_module
 import torusflow.stepper as stepper_module
 
 from torusflow.constitutive import Constitutive, ModelKind
@@ -18,13 +19,16 @@ from torusflow.dynamics import (
     initial_from_preset,
     make_compressible,
     primitives,
+    rhs_compressible_hat,
     taylor_green_bubble,
     well_prepared_initial,
 )
+from torusflow.errors import NumericsError
 from torusflow.spectral import (
     Field,
     TorusGrid,
     VectorField,
+    batch_rfft,
     constant_field,
     divergence,
     hermitian_sq,
@@ -261,22 +265,88 @@ def test_nsac_step_count_does_not_depend_on_eps():
 
 def test_integrate_builds_each_table_set_once(monkeypatch):
     # equal intervals between linspace samples differ in their last bits;
-    # every step of an 11-sample run must still reuse one cached table set
+    # every step of an 11-sample run must still reuse one cached table set.
+    # Builds are counted by wrapping stepper._cached_tables, as the
+    # benchmark recorder (tools/bench_record.py) does
     g = TorusGrid(2, 32)
     c = Constitutive()
     u0, phi0 = initial_from_preset("taylor_green_bubble", g)
     samples = np.linspace(0.0, 0.02, 11)
     runs = (
-        ("incompressible", IncompressibleState(u0, phi0, ModelKind.CH)),
-        ("compressible", well_prepared_initial(u0, phi0, 0.2, 0.1, 0, ModelKind.AC)),
+        IncompressibleState(u0, phi0, ModelKind.CH),
+        well_prepared_initial(u0, phi0, 0.2, 0.1, 0, ModelKind.AC),
     )
-    for regime, s0 in runs:
-        monkeypatch.setattr(stepper_module, "_ETD_CACHE", {})
-        entries = []
-        integrate(s0, c, StepperConfig(t_end=0.02), samples,
-                  lambda t, s: entries.append(stepper_module._ETD_CACHE[regime]))
-        assert len(entries) >= 10
-        assert len({id(e) for e in entries}) == 1, regime
+    cached = stepper_module._cached_tables
+    for s0 in runs:
+        monkeypatch.setattr(spectral_module, "_SLOTS", {})
+        builds, served = [], []
+
+        def counted(regime, key, dt, build):
+            def counting_build():
+                builds.append(regime)
+                return build()
+
+            tables = cached(regime, key, dt, counting_build)
+            served.append(tables)
+            return tables
+
+        monkeypatch.setattr(stepper_module, "_cached_tables", counted)
+        integrate(s0, c, StepperConfig(t_end=0.02), samples)
+        assert len(served) >= 10
+        assert builds == [s0.REGIME]
+        assert len({id(t) for t in served}) == 1, s0.REGIME
+
+
+def test_non_finite_update_is_a_numerics_error(monkeypatch):
+    # every scheme hands its new spectrum to one crossing back to a state,
+    # which names the scheme when a value is non-finite
+    g = TorusGrid(2, 16)
+    u0, phi0 = initial_from_preset("taylor_green_bubble", g)
+    cs = well_prepared_initial(u0, phi0, 0.2, 0.1, 0, ModelKind.CH)
+    is_ = IncompressibleState(u0, phi0, ModelKind.CH)
+    c = Constitutive()
+    monkeypatch.setattr(stepper_module, "_etdrk4", lambda zh, *a: np.full_like(zh, np.nan))
+    monkeypatch.setattr(
+        stepper_module, "_lagged_euler", lambda g, zn, *a: np.full_like(zn, np.nan)
+    )
+    one_sweep = StepperConfig(scheme="picard", picard=PicardOptions(max_iter=1))
+    cases = (
+        ("RK4", lambda: step_compressible_rk4(cs, 1e-3, c)),
+        ("RK4", lambda: step_incompressible_rk4(is_, 1e-3, c)),
+        ("IMEX", lambda: step_imex(cs, 1e-3, c)),
+        ("IMEX", lambda: step_imex(is_, 1e-3, c)),
+        ("Picard", lambda: picard_step(cs, 1e-3, c, one_sweep)),
+    )
+    for scheme, step in cases:
+        with pytest.raises(NumericsError, match=f"non-finite values in {scheme} update"):
+            step()
+
+
+def test_caches_follow_the_grid():
+    # the kernels' workspace, the ETD tables and stage stacks and the
+    # reports' 2x-grid workspace each hold one grid; alternating grids must
+    # rebuild them, and every call must equal the first call at its n
+    c = Constitutive()
+    states = {}
+    for n in (16, 32):
+        g = TorusGrid(2, n)
+        u0, phi0 = initial_from_preset("taylor_green_bubble", g)
+        states[n] = well_prepared_initial(u0, phi0, 0.2, 0.1, 3, ModelKind.CH)
+
+    def calls(s):
+        g = s.grid
+        zh = batch_rfft(g, s.as_arrays())
+        tendency = rhs_compressible_hat(g, s.eps, zh, c, s.model)
+        stepped = step_compressible_rk4(s, 1e-3, c).as_arrays()
+        rep = energy_compressible(s, c)
+        return [tendency, *stepped, np.array([rep.total, rep.dissipation])]
+
+    first = {}
+    for n in (16, 32, 16, 32, 16):
+        got = calls(states[n])
+        first.setdefault(n, got)
+        for a, b in zip(got, first[n]):
+            assert a.tobytes() == b.tobytes(), n
 
 
 # ---------------------------------------------------------------------------

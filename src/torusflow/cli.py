@@ -6,14 +6,22 @@ study), audit (recompute diagnostics from stored snapshots), dispersion
 3 numerical failure, 4 IO error.  A ValueError raised once the config and
 the initial state are built (by the integration, the observer or the
 diagnostics of run, sweep and audit) is a numerical failure.
+
+``run`` computes its energy rows and writes its snapshots on one worker
+thread while the main thread steps (``_Sampler``); with one usable CPU they
+run in turn, as the steps reach them.  The artifacts are the same bytes
+either way.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import glob
+import os
 import sys
+from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -141,6 +149,68 @@ def _run_row(state, c, t: float) -> dict:
     }
 
 
+class _Sampler:
+    """Runs the run loop's samples (an energy row, a snapshot or both of one
+    state) in submit order.
+
+    With two or more usable CPUs, one worker thread runs them while the
+    caller steps; with one, ``submit`` runs each at once.  Either way
+    ``submit`` returns a Future of the task's result.  The worker owns the
+    reports' 2x-grid workspace (a slot of ``spectral._one_slot``), so every
+    report of a run goes through here.  The states it is handed are never
+    mutated, so it reads them while the caller steps on.
+
+    At most ``depth`` samples are pending: ``submit`` then waits on the
+    oldest, which also raises its error early.  After a task fails the
+    worker skips every later one, so nothing is written past a failed
+    report.  On leaving the block the pending tasks are waited for and the
+    worker is joined; a failed task's error replaces the caller's own.
+    """
+
+    depth = 2  # two states of 512 KB at n = 128
+
+    def __init__(self):
+        self._pending = collections.deque()
+        self._failed = False
+        self._pool = None
+        if len(os.sched_getaffinity(0)) >= 2:
+            self._pool = ThreadPoolExecutor(1, thread_name_prefix="torusflow-sampler")
+
+    def submit(self, fn) -> Future:
+        if self._pool is None:
+            done = Future()
+            done.set_result(fn())
+            return done
+        while self._pending and (
+            self._pending[0].done() or len(self._pending) >= self.depth
+        ):
+            self._pending.popleft().result()
+        task = self._pool.submit(self._guarded, fn)
+        self._pending.append(task)
+        return task
+
+    def _guarded(self, fn):
+        if self._failed:
+            return None
+        try:
+            return fn()
+        except BaseException:
+            self._failed = True
+            raise
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        try:
+            while self._pending:
+                self._pending.popleft().result()
+        finally:
+            if self._pool is not None:
+                self._pool.shutdown()
+        return False
+
+
 def _cmd_run(args) -> int:
     if args.snapshots_every < 0:
         raise ConfigError(f"--snapshots-every must be >= 0, got {args.snapshots_every}")
@@ -149,33 +219,46 @@ def _cmd_run(args) -> int:
     outdir = Path(args.out or cfg.outdir or ".")
     outdir.mkdir(parents=True, exist_ok=True)
     c = cfg.constitutive
+    every = args.snapshots_every
+    tasks = []
+    steps = 0
 
-    step_counter = [0]
+    with _simulating(), _Sampler() as sampler:
 
-    def observer(t, st):
-        step_counter[0] += 1
-        k = step_counter[0]
-        if k % cfg.sample_cadence == 0:
-            rows.append(_run_row(st, c, t))
-        if args.snapshots_every and k % args.snapshots_every == 0:
-            write_snapshot(st, outdir / f"snap_{k:06d}.bin", time=t)
+        def sample(k, t, st, row: bool, snap: bool):
+            def job():
+                # the report before the snapshot, so a failed report writes none
+                out = _run_row(st, c, t) if row else None
+                if snap:
+                    write_snapshot(st, outdir / f"snap_{k:06d}.bin", t)
+                return out
 
-    with _simulating():
-        rows = [_run_row(state, c, 0.0)]
-        if args.snapshots_every:
-            write_snapshot(state, outdir / "snap_000000.bin", time=0.0)
+            if row or snap:
+                tasks.append(sampler.submit(job))
+
+        def observer(t, st):
+            nonlocal steps
+            steps += 1
+            sample(steps, t, st, steps % cfg.sample_cadence == 0, every and steps % every == 0)
+
+        sample(0, 0.0, state, True, every)
         samples = integrate(state, c, cfg.stepper, [cfg.stepper.t_end], observer=observer)
         t_final, final_state = samples[-1]
-        if step_counter[0] % cfg.sample_cadence != 0:
-            rows.append(_run_row(final_state, c, t_final))
-    if args.snapshots_every and step_counter[0] % args.snapshots_every != 0:
-        write_snapshot(final_state, outdir / f"snap_{step_counter[0]:06d}.bin", time=t_final)
+        # the final state, unless its step was sampled already
+        sample(
+            steps,
+            t_final,
+            final_state,
+            steps % cfg.sample_cadence != 0,
+            every and steps % every != 0,
+        )
+    rows = [row for row in (task.result() for task in tasks) if row is not None]
 
     csv_path = outdir / "timeseries.csv"
     write_timeseries(rows, csv_path)
     if not args.quiet:
         print(
-            f"run complete: {step_counter[0]} steps to t = {t_final:g}, "
+            f"run complete: {steps} steps to t = {t_final:g}, "
             f"total energy {rows[-1]['total']:.6e}, wrote {csv_path}"
         )
     return 0

@@ -110,7 +110,10 @@ def _fine_terms(w: _FineWorkspace, rho, phi, hats, c: Constitutive, model: Model
     """Gradient and potential energies and the dissipation rate of the energy
     law on the fine grid.  ``hats`` stacks the half spectra of (phi, u_1, ..)
     in the workspace's first slots; ``rho`` is 1.0 for incompressible
-    states.  Every integrand is formed in the workspace."""
+    states.  Every integrand is formed in the workspace.  The transforms are
+    this module's batch calls, not the grid's rfft/irfft (the same calls):
+    ``torusflow run`` reports on a worker thread, and the benchmark's tracer
+    counts the grid methods and the stepper's transforms without a lock."""
     gf = w.fine_grid
     d = gf.dim
     ph, uh = hats[0], hats[1:]
@@ -154,14 +157,14 @@ def _fine_terms(w: _FineWorkspace, rho, phi, hats, c: Constitutive, model: Model
 
     # mu = -Lap phi / rho + phi^3 - phi
     np.multiply(gf.rk_squared, ph, out=spec)
-    mu = gf.irfft(spec, out=a, work=tmp)
+    mu = batch_irfft(gf, spec[None], out=a[None], work=tmp)[0]
     mu /= rho
     np.multiply(phi, phi, out=b)
     b *= phi
     mu += b
     mu -= phi
     if model is ModelKind.CH:
-        mu_hat = gf.rfft(mu, out=spec, work=tmp)
+        mu_hat = batch_rfft(gf, mu[None], out=spec[None], work=tmp)[0]
         dissipation += hermitian_sq(gf, mu_hat, gf._rik2, w.sq_work)
     else:
         np.multiply(rho, mu, out=b)

@@ -211,8 +211,11 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"key 'sample_cadence' in output must be >= 1, got {cadence}")
     _no_leftovers(raw, where)
 
-    if grid.dim < 2 and regime == "incompressible":
-        raise ConfigError("incompressible regime requires dim = 2")
+    if grid.dim != 2:
+        raise ConfigError(
+            f"grid.dim must be 2 (the initial presets and the incompressible "
+            f"projection are 2-d), got {grid.dim}"
+        )
     if stepper.scheme == "picard" and regime == "incompressible":
         raise ConfigError("scheme 'picard' applies to the compressible regime only")
     return RunConfig(

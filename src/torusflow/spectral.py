@@ -41,9 +41,11 @@ def _one_slot(name: str, key, build):
 
     Each name holds one value, and a new key replaces it, so memory stays
     flat; a hit returns what a rebuild would, so no caller can tell the
-    cache is there.  The cached values are shared buffers, so nothing that
-    uses a slot is re-entrant: run concurrent solves in separate processes,
-    as run_sweep does, not in threads.
+    cache is there.  The cached values are shared buffers, so a slot name is
+    used by one thread at a time and nothing that uses a slot is re-entrant.
+    ``torusflow run``'s report thread owns ``diagnostics.workspace`` while
+    the main thread owns ``dynamics.workspace`` and the ``stepper.*`` slots;
+    concurrent solves run in separate processes, as run_sweep does.
     """
     hit = _SLOTS.get(name)
     if hit is None or hit[0] != key:

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -632,3 +634,39 @@ def test_ledger_validation():
         conservation_ledger([])
     with pytest.raises(TypeError):
         conservation_ledger([np.zeros(3)])
+
+
+def test_reports_on_a_thread_while_the_main_thread_steps():
+    # run's rule: the report thread owns diagnostics.workspace, the stepping
+    # thread the kernels' and the stepper's slots, so neither disturbs the
+    # other's bits
+    g = TorusGrid(2, 32)
+    u0, phi0 = initial_from_preset("taylor_green_bubble", g)
+    c = Constitutive()
+    s0 = well_prepared_initial(u0, phi0, 0.2, 1.0, 5, ModelKind.CH)
+    dt = 2e-3
+    states = [s0]
+    for _ in range(20):
+        states.append(step_compressible_rk4(states[-1], dt, c))
+    serial = [energy_compressible(s, c) for s in states]
+
+    reports = []
+    worker = threading.Thread(
+        target=lambda: reports.extend(energy_compressible(s, c) for s in states)
+    )
+    # hand the interpreter lock back and forth often, so the two interleave
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        worker.start()
+        stepped = [s0]
+        for _ in range(20):
+            stepped.append(step_compressible_rk4(stepped[-1], dt, c))
+        worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive()
+    assert reports == serial
+    for a, b in zip(stepped, states):
+        for x, y in zip(a.as_arrays(), b.as_arrays()):
+            assert np.array_equal(x, y)

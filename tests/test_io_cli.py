@@ -4,8 +4,11 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import re
 import tempfile
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import torusflow.cli as cli_module
 import torusflow.stepper as stepper_module
 from torusflow.cli import main
 from torusflow.constitutive import Constitutive, ModelKind
@@ -25,7 +29,7 @@ from torusflow.dynamics import (
     make_compressible,
     well_prepared_initial,
 )
-from torusflow.errors import ConfigError, SnapshotError
+from torusflow.errors import ConfigError, NumericsError, SnapshotError
 from torusflow.io import (
     SNAPSHOT_SCHEMA_VERSION,
     load_config,
@@ -158,6 +162,7 @@ def test_load_config_null_dt_override(tmp_path):
             base_run_config(regime="incompressible", eps=None, stepper={"scheme": "picard"}),
             "compressible regime",
         ),
+        (base_run_config(grid={"dim": 1, "n": 32}), "grid.dim"),
     ],
 )
 def test_load_config_rejects(tmp_path, payload, fragment):
@@ -581,13 +586,15 @@ def test_cli_exit_codes(tmp_path, capsys):
         stepper={"dt_override": 1e-4, "t_end": 5e-4},
     )
     assert main(["run", "--config", str(vac), "--out", str(tmp_path / "v")]) == 3
-    # 2: an initial state that cannot be built (both presets are 2-d), and
-    # no output directory
+    # 2: a compressible 1-d grid (both presets are 2-d), rejected by the
+    # config loader with the key named, and no output directory
+    capsys.readouterr()
     flat = write_json(tmp_path, "flat.json", base_run_config(grid={"dim": 1, "n": 32}))
     flat_out = tmp_path / "flat_out"
     assert main(["run", "--config", str(flat), "--out", str(flat_out)]) == 2
     assert not flat_out.exists()
-    assert "taylor_green_bubble is a 2-d preset" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "grid.dim" in err
     # 4: unreadable snapshot
     junk = tmp_path / "snap_junk.bin"
     junk.write_bytes(b"\x00\x01 not a snapshot\n")
@@ -650,6 +657,212 @@ def test_cli_run_value_error_mid_run_exits_3(tmp_path, capsys, monkeypatch):
     assert len(calls) == 3
     assert err.startswith("numerical failure") and "injected" in err
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# the run pipeline: energy rows and snapshots through cli._Sampler
+
+
+@pytest.fixture(params=["threaded", "inline"])
+def sampler_mode(request, monkeypatch):
+    """The usable-CPU count the sampler reads: two put the reports on its
+    worker thread, one runs them inline.  No thread outlives the run."""
+    cpus = 2 if request.param == "threaded" else 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    before = threading.active_count()
+    yield request.param
+    assert threading.active_count() == before
+
+
+def _serial_run(cfg_path, outdir, every):
+    """The run loop with each row and snapshot made in the observer, as
+    the steps reach them: the reference the sampler must reproduce."""
+    cfg = load_config(cfg_path)
+    state = cli_module._initial_state(cfg)
+    c = cfg.constitutive
+    outdir.mkdir()
+    rows = [cli_module._run_row(state, c, 0.0)]
+    if every:
+        write_snapshot(state, outdir / "snap_000000.bin", time=0.0)
+    steps = 0
+
+    def observer(t, st):
+        nonlocal steps
+        steps += 1
+        if steps % cfg.sample_cadence == 0:
+            rows.append(cli_module._run_row(st, c, t))
+        if every and steps % every == 0:
+            write_snapshot(st, outdir / f"snap_{steps:06d}.bin", time=t)
+
+    t, final = integrate(state, c, cfg.stepper, [cfg.stepper.t_end], observer=observer)[-1]
+    if steps % cfg.sample_cadence:
+        rows.append(cli_module._run_row(final, c, t))
+    if every and steps % every:
+        write_snapshot(final, outdir / f"snap_{steps:06d}.bin", time=t)
+    write_timeseries(rows, outdir / "timeseries.csv")
+
+
+def _files(outdir) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
+
+
+def _pipeline_config(tmp_path, **overrides):
+    payload = {
+        "model": "nsac",
+        "regime": "compressible",
+        "eps": 0.2,
+        "grid": {"dim": 2, "n": 16},
+        "stepper": {"dt_override": 1e-4, "t_end": 5e-4},
+        "output": {"sample_cadence": 1},
+    }
+    payload.update(overrides)
+    return write_json(tmp_path, "pipeline.json", {k: v for k, v in payload.items() if v is not None})
+
+
+@pytest.mark.parametrize(
+    "overrides, every",
+    [
+        ({"model": "nsch"}, 1),
+        ({"model": "nsac"}, 1),
+        ({"regime": "incompressible", "eps": None}, 1),
+        # 5 steps: a final partial row and a final snapshot off the cadence
+        ({"model": "nsch", "output": {"sample_cadence": 3}}, 2),
+    ],
+    ids=["nsch", "nsac", "incompressible", "cadence3-every2"],
+)
+def test_run_pipeline_matches_the_serial_loop(tmp_path, sampler_mode, overrides, every):
+    cfg = _pipeline_config(tmp_path, **overrides)
+    _serial_run(cfg, tmp_path / "serial", every)
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(cfg), "--out", str(out), "--quiet"]
+    assert main(argv + ["--snapshots-every", str(every)]) == 0
+    assert _files(out) == _files(tmp_path / "serial")
+
+
+def _failing_report(monkeypatch, fail_at: int, delay: float = 0.0):
+    """Make the fail_at-th energy report (the t = 0 row is the first) raise;
+    the calls made are counted in the returned list."""
+    calls = []
+
+    def report(*args, **kwargs):
+        calls.append(1)
+        time.sleep(delay)
+        if len(calls) == fail_at:
+            raise ValueError("injected report failure")
+        return energy_compressible(*args, **kwargs)
+
+    monkeypatch.setattr(cli_module, "energy_compressible", report)
+    return calls
+
+
+def test_run_pipeline_report_failure_stops_later_snapshots(
+    tmp_path, capsys, monkeypatch, sampler_mode
+):
+    # the report of step 3 fails: exit 3, and no snapshot of step 3 or later;
+    # slow reports let the stepping run ahead of the failure
+    calls = _failing_report(monkeypatch, fail_at=4, delay=0.02)
+    cfg = _pipeline_config(tmp_path, stepper={"dt_override": 1e-4, "t_end": 1e-3})
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--snapshots-every", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure") and "injected report failure" in err
+    assert len(calls) == 4
+    assert sorted(p.name for p in out.iterdir()) == [f"snap_{k:06d}.bin" for k in range(3)]
+
+
+def test_run_pipeline_unwritable_snapshot_exits_4(tmp_path, capsys, sampler_mode):
+    cfg = _pipeline_config(tmp_path)
+    out = tmp_path / "out"
+    (out / "snap_000002.bin").mkdir(parents=True)
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--snapshots-every", "1"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("io error") and "snap_000002.bin" in err
+    assert not (out / "snap_000003.bin").exists()
+
+
+def _failing_step(monkeypatch, fail_at: int):
+    """Make the fail_at-th step raise a NumericsError."""
+    make = stepper_module._make_stepper
+
+    def failing_make(state, c, cfg):
+        step = make(state, c, cfg)
+        taken = []
+
+        def run(s, dt):
+            taken.append(1)
+            if len(taken) == fail_at:
+                raise NumericsError("injected step failure")
+            return step(s, dt)
+
+        return run
+
+    monkeypatch.setattr(stepper_module, "_make_stepper", failing_make)
+
+
+def test_run_pipeline_step_failure_waits_for_pending_reports(
+    tmp_path, capsys, monkeypatch, sampler_mode
+):
+    # slow reports are still pending when step 3 fails; each finishes, and
+    # the stepping error is the one reported
+    calls = _failing_report(monkeypatch, fail_at=None, delay=0.05)
+    _failing_step(monkeypatch, fail_at=3)
+    cfg = _pipeline_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--snapshots-every", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure") and "injected step failure" in err
+    assert len(calls) == 3
+    assert sorted(p.name for p in out.iterdir()) == [f"snap_{k:06d}.bin" for k in range(3)]
+
+
+def test_run_pipeline_earlier_report_failure_wins_over_step_failure(
+    tmp_path, capsys, monkeypatch, sampler_mode
+):
+    # the report of step 1 fails while step 2 fails: the report's error,
+    # which came first in step order, is the one reported
+    _failing_report(monkeypatch, fail_at=2, delay=0.05)
+    _failing_step(monkeypatch, fail_at=2)
+    cfg = _pipeline_config(tmp_path)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "injected report failure" in err and "injected step failure" not in err
+
+
+def test_run_pipeline_keeps_at_most_two_reports_pending(tmp_path, monkeypatch, sampler_mode):
+    done = []
+
+    def slow_report(*args, **kwargs):
+        time.sleep(0.02)
+        rep = energy_compressible(*args, **kwargs)
+        done.append(1)
+        return rep
+
+    lags = []
+
+    def lagging_integrate(state, c, cfg, times, observer):
+        steps = []
+
+        def watched(t, st):
+            observer(t, st)
+            steps.append(1)
+            # reports submitted (the t = 0 row and one per step) minus finished
+            lags.append(1 + len(steps) - len(done))
+
+        return integrate(state, c, cfg, times, observer=watched)
+
+    monkeypatch.setattr(cli_module, "energy_compressible", slow_report)
+    monkeypatch.setattr(cli_module, "integrate", lagging_integrate)
+    cfg = _pipeline_config(tmp_path, stepper={"dt_override": 1e-4, "t_end": 8e-4})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    assert len(lags) == 8 and len(done) == 9
+    assert max(lags) == (2 if sampler_mode == "threaded" else 0)
+
+
+def test_run_sampler_follows_the_usable_cpus():
+    with cli_module._Sampler() as sampler:
+        threaded = sampler._pool is not None
+        assert sampler.submit(lambda: math.sqrt(4.0)).result() == 2.0
+    assert threaded == (len(os.sched_getaffinity(0)) >= 2)
 
 
 @pytest.mark.parametrize(

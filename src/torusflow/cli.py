@@ -30,6 +30,7 @@ from .constitutive import Constitutive
 from .diagnostics import energy_compressible, energy_incompressible
 from .dynamics import (
     IncompressibleState,
+    _check_eps,
     initial_from_preset,
     well_prepared_initial,
 )
@@ -43,7 +44,7 @@ from .io import (
     write_snapshot,
     write_timeseries,
 )
-from .spectral import divergence, integral
+from .spectral import batch_irfft, batch_rfft, integral
 from .stepper import integrate
 from .sweep import ERROR_FAMILIES, acoustic_dispersion_check, run_sweep, with_eps_list
 
@@ -137,6 +138,10 @@ def _run_row(state, c, t: float) -> dict:
             "phase_mass": integral(state.q),
         }
     rep = energy_incompressible(state, c, time=t)
+    # spectral.divergence less its grid transforms (see diagnostics._fine_terms)
+    g = state.grid
+    uh = batch_rfft(g, [comp.values for comp in state.u])
+    div = batch_irfft(g, [sum(ik * h for ik, h in zip(g._rik, uh))])[0]
     return {
         "time": t,
         "kinetic": rep.kinetic,
@@ -145,7 +150,7 @@ def _run_row(state, c, t: float) -> dict:
         "total": rep.total,
         "dissipation": rep.dissipation,
         "phase_mass": integral(state.phi),
-        "div_u_max": float(np.max(np.abs(divergence(state.u).values))),
+        "div_u_max": float(np.max(np.abs(div))),
     }
 
 
@@ -341,6 +346,7 @@ def _cmd_audit(args) -> int:
 
 def _cmd_dispersion(args) -> int:
     c = _constitutive_from(args.config)
+    _check_eps(args.eps)  # before eps**2 can overflow
     amplitude = 1e-3 * args.eps**2
     measured, predicted = acoustic_dispersion_check(args.eps, args.k, amplitude, c)
     rel = abs(measured - predicted) / predicted
@@ -367,21 +373,15 @@ def main(argv=None) -> int:
         if args.command == "dispersion":
             return _cmd_dispersion(args)
         raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        # raised before any stepping: config parsing, initial data, CLI
-        # values; later ones are re-raised as NumericsError (_simulating)
+    # a ValueError is raised before any stepping (config values, initial
+    # data, CLI values); later ones are re-raised as NumericsError (_simulating)
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except SnapshotError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
+    except (SnapshotError, OSError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 4
 

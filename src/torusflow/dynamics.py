@@ -33,6 +33,7 @@ and ``STATES`` maps each regime name to its class.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import ClassVar
@@ -55,6 +56,18 @@ from .spectral import (
 )
 
 
+# the Mach parameter's range: eps**2 a normal float, so 1/eps**2 is finite
+_EPS_RANGE = (math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max))
+
+
+def _check_eps(eps: float) -> None:
+    """The rule of every Mach parameter: eps in _EPS_RANGE, about
+    [1.5e-154, 1.3e154] (NaN fails the comparison)."""
+    lo, hi = _EPS_RANGE
+    if not lo <= eps <= hi:
+        raise ValueError(f"eps must lie in [{lo:.4g}, {hi:.4g}] (eps**2 normal), got {eps}")
+
+
 @dataclass(frozen=True)
 class CompressibleState:
     """Conservative state (rho, m = rho*u, q = rho*phi) at Mach parameter eps."""
@@ -68,8 +81,7 @@ class CompressibleState:
     model: ModelKind
 
     def __post_init__(self):
-        if not (math.isfinite(self.eps) and self.eps > 0):
-            raise ValueError(f"eps must be finite and positive, got {self.eps}")
+        _check_eps(self.eps)
         g = self.rho.grid
         if self.mom.grid != g or self.q.grid != g:
             raise ValueError("state fields must share one grid")
@@ -557,7 +569,24 @@ PRESETS = {
 }
 
 
-def initial_from_preset(name: str, grid: TorusGrid):
+def _preset(name: str):
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
-    return PRESETS[name](grid)
+    return PRESETS[name]
+
+
+def _check_initial(preset: str, dim: int, kappa0: float, seed: int) -> None:
+    """The rule of the initial data of runs and sweeps: a known preset on a
+    2-d grid (every preset is 2-d), kappa0 >= 0 and a seed that numpy's
+    generator takes."""
+    _preset(preset)
+    if dim != 2:
+        raise ValueError(f"grid.dim must be 2 (the presets are 2-d), got {dim}")
+    if kappa0 < 0:
+        raise ValueError(f"kappa0 must be nonnegative, got {kappa0}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
+def initial_from_preset(name: str, grid: TorusGrid):
+    return _preset(name)(grid)

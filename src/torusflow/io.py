@@ -20,10 +20,10 @@ from typing import Optional, get_args, get_type_hints
 import numpy as np
 
 from .constitutive import Constitutive, ModelKind
-from .dynamics import PRESETS, STATES, CompressibleState
+from .dynamics import STATES, CompressibleState, _check_eps, _check_initial
 from .errors import ConfigError, SnapshotError
 from .spectral import TorusGrid
-from .stepper import PicardOptions, StepperConfig
+from .stepper import PicardOptions, StepperConfig, _check_scheme
 from .sweep import SweepConfig
 
 SNAPSHOT_SCHEMA_VERSION = 1
@@ -33,6 +33,9 @@ _REQUIRED = object()
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run's settings; each value rule raises a ValueError here or in
+    the function that owns it."""
+
     model: ModelKind
     regime: str
     grid: TorusGrid
@@ -44,6 +47,21 @@ class RunConfig:
     seed: int
     outdir: Optional[str]
     sample_cadence: int
+
+    def __post_init__(self):
+        if self.regime not in STATES:
+            raise ValueError(f"regime must be one of {sorted(STATES)}, got {self.regime!r}")
+        if (self.eps is None) == (self.regime == CompressibleState.REGIME):
+            raise ValueError(
+                f"eps is required in the compressible regime and forbidden in the "
+                f"incompressible one, got eps = {self.eps} in regime {self.regime!r}"
+            )
+        if self.eps is not None:
+            _check_eps(self.eps)
+        _check_initial(self.initial, self.grid.dim, self.kappa0, self.seed)
+        _check_scheme(self.stepper.scheme, self.regime)
+        if self.sample_cadence < 1:
+            raise ValueError(f"sample_cadence must be >= 1, got {self.sample_cadence}")
 
 
 def _finite(x) -> bool:
@@ -126,16 +144,17 @@ def _options(sec: dict, where: str, **kinds) -> dict:
     return out
 
 
-def _build(cls, kwargs: dict, block: str):
+def _build(cls, kwargs: dict, where: str):
+    """cls(**kwargs), whose ValueError is a ConfigError naming where."""
     try:
         return cls(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"invalid {block} block: {exc}") from exc
+        raise ConfigError(f"invalid {where}: {exc}") from exc
 
 
 def _parse_constitutive(sec: dict) -> Constitutive:
     kwargs = _options(sec, "constitutive", **_kinds(Constitutive))
-    return _build(Constitutive, kwargs, "constitutive")
+    return _build(Constitutive, kwargs, "constitutive block")
 
 
 def _parse_stepper(sec: dict) -> StepperConfig:
@@ -149,13 +168,13 @@ def _parse_stepper(sec: dict) -> StepperConfig:
         raise ConfigError(
             f"stepper.picard applies to scheme 'picard' only, got scheme {scheme!r}"
         )
-    kwargs["picard"] = _build(PicardOptions, picard, "stepper")
-    return _build(StepperConfig, kwargs, "stepper")
+    kwargs["picard"] = _build(PicardOptions, picard, "stepper block")
+    return _build(StepperConfig, kwargs, "stepper block")
 
 
 def _parse_grid(sec: dict) -> TorusGrid:
     kwargs = {"dim": 2, "n": 64, **_options(sec, "grid", **_kinds(TorusGrid))}
-    return _build(TorusGrid, kwargs, "grid")
+    return _build(TorusGrid, kwargs, "grid block")
 
 
 def _parse_model(raw: str) -> ModelKind:
@@ -167,70 +186,37 @@ def _parse_model(raw: str) -> ModelKind:
 
 
 def load_config(path) -> RunConfig:
-    """Parse and validate a run config; unknown keys are errors."""
+    """Parse a run config into a RunConfig, which checks its values; unknown
+    keys are errors."""
     raw = _load_json(path)
     where = "top level"
     model = _parse_model(_take(raw, "model", str, where))
     regime = _take(raw, "regime", str, where)
-    if regime not in ("compressible", "incompressible"):
-        raise ConfigError(
-            f"key 'regime' must be 'compressible' or 'incompressible', got {regime!r}"
-        )
     eps = _take(raw, "eps", _NUM, where, default=None)
-    if regime == "compressible" and eps is None:
-        raise ConfigError("missing required key 'eps' (compressible regime)")
-    if regime == "incompressible" and eps is not None:
-        raise ConfigError("key 'eps' is only valid in the compressible regime")
-    if eps is not None and eps <= 0:
-        raise ConfigError(f"key 'eps' must be positive, got {eps}")
-
     grid = _parse_grid(_section(raw, "grid", where))
     constitutive = _parse_constitutive(_section(raw, "constitutive", where))
     stepper = _parse_stepper(_section(raw, "stepper", where))
-
     init = _options(
         _section(raw, "initial", where), "initial", preset=str, kappa0=float, seed=int
     )
-    preset = init.get("preset", "taylor_green_bubble")
-    if preset not in PRESETS:
-        raise ConfigError(
-            f"unknown preset {preset!r} in initial; available: {sorted(PRESETS)}"
-        )
-    kappa0 = init.get("kappa0", 0.1)
-    if kappa0 < 0:
-        raise ConfigError(f"key 'kappa0' in initial must be nonnegative, got {kappa0}")
-    seed = init.get("seed", 0)
-    if seed < 0:
-        raise ConfigError(f"key 'seed' in initial must be >= 0, got {seed}")
-
     out = _options(
         _section(raw, "output", where), "output", directory=str, sample_cadence=int
     )
-    cadence = out.get("sample_cadence", 10)
-    if cadence < 1:
-        raise ConfigError(f"key 'sample_cadence' in output must be >= 1, got {cadence}")
     _no_leftovers(raw, where)
-
-    if grid.dim != 2:
-        raise ConfigError(
-            f"grid.dim must be 2 (the initial presets and the incompressible "
-            f"projection are 2-d), got {grid.dim}"
-        )
-    if stepper.scheme == "picard" and regime == "incompressible":
-        raise ConfigError("scheme 'picard' applies to the compressible regime only")
-    return RunConfig(
+    kwargs = dict(
         model=model,
         regime=regime,
         grid=grid,
         constitutive=constitutive,
         stepper=stepper,
         eps=float(eps) if eps is not None else None,
-        initial=preset,
-        kappa0=kappa0,
-        seed=seed,
+        initial=init.get("preset", "taylor_green_bubble"),
+        kappa0=init.get("kappa0", 0.1),
+        seed=init.get("seed", 0),
         outdir=out.get("directory"),
-        sample_cadence=cadence,
+        sample_cadence=out.get("sample_cadence", 10),
     )
+    return _build(RunConfig, kwargs, "run config")
 
 
 def load_sweep_config(path):
@@ -247,7 +233,7 @@ def load_sweep_config(path):
     kwargs["initial"] = kwargs.pop("preset", SweepConfig.initial)
     _no_leftovers(raw, where)
     kwargs.update(model=model, n=grid.n, dim=grid.dim)
-    return _build(SweepConfig, kwargs, "sweep"), constitutive
+    return _build(SweepConfig, kwargs, "sweep block"), constitutive
 
 
 def _load_json(path) -> dict:

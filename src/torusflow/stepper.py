@@ -37,6 +37,7 @@ from .constitutive import Constitutive, ModelKind
 from .dynamics import (
     CompressibleState,
     IncompressibleState,
+    _check_eps,
     _div_hat,
     primitives,
     rhs_compressible_hat,
@@ -96,8 +97,7 @@ def acoustic_dt(
     eps: float, grid: TorusGrid, c: Constitutive, cfl: float = 0.4, umax: float = 0.0
 ) -> float:
     """Acoustic CFL step: cfl * dx / (umax + sqrt(P'(1)) / eps)."""
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    _check_eps(eps)
     if umax < 0:
         raise ValueError(f"umax must be nonnegative, got {umax}")
     sound = math.sqrt(float(c.pressure_prime(1.0))) / eps
@@ -631,10 +631,27 @@ def default_dt(state, c: Constitutive, cfg: StepperConfig) -> float:
     return acoustic
 
 
+def _check_scheme(scheme: str, regime: str) -> None:
+    """The rule that pairs a scheme with a regime: Picard iterates the
+    compressible system only."""
+    if scheme == "picard" and regime != CompressibleState.REGIME:
+        raise ValueError(
+            f"scheme 'picard' applies to the compressible regime only, got regime {regime!r}"
+        )
+
+
+def _check_sample_times(times: Sequence, t_end: float) -> None:
+    """The rule of integrate's sample times: strictly increasing, in
+    [0, t_end] up to 1e-12 (NaN fails the comparison)."""
+    if not all(0.0 <= t <= t_end + 1e-12 for t in times):
+        raise ValueError(f"sample_times must lie in [0, t_end = {t_end}]")
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise ValueError("sample_times must be strictly increasing")
+
+
 def _make_stepper(state, c: Constitutive, cfg: StepperConfig) -> Callable:
+    _check_scheme(cfg.scheme, state.REGIME)
     if cfg.scheme == "picard":
-        if not isinstance(state, CompressibleState):
-            raise ValueError("picard stepping applies to compressible runs only")
 
         def run(s, dt):
             s_new, rep = picard_step(s, dt, c, cfg)
@@ -669,12 +686,7 @@ def integrate(
     if sample_times is None:
         sample_times = [cfg.t_end]
     times = [float(t) for t in sample_times]
-    if any(t < 0 for t in times) or any(b <= a for a, b in zip(times, times[1:])):
-        raise ValueError("sample_times must be strictly increasing and nonnegative")
-    if times and times[-1] > cfg.t_end + 1e-12:
-        raise ValueError(
-            f"sample time {times[-1]} exceeds t_end {cfg.t_end}"
-        )
+    _check_sample_times(times, cfg.t_end)
 
     stepper = _make_stepper(state, c, cfg)
 
@@ -689,6 +701,12 @@ def integrate(
         # follows the flow (still the same formula, fresh inputs)
         dt_target = default_dt(state, c, cfg)
         span = target - t
+        # the one place a step count is formed: it must be a finite number
+        if not (dt_target > 0 and math.isfinite(span / dt_target)):
+            raise NumericsError(
+                f"step bound dt = {dt_target:.6g} gives no finite step count "
+                f"from t = {t:.6g} to {target:.6g}"
+            )
         nsub = max(1, math.ceil(span / dt_target - 1e-12))
         # equal intervals of linspace sample times differ in their last
         # bits; keeping their dt bit-identical keeps the ETD tables cached

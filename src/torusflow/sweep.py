@@ -19,14 +19,15 @@ from .constitutive import Constitutive, ModelKind
 from .dynamics import (
     CompressibleState,
     IncompressibleState,
-    PRESETS,
+    _check_eps,
+    _check_initial,
     initial_from_preset,
     primitives,
     well_prepared_initial,
 )
 from .errors import NumericsError
 from .spectral import Field, TorusGrid, VectorField, hermitian_sq, hs_norm, l2_norm
-from .stepper import StepperConfig, integrate, step_compressible_rk4
+from .stepper import StepperConfig, _check_sample_times, integrate, step_compressible_rk4
 from .diagnostics import modulated_energy
 
 @dataclass(frozen=True)
@@ -45,37 +46,25 @@ class SweepConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "eps_list", tuple(float(e) for e in self.eps_list))
-        if not self.eps_list or not all(math.isfinite(e) and e > 0 for e in self.eps_list):
-            raise ValueError("eps_list must be nonempty, finite and positive")
+        if not self.eps_list:
+            raise ValueError("eps_list must be nonempty")
+        for eps in self.eps_list:
+            _check_eps(eps)
         if any(b >= a for a, b in zip(self.eps_list, self.eps_list[1:])):
             raise ValueError("eps_list must be strictly decreasing")
-        if self.dim != 2:
-            raise ValueError("the sweep compares against a 2-d incompressible reference")
-        if self.t_end <= 0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
+        _check_initial(self.initial, self.dim, self.kappa0, self.seed)
+        # cfl and t_end: the rules of the reference's own stepper config
+        _reference_stepper_config(self)
         if self.sample_times is not None:
             st = tuple(float(t) for t in self.sample_times)
             object.__setattr__(self, "sample_times", st)
-            if any(t < 0 or t > self.t_end + 1e-12 for t in st):
-                raise ValueError("sample_times must lie in [0, t_end]")
-            if any(b <= a for a, b in zip(st, st[1:])):
-                raise ValueError("sample_times must be strictly increasing")
+            _check_sample_times(st, self.t_end)
         if self.s_index < 1:
             raise ValueError(f"s_index must be >= 1, got {self.s_index}")
         if 3 * self.s_index > self.n:
             raise ValueError(
                 f"s_index {self.s_index} is not resolvable at n = {self.n}"
             )
-        if self.initial not in PRESETS:
-            raise ValueError(
-                f"unknown preset {self.initial!r}; available: {sorted(PRESETS)}"
-            )
-        if self.kappa0 < 0:
-            raise ValueError(f"kappa0 must be nonnegative, got {self.kappa0}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not 0 < self.cfl <= 1:
-            raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
         if self.model is ModelKind.AC and self.s_index < 3:
             # err_grad_rho uses the s-2 norm in the relaxational model
             raise ValueError("the relaxational model needs s_index >= 3")
@@ -281,8 +270,7 @@ def acoustic_dispersion_check(
     discretization error, and a fixed _DISPERSION_SAMPLES steps per
     predicted period resolve the zero crossings it times.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    _check_eps(eps)
     if k < 1:
         raise ValueError(f"mode index must be >= 1, got {k}")
     g = TorusGrid(1, n)

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import sys
 import tempfile
 import threading
 import time
@@ -32,6 +33,7 @@ from torusflow.dynamics import (
 from torusflow.errors import ConfigError, NumericsError, SnapshotError
 from torusflow.io import (
     SNAPSHOT_SCHEMA_VERSION,
+    RunConfig,
     load_config,
     load_sweep_config,
     read_snapshot,
@@ -40,7 +42,7 @@ from torusflow.io import (
     write_timeseries,
 )
 from torusflow.spectral import Field, TorusGrid, VectorField, constant_field
-from torusflow.stepper import default_dt, integrate, picard_step
+from torusflow.stepper import StepperConfig, default_dt, integrate, picard_step
 from torusflow.sweep import SweepConfig
 
 
@@ -170,6 +172,51 @@ def test_load_config_rejects(tmp_path, payload, fragment):
     p = write_json(tmp_path, "bad.json", payload)
     with pytest.raises(ConfigError, match=fragment):
         load_config(p)
+
+
+def _run_config(**overrides) -> RunConfig:
+    kwargs = dict(
+        model=ModelKind.CH,
+        regime="compressible",
+        grid=TorusGrid(2, 16),
+        constitutive=Constitutive(),
+        stepper=StepperConfig(),
+        eps=0.2,
+        initial="taylor_green_bubble",
+        kappa0=0.1,
+        seed=0,
+        outdir=None,
+        sample_cadence=10,
+    )
+    kwargs.update(overrides)
+    return RunConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "overrides,fragment",
+    [
+        ({"eps": None}, "eps"),
+        ({"regime": "incompressible"}, "eps"),
+        ({"eps": -0.1}, "eps"),
+        ({"eps": 1e-320}, "eps"),
+        ({"regime": "transonic"}, "regime"),
+        ({"initial": "vortex"}, "preset"),
+        ({"kappa0": -1.0}, "kappa0"),
+        ({"seed": -1}, "seed"),
+        ({"sample_cadence": 0}, "sample_cadence"),
+        ({"regime": "incompressible", "eps": None, "grid": TorusGrid(1, 32)}, "dim"),
+        (
+            {"regime": "incompressible", "eps": None, "stepper": StepperConfig(scheme="picard")},
+            "compressible regime",
+        ),
+        ({"grid": TorusGrid(1, 32)}, "grid.dim"),
+    ],
+)
+def test_run_config_built_in_python_checks_its_values(overrides, fragment):
+    # the value rules load_config enforces belong to RunConfig itself
+    assert _run_config().eps == 0.2
+    with pytest.raises(ValueError, match=fragment):
+        _run_config(**overrides)
 
 
 def test_constitutive_slopes_act_without_a_switch(tmp_path):
@@ -613,6 +660,48 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "command,payload,extra",
+    [
+        ("run", base_run_config(eps=1e-320), []),
+        ("run", base_run_config(eps=1e200), []),
+        ("sweep", {"model": "nsch", "sweep": {"eps_list": [0.4, 1e-200]}}, []),
+        ("sweep", {"model": "nsch", "sweep": {"eps_list": [0.4, 0.2]}}, ["--eps", "0.4,1e-170"]),
+        ("dispersion", None, ["--eps", "1e200", "--k", "1"]),
+    ],
+    ids=["run-tiny", "run-huge", "sweep-tiny", "eps-override-tiny", "dispersion-huge"],
+)
+def test_cli_eps_whose_square_is_not_normal_exits_2(tmp_path, capsys, command, payload, extra):
+    # 1/eps**2 overflows below sqrt(sys.float_info.min), eps**2 above
+    # sqrt(sys.float_info.max); either is a config error that names eps
+    argv = [command, *extra]
+    if payload is not None:
+        argv += ["--config", str(write_json(tmp_path, "eps.json", payload))]
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "eps" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command,payload",
+    [
+        ("run", base_run_config(grid={"n": 16}, stepper={"dt_override": 5e-324})),
+        ("run", base_run_config(grid={"n": 16}, stepper={"t_end": 1e308})),
+        ("sweep", {"model": "nsch", "grid": {"n": 16}, "sweep": {"t_end": 1e308}}),
+    ],
+    ids=["run-dt-override", "run-t-end", "sweep-t-end"],
+)
+def test_cli_step_count_that_overflows_exits_3(tmp_path, capsys, command, payload):
+    # integrate forms every step count; one that is not finite names its bound
+    cfg = write_json(tmp_path, "steps.json", payload)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure") and "step bound" in err
+    assert "Traceback" not in err
+
+
 def test_cli_audit_vacuum_names_the_2x_grid_point(tmp_path, capsys, g2):
     # one negative density value: the report says where and how deep
     s = sample_compressible(g2)
@@ -858,6 +947,33 @@ def test_run_pipeline_keeps_at_most_two_reports_pending(tmp_path, monkeypatch, s
     assert max(lags) == (2 if sampler_mode == "threaded" else 0)
 
 
+def test_run_incompressible_reports_call_no_grid_transform_on_the_sampler(
+    tmp_path, monkeypatch
+):
+    # the benchmark's tracer counts TorusGrid.rfft/irfft without a lock, so
+    # the report thread must not call them; it calls the batch transforms
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    threads = {"fft": [], "report": []}
+
+    def recorded(fn, key):
+        def call(*args, **kwargs):
+            threads[key].append(threading.current_thread().name)
+            return fn(*args, **kwargs)
+
+        return call
+
+    for name in ("rfft", "irfft"):
+        monkeypatch.setattr(TorusGrid, name, recorded(getattr(TorusGrid, name), "fft"))
+    monkeypatch.setattr(
+        cli_module, "energy_incompressible", recorded(cli_module.energy_incompressible, "report")
+    )
+    cfg = _pipeline_config(tmp_path, regime="incompressible", eps=None)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    assert len(threads["report"]) == 6
+    assert all(name.startswith("torusflow-sampler") for name in threads["report"])
+    assert not [name for name in threads["fft"] if name.startswith("torusflow-sampler")]
+
+
 def test_run_sampler_follows_the_usable_cpus():
     with cli_module._Sampler() as sampler:
         threaded = sampler._pool is not None
@@ -1024,7 +1140,7 @@ _SLOT_SCALARS = st.one_of(
     _JSON_SCALARS,
     st.floats(min_value=0.0, max_value=1.0),
     st.integers(min_value=0, max_value=12),
-    st.sampled_from([math.nan, math.inf, -math.inf, 10**400]),
+    st.sampled_from([math.nan, math.inf, -math.inf, 10**400, 5e-324, 1e-170, 1e308]),
     st.sampled_from(["rk4", "imex", "picard", "single_mode", "out"]),
 )
 
@@ -1084,6 +1200,8 @@ def test_load_config_yields_finite_numbers_or_config_error(tmp_path, slots):
     except ConfigError:
         return
     assert all(math.isfinite(x) for x in _numbers(cfg))
+    # eps**2 is a normal float: 1/eps**2 is finite
+    assert cfg.eps is None or cfg.eps**2 >= sys.float_info.min
     assert cfg.seed >= 0  # np.random.default_rng rejects a negative seed
     assert cfg.stepper.scheme in ("rk4", "imex", "picard")
     assert cfg.initial in PRESETS
@@ -1132,6 +1250,7 @@ def test_load_sweep_config_yields_config_or_config_error(tmp_path, slots):
         return
     assert isinstance(cfg, SweepConfig)
     assert all(math.isfinite(x) for x in _numbers(cfg))
+    assert all(eps**2 >= sys.float_info.min for eps in cfg.eps_list)
     assert cfg.seed >= 0  # np.random.default_rng rejects a negative seed
     assert isinstance(cfg.eps_list, tuple) and cfg.initial in PRESETS
     assert cfg.sample_times is None or isinstance(cfg.sample_times, tuple)

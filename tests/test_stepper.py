@@ -92,6 +92,13 @@ def test_acoustic_dt_scalings():
         acoustic_dt(0.1, g, c, umax=-1.0)
 
 
+@pytest.mark.parametrize("eps", [1e-170, 1e200, math.nan])
+def test_acoustic_dt_rejects_an_eps_whose_square_is_not_normal(eps):
+    # 1/eps**2 overflows below sqrt(sys.float_info.min)
+    with pytest.raises(ValueError, match="eps"):
+        acoustic_dt(eps, TorusGrid(2, 16), Constitutive())
+
+
 def test_default_dt_selects_bounds():
     g = TorusGrid(2, 32)
     c = Constitutive()

@@ -334,8 +334,8 @@ def gradient(f: Field) -> VectorField:
 
 def divergence(v: VectorField) -> Field:
     g = v.grid
-    acc = sum(ik * g.rfft(c.values) for ik, c in zip(g._rik, v.components))
-    return Field(g, g.irfft(acc))
+    uh = batch_rfft(g, [c.values for c in v.components])
+    return Field(g, batch_irfft(g, [sum(ik * h for ik, h in zip(g._rik, uh))])[0])
 
 
 def laplacian(f: Field) -> Field:

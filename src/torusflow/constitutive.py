@@ -51,9 +51,9 @@ class Constitutive:
     eta_upper: float = 100.0
 
     def __post_init__(self):
-        if self.gamma < 1.0:
+        if not self.gamma >= 1.0:
             raise ValueError(f"gamma must be >= 1, got {self.gamma}")
-        if self.pressure_coeff <= 0.0:
+        if not self.pressure_coeff > 0.0:
             raise ValueError(f"pressure_coeff must be positive, got {self.pressure_coeff}")
         for lo, hi, name in (
             (self.nu_star, self.nu_upper, "nu"),

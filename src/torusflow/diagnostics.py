@@ -295,12 +295,11 @@ def _weight(g: TorusGrid, s: int, weight: str) -> np.ndarray:
         return (1.0 + g.rk_squared) ** s
     if weight != "multiindex":
         raise ValueError(f"unknown weight {weight!r}")
+    kx, ky = (ka.astype(float) for ka in g.rwavenumbers)
     w = np.zeros(g.rshape)
-    for alpha in _alphas(g.dim, s):
-        term = 1.0
-        for ka, order in zip(g.rwavenumbers, alpha):
-            term = term * ka.astype(float) ** (2 * order)
-        w = w + term
+    for a in range(s + 1):
+        for b in range(s + 1 - a):
+            w = w + kx ** (2 * a) * ky ** (2 * b)
     return w
 
 
@@ -316,12 +315,6 @@ def functional_Es(s_state: CompressibleState, s: int, weight: str = "spectral") 
     out = hermitian_sq(g, g.rfft(s_state.rho.values - 1.0), w) / s_state.eps**2
     out += sum(hermitian_sq(g, g.rfft(comp.values), w) for comp in u)
     return out
-
-
-def _alphas(dim: int, s: int):
-    if dim == 1:
-        return [(a,) for a in range(s + 1)]
-    return [(a, b) for a in range(s + 1) for b in range(s + 1 - a)]
 
 
 # ---------------------------------------------------------------------------

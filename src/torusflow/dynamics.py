@@ -17,12 +17,12 @@ through batch_rfft / batch_irfft with ``out=`` and one shared work buffer;
 per call they allocate only the returned tendency.  The primitive, product
 and viscous spectra come 2/3-truncated from the band-pruned forward
 transform (``band=True``), and the derivative and viscous spectra go back
-through the band-pruned inverse; a state stack may arrive untruncated
-(IMEX passes an unmasked one) and keeps the full transform.  Products
-that enter the tendency only through the same operator are summed before
-their transform: P(rho)/eps^2 rides on the diagonal momentum flux, phi^3
-on the curvature term of mu and (incompressible) the capillary force on
-the advection, so a 2-d compressible call transforms 21 arrays and an
+through the band-pruned inverse; the state stack itself keeps the full
+transform, so a caller may pass it untruncated.  Products that enter the
+tendency only through the same operator are summed before their
+transform: P(rho)/eps^2 rides on the diagonal momentum flux, phi^3 on the
+curvature term of mu and (incompressible) the capillary force on the
+advection, so a 2-d compressible call transforms 21 arrays and an
 incompressible one 14.
 
 Each state class owns its array layout: ``as_arrays`` and ``from_arrays``
@@ -122,8 +122,6 @@ class IncompressibleState:
     def __post_init__(self):
         if self.u.grid != self.phi.grid:
             raise ValueError("state fields must share one grid")
-        if self.u.grid.dim < 2:
-            raise ValueError("incompressible states need dim >= 2")
 
     @property
     def grid(self) -> TorusGrid:
@@ -529,7 +527,7 @@ def well_prepared_initial(
 
 
 # ---------------------------------------------------------------------------
-# named presets (d = 2)
+# named presets
 
 
 def _band_limit(g: TorusGrid, arr: np.ndarray, kmax: int) -> np.ndarray:
@@ -538,8 +536,6 @@ def _band_limit(g: TorusGrid, arr: np.ndarray, kmax: int) -> np.ndarray:
 
 def taylor_green_bubble(grid: TorusGrid):
     """Taylor-Green vortex plus a smooth circular bubble in phi."""
-    if grid.dim != 2:
-        raise ValueError("taylor_green_bubble is a 2-d preset")
     x, y = grid.coords()
     amp = 0.5
     ux = amp * np.sin(x) * np.cos(y)
@@ -556,8 +552,6 @@ def taylor_green_bubble(grid: TorusGrid):
 
 def single_mode(grid: TorusGrid):
     """One shear mode in u and one cosine mode in phi."""
-    if grid.dim != 2:
-        raise ValueError("single_mode is a 2-d preset")
     x, y = grid.coords()
     u0 = VectorField((Field(grid, 0.5 * np.sin(y)), Field(grid, np.zeros(grid.shape))))
     return u0, Field(grid, 0.3 * np.cos(x))
@@ -575,14 +569,12 @@ def _preset(name: str):
     return PRESETS[name]
 
 
-def _check_initial(preset: str, dim: int, kappa0: float, seed: int) -> None:
-    """The rule of the initial data of runs and sweeps: a known preset on a
-    2-d grid (every preset is 2-d), kappa0 >= 0 and a seed that numpy's
+def _check_initial(preset: str, kappa0: float, seed: int) -> None:
+    """The rule of the initial data of runs and sweeps: a known preset,
+    kappa0 >= 0 (NaN fails the comparison) and a seed that numpy's
     generator takes."""
     _preset(preset)
-    if dim != 2:
-        raise ValueError(f"grid.dim must be 2 (the presets are 2-d), got {dim}")
-    if kappa0 < 0:
+    if not kappa0 >= 0:
         raise ValueError(f"kappa0 must be nonnegative, got {kappa0}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")

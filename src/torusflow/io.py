@@ -58,7 +58,7 @@ class RunConfig:
             )
         if self.eps is not None:
             _check_eps(self.eps)
-        _check_initial(self.initial, self.grid.dim, self.kappa0, self.seed)
+        _check_initial(self.initial, self.kappa0, self.seed)
         _check_scheme(self.stepper.scheme, self.regime)
         if self.sample_cadence < 1:
             raise ValueError(f"sample_cadence must be >= 1, got {self.sample_cadence}")

@@ -1,4 +1,4 @@
-"""Fourier machinery on the periodic torus [0, 2*pi)^d, d in {1, 2}.
+"""Fourier machinery on the periodic torus [0, 2*pi)^d, d = 2.
 
 Collocation values live on the uniform n^d grid; integer wavenumbers run
 over k in {-n/2+1, ..., n/2} per axis (the Nyquist plane sits at index n/2).
@@ -66,8 +66,8 @@ class TorusGrid:
     n: int
 
     def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {self.dim}")
+        if self.dim != 2:
+            raise ValueError(f"grid.dim must be 2 (the solver is 2-d), got {self.dim}")
         if self.n < 8 or self.n % 2 != 0:
             raise ValueError(f"n must be even and >= 8, got {self.n}")
 
@@ -90,8 +90,6 @@ class TorusGrid:
     def coords(self) -> list:
         """Collocation coordinates, one broadcast array per axis."""
         x1d = np.arange(self.n) * self.dx
-        if self.dim == 1:
-            return [x1d]
         return list(np.meshgrid(x1d, x1d, indexing="ij"))
 
     # -- half-spectrum (real-transform) layout: the last axis keeps only
@@ -364,8 +362,7 @@ def truncate(grid: TorusGrid, stack: np.ndarray) -> np.ndarray:
     full one.  Returns the stack."""
     cut = grid.dealias_cutoff
     stack[..., cut + 1 :] = 0.0
-    if grid.dim == 2:
-        stack[..., cut + 1 : grid.n - cut, :] = 0.0
+    stack[..., cut + 1 : grid.n - cut, :] = 0.0
     return stack
 
 
@@ -373,22 +370,19 @@ def batch_rfft(grid: TorusGrid, arrs, out=None, work=None, *, band=False) -> np.
     """Half-spectrum transforms of a stack of real arrays, (k, *shape) ->
     (k, *rshape).
 
-    In 2-d the transform runs as two 1-d passes, rfft along the last axis
-    into ``work`` and fft along the first into ``out``; this matches rfftn
-    bit for bit.  A ``work`` stack with fewer slots than the input takes it
+    The transform runs as two 1-d passes, rfft along the last axis into
+    ``work`` and fft along the first into ``out``; this matches rfftn bit
+    for bit.  A ``work`` stack with fewer slots than the input takes it
     in chunks of its length.  With both buffers given nothing is allocated.
     ``out`` must not overlap the input or ``work``: numpy copies an operand
     that overlaps its output.
 
     ``band=True`` returns the 2/3-truncated spectrum (see ``truncate``;
-    Orszag's rule): in 2-d the full-axis pass then runs only on the
-    half-axis columns up to the dealias cutoff.  Every kept mode equals the
-    full transform's bit for bit.
+    Orszag's rule): the full-axis pass then runs only on the half-axis
+    columns up to the dealias cutoff.  Every kept mode equals the full
+    transform's bit for bit.
     """
     a = np.asarray(arrs)
-    if grid.dim == 1:
-        out = np.fft.rfft(a, axis=-1, out=out)
-        return truncate(grid, out) if band else out
     if out is None:
         out = np.empty(a.shape[:-1] + (grid.n // 2 + 1,), dtype=complex)
     if work is None:
@@ -411,8 +405,6 @@ def batch_irfft(grid: TorusGrid, hats, out=None, work=None, *, band=False) -> np
     bit-identical result.
     """
     h = np.asarray(hats)
-    if grid.dim == 1:
-        return np.fft.irfft(h, n=grid.n, axis=-1, out=out)
     if out is None:
         out = np.empty(h.shape[:-1] + (grid.n,))
     if work is None:
@@ -436,8 +428,6 @@ def leray_project(v: VectorField) -> VectorField:
     """Remove the gradient part k (k . v) / |k|^2 of v; the k = 0 mode (mean
     flow) counts as solenoidal and is preserved."""
     g = v.grid
-    if g.dim < 2:
-        raise ValueError("Leray projection requires dim >= 2")
     vhat = [g.rfft(c.values) for c in v.components]
     div = sum(ka * vh for ka, vh in zip(g.rwavenumbers, vhat))
     out = []
@@ -495,10 +485,7 @@ def hs_norm(f: Field, s: int) -> float:
 
 def refine_work_size(g: TorusGrid, k: int, factor: int = 2) -> int:
     """Complex entries of the ``work`` buffer refine needs for k fields."""
-    h = g.n // 2
-    if g.dim == 1:
-        return (k + 1) * (h + 1)
-    return 2 * k * factor * g.n * (h + 1)
+    return 2 * k * factor * g.n * (g.n // 2 + 1)
 
 
 def refine(f, factor: int = 2, *, out=None, work=None) -> np.ndarray:
@@ -515,10 +502,9 @@ def refine(f, factor: int = 2, *, out=None, work=None) -> np.ndarray:
     ``out`` (a (k, *fine shape) stack) and ``work`` (a contiguous complex
     buffer of at least refine_work_size entries) are optional buffers, as
     for batch_rfft; with both nothing of the grid's size is allocated, and
-    the result is ``out``.  In 2-d ``work`` holds the zero-padded spectra
-    and their column transforms; the coarse spectra and their transform
-    scratch share the latter's memory, since they are spent before it is
-    written.
+    the result is ``out``.  ``work`` holds the zero-padded spectra and
+    their column transforms; the coarse spectra and their transform scratch
+    share the latter's memory, since they are spent before it is written.
     """
     if int(factor) != factor or factor < 2:
         raise ValueError(f"refine factor must be an integer >= 2, got {factor}")
@@ -536,24 +522,23 @@ def refine(f, factor: int = 2, *, out=None, work=None) -> np.ndarray:
     if out is None:
         out = np.empty((k,) + (nf,) * g.dim)
     pool = work.reshape(-1)
-    padded = k * nf * (h + 1) if g.dim == 2 else 0
-    one = g.n ** (g.dim - 1) * (h + 1)
+    padded = k * nf * (h + 1)
+    one = g.n * (h + 1)
     fh = pool[padded : padded + k * one].reshape((k,) + g.rshape)
     scratch = pool[padded + k * one : padded + (k + 1) * one].reshape((1,) + g.rshape)
     # one field at a time, so no stacked copy of the inputs is made
     for i, x in enumerate(fields):
         batch_rfft(g, x.values[None], out=fh[i : i + 1], work=scratch)
     fh[..., h] *= 0.5
-    if g.dim == 2:
-        # rows are the full axis: k = 0..n/2 on top, k = -n/2..-1 at the
-        # bottom; only the stored columns are transformed, the rest are zero
-        fh[:, h] *= 0.5
-        tall = pool[:padded].reshape(k, nf, h + 1)
-        cols = pool[padded : 2 * padded].reshape(k, nf, h + 1)
-        tall[:, : h + 1] = fh[:, : h + 1]
-        tall[:, h + 1 : nf - h] = 0.0
-        tall[:, -h:] = fh[:, h:]
-        fh = np.fft.ifft(tall, axis=-2, out=cols)
+    # rows are the full axis: k = 0..n/2 on top, k = -n/2..-1 at the
+    # bottom; only the stored columns are transformed, the rest are zero
+    fh[:, h] *= 0.5
+    tall = pool[:padded].reshape(k, nf, h + 1)
+    cols = pool[padded : 2 * padded].reshape(k, nf, h + 1)
+    tall[:, : h + 1] = fh[:, : h + 1]
+    tall[:, h + 1 : nf - h] = 0.0
+    tall[:, -h:] = fh[:, h:]
+    fh = np.fft.ifft(tall, axis=-2, out=cols)
     # irfft zero-pads the last axis up to the fine half spectrum
     np.fft.irfft(fh, n=nf, axis=-1, out=out)
     out *= factor**g.dim

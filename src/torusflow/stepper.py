@@ -1,28 +1,27 @@
 """Time integration.
 
 StepperConfig.scheme is the one setting that picks how a step is taken:
-"rk4", "imex" or "picard".  The production "rk4" scheme is ETDRK4 in
-Krogstie's tableau ETDRK4-B (Hochbruck & Ostermann, SINUM 43 (2005)).  The
-stiff constant-coefficient cores are integrated exactly: the phase
-operator, the reference viscous operator, the spectral vanishing viscosity
-and, in the compressible system, the linearised acoustics (the 2x2 block
-coupling density and the gradient part of the momentum through the sound
-speed sqrt(P'(1))/eps).  The remainder goes through the four stages of the
+"rk4" or "picard".  The production "rk4" scheme is ETDRK4 in Krogstie's
+tableau ETDRK4-B (Hochbruck & Ostermann, SINUM 43 (2005)).  The stiff
+constant-coefficient cores are integrated exactly: the phase operator, the
+reference viscous operator, the spectral vanishing viscosity and, in the
+compressible system, the linearised acoustics (the 2x2 block coupling
+density and the gradient part of the momentum through the sound speed
+sqrt(P'(1))/eps).  The remainder goes through the four stages of the
 tableau.  Relaxational (nsac) compressible runs therefore step at a bound
 that does not depend on eps; conserved (nsch) runs keep the acoustic bound
-for accuracy, see default_dt.  "imex" is a first-order splitting with
-explicit transport and implicit constant-coefficient solves.  "picard" is
-a fully implicit Euler step on the conservative variables, solved by
-Picard iteration, for verification runs of the compressible system.  Every
-scheme evaluates its tendencies through the half-spectrum kernels
-rhs_compressible_hat / rhs_incompressible_hat and carries its spectral
-state as one stacked complex array (nvar, *rshape), which _to_state turns
-back into the next state.  ETDRK4 keeps its stage values in cached stacks
-and has the kernels write their tendencies into them.  Its ops and nonlin
-closures apply the real tables with ``out=`` ufuncs in a few cached scratch
-spectra, in the order of the allocating expressions (same bits), so a step
-allocates little beyond the new state.  The tables (one set per regime),
-the stage stacks and the scratch are slots of ``spectral._one_slot``.
+for accuracy, see default_dt.  "picard" is a fully implicit Euler step on
+the conservative variables, solved by Picard iteration, for verification
+runs of the compressible system.  Both schemes evaluate their tendencies
+through the half-spectrum kernels rhs_compressible_hat /
+rhs_incompressible_hat and carry their spectral state as one stacked
+complex array (nvar, *rshape), which _to_state turns back into the next
+state.  ETDRK4 keeps its stage values in cached stacks and has the kernels
+write their tendencies into them.  Its ops and nonlin closures apply the
+real tables with ``out=`` ufuncs in a few cached scratch spectra, in the
+order of the allocating expressions (same bits), so a step allocates little
+beyond the new state.  The tables (one set per regime), the stage stacks
+and the scratch are slots of ``spectral._one_slot``.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ class PicardOptions:
     max_iter: int = 50
 
     def __post_init__(self):
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError(f"picard tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"picard max_iter must be >= 1, got {self.max_iter}")
@@ -73,15 +72,13 @@ class StepperConfig:
     picard: PicardOptions = field(default_factory=PicardOptions)
 
     def __post_init__(self):
-        if self.scheme not in ("rk4", "imex", "picard"):
-            raise ValueError(
-                f"scheme must be 'rk4', 'imex' or 'picard', got {self.scheme!r}"
-            )
+        if self.scheme not in ("rk4", "picard"):
+            raise ValueError(f"scheme must be 'rk4' or 'picard', got {self.scheme!r}")
         if not 0 < self.cfl <= 1:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if self.dt_override is not None and self.dt_override <= 0:
+        if self.dt_override is not None and not self.dt_override > 0:
             raise ValueError(f"dt_override must be positive, got {self.dt_override}")
-        if self.t_end <= 0:
+        if not self.t_end > 0:
             raise ValueError(f"t_end must be positive, got {self.t_end}")
 
 
@@ -502,7 +499,7 @@ def step_incompressible_rk4(
 
 
 # ---------------------------------------------------------------------------
-# implicit solves: first-order IMEX and Picard-iterated implicit Euler
+# Picard-iterated implicit Euler
 
 
 def _lagged_euler(g: TorusGrid, zn: np.ndarray, z: np.ndarray, tend: np.ndarray,
@@ -512,15 +509,13 @@ def _lagged_euler(g: TorusGrid, zn: np.ndarray, z: np.ndarray, tend: np.ndarray,
 
         (1 - dt*L) z_new = zn + dt*(tend - L z),
 
-    on state stacks.  L = 0 on a leading density slot (when the layout has
-    one), the reference viscous operator L v = -nu k^2 v + eta ik (ik . v)
-    on the velocity/momentum block, and ell on the phase.  With ik from
-    _rik, L is -nu k^2 on the solenoidal part of v and -(nu k^2 + eta |k|^2)
-    on its gradient part -ik (ik . v)/|k|^2, which fixes its resolvent.
+    on compressible state stacks.  L = 0 on the density, the reference
+    viscous operator L v = -nu k^2 v + eta ik (ik . v) on the momentum, and
+    ell on the phase.  With ik from _rik, L is -nu k^2 on the solenoidal
+    part of v and -(nu k^2 + eta |k|^2) on its gradient part
+    -ik (ik . v)/|k|^2, which fixes its resolvent.
     """
-    d = g.dim
-    lead = len(zn) - d - 1
-    vel = slice(lead, lead + d)
+    vel = slice(1, 1 + g.dim)
     ik = g._rik_stack
     k2 = g.rk_squared
     kk2 = g._rik2
@@ -531,29 +526,10 @@ def _lagged_euler(g: TorusGrid, zn: np.ndarray, z: np.ndarray, tend: np.ndarray,
     # ik = 0 wherever |k| = 0, so the safe divisor there changes nothing
     w = (r_grad - r_sol) / np.where(kk2 > 0, kk2, 1.0) * np.sum(ik * rhs, axis=0)
     out = np.empty_like(zn)
-    out[:lead] = zn[:lead] + dt * tend[:lead]
+    out[0] = zn[0] + dt * tend[0]
     out[vel] = r_sol * rhs - ik * w
     out[-1] = (zn[-1] + dt * (tend[-1] - ell * z[-1])) / (1.0 - dt * ell)
     return out
-
-
-def step_imex(state, dt: float, c: Constitutive):
-    """First-order IMEX step: explicit transport/pressure/capillary, implicit
-    constant-coefficient viscosity and phase stiffness (-Lap^2 for the
-    conserved model, Lap for the relaxational one)."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if not isinstance(state, (CompressibleState, IncompressibleState)):
-        raise TypeError(f"unsupported state type {type(state)!r}")
-    g = state.grid
-    nu_bar, eta_bar = _reference_viscosities(c)
-    if isinstance(state, IncompressibleState):
-        eta_bar = 0.0  # the projected velocity has no grad-div part
-    k2 = g.rk_squared
-    stiff = k2**2 if state.model is ModelKind.CH else k2
-    zh = batch_rfft(g, state.as_arrays())
-    out_hat = _lagged_euler(g, zh, zh, _rhs_hat(state, c, zh), dt, nu_bar, eta_bar, -stiff)
-    return _to_state(state, out_hat, "IMEX")
 
 
 def picard_step(
@@ -565,7 +541,7 @@ def picard_step(
     Returns the updated state and a convergence report."""
     if not isinstance(s, CompressibleState):
         raise TypeError("picard_step expects a compressible state")
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     g = s.grid
     nu_bar, eta_bar = _reference_viscosities(c)
@@ -616,7 +592,7 @@ def default_dt(state, c: Constitutive, cfg: StepperConfig) -> float:
     which does not depend on eps.  The conserved model keeps the acoustic
     bound, because at the eps-free step its rho-gradient error falls only
     like eps and misses the sweep's rate bar.  No separate phase cap
-    applies: ETDRK4 and the implicit solves take the phase stiffness
+    applies: ETDRK4 and the Picard solve take the phase stiffness
     exactly."""
     if cfg.dt_override is not None:
         return cfg.dt_override
@@ -663,8 +639,6 @@ def _make_stepper(state, c: Constitutive, cfg: StepperConfig) -> Callable:
             return s_new
 
         return run
-    if cfg.scheme == "imex":
-        return lambda s, dt: step_imex(s, dt, c)
     if isinstance(state, CompressibleState):
         return lambda s, dt: step_compressible_rk4(s, dt, c)
     return lambda s, dt: step_incompressible_rk4(s, dt, c)

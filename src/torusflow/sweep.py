@@ -52,7 +52,9 @@ class SweepConfig:
             _check_eps(eps)
         if any(b >= a for a, b in zip(self.eps_list, self.eps_list[1:])):
             raise ValueError("eps_list must be strictly decreasing")
-        _check_initial(self.initial, self.dim, self.kappa0, self.seed)
+        # n and dim: the rules of the grid the sweep runs on
+        TorusGrid(self.dim, self.n)
+        _check_initial(self.initial, self.kappa0, self.seed)
         # cfl and t_end: the rules of the reference's own stepper config
         _reference_stepper_config(self)
         if self.sample_times is not None:
@@ -259,9 +261,9 @@ def acoustic_dispersion_check(
 ) -> tuple:
     """Measure the oscillation frequency of one small density mode.
 
-    Starts from rho = 1 + amplitude*cos(kx), u = 0, phi = 1 in 1-d, tracks
-    Re(rho_hat_k) under the compressible dynamics, and times its zero
-    crossings.  Returns (measured_freq, predicted_freq) with the prediction
+    Starts from rho = 1 + amplitude*cos(kx), u = 0, phi = 1 on the 2-d grid
+    (the mode (k, 0)), tracks Re(rho_hat_(k, 0)) under the compressible
+    dynamics, and times its zero crossings.  Returns (measured_freq, predicted_freq) with the prediction
     |k| sqrt(P'(1)) / eps from the linearized acoustic system.
 
     step_compressible_rk4 integrates that linear system exactly, viscous
@@ -273,22 +275,19 @@ def acoustic_dispersion_check(
     _check_eps(eps)
     if k < 1:
         raise ValueError(f"mode index must be >= 1, got {k}")
-    g = TorusGrid(1, n)
+    g = TorusGrid(2, n)
     if k > g.dealias_cutoff:
         raise ValueError(f"mode {k} exceeds the dealiased band of n = {n}")
-    if amplitude <= 0 or amplitude > 1e-3 * eps**2:
+    if not 0 < amplitude <= 1e-3 * eps**2:
         raise ValueError(
             f"amplitude must lie in (0, 1e-3*eps^2]; got {amplitude} at eps = {eps}"
         )
 
     x = g.coords()[0]
     rho = Field(g, 1.0 + amplitude * np.cos(k * x))
+    zero = Field(g, np.zeros(g.shape))
     state = CompressibleState(
-        eps,
-        rho,
-        VectorField((Field(g, np.zeros(g.shape)),)),
-        Field(g, rho.values.copy()),
-        ModelKind.CH,
+        eps, rho, VectorField((zero, zero)), Field(g, rho.values.copy()), ModelKind.CH
     )
 
     predicted = k * math.sqrt(float(c.pressure_prime(1.0))) / eps
@@ -296,11 +295,11 @@ def acoustic_dispersion_check(
     steps = max(1, math.ceil(n_periods * _DISPERSION_SAMPLES))
     dt = t_end / steps
 
-    signal = [float(np.real(g.rfft(state.rho.values)[k]))]
+    signal = [float(np.real(g.rfft(state.rho.values)[k, 0]))]
     times = [0.0]
     for i in range(steps):
         state = step_compressible_rk4(state, dt, c)
-        signal.append(float(np.real(g.rfft(state.rho.values)[k])))
+        signal.append(float(np.real(g.rfft(state.rho.values)[k, 0])))
         times.append((i + 1) * dt)
 
     crossings = []

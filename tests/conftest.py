@@ -10,10 +10,5 @@ def g2():
 
 
 @pytest.fixture
-def g1():
-    return TorusGrid(1, 32)
-
-
-@pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -234,7 +234,7 @@ def test_acoustic_dispersion_relation():
     ok = True
     for eps, k in ((0.2, 1), (0.1, 1), (0.1, 2)):
         measured, predicted = acoustic_dispersion_check(
-            eps, k, 1e-3 * eps**2, c, n=64
+            eps, k, 1e-3 * eps**2, c, n=32
         )
         rel = abs(measured - predicted) / predicted
         ok = ok and rel <= 0.02

@@ -194,19 +194,19 @@ def test_chemical_potential_constant_phase(g2):
     assert np.max(np.abs(mu - (0.125 - 0.5))) < 1e-13
 
 
-def test_chemical_potential_single_mode(g1):
+def test_chemical_potential_single_mode(g2):
     # phi = cos x, rho = 1: mu = cos x + dealias(cos^3 x) - cos x
     # cos^3 x = (3 cos x + cos 3x)/4 survives dealiasing intact at n = 32
-    x = g1.coords()[0]
-    mu = solver_mu(constant_field(g1, 1.0), Field(g1, np.cos(x)))
+    x = g2.coords()[0]
+    mu = solver_mu(constant_field(g2, 1.0), Field(g2, np.cos(x)))
     expect = 0.75 * np.cos(x) + 0.25 * np.cos(3 * x)
     assert np.max(np.abs(mu - expect)) < 1e-12
 
 
-def test_chemical_potential_density_scales_curvature(g1):
-    x = g1.coords()[0]
-    phi = Field(g1, np.cos(x))
-    rho = Field(g1, np.full(g1.shape, 4.0))
+def test_chemical_potential_density_scales_curvature(g2):
+    x = g2.coords()[0]
+    phi = Field(g2, np.cos(x))
+    rho = Field(g2, np.full(g2.shape, 4.0))
     mu = solver_mu(rho, phi)
     lap_term = -laplacian(phi).values / 4.0
     expect = lap_term + 0.75 * np.cos(x) + 0.25 * np.cos(3 * x) - np.cos(x)

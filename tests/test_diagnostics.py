@@ -51,12 +51,12 @@ def zero_vec(g):
 # Sobolev machinery
 
 
-def test_sobolev_norm_single_mode(g1):
-    x = g1.coords()[0]
-    f = Field(g1, np.sin(x))
-    # |c_{+-1}|^2 = 1/4 each, weight (1+1)^s, volume 2 pi
+def test_sobolev_norm_single_mode(g2):
+    x = g2.coords()[0]
+    f = Field(g2, np.sin(x))
+    # |c_{(+-1, 0)}|^2 = 1/4 each, weight (1+1)^s, volume (2 pi)^2
     for s in (0, 1, 2):
-        expect = math.sqrt(2.0 * math.pi * 2.0**s * 0.5)
+        expect = math.sqrt((2.0 * math.pi) ** 2 * 2.0**s * 0.5)
         assert hs_norm(f, s) == pytest.approx(expect, rel=1e-12)
     assert hs_norm(f, 0) == pytest.approx(l2_norm(f), rel=1e-13)
 
@@ -102,16 +102,15 @@ def test_energy_compressible_components(g2):
     assert rep.dissipation == pytest.approx(0.1 * VOL2, rel=1e-10)
 
 
-def test_energy_internal_scales_with_eps(g1):
-    # 1d: rho = 1 + 0.1 eps cos x gives internal = 0.01 pi for gamma = 2
+def test_energy_internal_scales_with_eps(g2):
+    # rho = 1 + 0.1 eps cos x gives internal = 0.01 pi * 2 pi for gamma = 2
     c = Constitutive()
     eps = 0.25
-    x = g1.coords()[0]
-    rho = Field(g1, 1.0 + 0.1 * eps * np.cos(x))
-    u = VectorField((constant_field(g1, 0.0),))
-    s = make_compressible(eps, rho, u, constant_field(g1, 0.0), ModelKind.CH)
+    x = g2.coords()[0]
+    rho = Field(g2, 1.0 + 0.1 * eps * np.cos(x))
+    s = make_compressible(eps, rho, zero_vec(g2), constant_field(g2, 0.0), ModelKind.CH)
     rep = energy_compressible(s, c)
-    assert rep.internal == pytest.approx(0.01 * math.pi, rel=1e-6)
+    assert rep.internal == pytest.approx(0.02 * math.pi**2, rel=1e-6)
 
 
 def test_energy_compressible_vacuum(g2):
@@ -565,15 +564,16 @@ def test_modulated_energy_vacuum(g2):
 def one_mode_state(g, eps, d, cu):
     x = g.coords()[0]
     rho = Field(g, 1.0 + d * np.cos(x))
-    u = VectorField((Field(g, cu * np.sin(x)),))
+    u = VectorField((Field(g, cu * np.sin(x)), constant_field(g, 0.0)))
     return make_compressible(eps, rho, u, constant_field(g, 0.0), ModelKind.CH)
 
 
-def test_functional_Es_single_mode(g1):
-    # k = 1 mode: multi-index weight 1 + k^2 + k^4 = 3, Bessel (1+k^2)^2 = 4
+def test_functional_Es_single_mode(g2):
+    # k = (1, 0) mode: multi-index weight 1 + k^2 + k^4 = 3, Bessel
+    # (1+k^2)^2 = 4; each squared mode integrates to pi * 2 pi
     eps, d, cu = 0.2, 0.01, 0.5
-    s = one_mode_state(g1, eps, d, cu)
-    base = math.pi * (d * d / eps**2 + cu * cu)
+    s = one_mode_state(g2, eps, d, cu)
+    base = 2.0 * math.pi**2 * (d * d / eps**2 + cu * cu)
     assert functional_Es(s, 2, weight="multiindex") == pytest.approx(
         3.0 * base, rel=1e-10
     )
@@ -582,11 +582,10 @@ def test_functional_Es_single_mode(g1):
         functional_Es(s, 2, weight="banana")
 
 
-def test_functional_Es_vacuum_guard(g1):
-    x = g1.coords()[0]
-    rho = Field(g1, 1.0 + 2.0 * np.cos(x))
-    u = VectorField((constant_field(g1, 0.0),))
-    s = CompressibleState(1.0, rho, u, constant_field(g1, 0.0), ModelKind.CH)
+def test_functional_Es_vacuum_guard(g2):
+    x = g2.coords()[0]
+    rho = Field(g2, 1.0 + 2.0 * np.cos(x))
+    s = CompressibleState(1.0, rho, zero_vec(g2), constant_field(g2, 0.0), ModelKind.CH)
     with pytest.raises(VacuumError):
         functional_Es(s, 1)
 

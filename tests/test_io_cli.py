@@ -42,7 +42,7 @@ from torusflow.io import (
     write_timeseries,
 )
 from torusflow.spectral import Field, TorusGrid, VectorField, constant_field
-from torusflow.stepper import StepperConfig, default_dt, integrate, picard_step
+from torusflow.stepper import PicardOptions, StepperConfig, default_dt, integrate, picard_step
 from torusflow.sweep import SweepConfig
 
 
@@ -159,12 +159,14 @@ def test_load_config_null_dt_override(tmp_path):
         (base_run_config(stepper={"picard": {"enabled": True}}), "enabled"),
         # a picard block that no scheme would read, named as such
         (base_run_config(stepper={"picard": {"tol": 1e-3}}), "stepper.picard"),
-        (base_run_config(stepper={"scheme": "imex", "picard": {}}), "stepper.picard"),
+        (base_run_config(stepper={"scheme": "rk4", "picard": {}}), "stepper.picard"),
         (
             base_run_config(regime="incompressible", eps=None, stepper={"scheme": "picard"}),
             "compressible regime",
         ),
         (base_run_config(grid={"dim": 1, "n": 32}), "grid.dim"),
+        # the removed first-order IMEX scheme; the message lists the schemes
+        (base_run_config(stepper={"scheme": "imex"}), "'rk4' or 'picard'"),
     ],
 )
 def test_load_config_rejects(tmp_path, payload, fragment):
@@ -204,19 +206,52 @@ def _run_config(**overrides) -> RunConfig:
         ({"kappa0": -1.0}, "kappa0"),
         ({"seed": -1}, "seed"),
         ({"sample_cadence": 0}, "sample_cadence"),
-        ({"regime": "incompressible", "eps": None, "grid": TorusGrid(1, 32)}, "dim"),
+        ({"regime": "incompressible", "eps": None, "grid": (1, 32)}, "dim"),
         (
             {"regime": "incompressible", "eps": None, "stepper": StepperConfig(scheme="picard")},
             "compressible regime",
         ),
-        ({"grid": TorusGrid(1, 32)}, "grid.dim"),
+        ({"grid": (1, 32)}, "grid.dim"),
     ],
 )
 def test_run_config_built_in_python_checks_its_values(overrides, fragment):
-    # the value rules load_config enforces belong to RunConfig itself
+    # the value rules load_config enforces belong to RunConfig itself, and
+    # the grid rules to the TorusGrid it holds (a (dim, n) pair here)
     assert _run_config().eps == 0.2
     with pytest.raises(ValueError, match=fragment):
+        if isinstance(overrides.get("grid"), tuple):
+            overrides = {**overrides, "grid": TorusGrid(*overrides["grid"])}
         _run_config(**overrides)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: StepperConfig(t_end=math.nan),
+        lambda: StepperConfig(dt_override=math.nan),
+        lambda: PicardOptions(tol=math.nan),
+        lambda: Constitutive(gamma=math.nan),
+        lambda: Constitutive(pressure_coeff=math.nan),
+        lambda: SweepConfig(kappa0=math.nan),
+        lambda: SweepConfig(t_end=math.nan),
+        lambda: _run_config(kappa0=math.nan),
+    ],
+    ids=[
+        "stepper-t_end",
+        "stepper-dt_override",
+        "picard-tol",
+        "gamma",
+        "pressure_coeff",
+        "sweep-kappa0",
+        "sweep-t_end",
+        "run-kappa0",
+    ],
+)
+def test_config_types_reject_nan(build):
+    # a config file cannot carry NaN, but a library caller can; every
+    # one-sided range check fails it
+    with pytest.raises(ValueError, match="got nan"):
+        build()
 
 
 def test_constitutive_slopes_act_without_a_switch(tmp_path):
@@ -434,19 +469,19 @@ def test_snapshot_unknown_regime(tmp_path, g2):
 
 
 def _snapshot_states():
-    """A state of each regime and grid dimension the solver admits; an
-    incompressible state needs dim 2."""
-    g1, g2 = TorusGrid(1, 16), TorusGrid(2, 16)
-    u0, phi0 = initial_from_preset("single_mode", g2)
-    x = g1.coords()[0]
-    one_d = make_compressible(
+    """A state of each regime and model, a compressible one on two grid
+    sizes."""
+    g8, g16 = TorusGrid(2, 8), TorusGrid(2, 16)
+    u0, phi0 = initial_from_preset("single_mode", g16)
+    x = g8.coords()[0]
+    along_x = make_compressible(
         0.5,
-        Field(g1, 1.0 + 0.1 * np.cos(x)),
-        VectorField((Field(g1, np.sin(x)),)),
-        Field(g1, np.cos(2 * x)),
+        Field(g8, 1.0 + 0.1 * np.cos(x)),
+        VectorField((Field(g8, np.sin(x)), constant_field(g8, 0.0))),
+        Field(g8, np.cos(2 * x)),
         ModelKind.AC,
     )
-    return [one_d, sample_compressible(g2), IncompressibleState(u0, phi0, ModelKind.CH)]
+    return [along_x, sample_compressible(g16), IncompressibleState(u0, phi0, ModelKind.CH)]
 
 
 @pytest.mark.parametrize("index", range(3))
@@ -1022,6 +1057,8 @@ def test_cli_run_rejects_nonfinite_numbers(tmp_path, capsys, overrides):
         # the names must be the writer's, in its order: rho first
         {"fields": ["q", "mom_x", "mom_y", "rho"]},
         {"fields": ["a", "b", "c", "d"]},
+        # the 1-d layout with its payload: the grid is 2-d
+        {"dim": 1, "fields": ["rho", "mom_x", "q"]},
     ],
 )
 def test_cli_audit_malformed_header_exits_4(tmp_path, capsys, g2, bad):
@@ -1141,6 +1178,7 @@ _SLOT_SCALARS = st.one_of(
     st.floats(min_value=0.0, max_value=1.0),
     st.integers(min_value=0, max_value=12),
     st.sampled_from([math.nan, math.inf, -math.inf, 10**400, 5e-324, 1e-170, 1e308]),
+    # "imex" names a scheme that no longer exists: a config error
     st.sampled_from(["rk4", "imex", "picard", "single_mode", "out"]),
 )
 
@@ -1203,7 +1241,7 @@ def test_load_config_yields_finite_numbers_or_config_error(tmp_path, slots):
     # eps**2 is a normal float: 1/eps**2 is finite
     assert cfg.eps is None or cfg.eps**2 >= sys.float_info.min
     assert cfg.seed >= 0  # np.random.default_rng rejects a negative seed
-    assert cfg.stepper.scheme in ("rk4", "imex", "picard")
+    assert cfg.stepper.scheme in ("rk4", "picard")
     assert cfg.initial in PRESETS
     assert cfg.outdir is None or isinstance(cfg.outdir, str)
 
@@ -1277,12 +1315,12 @@ def test_null_unsets_only_dt_override_and_sample_times(tmp_path):
 
 @functools.lru_cache(maxsize=None)
 def valid_snapshot_bytes() -> bytes:
-    g = TorusGrid(1, 8)
+    g = TorusGrid(2, 8)
     x = g.coords()[0]
     state = make_compressible(
         0.3,
         Field(g, 1.0 + 0.01 * np.cos(x)),
-        VectorField((constant_field(g, 0.1),)),
+        VectorField((constant_field(g, 0.1), constant_field(g, 0.0))),
         constant_field(g, 0.5),
         ModelKind.CH,
     )

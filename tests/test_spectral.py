@@ -34,6 +34,14 @@ def vec_from(g, *arrays):
     return VectorField(tuple(Field(g, a) for a in arrays))
 
 
+def _along(values, varying):
+    """values when varying is 2, else its first column broadcast along y: a
+    field that varies along x only."""
+    if varying == 2:
+        return values
+    return np.ascontiguousarray(np.broadcast_to(values[:, :1], values.shape))
+
+
 def full_wavenumbers(g):
     """Integer wavenumbers of numpy's fftn layout, one broadcast array per
     axis: the oracle for the half-layout tables."""
@@ -45,7 +53,7 @@ def full_wavenumbers(g):
 # grid construction
 
 
-@pytest.mark.parametrize("dim,n", [(1, 8), (1, 64), (2, 32)])
+@pytest.mark.parametrize("dim,n", [(2, 8), (2, 64), (2, 32)])
 def test_grid_basic(dim, n):
     g = TorusGrid(dim, n)
     assert g.shape == (n,) * dim
@@ -54,9 +62,10 @@ def test_grid_basic(dim, n):
     assert g.dealias_cutoff == n // 3
 
 
-@pytest.mark.parametrize("dim,n", [(3, 32), (2, 31), (2, 4), (0, 16)])
+@pytest.mark.parametrize("dim,n", [(3, 32), (2, 31), (2, 4), (0, 16), (1, 32)])
 def test_grid_rejects_bad_shapes(dim, n):
-    with pytest.raises(ValueError):
+    # the grid is 2-d: dims 1 and 3 are rejected with the dim rule named
+    with pytest.raises(ValueError, match="grid.dim" if dim != 2 else "n must"):
         TorusGrid(dim, n)
 
 
@@ -69,10 +78,9 @@ def test_wavenumbers_integer_and_broadcast(g2):
     assert np.array_equal(g2.rk_squared, kx**2 + ky**2)
 
 
-@pytest.mark.parametrize("dim", [1, 2])
-def test_rderiv_symbols(dim):
-    g = TorusGrid(dim, 16)
-    for axis in range(dim):
+def test_rderiv_symbols():
+    g = TorusGrid(2, 16)
+    for axis in range(2):
         k = g.rwavenumbers[axis].astype(float)
         nyquist = np.abs(k) == g.n // 2
         for order in (1, 2, 3, 4):
@@ -82,7 +90,7 @@ def test_rderiv_symbols(dim):
             assert np.array_equal(g.rderiv(axis, order), want)
         assert np.array_equal(g._rik[axis], g.rderiv(axis, 1))
     with pytest.raises(ValueError):
-        g.rderiv(dim, 1)
+        g.rderiv(2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -97,16 +105,16 @@ def test_constant_transforms_to_zero_mode_only(g2):
 
 
 def test_sine_has_two_modes():
-    g = TorusGrid(1, 8)
+    g = TorusGrid(2, 8)
     x = g.coords()[0]
     f = Field(g, np.sin(x))
     fh = np.fft.fftn(f.values)
-    # sin x = (e^{ix} - e^{-ix}) / 2i: coefficients -+ n/2 i at k = +-1
-    assert fh[1] == pytest.approx(-4j)
-    assert fh[-1] == pytest.approx(4j)
-    # the half layout is the k >= 0 part of the full spectrum
-    assert np.max(np.abs(g.rfft(f.values) - fh[: g.n // 2 + 1])) < 1e-12
-    fh[1] = fh[-1] = 0.0
+    # sin x = (e^{ix} - e^{-ix}) / 2i: coefficients -+ n^2/2 i at k = (+-1, 0)
+    assert fh[1, 0] == pytest.approx(-32j)
+    assert fh[-1, 0] == pytest.approx(32j)
+    # the half layout is the k_y >= 0 part of the full spectrum
+    assert np.max(np.abs(g.rfft(f.values) - fh[:, : g.n // 2 + 1])) < 1e-12
+    fh[1, 0] = fh[-1, 0] = 0.0
     assert np.max(np.abs(fh)) < 1e-12
 
 
@@ -135,13 +143,15 @@ def test_batch_rfft_matches_single(g2, rng):
         assert np.max(np.abs(a - b)) < 1e-13
 
 
-@pytest.mark.parametrize("dim", [1, 2])
-def test_batch_transforms_into_buffers(dim, rng):
+@pytest.mark.parametrize("varying", [1, 2])
+def test_batch_transforms_into_buffers(varying, rng):
     # the two 1-d passes through caller buffers reproduce rfftn / irfftn
-    # and leave their input alone
-    g = TorusGrid(dim, 32)
-    axes = tuple(range(1, 1 + dim))
-    stack = np.stack([random_band_limited(g, rng, 9).values for _ in range(3)])
+    # and leave their input alone, for fields that vary along x only
+    # (their spectra fill the k_y = 0 column) and along both axes
+    g = TorusGrid(2, 32)
+    axes = (1, 2)
+    stack = np.stack([_along(random_band_limited(g, rng, 9).values, varying)
+                      for _ in range(3)])
     hats = np.empty((3, *g.rshape), dtype=complex)
     work = np.empty((5, *g.rshape), dtype=complex)  # spare slots are fine
     stack_in = stack.copy()
@@ -161,15 +171,15 @@ def test_batch_transforms_into_buffers(dim, rng):
 # derivatives
 
 
-def test_derivative_of_sine(g1):
-    x = g1.coords()[0]
-    d = derivative(Field(g1, np.sin(x)), 0)
+def test_derivative_of_sine(g2):
+    x = g2.coords()[0]
+    d = derivative(Field(g2, np.sin(x)), 0)
     assert np.max(np.abs(d.values - np.cos(x))) < 1e-12
 
 
-def test_second_derivative(g1):
-    x = g1.coords()[0]
-    d2 = derivative(Field(g1, np.cos(x)), 0, order=2)
+def test_second_derivative(g2):
+    x = g2.coords()[0]
+    d2 = derivative(Field(g2, np.cos(x)), 0, order=2)
     assert np.max(np.abs(d2.values + np.cos(x))) < 1e-12
 
 
@@ -193,7 +203,7 @@ def test_derivative_rejects_bad_axis(g2):
 
 
 def test_nyquist_killed_on_odd_orders():
-    g = TorusGrid(1, 8)
+    g = TorusGrid(2, 8)
     x = g.coords()[0]
     # cos(4x) is pure Nyquist at n = 8; its spectral derivative must be
     # identically zero for the result to stay real
@@ -216,9 +226,9 @@ def test_laplacian_eigenfunction(g2):
     assert np.max(np.abs(laplacian(f).values + 2.0 * f.values)) < 1e-12
 
 
-def test_biharmonic_eigenfunction(g1):
-    x = g1.coords()[0]
-    f = Field(g1, np.cos(x))
+def test_biharmonic_eigenfunction(g2):
+    x = g2.coords()[0]
+    f = Field(g2, np.cos(x))
     # k^4 weights amplify transform roundoff by ~(n/2)^4
     assert np.max(np.abs(biharmonic(f).values - np.cos(x))) < 1e-10
 
@@ -240,10 +250,10 @@ def test_integral_of_derivative_vanishes(g2, rng):
 # dealiasing
 
 
-def test_dealias_zeroes_high_modes(g1):
-    x = g1.coords()[0]
-    cut = g1.dealias_cutoff  # 10 at n = 32
-    f = Field(g1, np.cos(cut * x) + np.cos((cut + 1) * x))
+def test_dealias_zeroes_high_modes(g2):
+    x = g2.coords()[0]
+    cut = g2.dealias_cutoff  # 10 at n = 32
+    f = Field(g2, np.cos(cut * x) + np.cos((cut + 1) * x))
     kept = dealias(f).values
     assert np.max(np.abs(kept - np.cos(cut * x))) < 1e-12
 
@@ -255,12 +265,12 @@ def test_dealias_idempotent(g2, rng):
     assert np.max(np.abs(twice - once)) <= 1e-14 * np.max(np.abs(once))
 
 
-def test_dealiased_product_removes_alias(g1):
+def test_dealiased_product_removes_alias(g2):
     # cos(10x)^2 = (1 + cos 20x)/2; k = 20 aliases to -12 on n = 32 samples
     # and sits outside the kept band, so the dealiased square is exactly 1/2
-    x = g1.coords()[0]
-    f = Field(g1, np.cos(10 * x))
-    sq = dealias(Field(g1, f.values * f.values))
+    x = g2.coords()[0]
+    f = Field(g2, np.cos(10 * x))
+    sq = dealias(Field(g2, f.values * f.values))
     assert np.max(np.abs(sq.values - 0.5)) < 1e-12
 
 
@@ -302,12 +312,6 @@ def test_leray_preserves_mean_flow(g2):
     assert integral(pv[1]) == pytest.approx(-0.5 * g2.volume)
 
 
-def test_leray_rejects_1d(g1):
-    v = VectorField((constant_field(g1, 1.0),))
-    with pytest.raises(ValueError):
-        leray_project(v)
-
-
 # ---------------------------------------------------------------------------
 # norms, quadrature, band-limited noise
 
@@ -316,10 +320,10 @@ def test_integral_constant(g2):
     assert integral(constant_field(g2, 2.0)) == pytest.approx(2.0 * (2 * np.pi) ** 2)
 
 
-def test_l2_norm_sine(g1):
-    x = g1.coords()[0]
-    # int sin^2 over [0, 2pi) = pi
-    assert l2_norm(Field(g1, np.sin(x))) == pytest.approx(np.sqrt(np.pi))
+def test_l2_norm_sine(g2):
+    x = g2.coords()[0]
+    # int sin^2 x over [0, 2pi)^2 = 2 pi^2
+    assert l2_norm(Field(g2, np.sin(x))) == pytest.approx(np.sqrt(2 * np.pi**2))
 
 
 def test_hs_norm_matches_l2_at_zero(g2, rng):
@@ -331,18 +335,18 @@ def test_hs_norm_constant(g2):
     assert hs_norm(constant_field(g2, -3.0), 5) == pytest.approx(3.0 * 2 * np.pi)
 
 
-def test_hs_norm_sine_weights(g1):
-    x = g1.coords()[0]
-    f = Field(g1, np.sin(x))
-    # coefficients 1/2 at k = +-1: ||f||_s^2 = 2pi * 2^s * (1/4 + 1/4)
+def test_hs_norm_sine_weights(g2):
+    x = g2.coords()[0]
+    f = Field(g2, np.sin(x))
+    # coefficients 1/2 at k = (+-1, 0): ||f||_s^2 = (2pi)^2 * 2^s * (1/4 + 1/4)
     for s in (0, 1, 2, 3):
-        expect = np.sqrt(2 * np.pi * 2**s * 0.5)
+        expect = np.sqrt((2 * np.pi) ** 2 * 2**s * 0.5)
         assert hs_norm(f, s) == pytest.approx(expect, rel=1e-12)
 
 
-def test_hs_norm_rejects_negative_index(g1):
+def test_hs_norm_rejects_negative_index(g2):
     with pytest.raises(ValueError):
-        hs_norm(constant_field(g1, 1.0), -1)
+        hs_norm(constant_field(g2, 1.0), -1)
 
 
 def test_parseval(g2, rng):
@@ -352,14 +356,14 @@ def test_parseval(g2, rng):
     assert l2_norm(f) ** 2 == pytest.approx(spectral_sum, rel=1e-12)
 
 
-def test_refine_interpolates_exactly(g1, g2):
-    x = g1.coords()[0]
-    f = Field(g1, np.sin(3 * x) + 0.2 * np.cos(5 * x))
+def test_refine_interpolates_exactly(g2):
+    x = g2.coords()[0]
+    f = Field(g2, np.sin(3 * x) + 0.2 * np.cos(5 * x))
     fine = refine(f, 2)
-    xf = np.arange(2 * g1.n) * np.pi / g1.n
+    xf = np.arange(2 * g2.n)[:, None] * np.pi / g2.n
     assert np.max(np.abs(fine - (np.sin(3 * xf) + 0.2 * np.cos(5 * xf)))) < 1e-12
 
-    # 2-d: modes with negative and positive k on axis 0, and a Nyquist-plane
+    # modes with negative and positive k on axis 0, and a Nyquist-plane
     # mode, which refine splits evenly between +n/2 and -n/2
     h = g2.n // 2
 
@@ -383,29 +387,31 @@ def _refine_reference(f, factor):
     h = g.n // 2
     fh = np.fft.rfftn(f.values)
     fh[..., h] *= 0.5
-    big = np.zeros(TorusGrid(g.dim, factor * g.n).rshape, dtype=complex)
-    if g.dim == 1:
-        big[: h + 1] = fh
-    else:
-        fh[h] *= 0.5
-        big[: h + 1, : h + 1] = fh[: h + 1]
-        big[-h:, : h + 1] = fh[h:]
-    fine = np.fft.irfftn(big, s=(factor * g.n,) * g.dim, axes=tuple(range(g.dim)))
-    return fine * factor**g.dim
+    big = np.zeros(TorusGrid(2, factor * g.n).rshape, dtype=complex)
+    fh[h] *= 0.5
+    big[: h + 1, : h + 1] = fh[: h + 1]
+    big[-h:, : h + 1] = fh[h:]
+    return np.fft.irfftn(big, s=(factor * g.n,) * 2, axes=(0, 1)) * factor**2
 
 
-@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("varying", [1, 2])
 @pytest.mark.parametrize("factor", [2, 3])
-def test_refine_stack_matches_single_field_bit_for_bit(dim, factor, rng):
-    g = TorusGrid(dim, 16)
+def test_refine_stack_matches_single_field_bit_for_bit(varying, factor, rng):
+    # fields that vary along x only or along both axes
+    g = TorusGrid(2, 16)
     h = g.n // 2
-    x = g.coords()[0]
-    fields = [random_band_limited(g, rng, h, zero_mean=False) for _ in range(4)]
-    # Nyquist content on every axis
-    nyq = np.cos(h * x) * (1.0 + 0.5 * np.cos(h * g.coords()[-1]))
+    x, y = g.coords()
+    fields = [
+        Field(g, _along(random_band_limited(g, rng, h, zero_mean=False).values, varying))
+        for _ in range(4)
+    ]
+    # Nyquist content on every axis the fields vary along
+    nyq = np.cos(h * x)
+    if varying == 2:
+        nyq = nyq * (1.0 + 0.5 * np.cos(h * y))
     fields.append(Field(g, fields[0].values + nyq))
     stack = refine(fields, factor)
-    assert stack.shape == (len(fields),) + (factor * g.n,) * dim
+    assert stack.shape == (len(fields),) + (factor * g.n,) * 2
     for f, slot in zip(fields, stack):
         single = refine(f, factor)
         assert np.array_equal(slot, single)
@@ -416,13 +422,14 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.uint8)
 
 
-@pytest.mark.parametrize("dim", [1, 2])
-def test_refine_result_survives_the_next_call(dim, rng):
+@pytest.mark.parametrize("varying", [1, 2])
+def test_refine_result_survives_the_next_call(varying, rng):
     # the allocating call owns its result; the buffered one fills the
-    # caller's buffers with the same bits
-    g = TorusGrid(dim, 16)
-    f = random_band_limited(g, rng, 7, zero_mean=False)
-    h = random_band_limited(g, rng, 7)
+    # caller's buffers with the same bits, for fields that vary along x
+    # only and along both axes
+    g = TorusGrid(2, 16)
+    f = Field(g, _along(random_band_limited(g, rng, 7, zero_mean=False).values, varying))
+    h = Field(g, _along(random_band_limited(g, rng, 7).values, varying))
     first = refine([f, h])
     kept = first.copy()
     second = refine([h, f])
@@ -439,25 +446,21 @@ def test_refine_result_survives_the_next_call(dim, rng):
 @pytest.mark.parametrize("k", [2, 5])
 def test_band_pruned_transforms_match_full_transforms_bit_for_bit(n, k, rng):
     # a work stack of 3 slots takes 2 arrays whole and 5 in chunks; the
-    # oracle is rfftn / irfftn of each array with the 2/3 truncation, in
-    # 2-d and in 1-d
-    for dim in (2, 1):
-        g = TorusGrid(dim, n)
-        cut = g.dealias_cutoff
-        axes = tuple(range(dim))
-        arrs = rng.standard_normal((k, *g.shape))
-        work = np.full((3, *g.rshape), np.nan, dtype=complex)
-        full = np.stack([np.fft.rfftn(a) for a in arrs])
-        full[..., cut + 1 :] = 0.0
-        if dim == 2:
-            full[..., cut + 1 : n - cut, :] = 0.0
-        got = batch_rfft(g, arrs, work=work, band=True)
-        assert np.array_equal(_bits(got), _bits(full))
-        assert np.array_equal(got == 0, ~np.broadcast_to(g.rdealias_mask, got.shape))
-        work[:] = np.nan
-        back = batch_irfft(g, full, work=work, band=True)
-        want = np.stack([np.fft.irfftn(h, s=g.shape, axes=axes) for h in full])
-        assert np.array_equal(_bits(back), _bits(want))
+    # oracle is rfftn / irfftn of each array with the 2/3 truncation
+    g = TorusGrid(2, n)
+    cut = g.dealias_cutoff
+    arrs = rng.standard_normal((k, *g.shape))
+    work = np.full((3, *g.rshape), np.nan, dtype=complex)
+    full = np.stack([np.fft.rfftn(a) for a in arrs])
+    full[..., cut + 1 :] = 0.0
+    full[..., cut + 1 : n - cut, :] = 0.0
+    got = batch_rfft(g, arrs, work=work, band=True)
+    assert np.array_equal(_bits(got), _bits(full))
+    assert np.array_equal(got == 0, ~np.broadcast_to(g.rdealias_mask, got.shape))
+    work[:] = np.nan
+    back = batch_irfft(g, full, work=work, band=True)
+    want = np.stack([np.fft.irfftn(h, s=g.shape, axes=(0, 1)) for h in full])
+    assert np.array_equal(_bits(back), _bits(want))
 
 
 def test_one_slot_cache_keeps_one_value_per_name(monkeypatch):
@@ -481,13 +484,13 @@ def test_one_slot_cache_keeps_one_value_per_name(monkeypatch):
     assert builds == ["a1", "b1", "a2", "a1 again"]
 
 
-def test_refine_stack_validation(g1, g2):
+def test_refine_stack_validation(g2):
     with pytest.raises(ValueError):
         refine([])
     with pytest.raises(ValueError):
         refine([constant_field(g2, 1.0), constant_field(TorusGrid(2, 16), 1.0)])
     with pytest.raises(ValueError):
-        refine(constant_field(g1, 1.0), 1)
+        refine(constant_field(g2, 1.0), 1)
 
 
 def test_random_band_limited_properties(g2, rng):
@@ -514,7 +517,7 @@ def _random_band_limited_fftn(grid, rng, kmax, zero_mean=True):
     return np.fft.ifftn(spec).real
 
 
-@pytest.mark.parametrize("dim,n", [(1, 32), (2, 16)])
+@pytest.mark.parametrize("dim,n", [(2, 32), (2, 16)])
 @pytest.mark.parametrize("zero_mean", [True, False])
 def test_random_band_limited_matches_full_layout_formula(dim, n, zero_mean):
     g = TorusGrid(dim, n)

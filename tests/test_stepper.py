@@ -44,7 +44,6 @@ from torusflow.stepper import (
     integrate,
     picard_step,
     step_compressible_rk4,
-    step_imex,
     step_incompressible_rk4,
     _block_tables,
     _etd_tables,
@@ -104,21 +103,19 @@ def test_default_dt_selects_bounds():
     c = Constitutive()
     advective = 0.4 * g.dx / 4.0
     cfg = StepperConfig(scheme="rk4", cfl=0.4, t_end=1.0)
-    cfg_imex = StepperConfig(scheme="imex", cfl=0.4, t_end=1.0)
     cfg_picard = StepperConfig(scheme="picard", cfl=0.4, t_end=1.0)
     for eps in (0.4, 0.2, 0.05):
         acoustic = acoustic_dt(eps, g, c, 0.4, 0.0)
         # conserved phase dynamics keeps the acoustic bound for every scheme
         s = rest_compressible(g, eps=eps)
-        for conf in (cfg, cfg_imex, cfg_picard):
+        for conf in (cfg, cfg_picard):
             assert default_dt(s, c, conf) == pytest.approx(acoustic, rel=1e-12)
         # relaxational ETDRK4 runs integrate the acoustics exactly and take
         # the larger of the acoustic and the eps-free advective bound
         s_ac = rest_compressible(g, eps=eps, model=ModelKind.AC)
         want = max(acoustic, advective)
         assert default_dt(s_ac, c, cfg) == pytest.approx(want, rel=1e-12)
-        for conf in (cfg_imex, cfg_picard):
-            assert default_dt(s_ac, c, conf) == pytest.approx(acoustic, rel=1e-12)
+        assert default_dt(s_ac, c, cfg_picard) == pytest.approx(acoustic, rel=1e-12)
     # sqrt(P'(1))/eps = 3.54 < 4 at eps = 0.4, so the acoustic bound wins there
     s_ac = rest_compressible(g, eps=0.4, model=ModelKind.AC)
     assert default_dt(s_ac, c, cfg) > advective
@@ -232,16 +229,17 @@ def test_block_tables_match_expm_oracle():
 
 
 def test_one_step_over_three_acoustic_periods_is_the_damped_oscillator():
-    # the dispersion probe's setup: a small 1-d density mode at rest.  Its
+    # the dispersion probe's setup: a small density mode (k, 0) at rest.  Its
     # linearisation rho'' + visc rho' + c2 k^2 rho = 0 is integrated exactly,
     # so one step across 3.2 periods lands on the damped oscillation
-    g = TorusGrid(1, 64)
+    g = TorusGrid(2, 64)
     c = Constitutive()
     eps, k = 0.1, 1
     amp = 1e-3 * eps**2
     x = g.coords()[0]
     rho = Field(g, 1.0 + amp * np.cos(k * x))
-    s = make_compressible(eps, rho, VectorField((constant_field(g, 0.0),)),
+    zero = constant_field(g, 0.0)
+    s = make_compressible(eps, rho, VectorField((zero, zero)),
                           constant_field(g, 1.0), ModelKind.CH)
     c2 = float(c.pressure_prime(1.0)) / eps**2
     visc = (c.nu0 + c.eta0) * k**2
@@ -320,8 +318,6 @@ def test_non_finite_update_is_a_numerics_error(monkeypatch):
     cases = (
         ("RK4", lambda: step_compressible_rk4(cs, 1e-3, c)),
         ("RK4", lambda: step_incompressible_rk4(is_, 1e-3, c)),
-        ("IMEX", lambda: step_imex(cs, 1e-3, c)),
-        ("IMEX", lambda: step_imex(is_, 1e-3, c)),
         ("Picard", lambda: picard_step(cs, 1e-3, c, one_sweep)),
     )
     for scheme, step in cases:
@@ -459,20 +455,20 @@ def _check_closures(got, want, zh, rng):
     assert _same_bits(out, ref)
 
 
-@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("varying", [1, 2])
 @pytest.mark.parametrize("model", list(ModelKind))
 @pytest.mark.parametrize("affine", [False, True], ids=["constant", "affine"])
 def test_compressible_etd_closures_match_allocating_closures(
-    dim, model, affine, rng, monkeypatch
+    varying, model, affine, rng, monkeypatch
 ):
-    g = TorusGrid(dim, 32)
+    # flow data that varies along x only, or along both axes
+    g = TorusGrid(2, 32)
     c = Constitutive(nu_phi=0.4, eta_rho=0.3) if affine else Constitutive()
-    x = g.coords()
-    if dim == 2:
+    if varying == 2:
         u0, phi0 = taylor_green_bubble(g)
     else:
-        u0 = VectorField((constant_field(g, 0.3),))
-        phi0 = Field(g, 0.5 * np.cos(x[0]))
+        u0 = VectorField((constant_field(g, 0.3), constant_field(g, 0.0)))
+        phi0 = Field(g, 0.5 * np.cos(g.coords()[0]))
     s = well_prepared_initial(u0, phi0, 0.2, 2.0, 4, model)
     dt = 3e-3
     got = _captured_closures(step_compressible_rk4, s, dt, c, monkeypatch)
@@ -610,44 +606,6 @@ def test_long_stiff_compressible_run_stays_bounded(model):
 
 
 # ---------------------------------------------------------------------------
-# IMEX
-
-def test_imex_fixed_point(g2):
-    c = Constitutive()
-    for model in ModelKind:
-        s = rest_compressible(g2, phi0=-1.0, model=model)
-        out = step_imex(s, 1e-3, c)
-        assert np.max(np.abs(out.rho.values - 1.0)) < 1e-13
-        assert np.max(np.abs(out.q.values + 1.0)) < 1e-12
-
-
-def test_imex_first_order_against_rk4():
-    # against a fixed fourth-order reference, the first-order splitting
-    # error must halve when dt halves (Richardson behaviour)
-    g = TorusGrid(2, 32)
-    c = Constitutive()
-    u0, phi0 = initial_from_preset("taylor_green_bubble", g)
-    s0 = well_prepared_initial(u0, phi0, 0.4, 0.1, 0, ModelKind.CH)
-    t_end = 4e-4
-
-    def gap(nsteps):
-        s_im = s0
-        dt = t_end / nsteps
-        for _ in range(nsteps):
-            s_im = step_imex(s_im, dt, c)
-        s_ref = s0
-        for _ in range(64):
-            s_ref = step_compressible_rk4(s_ref, t_end / 64, c)
-        du = [a.values - b.values for a, b in zip(s_im.mom, s_ref.mom)]
-        return np.sqrt(sum(np.mean(d * d) for d in du)) + np.sqrt(
-            np.mean((s_im.q.values - s_ref.q.values) ** 2)
-        )
-
-    ratio = gap(16) / gap(8)
-    assert 0.4 < ratio < 0.6
-
-
-# ---------------------------------------------------------------------------
 # Picard-iterated implicit Euler
 
 
@@ -664,12 +622,13 @@ def test_picard_tiny_step_converges_immediately(g2):
 
 def test_picard_fixed_point(g2):
     c = Constitutive()
-    s = rest_compressible(g2, phi0=1.0)
     cfg = StepperConfig(scheme="picard", t_end=1.0)
-    out, report = picard_step(s, 1e-3, c, cfg)
-    assert report.converged
-    assert np.max(np.abs(out.rho.values - 1.0)) < 1e-12
-    assert np.max(np.abs(out.q.values - 1.0)) < 1e-10
+    for model in ModelKind:
+        s = rest_compressible(g2, phi0=1.0, model=model)
+        out, report = picard_step(s, 1e-3, c, cfg)
+        assert report.converged
+        assert np.max(np.abs(out.rho.values - 1.0)) < 1e-12
+        assert np.max(np.abs(out.q.values - 1.0)) < 1e-10
 
 
 def test_picard_contraction_ratios(g2):
@@ -688,18 +647,18 @@ def test_picard_increment_norm_matches_hs_norm(rng):
     # Picard measures increments with hermitian_sq on the half layout; the
     # oracle sums the full spectrum.  White noise fills every mode, the
     # Nyquist column of the half layout too.
-    for g in (TorusGrid(1, 16), TorusGrid(2, 16)):
-        f = rng.standard_normal(g.shape)
-        ah = g.rfft(f)
-        assert np.min(np.abs(ah[..., -1])) > 0.0
-        coeffs = np.fft.fftn(f) / g.n**g.dim
-        k1d = np.fft.fftfreq(g.n, d=1.0 / g.n)
-        k2 = sum(k**2 for k in np.meshgrid(*([k1d] * g.dim), indexing="ij"))
-        for s in (0, 1, 3):
-            want = g.volume * np.sum((1.0 + k2) ** s * np.abs(coeffs) ** 2)
-            got = hermitian_sq(g, ah, (1.0 + g.rk_squared) ** s)
-            assert abs(got - want) <= 1e-12 * want
-            assert hs_norm(Field(g, f), s) == pytest.approx(math.sqrt(want), rel=1e-12)
+    g = TorusGrid(2, 16)
+    f = rng.standard_normal(g.shape)
+    ah = g.rfft(f)
+    assert np.min(np.abs(ah[..., -1])) > 0.0
+    coeffs = np.fft.fftn(f) / g.n**g.dim
+    k1d = np.fft.fftfreq(g.n, d=1.0 / g.n)
+    k2 = sum(k**2 for k in np.meshgrid(*([k1d] * g.dim), indexing="ij"))
+    for s in (0, 1, 3):
+        want = g.volume * np.sum((1.0 + k2) ** s * np.abs(coeffs) ** 2)
+        got = hermitian_sq(g, ah, (1.0 + g.rk_squared) ** s)
+        assert abs(got - want) <= 1e-12 * want
+        assert hs_norm(Field(g, f), s) == pytest.approx(math.sqrt(want), rel=1e-12)
 
 
 def test_solver_core_uses_no_full_spectrum_transform(g2, monkeypatch):
@@ -716,8 +675,6 @@ def test_solver_core_uses_no_full_spectrum_transform(g2, monkeypatch):
     monkeypatch.setattr(np.fft, "ifftn", forbidden)
     step_compressible_rk4(sc, 1e-4, c)
     step_incompressible_rk4(si, 1e-4, c)
-    step_imex(sc, 1e-4, c)
-    step_imex(si, 1e-4, c)
     assert picard_step(sc, 1e-4, c, cfg)[1].converged
 
 

@@ -88,6 +88,9 @@ def test_sweep_config_defaults():
         {"kappa0": -0.1},
         {"cfl": 1.5},
         {"model": ModelKind.AC, "s_index": 2},
+        # the grid rules are TorusGrid's, checked when the config is built
+        {"n": 63},
+        {"n": 6, "s_index": 1},
     ],
 )
 def test_sweep_config_rejects(kwargs):
@@ -232,6 +235,8 @@ def test_dispersion_validation():
         acoustic_dispersion_check(0.5, 11, 1e-5, c, n=32)
     with pytest.raises(ValueError):
         acoustic_dispersion_check(0.5, 1, 0.0, c, n=32)
+    with pytest.raises(ValueError):
+        acoustic_dispersion_check(0.5, 1, math.nan, c, n=32)
     with pytest.raises(ValueError):
         # amplitude cap scales with eps^2
         acoustic_dispersion_check(0.2, 1, 1e-4, c, n=32)

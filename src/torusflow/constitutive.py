@@ -55,6 +55,9 @@ class Constitutive:
             raise ValueError(f"gamma must be >= 1, got {self.gamma}")
         if not self.pressure_coeff > 0.0:
             raise ValueError(f"pressure_coeff must be positive, got {self.pressure_coeff}")
+        for name in ("nu_rho", "nu_phi", "eta_rho", "eta_phi"):
+            if not np.isfinite(slope := getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {slope}")
         for lo, hi, name in (
             (self.nu_star, self.nu_upper, "nu"),
             (self.eta_star, self.eta_upper, "eta"),

@@ -8,25 +8,28 @@ reference viscous operator, the spectral vanishing viscosity and, in the
 compressible system, the linearised acoustics (the 2x2 block coupling
 density and the gradient part of the momentum through the sound speed
 sqrt(P'(1))/eps).  The remainder goes through the four stages of the
-tableau.  Relaxational (nsac) compressible runs therefore step at a bound
-that does not depend on eps; conserved (nsch) runs keep the acoustic bound
-for accuracy, see default_dt.  "picard" is a fully implicit Euler step on
-the conservative variables, solved by Picard iteration, for verification
-runs of the compressible system.  Both schemes evaluate their tendencies
-through the half-spectrum kernels rhs_compressible_hat /
-rhs_incompressible_hat and carry their spectral state as one stacked
-complex array (nvar, *rshape), which _to_state turns back into the next
-state.  ETDRK4 keeps its stage values in cached stacks and has the kernels
-write their tendencies into them.  Its ops and nonlin closures apply the
-real tables with ``out=`` ufuncs in a few cached scratch spectra, in the
-order of the allocating expressions (same bits), so a step allocates little
-beyond the new state.  The tables (one set per regime), the stage stacks
+tableau.  "picard", for verification runs of the compressible system, is
+implicit Euler on the same linear part and remainder, solved by fixed-point
+iteration through the resolvent (I - dt L)^-1, which takes the acoustics
+exactly (all-speed, as in Degond & Tang, CiCP 10 (2011)).  Relaxational
+(nsac) compressible runs therefore step at a bound that does not depend on
+eps; conserved (nsch) runs keep the acoustic bound for accuracy, see
+default_dt.  Both schemes evaluate their tendencies through the
+half-spectrum kernels rhs_compressible_hat / rhs_incompressible_hat and
+carry their spectral state as one stacked complex array (nvar, *rshape),
+which _to_state turns back into the next state.  The stage values of ETDRK4
+and the iterates of Picard sit in cached stacks, and the kernels write
+their tendencies into them.  The ops and nonlin closures apply the real
+tables with ``out=`` ufuncs in a few cached scratch spectra, in the order of
+the allocating expressions (same bits), so a step allocates little beyond
+the new state.  The tables (one set per regime), the stage stacks
 and the scratch are slots of ``spectral._one_slot``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -59,8 +62,8 @@ class PicardOptions:
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError(f"picard tol must be positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"picard max_iter must be >= 1, got {self.max_iter}")
+        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1):
+            raise ValueError(f"picard max_iter must be an integer >= 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True)
@@ -194,7 +197,8 @@ def _etd_tables(lam: np.ndarray, dt: float) -> dict:
     """ETDRK4-B coefficients of the scalar symbol lam at step dt.
 
     E2 = exp(lam dt/2), Q = dt/2 phi_1(lam dt/2), P2h = dt phi_2(lam dt/2),
-    P2 = dt phi_2(lam dt) and P3 = dt phi_3(lam dt); see _etdrk4.
+    P2 = dt phi_2(lam dt) and P3 = dt phi_3(lam dt); see _etdrk4.  R =
+    1/(1 - dt lam) is the implicit Euler resolvent of picard_step.
     """
     h1, h2, _ = _phi123(0.5 * dt * lam)
     _, f2, f3 = _phi123(dt * lam)
@@ -204,16 +208,19 @@ def _etd_tables(lam: np.ndarray, dt: float) -> dict:
         "P2h": dt * h2,
         "P2": dt * f2,
         "P3": dt * f3,
+        "R": 1.0 / (1.0 - dt * lam),
     }
 
 
 def _block_tables(m: np.ndarray, s2: np.ndarray, det: np.ndarray, dt: float) -> dict:
     """The _etd_tables coefficients of a field of real 2x2 symbols L with
     eigenvalues m +- sqrt(s2) and determinant det, each key a real pair
-    (c0, c1) with f(L) = c0 I + c1 L."""
+    (c0, c1) with f(L) = c0 I + c1 L.  R = (I - dt L)^-1 is ((1 - 2 dt m) I
+    + dt L) / D, D = det(I - dt L) >= 1 as m <= 0 and det >= 0."""
     h = 0.5 * dt
     half = _phi_block(h * m, h * h * s2, h * h * det)
     full = _phi_block(dt * m, dt * dt * s2, dt * dt * det)
+    d = 1.0 - 2.0 * dt * m + dt * dt * det
 
     def pair(ab, tau, weight):
         # phi(tau L) = a I + b tau L
@@ -225,6 +232,7 @@ def _block_tables(m: np.ndarray, s2: np.ndarray, det: np.ndarray, dt: float) -> 
         "P2h": pair(half[2], h, dt),
         "P2": pair(full[2], dt, dt),
         "P3": pair(full[3], dt, dt),
+        "R": ((1.0 - 2.0 * dt * m) / d, dt / d),
     }
 
 
@@ -237,7 +245,8 @@ def _cached_tables(regime: str, key: tuple, dt: float, build: Callable):
 
 def _cached_stack(name: str, shape: tuple) -> np.ndarray:
     """A complex stack kept while its shape repeats: the stage stacks of
-    _etdrk4 and the scratch of the ops/nonlin closures; none leaves the step."""
+    _etdrk4 and picard_step and the scratch of the ops/nonlin closures; none
+    leaves the step."""
     return _one_slot(f"stepper.{name}", shape, lambda: np.empty(shape, dtype=complex))
 
 
@@ -367,16 +376,14 @@ def _kdot(ik: np.ndarray, v: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np
     return out
 
 
-def step_compressible_rk4(
-    s: CompressibleState, dt: float, c: Constitutive
-) -> CompressibleState:
-    """ETDRK4 step of the conservative compressible system.
+def _compressible_closures(s: CompressibleState, dt: float, c: Constitutive):
+    """The ops and nonlin closures (see _etdrk4) of the conservative
+    compressible system at step dt, which ETDRK4 and Picard both use.
 
-    The exact linear part is the linearised acoustics with the reference
+    The linear part L is the linearised acoustics with the reference
     viscosities (see _acoustic_tables) on density and the gradient part of
     the momentum, the reference viscosity on the solenoidal momentum and the
-    phase symbol on q, each minus svv.  The sound speed sqrt(P'(1))/eps
-    therefore sets no step bound.  Runs entirely on the half-spectrum
+    phase symbol on q, each minus svv.  Runs entirely on the half-spectrum
     layout; ops and nonlin work in four cached scratch spectra.
     """
     g = s.grid
@@ -453,8 +460,18 @@ def step_compressible_rk4(
         np.multiply(ell_q, z[-1], out=t)
         out[-1] -= t
 
-    zh = batch_rfft(g, s.as_arrays())
-    return _to_state(s, _etdrk4(zh, ops, nonlin, g.rdealias_mask), "RK4")
+    return ops, nonlin
+
+
+def step_compressible_rk4(
+    s: CompressibleState, dt: float, c: Constitutive
+) -> CompressibleState:
+    """ETDRK4 step of the conservative compressible system, whose linear
+    part (see _compressible_closures) holds the acoustics: the sound speed
+    sqrt(P'(1))/eps sets no step bound."""
+    ops, nonlin = _compressible_closures(s, dt, c)
+    zh = batch_rfft(s.grid, s.as_arrays())
+    return _to_state(s, _etdrk4(zh, ops, nonlin, s.grid.rdealias_mask), "RK4")
 
 
 def step_incompressible_rk4(
@@ -502,65 +519,41 @@ def step_incompressible_rk4(
 # Picard-iterated implicit Euler
 
 
-def _lagged_euler(g: TorusGrid, zn: np.ndarray, z: np.ndarray, tend: np.ndarray,
-                  dt: float, nu_bar: float, eta_bar: float, ell: np.ndarray) -> np.ndarray:
-    """Implicit Euler update with the constant-coefficient core solved exactly
-    and the rest of the tendency lagged at z:
-
-        (1 - dt*L) z_new = zn + dt*(tend - L z),
-
-    on compressible state stacks.  L = 0 on the density, the reference
-    viscous operator L v = -nu k^2 v + eta ik (ik . v) on the momentum, and
-    ell on the phase.  With ik from _rik, L is -nu k^2 on the solenoidal
-    part of v and -(nu k^2 + eta |k|^2) on its gradient part
-    -ik (ik . v)/|k|^2, which fixes its resolvent.
-    """
-    vel = slice(1, 1 + g.dim)
-    ik = g._rik_stack
-    k2 = g.rk_squared
-    kk2 = g._rik2
-    div = np.sum(ik * z[vel], axis=0)
-    rhs = zn[vel] + dt * (tend[vel] + nu_bar * k2 * z[vel] - eta_bar * ik * div)
-    r_sol = 1.0 / (1.0 + dt * nu_bar * k2)
-    r_grad = 1.0 / (1.0 + dt * (nu_bar * k2 + eta_bar * kk2))
-    # ik = 0 wherever |k| = 0, so the safe divisor there changes nothing
-    w = (r_grad - r_sol) / np.where(kk2 > 0, kk2, 1.0) * np.sum(ik * rhs, axis=0)
-    out = np.empty_like(zn)
-    out[0] = zn[0] + dt * tend[0]
-    out[vel] = r_sol * rhs - ik * w
-    out[-1] = (zn[-1] + dt * (tend[-1] - ell * z[-1])) / (1.0 - dt * ell)
-    return out
-
-
 def picard_step(
     s: CompressibleState, dt: float, c: Constitutive, cfg: StepperConfig
 ):
-    """Implicit Euler step z = z_n + dt*F(z) of the conservative compressible
-    system by Picard iteration on the half spectra (see _lagged_euler for the
-    splitting); the increment is measured in H^1, density scaled by 1/eps.
-    Returns the updated state and a convergence report."""
+    """Implicit Euler step z = z_n + dt (L z + N(z)) of the system ETDRK4
+    integrates (rhs - svv*z; L, N from _compressible_closures), by Picard
+    iteration z <- R (z_n + dt N(z)) with the resolvent R = (I - dt L)^-1:
+    only N is lagged, so the acoustics set no contraction bound.  The
+    increment is measured in H^1, density scaled by 1/eps.  Returns the
+    updated state and a convergence report."""
     if not isinstance(s, CompressibleState):
         raise TypeError("picard_step expects a compressible state")
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     g = s.grid
-    nu_bar, eta_bar = _reference_viscosities(c)
-    ell_q = _phase_symbol(g, s.model)
+    ops, nonlin = _compressible_closures(s, dt, c)
     h1 = 1.0 + g.rk_squared
     zn = batch_rfft(g, s.as_arrays()) * g.rdealias_mask
+    z, z_new, f = _cached_stack("stages", (5, *zn.shape))[:3]
+    z[...] = zn
 
-    z = zn
     ratios = []
     converged = False
     diff = math.inf
     for it in range(1, cfg.picard.max_iter + 1):
-        z_new = _lagged_euler(g, zn, z, _rhs_hat(s, c, z), dt, nu_bar, eta_bar, ell_q)
+        nonlin(z, f)
+        f *= dt
+        f += zn
+        ops("R", f, z_new)
+        np.subtract(z_new, z, out=f)
         prev_diff = diff
-        sq = [hermitian_sq(g, row, h1) for row in z_new - z]
+        sq = [hermitian_sq(g, row, h1) for row in f]
         diff = math.sqrt(sq[0]) / s.eps + sum(math.sqrt(x) for x in sq[1:])
         if 0 < prev_diff < math.inf:
             ratios.append(diff / prev_diff)
-        z = z_new
+        z, z_new = z_new, z
         if diff < cfg.picard.tol:
             converged = True
             break
@@ -586,12 +579,12 @@ def default_dt(state, c: Constitutive, cfg: StepperConfig) -> float:
 
     Incompressible runs take the advective bound
     cfl*dx/(umax + _INCOMPRESSIBLE_WAVE_SPEED).  Compressible runs take the
-    acoustic bound, except ETDRK4 (scheme "rk4") runs of the
-    relaxational model: their step integrates the linear acoustics exactly,
-    so they take the larger of the acoustic bound and the advective one,
-    which does not depend on eps.  The conserved model keeps the acoustic
-    bound, because at the eps-free step its rho-gradient error falls only
-    like eps and misses the sweep's rate bar.  No separate phase cap
+    acoustic bound, except runs of the relaxational model: both schemes
+    solve the linear acoustics exactly, so these take the larger of the
+    acoustic bound and the advective one, which does not depend on eps.
+    The conserved model keeps the acoustic bound, because at the eps-free
+    step its rho-gradient error falls only like eps and misses the sweep's
+    rate bar.  No separate phase cap
     applies: ETDRK4 and the Picard solve take the phase stiffness
     exactly."""
     if cfg.dt_override is not None:
@@ -602,7 +595,7 @@ def default_dt(state, c: Constitutive, cfg: StepperConfig) -> float:
     if not isinstance(state, CompressibleState):
         return advective
     acoustic = acoustic_dt(state.eps, g, c, cfg.cfl, umax)
-    if state.model is ModelKind.AC and cfg.scheme == "rk4":
+    if state.model is ModelKind.AC:
         return max(acoustic, advective)
     return acoustic
 

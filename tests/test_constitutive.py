@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -173,6 +175,8 @@ def test_affine_viscosity_clamps():
         dict(nu_star=2.0, nu_upper=1.0),
         dict(nu0=200.0),
         dict(eta0=1e-9),
+        dict(nu_phi=math.inf),
+        dict(eta_rho=-math.inf),
     ],
 )
 def test_constitutive_validation(kwargs):

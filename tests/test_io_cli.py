@@ -230,8 +230,13 @@ def test_run_config_built_in_python_checks_its_values(overrides, fragment):
         lambda: StepperConfig(t_end=math.nan),
         lambda: StepperConfig(dt_override=math.nan),
         lambda: PicardOptions(tol=math.nan),
+        lambda: PicardOptions(max_iter=math.nan),
         lambda: Constitutive(gamma=math.nan),
         lambda: Constitutive(pressure_coeff=math.nan),
+        lambda: Constitutive(nu_rho=math.nan),
+        lambda: Constitutive(nu_phi=math.nan),
+        lambda: Constitutive(eta_rho=math.nan),
+        lambda: Constitutive(eta_phi=math.nan),
         lambda: SweepConfig(kappa0=math.nan),
         lambda: SweepConfig(t_end=math.nan),
         lambda: _run_config(kappa0=math.nan),
@@ -240,8 +245,13 @@ def test_run_config_built_in_python_checks_its_values(overrides, fragment):
         "stepper-t_end",
         "stepper-dt_override",
         "picard-tol",
+        "picard-max_iter",
         "gamma",
         "pressure_coeff",
+        "nu_rho",
+        "nu_phi",
+        "eta_rho",
+        "eta_phi",
         "sweep-kappa0",
         "sweep-t_end",
         "run-kappa0",
@@ -291,6 +301,20 @@ def test_picard_scheme_loads_and_integrates(tmp_path, monkeypatch):
     assert reports and all(rep.converged for rep in reports)
     assert len(reports) == math.ceil(0.01 / default_dt(s0, cfg.constitutive, cfg.stepper))
     assert all(np.all(np.isfinite(a)) for a in s.as_arrays())
+
+
+def test_cli_picard_run_at_the_default_cfl_exits_0(tmp_path, capsys):
+    # the default cfl 0.4 gives nsch the acoustic bound, where Picard
+    # converges because its resolvent holds the acoustics
+    cfg = write_json(tmp_path, "picard.json", {
+        "model": "nsch",
+        "regime": "compressible",
+        "eps": 0.2,
+        "grid": {"n": 32},
+        "stepper": {"scheme": "picard", "t_end": 0.05},
+    })
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert "run complete" in capsys.readouterr().out
 
 
 def _readme_schema_blocks():

@@ -110,12 +110,12 @@ def test_default_dt_selects_bounds():
         s = rest_compressible(g, eps=eps)
         for conf in (cfg, cfg_picard):
             assert default_dt(s, c, conf) == pytest.approx(acoustic, rel=1e-12)
-        # relaxational ETDRK4 runs integrate the acoustics exactly and take
+        # both schemes solve the acoustics exactly, so relaxational runs take
         # the larger of the acoustic and the eps-free advective bound
         s_ac = rest_compressible(g, eps=eps, model=ModelKind.AC)
         want = max(acoustic, advective)
-        assert default_dt(s_ac, c, cfg) == pytest.approx(want, rel=1e-12)
-        assert default_dt(s_ac, c, cfg_picard) == pytest.approx(acoustic, rel=1e-12)
+        for conf in (cfg, cfg_picard):
+            assert default_dt(s_ac, c, conf) == pytest.approx(want, rel=1e-12)
     # sqrt(P'(1))/eps = 3.54 < 4 at eps = 0.4, so the acoustic bound wins there
     s_ac = rest_compressible(g, eps=0.4, model=ModelKind.AC)
     assert default_dt(s_ac, c, cfg) > advective
@@ -174,6 +174,15 @@ def test_etdrk4_is_exact_on_pure_linear():
     assert forced[0, 0] == pytest.approx(want, rel=1e-14)
 
 
+def test_etd_tables_hold_the_implicit_euler_resolvent():
+    # z = z0 + dt*lam*z is solved by R z0, R = 1/(1 - dt*lam)
+    lam = np.array([-3.0, -1e6, 0.0])
+    for dt in (1e-4, 0.25):
+        r = _etd_tables(lam, dt)["R"]
+        assert r * (1.0 - dt * lam) == pytest.approx(np.ones(3), rel=1e-15)
+        assert r[-1] == 1.0
+
+
 def _block_modes(c2):
     # (svv, visc, |k|): k = 0, under- and over-damped modes, and modes
     # within 1e-9 and 1e-5 of critical damping visc^2/4 = c2 |k|^2
@@ -188,7 +197,8 @@ def _block_modes(c2):
 
 def test_block_tables_match_expm_oracle():
     # the top row of exp([[zL, I, 0, 0], [0, 0, I, 0], [0, 0, 0, I], [0]])
-    # holds exp(zL), phi_1(zL), phi_2(zL), phi_3(zL).  Entries are compared
+    # holds exp(zL), phi_1(zL), phi_2(zL), phi_3(zL); the resolvent's oracle
+    # is inv(I - dt L).  Entries are compared
     # in the balanced variables (sqrt(c2) rho, b), where L is well scaled,
     # against the largest entry of the oracle.
     eye, zero = np.eye(2), np.zeros((2, 2))
@@ -219,6 +229,7 @@ def test_block_tables_match_expm_oracle():
                     "P2h": dt * phis[0.5 * dt][2],
                     "P2": dt * phis[dt][2],
                     "P3": dt * phis[dt][3],
+                    "R": np.linalg.inv(eye - dt * L),
                 }
                 assert set(tabs) == set(want)
                 for key, (c0, c1) in tabs.items():
@@ -311,8 +322,11 @@ def test_non_finite_update_is_a_numerics_error(monkeypatch):
     is_ = IncompressibleState(u0, phi0, ModelKind.CH)
     c = Constitutive()
     monkeypatch.setattr(stepper_module, "_etdrk4", lambda zh, *a: np.full_like(zh, np.nan))
+    # Picard's iterate is the resolvent applied by ops("R", ...)
     monkeypatch.setattr(
-        stepper_module, "_lagged_euler", lambda g, zn, *a: np.full_like(zn, np.nan)
+        stepper_module,
+        "_compressible_closures",
+        lambda *a: (lambda key, z, out: out.fill(np.nan), lambda z, out: out.fill(0.0)),
     )
     one_sweep = StepperConfig(scheme="picard", picard=PicardOptions(max_iter=1))
     cases = (
@@ -355,7 +369,7 @@ def test_caches_follow_the_grid():
 # ---------------------------------------------------------------------------
 # the in-place ETD operators: the allocating closures are the oracle
 
-_TABLE_KEYS = ("E2", "Q", "P2h", "P2", "P3")
+_TABLE_KEYS = ("E2", "Q", "P2h", "P2", "P3", "R")
 
 
 def _captured_closures(step, s, dt, c, monkeypatch):
@@ -643,6 +657,37 @@ def test_picard_contraction_ratios(g2):
     assert all(r < 1.0 for r in report.ratios)
 
 
+@pytest.mark.parametrize("model", list(ModelKind))
+@pytest.mark.parametrize("eps", [0.2, 0.05])
+def test_picard_converges_at_the_default_step(model, eps):
+    # the acoustics sit in the resolvent, so the default cfl needs no cut:
+    # nsch at the acoustic bound, nsac at the eps-free one
+    g = TorusGrid(2, 32)
+    c = Constitutive()
+    u0, phi0 = initial_from_preset("taylor_green_bubble", g)
+    s = well_prepared_initial(u0, phi0, eps, 0.1, 0, model)
+    cfg = StepperConfig(scheme="picard", cfl=0.4)
+    out, report = picard_step(s, default_dt(s, c, cfg), c, cfg)
+    assert report.converged, report
+    assert max(report.ratios) < 0.5
+    assert float(np.min(out.rho.values)) > 0.0
+
+
+@pytest.mark.parametrize("model", list(ModelKind))
+def test_picard_contraction_does_not_grow_as_eps_falls(model):
+    g = TorusGrid(2, 32)
+    c = Constitutive()
+    u0, phi0 = initial_from_preset("taylor_green_bubble", g)
+    cfg = StepperConfig(scheme="picard", cfl=0.25)
+    worst = {}
+    for eps in (0.2, 0.05):
+        s = well_prepared_initial(u0, phi0, eps, 0.1, 0, model)
+        report = picard_step(s, default_dt(s, c, cfg), c, cfg)[1]
+        assert report.converged
+        worst[eps] = max(report.ratios)
+    assert worst[0.05] <= worst[0.2], worst
+
+
 def test_picard_increment_norm_matches_hs_norm(rng):
     # Picard measures increments with hermitian_sq on the half layout; the
     # oracle sums the full spectrum.  White noise fills every mode, the
@@ -713,8 +758,9 @@ def test_picard_requires_compressible(g2):
 def test_picard_options_validation():
     with pytest.raises(ValueError):
         PicardOptions(tol=0.0)
-    with pytest.raises(ValueError):
-        PicardOptions(max_iter=0)
+    for bad in (0, 2.5):
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            PicardOptions(max_iter=bad)
 
 
 # ---------------------------------------------------------------------------

@@ -235,6 +235,10 @@ def _cmd_run(args) -> int:
                 return out
 
             if row or snap:
+                # a stepped state forms its fields on first read; reading
+                # them here keeps every transform of the run on the stepping
+                # thread, so traced transform counts do not depend on timing
+                st.as_arrays()
                 tasks.append(sampler.submit(job))
 
         def observer(t, st):

@@ -10,31 +10,32 @@ the 2/3 rule; divergences are evaluated spectrally, which makes the means
 of drho and (CH) dq vanish identically.
 
 The half-spectrum kernels rhs_compressible_hat / rhs_incompressible_hat
-take and return one stacked complex array (nvar, *rshape).  Their physical
-fields, products and product spectra live in a per-grid workspace of
-preallocated buffers (a slot of ``spectral._one_slot``), transformed
-through batch_rfft / batch_irfft with ``out=`` and one shared work buffer;
-per call they allocate only the returned tendency.  The primitive, product
-and viscous spectra come 2/3-truncated from the band-pruned forward
-transform (``band=True``), and the derivative and viscous spectra go back
-through the band-pruned inverse; the state stack itself keeps the full
-transform, so a caller may pass it untruncated.  Products that enter the
-tendency only through the same operator are summed before their
-transform: P(rho)/eps^2 rides on the diagonal momentum flux, phi^3 on the
-curvature term of mu and (incompressible) the capillary force on the
-advection, so a 2-d compressible call transforms 21 arrays and an
-incompressible one 14.
+take and return one stacked complex array in the band layout (nvar,
+*bshape) of ``spectral``: the half spectrum cut to the columns the 2/3
+rule keeps.  Their physical fields, products and product spectra live in
+a per-grid workspace of preallocated buffers (a slot of
+``spectral._one_slot``), transformed through batch_rfft / batch_irfft with
+``band=True``, ``out=`` and one shared work buffer; per call they allocate
+only the returned tendency.  The state stack they take is dealiased: its
+rows |k| > floor(n/3) are zero.  Products that enter the tendency only
+through the same operator are summed before their transform: P(rho)/eps^2
+rides on the diagonal momentum flux, phi^3 on the curvature term of mu
+and (incompressible) the capillary force on the advection, so a 2-d
+compressible call transforms 21 arrays and an incompressible one 14.
 
 Each state class owns its array layout: ``as_arrays`` and ``from_arrays``
 run in the order of ``field_names``, which also names a snapshot's fields,
-and ``STATES`` maps each regime name to its class.
+and ``STATES`` maps each regime name to its class.  A state a step returns
+carries its band stack, which the next step starts from, and forms its
+physical Fields from it only when they are first read (see ``_Carried``).
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import sys
-from dataclasses import dataclass
+import threading
 from functools import cached_property
 from typing import ClassVar
 
@@ -52,7 +53,6 @@ from .spectral import (
     divergence,
     hs_norm,
     random_band_limited,
-    truncate,
 )
 
 
@@ -68,27 +68,82 @@ def _check_eps(eps: float) -> None:
         raise ValueError(f"eps must lie in [{lo:.4g}, {hi:.4g}] (eps**2 normal), got {eps}")
 
 
-@dataclass(frozen=True)
-class CompressibleState:
+class _Carried:
+    """What the two state classes share: the grid, the dealiased band stack
+    (nvar, *grid.bshape) that a step leaves, and the Fields.
+
+    A state built from Fields carries no stack; a step transforms its fields
+    on entry.  A state a step returns carries the new stack and forms its
+    Fields from it on first read, under a lock, into buffers of its own (no
+    workspace), so any thread may read them while another one steps on.
+    The state owns its stack, and nothing writes to it.
+    """
+
+    def _carry(self, grid: TorusGrid, fields, zh) -> None:
+        self._grid, self._fields, self._zh = grid, fields, zh
+        self._lock = threading.Lock()
+
+    @property
+    def grid(self) -> TorusGrid:
+        return self._grid
+
+    @property
+    def stack(self):
+        """The band stack a step left, or None for a state built from Fields."""
+        return self._zh
+
+    def with_stack(self, zh: np.ndarray):
+        """The state of this kind, model and eps whose band stack is zh."""
+        new = copy.copy(self)
+        new._carry(self._grid, None, zh)
+        return new
+
+    def _values(self) -> tuple:
+        if self._fields is None:
+            with self._lock:
+                if self._fields is None:
+                    arrays = batch_irfft(self._grid, self._zh, band=True)
+                    self._fields = self._pack(self._grid, arrays)
+        return self._fields
+
+    # a lock does not pickle (sweep legs come back from worker processes)
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_lock"}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
+
+
+class CompressibleState(_Carried):
     """Conservative state (rho, m = rho*u, q = rho*phi) at Mach parameter eps."""
 
     REGIME: ClassVar[str] = "compressible"
 
-    eps: float
-    rho: Field
-    mom: VectorField
-    q: Field
-    model: ModelKind
-
-    def __post_init__(self):
-        _check_eps(self.eps)
-        g = self.rho.grid
-        if self.mom.grid != g or self.q.grid != g:
+    def __init__(self, eps: float, rho: Field, mom: VectorField, q: Field, model: ModelKind):
+        _check_eps(eps)
+        g = rho.grid
+        if mom.grid != g or q.grid != g:
             raise ValueError("state fields must share one grid")
+        self.eps, self.model = eps, model
+        self._carry(g, (rho, mom, q), None)
+
+    @staticmethod
+    def _pack(g: TorusGrid, arrays) -> tuple:
+        mom = VectorField(tuple(Field(g, a) for a in arrays[1:-1]))
+        return Field(g, arrays[0]), mom, Field(g, arrays[-1])
 
     @property
-    def grid(self) -> TorusGrid:
-        return self.rho.grid
+    def rho(self) -> Field:
+        return self._values()[0]
+
+    @property
+    def mom(self) -> VectorField:
+        return self._values()[1]
+
+    @property
+    def q(self) -> Field:
+        return self._values()[2]
 
     @staticmethod
     def field_names(dim: int) -> list:
@@ -96,36 +151,41 @@ class CompressibleState:
         return ["rho", *(f"mom_{ax}" for ax in "xy"[:dim]), "q"]
 
     def as_arrays(self) -> list:
-        return [self.rho.values, *[m.values for m in self.mom], self.q.values]
+        rho, mom, q = self._values()
+        return [rho.values, *[m.values for m in mom], q.values]
 
     @classmethod
     def from_arrays(cls, g: TorusGrid, arrays: list, model: ModelKind, eps):
         """The state whose as_arrays are ``arrays``, at Mach parameter
         float(eps)."""
-        mom = VectorField(tuple(Field(g, a) for a in arrays[1:-1]))
-        return cls(float(eps), Field(g, arrays[0]), mom, Field(g, arrays[-1]), model)
+        return cls(float(eps), *cls._pack(g, arrays), model)
 
     def with_arrays(self, arrays: list) -> "CompressibleState":
         return self.from_arrays(self.grid, arrays, self.model, self.eps)
 
 
-@dataclass(frozen=True)
-class IncompressibleState:
+class IncompressibleState(_Carried):
     """Divergence-free velocity plus order parameter."""
 
     REGIME: ClassVar[str] = "incompressible"
 
-    u: VectorField
-    phi: Field
-    model: ModelKind
-
-    def __post_init__(self):
-        if self.u.grid != self.phi.grid:
+    def __init__(self, u: VectorField, phi: Field, model: ModelKind):
+        if u.grid != phi.grid:
             raise ValueError("state fields must share one grid")
+        self.model = model
+        self._carry(u.grid, (u, phi), None)
+
+    @staticmethod
+    def _pack(g: TorusGrid, arrays) -> tuple:
+        return VectorField(tuple(Field(g, a) for a in arrays[:-1])), Field(g, arrays[-1])
 
     @property
-    def grid(self) -> TorusGrid:
-        return self.u.grid
+    def u(self) -> VectorField:
+        return self._values()[0]
+
+    @property
+    def phi(self) -> Field:
+        return self._values()[1]
 
     @staticmethod
     def field_names(dim: int) -> list:
@@ -133,14 +193,14 @@ class IncompressibleState:
         return [*(f"u_{ax}" for ax in "xy"[:dim]), "phi"]
 
     def as_arrays(self) -> list:
-        return [*[c.values for c in self.u], self.phi.values]
+        u, phi = self._values()
+        return [*[c.values for c in u], phi.values]
 
     @classmethod
     def from_arrays(cls, g: TorusGrid, arrays: list, model: ModelKind, eps=None):
         """The state whose as_arrays are ``arrays``; there is no Mach
         parameter, so ``eps`` is ignored."""
-        u = VectorField(tuple(Field(g, a) for a in arrays[:-1]))
-        return cls(u, Field(g, arrays[-1]), model)
+        return cls(*cls._pack(g, arrays), model)
 
     def with_arrays(self, arrays: list) -> "IncompressibleState":
         return self.from_arrays(self.grid, arrays, self.model)
@@ -178,11 +238,12 @@ def primitives(s: CompressibleState):
 class _Workspace:
     """Preallocated buffers of the half-spectrum kernels on one grid.
 
-    ``phys`` holds real collocation stacks, ``spec`` half-spectrum stacks and
-    ``work`` the scratch of the two-pass batch transforms; each kernel carves
-    its stacks out of them, sized for the larger of the two kernels (pages a
-    kernel never touches cost no memory).  The symbols are full-shape complex
-    arrays, so every in-place ufunc runs without a broadcast or cast copy.
+    ``phys`` holds real collocation stacks, ``spec`` band-layout stacks and
+    ``work`` the half-layout scratch of the two-pass batch transforms; each
+    kernel carves its stacks out of them, sized for the larger of the two
+    kernels (pages a kernel never touches cost no memory).  The symbols are
+    full-shape complex band arrays, so every in-place ufunc runs without a
+    broadcast or cast copy.
     """
 
     def __init__(self, g: TorusGrid):
@@ -196,22 +257,22 @@ class _Workspace:
         nphys = max(d + 2 + 2 * d + 2 + nprod_c, ndown_i + d + 2)
         nspec = max(2 * d + 2 + nprod_c, ndown_i + d + 2)
         self.phys = np.empty((nphys, *g.shape))
-        self.spec = np.empty((nspec, *g.rshape), dtype=complex)
+        self.spec = np.empty((nspec, *g.bshape), dtype=complex)
         # the batch transforms take longer stacks in chunks of this length
         self.work = np.empty((d + 2, *g.rshape), dtype=complex)
-        self.ik = g._rik_stack
-        self.k2 = g.rk_squared.astype(complex)
+        self.ik = g._bik_stack
+        self.k2 = g.bk_squared.astype(complex)
 
     @cached_property
     def k(self) -> np.ndarray:
         """Integer wavenumbers as one complex stack (Leray projection)."""
         g = self.grid
-        return np.stack(np.broadcast_arrays(*g.rwavenumbers)).astype(complex)
+        return np.stack(np.broadcast_arrays(*g.bwavenumbers)).astype(complex)
 
     @cached_property
     def k2safe(self) -> np.ndarray:
         """|k|^2 with 1 at k = 0, a safe divisor (Leray projection)."""
-        return self.grid._rk2safe.astype(complex)
+        return self.grid._bk2safe.astype(complex)
 
 
 def _workspace(g: TorusGrid) -> _Workspace:
@@ -259,8 +320,8 @@ def rhs_compressible_hat(
                - Lap(phi) grad(phi)
         dq   = -div(q u) + A mu,   mu = (-Lap phi)/rho + phi^3 - phi.
 
-    Takes the rfft-layout state stack (rho, momentum components, q) and
-    returns the tendency stack in the same layout, the only array it
+    Takes the dealiased band-layout state stack (rho, momentum components,
+    q) and returns the tendency stack in the same layout, the only array it
     allocates; given ``out`` (not overlapping zh) it writes the tendency
     there and allocates nothing.  All nonlinear terms are formed pointwise
     in physical space in the workspace and 2/3-truncated; linear operators
@@ -275,7 +336,7 @@ def rhs_compressible_hat(
     state, down, prods = _carve(w.phys, d + 2, 2 * d + 2, nprod)
     spec, prod_hat = _carve(w.spec, 2 * d + 2, nprod)
 
-    batch_irfft(g, zh, out=state, work=w.work)
+    batch_irfft(g, zh, out=state, work=w.work, band=True)
     rho, m, q = state[0], state[1 : 1 + d], state[1 + d]
     if not np.all(np.isfinite(rho)):
         raise NumericsError("non-finite density in rhs_compressible_hat")
@@ -317,7 +378,7 @@ def rhs_compressible_hat(
     flux_hat, cap_hat, qu_hat, chem_hat = _carve(prod_hat, w.nflux, d, d, 1)
 
     if out is None:
-        out = np.empty((d + 2, *g.rshape), dtype=complex)
+        out = np.empty((d + 2, *g.bshape), dtype=complex)
     drh, dmh, dqh = out[0], out[1 : 1 + d], out[-1]
     _div_hat(ik, zh[1 : 1 + d], drh, tmp)
     np.negative(drh, out=drh)
@@ -379,8 +440,8 @@ def rhs_incompressible_hat(
 ) -> np.ndarray:
     """Half-spectrum core of the incompressible tendencies (rho = 1).
 
-    Takes the rfft-layout stack (velocity components, phi) and returns the
-    tendency stack, the only array it allocates (none with ``out``, as in
+    Takes the dealiased band-layout stack (velocity components, phi) and
+    returns the tendency stack, the only array it allocates (none with ``out``, as in
     rhs_compressible_hat); the velocity tendency is Leray-projected.  One
     call transforms d^2 + 3d + 4 arrays (14 in 2-d).
     """
@@ -399,11 +460,11 @@ def rhs_incompressible_hat(
     for i in range(d):
         _rowwise(np.multiply, ik, uh[i], gu_s[d * i : d * (i + 1)])
     np.copyto(phih, zh[-1:])
-    phih = truncate(g, phih)[0]
+    phih = phih[0]
     np.multiply(k2, phih, out=lap_s[0])
     np.negative(lap_s, out=lap_s)
     _rowwise(np.multiply, ik, phih, gp_s)
-    batch_irfft(g, down_hat, out=down, work=w.work)
+    batch_irfft(g, down_hat, out=down, work=w.work, band=True)
     u, grad_u, phi, lap_phi, grad_phi = _carve(down, d, d * d, 1, 1, d)
     phi, lap_phi = phi[0], lap_phi[0]
     # the velocity-gradient slots are free from here on
@@ -430,14 +491,14 @@ def rhs_incompressible_hat(
         lap_u = grad_u[:d]
         _rowwise(np.multiply, k2, uh, tmp[:d])
         np.negative(tmp[:d], out=tmp[:d])
-        batch_irfft(g, tmp[:d], out=lap_u, work=w.work)
+        batch_irfft(g, tmp[:d], out=lap_u, work=w.work, band=True)
         lap_u *= c.viscosity_nu(np.ones(g.shape), phi)
         adv -= lap_u
     batch_rfft(g, prods, out=prod_hat, work=w.work, band=True)
     adv_hat, transport_hat, cube_hat = _carve(prod_hat, d, 1, 1)
 
     if out is None:
-        out = np.empty((d + 1, *g.rshape), dtype=complex)
+        out = np.empty((d + 1, *g.bshape), dtype=complex)
     du_hat, dphi_hat = out[:d], out[-1]
     np.negative(adv_hat, out=du_hat)
     if constant_nu:

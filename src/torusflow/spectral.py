@@ -17,9 +17,16 @@ expected to dealias them with the 2/3 rule (`dealias`, cutoff floor(n/3)).
 The batch transforms, ``refine``, ``hermitian_sq`` and the grid's
 ``rfft``/``irfft`` take optional caller-owned buffers, so the solver and the
 diagnostics can run without allocating; without them they allocate, and no
-result aliases a buffer the caller did not pass.  ``truncate`` is the 2/3
-rule on a half-spectrum stack, in place; ``batch_rfft(band=True)`` returns
-the truncated spectrum, and ``batch_irfft(band=True)`` takes one.
+result aliases a buffer the caller did not pass.
+
+The solver works in the band layout, (n, n//3 + 1): the half layout cut
+to the columns k_last <= floor(n/3) that the 2/3 rule keeps, with the
+full-axis rows |k| > floor(n/3) held at zero.  ``batch_rfft(band=True)``
+writes it and ``batch_irfft(band=True)`` reads it, bit for bit as the
+full transforms on those modes, and the ``b*`` tables of ``TorusGrid``
+are the band columns of the ``r*`` ones.  A state stack, a tendency, an
+ETDRK4 stage and an ETD table are each a third smaller than on the half
+layout, and no ufunc of the solver multiplies the dropped zeros.
 
 Every cache of the solver and the reports (the kernels' workspace, the
 reports' 2x-grid workspace, the ETDRK4 tables and stage stacks) is a slot
@@ -195,6 +202,52 @@ class TorusGrid:
         k2[(0,) * self.dim] = 1.0
         return k2
 
+    # -- band layout: the half layout cut to the columns k_last <= cutoff
+    # that the 2/3 rule keeps; the solver's spectral stacks and tables
+
+    @property
+    def bshape(self) -> tuple:
+        return self.shape[:-1] + (self.dealias_cutoff + 1,)
+
+    def _band(self, table: np.ndarray) -> np.ndarray:
+        """The band columns of a half-layout table, as a contiguous copy."""
+        return np.ascontiguousarray(table[..., : self.dealias_cutoff + 1])
+
+    @cached_property
+    def bwavenumbers(self) -> tuple:
+        return tuple(self._band(ka) for ka in self.rwavenumbers)
+
+    @cached_property
+    def bk_squared(self) -> np.ndarray:
+        return self._band(self.rk_squared)
+
+    @cached_property
+    def bdealias_mask(self) -> np.ndarray:
+        """rdealias_mask on the band, which zeroes the full-axis rows
+        |k| > cutoff, in the stacks' complex dtype: a product with it then
+        runs without a cast, and numpy casts a boolean mask the same way."""
+        return self._band(self.rdealias_mask).astype(complex)
+
+    @cached_property
+    def _bmult(self) -> np.ndarray:
+        return self._band(self._rmult)
+
+    @cached_property
+    def _bik_stack(self) -> np.ndarray:
+        return self._band(self._rik_stack)
+
+    @cached_property
+    def _bik2(self) -> np.ndarray:
+        return self._band(self._rik2)
+
+    @cached_property
+    def bsvv(self) -> np.ndarray:
+        return self._band(self.rsvv)
+
+    @cached_property
+    def _bk2safe(self) -> np.ndarray:
+        return self._band(self._rk2safe)
+
     # one array through the batch transforms (rfftn / irfftn bit for bit);
     # out and work are their buffers, out one array and work a stack
     def rfft(self, a: np.ndarray, out=None, work=None) -> np.ndarray:
@@ -356,66 +409,61 @@ def dealias(f: Field) -> Field:
     return _apply(f, f.grid.rdealias_mask)
 
 
-def truncate(grid: TorusGrid, stack: np.ndarray) -> np.ndarray:
-    """2/3-rule truncation of a half-spectrum stack, in place: zero the modes
-    rdealias_mask drops, k > cutoff on the half axis and cutoff < |k| on the
-    full one.  Returns the stack."""
-    cut = grid.dealias_cutoff
-    stack[..., cut + 1 :] = 0.0
-    stack[..., cut + 1 : grid.n - cut, :] = 0.0
-    return stack
-
-
 def batch_rfft(grid: TorusGrid, arrs, out=None, work=None, *, band=False) -> np.ndarray:
     """Half-spectrum transforms of a stack of real arrays, (k, *shape) ->
     (k, *rshape).
 
     The transform runs as two 1-d passes, rfft along the last axis into
     ``work`` and fft along the first into ``out``; this matches rfftn bit
-    for bit.  A ``work`` stack with fewer slots than the input takes it
-    in chunks of its length.  With both buffers given nothing is allocated.
-    ``out`` must not overlap the input or ``work``: numpy copies an operand
-    that overlaps its output.
+    for bit.  ``work`` is a half-layout stack; one with fewer slots than the
+    input takes it in chunks of its length.  With both buffers given nothing
+    is allocated.  ``out`` must not overlap the input or ``work``: numpy
+    copies an operand that overlaps its output.
 
-    ``band=True`` returns the 2/3-truncated spectrum (see ``truncate``;
-    Orszag's rule): the full-axis pass then runs only on the half-axis
-    columns up to the dealias cutoff.  Every kept mode equals the full
-    transform's bit for bit.
+    ``band=True`` returns the 2/3-truncated spectrum (Orszag's rule) in the
+    band layout, (k, *bshape): the full-axis pass runs only on the half-axis
+    columns up to the dealias cutoff, and the rows cutoff < |k| are set to
+    zero.  Every kept mode equals the full transform's bit for bit.
     """
     a = np.asarray(arrs)
+    half = grid.n // 2 + 1
+    cols = grid.dealias_cutoff + 1 if band else half
     if out is None:
-        out = np.empty(a.shape[:-1] + (grid.n // 2 + 1,), dtype=complex)
+        out = np.empty(a.shape[:-1] + (cols,), dtype=complex)
     if work is None:
-        work = np.empty_like(out)
-    cols = slice(grid.dealias_cutoff + 1 if band else None)
+        work = np.empty(a.shape[:-1] + (half,), dtype=complex)
     for i in range(0, len(a), len(work)):
         chunk = a[i : i + len(work)]
         w = work[: len(chunk)]
         np.fft.rfft(chunk, axis=-1, out=w)
-        np.fft.fft(w[..., cols], axis=-2, out=out[i : i + len(chunk), ..., cols])
-    return truncate(grid, out) if band else out
+        np.fft.fft(w[..., :cols], axis=-2, out=out[i : i + len(chunk)])
+    if band:
+        out[..., cols : grid.n - cols + 1, :] = 0.0
+    return out
 
 
 def batch_irfft(grid: TorusGrid, hats, out=None, work=None, *, band=False) -> np.ndarray:
     """Inverse of batch_rfft, (k, *rshape) -> (k, *shape): ifft along the
-    first axis into ``work``, then irfft along the last into ``out``
-    (irfftn bit for bit), in chunks as there.  The input is left
-    unchanged.  ``band=True`` promises a 2/3-truncated input: the full-axis
-    pass then skips the all-zero half-axis columns above the cutoff, with a
-    bit-identical result.
+    first axis into the half-layout ``work``, then irfft along the last into
+    ``out`` (irfftn bit for bit), in chunks as there.  The input is left
+    unchanged.  ``band=True`` takes a 2/3-truncated band-layout input,
+    (k, *bshape): the full-axis pass then runs on its columns only, and
+    the result equals the full inverse of the zero-padded half spectrum
+    bit for bit.
     """
     h = np.asarray(hats)
+    half = grid.n // 2 + 1
     if out is None:
         out = np.empty(h.shape[:-1] + (grid.n,))
     if work is None:
-        work = np.empty_like(h)
-    cols = slice(grid.dealias_cutoff + 1 if band else None)
+        work = np.empty(h.shape[:-1] + (half,), dtype=complex)
+    cols = grid.dealias_cutoff + 1 if band else half
     if band:
-        work[..., cols.stop :] = 0.0
+        work[..., cols:] = 0.0
     for i in range(0, len(h), len(work)):
         chunk = h[i : i + len(work)]
         w = work[: len(chunk)]
-        np.fft.ifft(chunk[..., cols], axis=-2, out=w[..., cols])
+        np.fft.ifft(chunk, axis=-2, out=w[..., :cols])
         np.fft.irfft(w, n=grid.n, axis=-1, out=out[i : i + len(chunk)])
     return out
 
@@ -452,19 +500,20 @@ def l2_norm(f: Field) -> float:
     return float(np.sqrt(np.mean(v * v) * f.grid.volume))
 
 
-def hermitian_sq(g: TorusGrid, ah: np.ndarray, w, work=None) -> float:
+def hermitian_sq(g: TorusGrid, ah: np.ndarray, w, work=None, *, band=False) -> float:
     """Weighted squared norm volume * sum_k w_k |c_k|^2 of a real field.
 
     ``ah`` is the field's half spectrum (``g.rfft``) and ``w`` a weight on
     the half layout; c_k = fhat_k / n^d, and each column counts with its
-    Hermitian multiplicity, so the sum runs over the full spectrum.  A real
-    ``work`` stack (2, *rshape) takes the weighted table and the summand,
-    so nothing is allocated.
+    Hermitian multiplicity, so the sum runs over the full spectrum.
+    ``band=True`` takes a 2/3-truncated spectrum and weight in the band
+    layout.  A real ``work`` stack (2, *ah.shape) takes the weighted table
+    and the summand, so nothing is allocated.
     """
     if work is None:
-        work = np.empty((2, *g.rshape))
+        work = np.empty((2, *np.shape(ah)))
     wt, sq = work
-    np.multiply(g._rmult, w, out=wt)
+    np.multiply(g._bmult if band else g._rmult, w, out=wt)
     np.abs(ah, out=sq)
     np.square(sq, out=sq)
     np.multiply(wt, sq, out=sq)

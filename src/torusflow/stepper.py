@@ -16,14 +16,18 @@ exactly (all-speed, as in Degond & Tang, CiCP 10 (2011)).  Relaxational
 eps; conserved (nsch) runs keep the acoustic bound for accuracy, see
 default_dt.  Both schemes evaluate their tendencies through the
 half-spectrum kernels rhs_compressible_hat / rhs_incompressible_hat and
-carry their spectral state as one stacked complex array (nvar, *rshape),
-which _to_state turns back into the next state.  The stage values of ETDRK4
-and the iterates of Picard sit in cached stacks, and the kernels write
-their tendencies into them.  The ops and nonlin closures apply the real
-tables with ``out=`` ufuncs in a few cached scratch spectra, in the order of
-the allocating expressions (same bits), so a step allocates little beyond
-the new state.  The tables (one set per regime), the stage stacks
-and the scratch are slots of ``spectral._one_slot``.
+carry their spectral state as one stacked complex array in the band layout
+(nvar, *bshape) of ``spectral``, the columns the 2/3 rule keeps.  A step
+starts from the stack its state carries (only a state built from fields is
+transformed on entry) and returns a state that carries the new stack
+(_to_state), whose fields are formed only when read.  The stage values of
+ETDRK4 and the iterates of Picard sit in cached stacks, and the kernels
+write their tendencies into them.  The ops and nonlin closures apply the
+tables, complex like the spectra, with ``out=`` ufuncs in a few cached
+scratch spectra, in the order of the allocating expressions (same bits), so
+a step allocates little beyond the new state's stack.  The tables (one set
+per regime), the stage stacks and the scratch are slots of
+``spectral._one_slot``.
 """
 
 from __future__ import annotations
@@ -46,7 +50,9 @@ from .dynamics import (
     rhs_incompressible_hat,
 )
 from .errors import NumericsError
-from .spectral import TorusGrid, _one_slot, batch_irfft, batch_rfft, hermitian_sq
+# no step calls batch_irfft (a stepped state forms its own fields), but
+# perfbench/tracing.py wraps the name here
+from .spectral import TorusGrid, _one_slot, batch_irfft, batch_rfft, hermitian_sq  # noqa: F401
 
 # nominal wave speed entering the advective step bound of incompressible runs
 _INCOMPRESSIBLE_WAVE_SPEED = 4.0
@@ -254,8 +260,8 @@ def _etdrk4(zh, ops, nonlin, mask):
     """One ETDRK4 step of z' = L z + N(z) in Krogstie's tableau ETDRK4-B
     (Hochbruck & Ostermann, SINUM 43 (2005), sec. 5).
 
-    zh is the stacked spectral state (nvar, *rshape); the step consumes it
-    as scratch.  mask, the dealiasing mask, multiplies the state on entry
+    zh is the stacked band-layout state (nvar, *bshape), which the step
+    only reads.  mask, the dealiasing mask, multiplies the state on entry
     and the update on exit.  ops(key, z, out) writes the table key of L at
     the step h (see _etd_tables) applied to z into out; nonlin(z, out)
     writes fft(rhs(z)) - L0*z into out, with L0 the part of L that the
@@ -268,12 +274,11 @@ def _etdrk4(zh, ops, nonlin, mask):
 
     where E2 U2 + Q N1 = exp(hL) u + h phi_1(hL) N1, so five tables serve
     the whole step.  L is integrated exactly: a purely linear system steps
-    by exp(hL).  Five cached stacks and zh hold the stages, each reused once
-    its value is spent; only u+ is allocated.
+    by exp(hL).  Six cached stacks hold the stages, each reused once its
+    value is spent; only u+, the new state's stack, is allocated.
     """
-    n1, n2, qn1, u2, u3 = _cached_stack("stages", (5, *zh.shape))
-    z = zh
-    z *= mask
+    n1, n2, qn1, u2, u3, z = _cached_stack("stages", (6, *zh.shape))
+    np.multiply(zh, mask, out=z)
     nonlin(z, n1)
     ops("Q", n1, qn1)
     ops("E2", z, u2)
@@ -310,13 +315,19 @@ def _etdrk4(zh, ops, nonlin, mask):
     return out
 
 
+def _entry_stack(s) -> np.ndarray:
+    """The band stack a step of s starts from: the one s carries, or the
+    band transform of its fields for a state built from fields."""
+    zh = s.stack
+    return batch_rfft(s.grid, s.as_arrays(), band=True) if zh is None else zh
+
+
 def _to_state(s, zh: np.ndarray, scheme: str):
-    """The state of s's kind whose stacked spectrum is zh; a non-finite value
-    is a NumericsError naming the scheme."""
-    try:
-        return s.with_arrays(batch_irfft(s.grid, zh))
-    except ValueError as exc:
-        raise NumericsError(f"non-finite values in {scheme} update") from exc
+    """The state of s's kind that carries the band stack zh, which it then
+    owns; a non-finite value is a NumericsError naming the scheme."""
+    if not np.isfinite(zh).all():
+        raise NumericsError(f"non-finite values in {scheme} update")
+    return s.with_stack(zh)
 
 
 def _reference_viscosities(c: Constitutive):
@@ -325,8 +336,8 @@ def _reference_viscosities(c: Constitutive):
     return float(c.viscosity_nu(one, zero)), float(c.viscosity_eta(one, zero))
 
 
-def _phase_symbol(g: TorusGrid, model: ModelKind) -> np.ndarray:
-    k2 = g.rk_squared
+def _phase_symbol(k2: np.ndarray, model: ModelKind) -> np.ndarray:
+    """The phase operator's symbol on a layout whose |k|^2 is k2."""
     if model is ModelKind.CH:
         return -(k2**2) + k2
     return -k2 + 1.0
@@ -340,12 +351,14 @@ def _rhs_hat(s, c: Constitutive, zh: np.ndarray, out=None) -> np.ndarray:
     return rhs_incompressible_hat(s.grid, zh, c, s.model, out)
 
 
-def _acoustic_tables(g: TorusGrid, nu_bar: float, eta_bar: float, c2: float, dt: float):
-    """ETDRK4-B tables of the compressible linear part at step dt.
+def _acoustic_tables(k2, kk2, svv, nu_bar: float, eta_bar: float, c2: float, dt: float):
+    """ETDRK4-B tables of the compressible linear part at step dt, on the
+    layout of the symbols k2 = |k|^2, kk2 = |k|^2 without the Nyquist
+    components (_bik2) and svv.
 
-    With k from _rik (|k|^2 = _rik2) and b = i k.m/|k| the gradient part of
-    the momentum, the linearised acoustics with the reference viscosities is
-    the real block on (rho, b)
+    With k from the first-derivative symbols and b = i k.m/|k| the gradient
+    part of the momentum, the linearised acoustics with the reference
+    viscosities is the real block on (rho, b)
 
         L = [[-svv, -|k|], [|k| c2, -(nu k^2 + eta |k|^2) - svv]],
 
@@ -354,17 +367,26 @@ def _acoustic_tables(g: TorusGrid, nu_bar: float, eta_bar: float, c2: float, dt:
     s2 = visc^2/4 - c2 |k|^2, visc = nu k^2 + eta |k|^2.  Returns the block
     tables, the solenoidal tables, c2 |k|, 1/|k| (0 at |k| = 0) and L_bb.
     """
-    svv = g.rsvv
-    kk2 = g._rik2
     kk = np.sqrt(kk2)
-    visc = nu_bar * g.rk_squared + eta_bar * kk2
+    visc = nu_bar * k2 + eta_bar * kk2
     m = -svv - 0.5 * visc
     s2 = 0.25 * visc**2 - c2 * kk2
     det = svv * (visc + svv) + c2 * kk2
     inv_kk = np.divide(1.0, kk, out=np.zeros_like(kk), where=kk > 0)
     block = _block_tables(m, s2, det, dt)
-    sol = _etd_tables(-nu_bar * g.rk_squared - svv, dt)
+    sol = _etd_tables(-nu_bar * k2 - svv, dt)
     return block, sol, c2 * kk, inv_kk, -visc - svv
+
+
+def _complex(tables):
+    """tables with every array cast to complex, the spectra's dtype, so
+    the closures' products with the spectra run without a cast on every
+    call; numpy casts a real operand the same way, so the bits agree."""
+    if isinstance(tables, dict):
+        return {key: _complex(t) for key, t in tables.items()}
+    if isinstance(tables, tuple):
+        return tuple(_complex(t) for t in tables)
+    return tables.astype(complex)
 
 
 def _kdot(ik: np.ndarray, v: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -383,30 +405,31 @@ def _compressible_closures(s: CompressibleState, dt: float, c: Constitutive):
     The linear part L is the linearised acoustics with the reference
     viscosities (see _acoustic_tables) on density and the gradient part of
     the momentum, the reference viscosity on the solenoidal momentum and the
-    phase symbol on q, each minus svv.  Runs entirely on the half-spectrum
-    layout; ops and nonlin work in four cached scratch spectra.
+    phase symbol on q, each minus svv.  Runs entirely on the band layout,
+    with complex tables; ops and nonlin work in four cached scratch spectra.
     """
     g = s.grid
     d = g.dim
     nu_bar, eta_bar = _reference_viscosities(c)
     p1 = float(c.pressure_prime(1.0))
     c2 = p1 / s.eps**2
-    ik = g._rik_stack
+    ik = g._bik_stack
 
     def build():
-        ell_q = _phase_symbol(g, s.model)
-        return (
-            *_acoustic_tables(g, nu_bar, eta_bar, c2, dt),
-            _etd_tables(ell_q - g.rsvv, dt),
+        k2, svv = g.bk_squared, g.bsvv
+        ell_q = _phase_symbol(k2, s.model)
+        return _complex((
+            *_acoustic_tables(k2, g._bik2, svv, nu_bar, eta_bar, c2, dt),
+            _etd_tables(ell_q - svv, dt),
             ell_q,
-            nu_bar * g.rk_squared,
-            -g.rsvv,
-        )
+            nu_bar * k2,
+            -svv,
+        ))
 
     block, sol_t, c2_kk, inv_kk, l_bb, q_t, ell_q, nu_k2, neg_svv = _cached_tables(
         "compressible", (g, s.model, nu_bar, eta_bar, s.eps, p1), dt, build
     )
-    scratch = _cached_stack("scratch", (4, *g.rshape))
+    scratch = _cached_stack("scratch", (4, *g.bshape))
 
     def ops(key: str, z: np.ndarray, out: np.ndarray):
         div, b, b_new, t = scratch
@@ -470,8 +493,8 @@ def step_compressible_rk4(
     part (see _compressible_closures) holds the acoustics: the sound speed
     sqrt(P'(1))/eps sets no step bound."""
     ops, nonlin = _compressible_closures(s, dt, c)
-    zh = batch_rfft(s.grid, s.as_arrays())
-    return _to_state(s, _etdrk4(zh, ops, nonlin, s.grid.rdealias_mask), "RK4")
+    zh = _entry_stack(s)
+    return _to_state(s, _etdrk4(zh, ops, nonlin, s.grid.bdealias_mask), "RK4")
 
 
 def step_incompressible_rk4(
@@ -484,19 +507,19 @@ def step_incompressible_rk4(
     nu_bar, _ = _reference_viscosities(c)
 
     def build():
-        ell_phi = _phase_symbol(g, s.model)
-        nu_k2 = nu_bar * g.rk_squared
-        return (
-            _etd_tables(-nu_k2 - g.rsvv, dt),
-            _etd_tables(ell_phi - g.rsvv, dt),
+        ell_phi = _phase_symbol(g.bk_squared, s.model)
+        nu_k2 = nu_bar * g.bk_squared
+        return _complex((
+            _etd_tables(-nu_k2 - g.bsvv, dt),
+            _etd_tables(ell_phi - g.bsvv, dt),
             ell_phi,
             nu_k2,
-        )
+        ))
 
     u_t, phi_t, ell_phi, nu_k2 = _cached_tables(
         "incompressible", (g, s.model, nu_bar), dt, build
     )
-    scratch = _cached_stack("scratch", (4, *g.rshape))
+    scratch = _cached_stack("scratch", (4, *g.bshape))
 
     def ops(key: str, z: np.ndarray, out: np.ndarray):
         np.multiply(u_t[key], z[:d], out=out[:d])
@@ -511,8 +534,8 @@ def step_incompressible_rk4(
         np.multiply(ell_phi, z[-1], out=t)
         out[-1] -= t
 
-    zh = batch_rfft(g, s.as_arrays())
-    return _to_state(s, _etdrk4(zh, ops, nonlin, g.rdealias_mask), "RK4")
+    zh = _entry_stack(s)
+    return _to_state(s, _etdrk4(zh, ops, nonlin, g.bdealias_mask), "RK4")
 
 
 # ---------------------------------------------------------------------------
@@ -534,9 +557,10 @@ def picard_step(
         raise ValueError(f"dt must be positive, got {dt}")
     g = s.grid
     ops, nonlin = _compressible_closures(s, dt, c)
-    h1 = 1.0 + g.rk_squared
-    zn = batch_rfft(g, s.as_arrays()) * g.rdealias_mask
-    z, z_new, f = _cached_stack("stages", (5, *zn.shape))[:3]
+    h1 = 1.0 + g.bk_squared
+    zh = _entry_stack(s)
+    z, z_new, f, zn = _cached_stack("stages", (6, *zh.shape))[:4]
+    np.multiply(zh, g.bdealias_mask, out=zn)
     z[...] = zn
 
     ratios = []
@@ -549,7 +573,7 @@ def picard_step(
         ops("R", f, z_new)
         np.subtract(z_new, z, out=f)
         prev_diff = diff
-        sq = [hermitian_sq(g, row, h1) for row in f]
+        sq = [hermitian_sq(g, row, h1, band=True) for row in f]
         diff = math.sqrt(sq[0]) / s.eps + sum(math.sqrt(x) for x in sq[1:])
         if 0 < prev_diff < math.inf:
             ratios.append(diff / prev_diff)
@@ -558,7 +582,8 @@ def picard_step(
             converged = True
             break
 
-    return _to_state(s, z, "Picard"), PicardReport(it, converged, tuple(ratios), diff)
+    # the iterate sits in a cached stage stack, which the next step reuses
+    return _to_state(s, z.copy(), "Picard"), PicardReport(it, converged, tuple(ratios), diff)
 
 
 # ---------------------------------------------------------------------------

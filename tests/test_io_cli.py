@@ -682,6 +682,13 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert not out.exists()
     # 2: bad dispersion parameters (validation error before any stepping)
     assert main(["dispersion", "--eps", "-1.0", "--k", "1"]) == 2
+    # 2: an eps whose probe amplitude 1e-3*eps^2 is below the floor, where
+    # the probe read a relative error of 15 and exited 0
+    capsys.readouterr()
+    assert main(["dispersion", "--eps", "1e-7", "--k", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "floor" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
     # 3: numerical failure (perturbation amplitude drives density negative)
     vac = run_config_file(
         tmp_path,

@@ -1,9 +1,14 @@
 import math
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import torusflow.dynamics as dynamics_module
 import torusflow.spectral as spectral_module
 import torusflow.stepper as stepper_module
 
@@ -28,6 +33,7 @@ from torusflow.spectral import (
     Field,
     TorusGrid,
     VectorField,
+    batch_irfft,
     batch_rfft,
     constant_field,
     divergence,
@@ -339,6 +345,117 @@ def test_non_finite_update_is_a_numerics_error(monkeypatch):
             step()
 
 
+def test_a_stepped_state_is_stepped_without_a_forward_transform(monkeypatch):
+    # a step leaves its state the band stack the next step starts from; only
+    # a state built from fields is transformed on entry
+    g = TorusGrid(2, 16)
+    c = Constitutive()
+    u0, phi0 = initial_from_preset("taylor_green_bubble", g)
+    cs = well_prepared_initial(u0, phi0, 0.2, 0.1, 0, ModelKind.CH)
+    is_ = IncompressibleState(u0, phi0, ModelKind.CH)
+    cfg = StepperConfig(scheme="picard")
+    calls = []
+    transform = stepper_module.batch_rfft
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return transform(*args, **kwargs)
+
+    monkeypatch.setattr(stepper_module, "batch_rfft", counted)
+    steps = (
+        (cs, lambda s: step_compressible_rk4(s, 1e-3, c)),
+        (is_, lambda s: step_incompressible_rk4(s, 1e-3, c)),
+        (cs, lambda s: picard_step(s, 1e-3, c, cfg)[0]),
+    )
+    for s0, step in steps:
+        calls.clear()
+        s = step(s0)
+        assert len(calls) == 1
+        for _ in range(3):
+            s = step(s)
+        assert len(calls) == 1
+
+
+def test_picard_state_does_not_alias_the_iterate():
+    # Picard iterates in cached stage stacks; the state it returns owns a
+    # copy, so later steps leave its stack and fields as they were
+    g = TorusGrid(2, 16)
+    c = Constitutive()
+    u0, phi0 = initial_from_preset("taylor_green_bubble", g)
+    s0 = well_prepared_initial(u0, phi0, 0.2, 0.1, 0, ModelKind.AC)
+    cfg = StepperConfig(scheme="picard")
+    s1 = picard_step(s0, 1e-3, c, cfg)[0]
+    kept = s1.stack.copy()
+    s = s1
+    for _ in range(2):
+        s = picard_step(s, 1e-3, c, cfg)[0]
+    picard_step(s0, 2e-3, c, cfg)
+    assert np.array_equal(s1.stack, kept)
+    want = batch_irfft(g, kept, band=True)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(s1.as_arrays(), want))
+
+
+def test_fields_read_on_a_second_thread_match_fields_read_inline():
+    # a stepped state forms its fields on first read, in buffers of its
+    # own: a second thread may read them while the main thread steps on
+    g = TorusGrid(2, 32)
+    c = Constitutive()
+    u0, phi0 = initial_from_preset("taylor_green_bubble", g)
+    s0 = well_prepared_initial(u0, phi0, 0.2, 0.1, 0, ModelKind.CH)
+    s1, twin = (step_compressible_rk4(s0, 1e-3, c) for _ in range(2))
+    read = []
+    reader = threading.Thread(target=lambda: read.extend(s1.as_arrays()))
+    reader.start()
+    s = s1
+    for _ in range(10):
+        s = step_compressible_rk4(s, 1e-3, c)
+    reader.join()
+    inline = twin.as_arrays()
+    assert len(read) == len(inline)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(read, inline))
+
+
+def test_concurrent_first_reads_form_the_fields_once(monkeypatch):
+    # more readers than cores, switching threads as often as the
+    # interpreter allows: the lock lets one of them form the fields, and
+    # every reader gets that one result
+    g = TorusGrid(2, 16)
+    u0, phi0 = initial_from_preset("taylor_green_bubble", g)
+    s0 = well_prepared_initial(u0, phi0, 0.2, 0.1, 0, ModelKind.CH)
+    s = step_compressible_rk4(s0, 1e-3, Constitutive())
+    formed = []
+    inverse = dynamics_module.batch_irfft
+
+    def counted(*args, **kwargs):
+        # a slow transform, so unguarded readers would all start one
+        formed.append(1)
+        time.sleep(0.05)
+        return inverse(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics_module, "batch_irfft", counted)
+    readers = 2 * (os.cpu_count() or 1) + 2
+    start = threading.Barrier(readers)
+    got = []
+
+    def read():
+        start.wait(timeout=30)
+        got.append(s.rho)
+
+    threads = [threading.Thread(target=read) for _ in range(readers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == readers and all(r is got[0] for r in got)
+    assert len(formed) == 1
+
+
 def test_caches_follow_the_grid():
     # the kernels' workspace, the ETD tables and stage stacks and the
     # reports' 2x-grid workspace each hold one grid; alternating grids must
@@ -352,7 +469,7 @@ def test_caches_follow_the_grid():
 
     def calls(s):
         g = s.grid
-        zh = batch_rfft(g, s.as_arrays())
+        zh = batch_rfft(g, s.as_arrays(), band=True)
         tendency = rhs_compressible_hat(g, s.eps, zh, c, s.model)
         stepped = step_compressible_rk4(s, 1e-3, c).as_arrays()
         rep = energy_compressible(s, c)
@@ -386,19 +503,39 @@ def _captured_closures(step, s, dt, c, monkeypatch):
     return seen["ops"], seen["nonlin"], seen["mask"]
 
 
-def _alloc_compressible_closures(s, dt, c):
+def _layout(g, half):
+    """|k|^2, the first-derivative stack, |k|^2 without the Nyquist
+    components and svv, on the band layout or on the whole half layout."""
+    if half:
+        return g.rk_squared, g._rik_stack, g._rik2, g.rsvv
+    return g.bk_squared, g._bik_stack, g._bik2, g.bsvv
+
+
+def _rhs(s, c, z, out):
+    """The kernel's tendency of a band stack z, or of a 2/3-truncated
+    half-layout stack: its band columns through the kernel, zero above."""
+    g = s.grid
+    if z.shape[-1] == g.bshape[-1]:
+        return stepper_module._rhs_hat(s, c, z, out)
+    band = slice(None, g.bshape[-1])
+    out[...] = 0.0
+    out[..., band] = stepper_module._rhs_hat(s, c, np.ascontiguousarray(z[..., band]))
+    return out
+
+
+def _alloc_compressible_closures(s, dt, c, half=False):
     """ops and nonlin of step_compressible_rk4 as written with allocating
-    operators."""
+    operators and real tables; with ``half``, on the whole half layout, as
+    the steps ran before the band layout."""
     sm = stepper_module
     g = s.grid
     d = g.dim
     nu_bar, eta_bar = sm._reference_viscosities(c)
     c2 = float(c.pressure_prime(1.0)) / s.eps**2
-    ell_q = sm._phase_symbol(g, s.model)
-    ik = g._rik_stack
-    nu_k2 = nu_bar * g.rk_squared
-    svv = g.rsvv
-    block, sol_t, c2_kk, inv_kk, l_bb = sm._acoustic_tables(g, nu_bar, eta_bar, c2, dt)
+    k2, ik, kk2, svv = _layout(g, half)
+    ell_q = sm._phase_symbol(k2, s.model)
+    nu_k2 = nu_bar * k2
+    block, sol_t, c2_kk, inv_kk, l_bb = sm._acoustic_tables(k2, kk2, svv, nu_bar, eta_bar, c2, dt)
     q_t = sm._etd_tables(ell_q - svv, dt)
 
     def ops(key, z, out):
@@ -414,7 +551,7 @@ def _alloc_compressible_closures(s, dt, c):
         np.multiply(q_t[key], z[-1], out=out[-1])
 
     def nonlin(z, out):
-        sm._rhs_hat(s, c, z, out)
+        _rhs(s, c, z, out)
         mom = z[1 : 1 + d]
         div = np.sum(ik * mom, axis=0)
         out[0] += div
@@ -425,22 +562,23 @@ def _alloc_compressible_closures(s, dt, c):
     return ops, nonlin
 
 
-def _alloc_incompressible_closures(s, dt, c):
+def _alloc_incompressible_closures(s, dt, c, half=False):
     sm = stepper_module
     g = s.grid
     d = g.dim
     nu_bar, _ = sm._reference_viscosities(c)
-    ell_phi = sm._phase_symbol(g, s.model)
-    nu_k2 = nu_bar * g.rk_squared
-    u_t = sm._etd_tables(-nu_k2 - g.rsvv, dt)
-    phi_t = sm._etd_tables(ell_phi - g.rsvv, dt)
+    k2, _, _, svv = _layout(g, half)
+    ell_phi = sm._phase_symbol(k2, s.model)
+    nu_k2 = nu_bar * k2
+    u_t = sm._etd_tables(-nu_k2 - svv, dt)
+    phi_t = sm._etd_tables(ell_phi - svv, dt)
 
     def ops(key, z, out):
         np.multiply(u_t[key], z[:d], out=out[:d])
         np.multiply(phi_t[key], z[-1], out=out[-1])
 
     def nonlin(z, out):
-        sm._rhs_hat(s, c, z, out)
+        _rhs(s, c, z, out)
         out[:d] += nu_k2 * z[:d]
         out[-1] -= ell_phi * z[-1]
 
@@ -487,7 +625,7 @@ def test_compressible_etd_closures_match_allocating_closures(
     dt = 3e-3
     got = _captured_closures(step_compressible_rk4, s, dt, c, monkeypatch)
     want = _alloc_compressible_closures(s, dt, c)
-    _check_closures(got, want, stepper_module.batch_rfft(g, s.as_arrays()), rng)
+    _check_closures(got, want, stepper_module.batch_rfft(g, s.as_arrays(), band=True), rng)
 
 
 @pytest.mark.parametrize("model", list(ModelKind))
@@ -500,7 +638,33 @@ def test_incompressible_etd_closures_match_allocating_closures(model, affine, rn
     dt = 5e-3
     got = _captured_closures(step_incompressible_rk4, s, dt, c, monkeypatch)
     want = _alloc_incompressible_closures(s, dt, c)
-    _check_closures(got, want, stepper_module.batch_rfft(g, s.as_arrays()), rng)
+    _check_closures(got, want, stepper_module.batch_rfft(g, s.as_arrays(), band=True), rng)
+
+
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("model", list(ModelKind))
+@pytest.mark.parametrize("affine", [False, True], ids=["constant", "affine"])
+def test_one_step_equals_the_half_layout_step(n, model, affine):
+    # a step from a state built from arrays, as the solver ran on the whole
+    # half layout: full transforms in and out, real tables, a boolean mask
+    # on entry and exit.  The band layout drops only modes the 2/3 rule
+    # zeroes, so every value agrees bit for bit
+    g = TorusGrid(2, n)
+    c = Constitutive(nu_phi=0.4, eta_rho=0.3) if affine else Constitutive()
+    u0, phi0 = taylor_green_bubble(g)
+    steps = (
+        (well_prepared_initial(u0, phi0, 0.1, 1.0, 7, model), 1e-3,
+         step_compressible_rk4, _alloc_compressible_closures),
+        (IncompressibleState(u0, phi0, model), 2e-3,
+         step_incompressible_rk4, _alloc_incompressible_closures),
+    )
+    for s, dt, step, closures in steps:
+        got = step(s, dt, c).as_arrays()
+        ops, nonlin = closures(s, dt, c, half=True)
+        zh = stepper_module.batch_rfft(g, s.as_arrays())
+        want = batch_irfft(g, _etdrk4(zh, ops, nonlin, g.rdealias_mask))
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes(), step.__name__
 
 
 # ---------------------------------------------------------------------------
@@ -718,9 +882,14 @@ def test_solver_core_uses_no_full_spectrum_transform(g2, monkeypatch):
 
     monkeypatch.setattr(np.fft, "fftn", forbidden)
     monkeypatch.setattr(np.fft, "ifftn", forbidden)
-    step_compressible_rk4(sc, 1e-4, c)
-    step_incompressible_rk4(si, 1e-4, c)
-    assert picard_step(sc, 1e-4, c, cfg)[1].converged
+    # from states built from fields and from stepped ones, fields read
+    for _ in range(2):
+        sc = step_compressible_rk4(sc, 1e-4, c)
+        si = step_incompressible_rk4(si, 1e-4, c)
+        sp, rep = picard_step(sc, 1e-4, c, cfg)
+        assert rep.converged
+        for s in (sc, si, sp):
+            s.as_arrays()
 
 
 def test_diagnostics_use_no_full_spectrum_transform(g2, monkeypatch):

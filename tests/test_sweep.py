@@ -240,6 +240,12 @@ def test_dispersion_validation():
     with pytest.raises(ValueError):
         # amplitude cap scales with eps^2
         acoustic_dispersion_check(0.2, 1, 1e-4, c, n=32)
+    with pytest.raises(ValueError, match="floor 1e-14"):
+        # below the floor 1 + amplitude*cos(kx) rounds the mode away: at
+        # eps 1e-7 the cap 1e-3*eps^2 is under half an ulp of 1
+        acoustic_dispersion_check(1e-7, 1, 1e-3 * 1e-7**2, c, n=32)
+    with pytest.raises(ValueError, match="floor"):
+        acoustic_dispersion_check(0.2, 1, 3e-15, c, n=32)
 
 
 def test_dispersion_needs_enough_crossings():

@@ -127,6 +127,13 @@ for n in (64, 128):
     rows["modulated_energy"] = measure(lambda: modulated_energy(cs, is_, c))
     ac = well_prepared_initial(u0, phi0, 0.1, 1.0, 7, ModelKind.AC)
     rows["step_compressible_rk4_nsac"] = measure(lambda: step_compressible_rk4(ac, 1e-3, c), False)
+    # a step from a stepped state, as integrate takes it, and with the new
+    # state's fields read, as a sampled step is
+    ac1 = step_compressible_rk4(ac, 1e-3, c)
+    rows["step_from_stepped_nsac"] = measure(lambda: step_compressible_rk4(ac1, 1e-3, c), False)
+    rows["step_from_stepped_read_nsac"] = measure(
+        lambda: step_compressible_rk4(ac1, 1e-3, c).as_arrays(), False
+    )
     for row in rows.values():
         if "peak" in row:
             row["peak"] /= fine
@@ -336,7 +343,10 @@ def main(argv=None) -> int:
                     "taylor_green_bubble, well-prepared compressible state (eps 0.1, kappa0 "
                     "1.0, seed 7), constant viscosity; modulated_energy against the "
                     "incompressible preset state (nsch); step_compressible_rk4 at dt 1e-3 "
-                    "(nsac). ms per call; faults: minor page faults per call (getrusage); "
+                    "(nsac) from that state, and from the state one such step returns "
+                    "(step_from_stepped_*), there without and with reading the new "
+                    "state's fields (as_arrays). ms per call; faults: minor page faults "
+                    "per call (getrusage); "
                     "peak: tracemalloc peak of one warm call in fine-grid real arrays "
                     "((2n)^2 float64)."
                 ),

@@ -8,20 +8,18 @@ the initial state are built (by the integration, the observer or the
 diagnostics of run, sweep and audit) is a numerical failure.
 
 ``run`` computes its energy rows and writes its snapshots on one worker
-thread while the main thread steps (``_Sampler``); with one usable CPU they
-run in turn, as the steps reach them.  The artifacts are the same bytes
-either way.
+thread while the main thread steps (``_Sampler``), in step order, so the
+artifacts are the bytes a serial loop writes.
 """
 
 from __future__ import annotations
 
 import argparse
-import collections
 import contextlib
 import glob
-import os
+import queue
 import sys
-from concurrent.futures import Future, ThreadPoolExecutor
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -152,63 +150,48 @@ def _run_row(state, c, t: float) -> dict:
 
 class _Sampler:
     """Runs the run loop's samples (an energy row, a snapshot or both of one
-    state) in submit order.
+    state) on one worker thread, in submit order, while the caller steps;
+    ``results`` takes each sample's result in that order.  The worker owns
+    the reports' 2x-grid workspace (a slot of ``spectral._one_slot``), so
+    every report of a run goes through here.  The states it is handed are
+    never mutated, so it reads them while the caller steps on.
 
-    With two or more usable CPUs, one worker thread runs them while the
-    caller steps; with one, ``submit`` runs each at once.  Either way
-    ``submit`` returns a Future of the task's result.  The worker owns the
-    reports' 2x-grid workspace (a slot of ``spectral._one_slot``), so every
-    report of a run goes through here.  The states it is handed are never
-    mutated, so it reads them while the caller steps on.
-
-    At most ``depth`` samples are pending: ``submit`` then waits on the
-    oldest, which also raises its error early.  After a task fails the
-    worker skips every later one, so nothing is written past a failed
-    report.  On leaving the block the pending tasks are waited for and the
-    worker is joined; a failed task's error replaces the caller's own.
+    At most two samples are pending, one running and one queued: ``submit``
+    waits for room in the queue.  After a sample fails the worker skips
+    every later one, so nothing is written past a failed report, and
+    ``submit`` raises that error.  On leaving the block the pending samples
+    are run and the worker is joined; a failed sample's error replaces the
+    caller's own.
     """
 
-    depth = 2  # two states of 512 KB at n = 128
-
     def __init__(self):
-        self._pending = collections.deque()
-        self._failed = False
-        self._pool = None
-        if len(os.sched_getaffinity(0)) >= 2:
-            self._pool = ThreadPoolExecutor(1, thread_name_prefix="torusflow-sampler")
+        self.results = []
+        self._error = None
+        self._queue = queue.Queue(maxsize=1)  # a queued state: 512 KB at n = 128
+        self._worker = threading.Thread(target=self._work, name="torusflow-sampler")
+        self._worker.start()
 
-    def submit(self, fn) -> Future:
-        if self._pool is None:
-            done = Future()
-            done.set_result(fn())
-            return done
-        while self._pending and (
-            self._pending[0].done() or len(self._pending) >= self.depth
-        ):
-            self._pending.popleft().result()
-        task = self._pool.submit(self._guarded, fn)
-        self._pending.append(task)
-        return task
+    def _work(self):
+        while (fn := self._queue.get()) is not None:
+            if self._error is None:
+                try:
+                    self.results.append(fn())
+                except BaseException as exc:
+                    self._error = exc
 
-    def _guarded(self, fn):
-        if self._failed:
-            return None
-        try:
-            return fn()
-        except BaseException:
-            self._failed = True
-            raise
+    def submit(self, fn) -> None:
+        if self._error is not None:
+            raise self._error
+        self._queue.put(fn)
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
-        try:
-            while self._pending:
-                self._pending.popleft().result()
-        finally:
-            if self._pool is not None:
-                self._pool.shutdown()
+        self._queue.put(None)
+        self._worker.join()
+        if self._error is not None:
+            raise self._error
         return False
 
 
@@ -221,7 +204,6 @@ def _cmd_run(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     c = cfg.constitutive
     every = args.snapshots_every
-    tasks = []
     steps = 0
 
     with _simulating(), _Sampler() as sampler:
@@ -239,7 +221,7 @@ def _cmd_run(args) -> int:
                 # them here keeps every transform of the run on the stepping
                 # thread, so traced transform counts do not depend on timing
                 st.as_arrays()
-                tasks.append(sampler.submit(job))
+                sampler.submit(job)
 
         def observer(t, st):
             nonlocal steps
@@ -257,7 +239,7 @@ def _cmd_run(args) -> int:
             steps % cfg.sample_cadence != 0,
             every and steps % every != 0,
         )
-    rows = [row for row in (task.result() for task in tasks) if row is not None]
+    rows = [row for row in sampler.results if row is not None]
 
     csv_path = outdir / "timeseries.csv"
     write_timeseries(rows, csv_path)

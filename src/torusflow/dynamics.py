@@ -14,14 +14,16 @@ take and return one stacked complex array in the band layout (nvar,
 *bshape) of ``spectral``: the half spectrum cut to the columns the 2/3
 rule keeps.  Their physical fields, products and product spectra live in
 a per-grid workspace of preallocated buffers (a slot of
-``spectral._one_slot``), transformed through batch_rfft / batch_irfft with
-``band=True``, ``out=`` and one shared work buffer; per call they allocate
-only the returned tendency.  The state stack they take is dealiased: its
-rows |k| > floor(n/3) are zero.  Products that enter the tendency only
-through the same operator are summed before their transform: P(rho)/eps^2
-rides on the diagonal momentum flux, phi^3 on the curvature term of mu
-and (incompressible) the capillary force on the advection, so a 2-d
-compressible call transforms 21 arrays and an incompressible one 14.
+``spectral._one_slot``), transformed through batch_rfft / batch_irfft on
+band-layout stacks with ``out=`` and one shared work buffer; per call they
+allocate only the returned tendency.  The state stack they take is
+dealiased, its rows |k| > floor(n/3) zero, and so is the tendency they
+return, since every product spectrum comes out of the band transform.
+Products that enter the tendency only through the same operator are
+summed before their transform: P(rho)/eps^2 rides on the diagonal
+momentum flux, phi^3 on the curvature term of mu and (incompressible) the
+capillary force on the advection, so a 2-d compressible call transforms
+21 arrays and an incompressible one 14.
 
 Each state class owns its array layout: ``as_arrays`` and ``from_arrays``
 run in the order of ``field_names``, which also names a snapshot's fields,
@@ -93,7 +95,7 @@ class _Carried:
         return self._zh
 
     def with_stack(self, zh: np.ndarray):
-        """The state of this kind, model and eps whose band stack is zh."""
+        """The state of this kind, model and eps whose dealiased band stack is zh."""
         new = copy.copy(self)
         new._carry(self._grid, None, zh)
         return new
@@ -102,7 +104,7 @@ class _Carried:
         if self._fields is None:
             with self._lock:
                 if self._fields is None:
-                    arrays = batch_irfft(self._grid, self._zh, band=True)
+                    arrays = batch_irfft(self._grid, self._zh)
                     self._fields = self._pack(self._grid, arrays)
         return self._fields
 
@@ -160,9 +162,6 @@ class CompressibleState(_Carried):
         float(eps)."""
         return cls(float(eps), *cls._pack(g, arrays), model)
 
-    def with_arrays(self, arrays: list) -> "CompressibleState":
-        return self.from_arrays(self.grid, arrays, self.model, self.eps)
-
 
 class IncompressibleState(_Carried):
     """Divergence-free velocity plus order parameter."""
@@ -201,9 +200,6 @@ class IncompressibleState(_Carried):
         """The state whose as_arrays are ``arrays``; there is no Mach
         parameter, so ``eps`` is ignored."""
         return cls(*cls._pack(g, arrays), model)
-
-    def with_arrays(self, arrays: list) -> "IncompressibleState":
-        return self.from_arrays(self.grid, arrays, self.model)
 
 
 # the state class of each regime, by its name in configs and snapshots
@@ -336,7 +332,7 @@ def rhs_compressible_hat(
     state, down, prods = _carve(w.phys, d + 2, 2 * d + 2, nprod)
     spec, prod_hat = _carve(w.spec, 2 * d + 2, nprod)
 
-    batch_irfft(g, zh, out=state, work=w.work, band=True)
+    batch_irfft(g, zh, out=state, work=w.work)
     rho, m, q = state[0], state[1 : 1 + d], state[1 + d]
     if not np.all(np.isfinite(rho)):
         raise NumericsError("non-finite density in rhs_compressible_hat")
@@ -347,12 +343,12 @@ def rhs_compressible_hat(
     prim = prods[: d + 1]
     _rowwise(np.divide, m, rho, prim[:d])
     np.divide(q, rho, out=prim[d])
-    batch_rfft(g, prim, out=spec[: d + 1], work=w.work, band=True)
+    batch_rfft(g, prim, out=spec[: d + 1], work=w.work)
     uh, phih = spec[:d], spec[d]
     _rowwise(np.multiply, ik, phih, spec[d + 1 : 2 * d + 1])
     np.multiply(k2, phih, out=spec[-1])
     np.negative(spec[-1], out=spec[-1])
-    batch_irfft(g, spec, out=down, work=w.work, band=True)
+    batch_irfft(g, spec, out=down, work=w.work)
     u, phi, grad_phi, lap_phi = down[:d], down[d], down[d + 1 : 2 * d + 1], down[-1]
     # the derivative slots are free from here on
     divu_hat, tmp = spec[d + 1], spec[d + 2]
@@ -374,7 +370,7 @@ def rhs_compressible_hat(
     np.multiply(phi, phi, out=chem[0])
     chem[0] *= phi
     chem[0] -= lap_phi / rho
-    batch_rfft(g, prods, out=prod_hat, work=w.work, band=True)
+    batch_rfft(g, prods, out=prod_hat, work=w.work)
     flux_hat, cap_hat, qu_hat, chem_hat = _carve(prod_hat, w.nflux, d, d, 1)
 
     if out is None:
@@ -422,11 +418,11 @@ def rhs_compressible_hat(
         _rowwise(np.multiply, k2, uh, vis_hat[:d])
         np.negative(vis_hat[:d], out=vis_hat[:d])
         _rowwise(np.multiply, ik, divu_hat, vis_hat[d:])
-        batch_irfft(g, vis_hat, out=vis, work=w.work, band=True)
+        batch_irfft(g, vis_hat, out=vis, work=w.work)
         vis[:d] *= c.viscosity_nu(rho, phi)
         vis[d:] *= c.viscosity_eta(rho, phi)
         vis[:d] += vis[d:]
-        batch_rfft(g, vis[:d], out=vis_hat[:d], work=w.work, band=True)
+        batch_rfft(g, vis[:d], out=vis_hat[:d], work=w.work)
         dmh += vis_hat[:d]
     return out
 
@@ -464,7 +460,7 @@ def rhs_incompressible_hat(
     np.multiply(k2, phih, out=lap_s[0])
     np.negative(lap_s, out=lap_s)
     _rowwise(np.multiply, ik, phih, gp_s)
-    batch_irfft(g, down_hat, out=down, work=w.work, band=True)
+    batch_irfft(g, down_hat, out=down, work=w.work)
     u, grad_u, phi, lap_phi, grad_phi = _carve(down, d, d * d, 1, 1, d)
     phi, lap_phi = phi[0], lap_phi[0]
     # the velocity-gradient slots are free from here on
@@ -491,10 +487,10 @@ def rhs_incompressible_hat(
         lap_u = grad_u[:d]
         _rowwise(np.multiply, k2, uh, tmp[:d])
         np.negative(tmp[:d], out=tmp[:d])
-        batch_irfft(g, tmp[:d], out=lap_u, work=w.work, band=True)
+        batch_irfft(g, tmp[:d], out=lap_u, work=w.work)
         lap_u *= c.viscosity_nu(np.ones(g.shape), phi)
         adv -= lap_u
-    batch_rfft(g, prods, out=prod_hat, work=w.work, band=True)
+    batch_rfft(g, prods, out=prod_hat, work=w.work)
     adv_hat, transport_hat, cube_hat = _carve(prod_hat, d, 1, 1)
 
     if out is None:

@@ -21,12 +21,14 @@ result aliases a buffer the caller did not pass.
 
 The solver works in the band layout, (n, n//3 + 1): the half layout cut
 to the columns k_last <= floor(n/3) that the 2/3 rule keeps, with the
-full-axis rows |k| > floor(n/3) held at zero.  ``batch_rfft(band=True)``
-writes it and ``batch_irfft(band=True)`` reads it, bit for bit as the
-full transforms on those modes, and the ``b*`` tables of ``TorusGrid``
-are the band columns of the ``r*`` ones.  A state stack, a tendency, an
-ETDRK4 stage and an ETD table are each a third smaller than on the half
-layout, and no ufunc of the solver multiplies the dropped zeros.
+full-axis rows |k| > floor(n/3) held at zero.  An array's shape states
+its layout: ``batch_rfft`` writes a band ``out`` and ``batch_irfft`` and
+``hermitian_sq`` read a band spectrum, bit for bit as the full transforms
+on those modes, and this band transform is the solver's one 2/3 cut.
+The ``b*`` tables of ``TorusGrid`` are the band columns of the ``r*``
+ones.  A state stack, a tendency, an ETDRK4 stage and an ETD table are
+each a third smaller than on the half layout, and no ufunc of the solver
+multiplies the dropped zeros.
 
 Every cache of the solver and the reports (the kernels' workspace, the
 reports' 2x-grid workspace, the ETDRK4 tables and stage stacks) is a slot
@@ -222,17 +224,6 @@ class TorusGrid:
         return self._band(self.rk_squared)
 
     @cached_property
-    def bdealias_mask(self) -> np.ndarray:
-        """rdealias_mask on the band, which zeroes the full-axis rows
-        |k| > cutoff, in the stacks' complex dtype: a product with it then
-        runs without a cast, and numpy casts a boolean mask the same way."""
-        return self._band(self.rdealias_mask).astype(complex)
-
-    @cached_property
-    def _bmult(self) -> np.ndarray:
-        return self._band(self._rmult)
-
-    @cached_property
     def _bik_stack(self) -> np.ndarray:
         return self._band(self._rik_stack)
 
@@ -409,7 +400,7 @@ def dealias(f: Field) -> Field:
     return _apply(f, f.grid.rdealias_mask)
 
 
-def batch_rfft(grid: TorusGrid, arrs, out=None, work=None, *, band=False) -> np.ndarray:
+def batch_rfft(grid: TorusGrid, arrs, out=None, work=None) -> np.ndarray:
     """Half-spectrum transforms of a stack of real arrays, (k, *shape) ->
     (k, *rshape).
 
@@ -420,36 +411,36 @@ def batch_rfft(grid: TorusGrid, arrs, out=None, work=None, *, band=False) -> np.
     is allocated.  ``out`` must not overlap the input or ``work``: numpy
     copies an operand that overlaps its output.
 
-    ``band=True`` returns the 2/3-truncated spectrum (Orszag's rule) in the
-    band layout, (k, *bshape): the full-axis pass runs only on the half-axis
+    An ``out`` in the band layout, (k, *bshape), takes the 2/3-truncated
+    spectrum (Orszag's rule): the full-axis pass runs only on the half-axis
     columns up to the dealias cutoff, and the rows cutoff < |k| are set to
     zero.  Every kept mode equals the full transform's bit for bit.
     """
     a = np.asarray(arrs)
     half = grid.n // 2 + 1
-    cols = grid.dealias_cutoff + 1 if band else half
     if out is None:
-        out = np.empty(a.shape[:-1] + (cols,), dtype=complex)
+        out = np.empty(a.shape[:-1] + (half,), dtype=complex)
     if work is None:
         work = np.empty(a.shape[:-1] + (half,), dtype=complex)
+    cols = out.shape[-1]
     for i in range(0, len(a), len(work)):
         chunk = a[i : i + len(work)]
         w = work[: len(chunk)]
         np.fft.rfft(chunk, axis=-1, out=w)
         np.fft.fft(w[..., :cols], axis=-2, out=out[i : i + len(chunk)])
-    if band:
+    if cols < half:
         out[..., cols : grid.n - cols + 1, :] = 0.0
     return out
 
 
-def batch_irfft(grid: TorusGrid, hats, out=None, work=None, *, band=False) -> np.ndarray:
+def batch_irfft(grid: TorusGrid, hats, out=None, work=None) -> np.ndarray:
     """Inverse of batch_rfft, (k, *rshape) -> (k, *shape): ifft along the
     first axis into the half-layout ``work``, then irfft along the last into
     ``out`` (irfftn bit for bit), in chunks as there.  The input is left
-    unchanged.  ``band=True`` takes a 2/3-truncated band-layout input,
-    (k, *bshape): the full-axis pass then runs on its columns only, and
-    the result equals the full inverse of the zero-padded half spectrum
-    bit for bit.
+    unchanged.  A 2/3-truncated band-layout input, (k, *bshape), is read
+    as such: the full-axis pass then runs on its columns only, and the
+    result equals the full inverse of the zero-padded half spectrum bit for
+    bit.
     """
     h = np.asarray(hats)
     half = grid.n // 2 + 1
@@ -457,9 +448,8 @@ def batch_irfft(grid: TorusGrid, hats, out=None, work=None, *, band=False) -> np
         out = np.empty(h.shape[:-1] + (grid.n,))
     if work is None:
         work = np.empty(h.shape[:-1] + (half,), dtype=complex)
-    cols = grid.dealias_cutoff + 1 if band else half
-    if band:
-        work[..., cols:] = 0.0
+    cols = h.shape[-1]
+    work[..., cols:] = 0.0
     for i in range(0, len(h), len(work)):
         chunk = h[i : i + len(work)]
         w = work[: len(chunk)]
@@ -500,20 +490,20 @@ def l2_norm(f: Field) -> float:
     return float(np.sqrt(np.mean(v * v) * f.grid.volume))
 
 
-def hermitian_sq(g: TorusGrid, ah: np.ndarray, w, work=None, *, band=False) -> float:
+def hermitian_sq(g: TorusGrid, ah: np.ndarray, w, work=None) -> float:
     """Weighted squared norm volume * sum_k w_k |c_k|^2 of a real field.
 
-    ``ah`` is the field's half spectrum (``g.rfft``) and ``w`` a weight on
-    the half layout; c_k = fhat_k / n^d, and each column counts with its
-    Hermitian multiplicity, so the sum runs over the full spectrum.
-    ``band=True`` takes a 2/3-truncated spectrum and weight in the band
-    layout.  A real ``work`` stack (2, *ah.shape) takes the weighted table
-    and the summand, so nothing is allocated.
+    ``ah`` is the field's half spectrum (``g.rfft``), or its 2/3-truncated
+    band, and ``w`` a weight on the same layout; c_k = fhat_k / n^d, and
+    each column counts with its Hermitian multiplicity, so the sum runs
+    over the full spectrum.  A real ``work`` stack (2, *ah.shape) takes the
+    weighted table and the summand, so nothing is allocated.
     """
     if work is None:
         work = np.empty((2, *np.shape(ah)))
     wt, sq = work
-    np.multiply(g._bmult if band else g._rmult, w, out=wt)
+    # the band is the first columns of the half layout
+    np.multiply(g._rmult[: np.shape(ah)[-1]], w, out=wt)
     np.abs(ah, out=sq)
     np.square(sq, out=sq)
     np.multiply(wt, sq, out=sq)

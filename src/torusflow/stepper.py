@@ -20,7 +20,9 @@ carry their spectral state as one stacked complex array in the band layout
 (nvar, *bshape) of ``spectral``, the columns the 2/3 rule keeps.  A step
 starts from the stack its state carries (only a state built from fields is
 transformed on entry) and returns a state that carries the new stack
-(_to_state), whose fields are formed only when read.  The stage values of
+(_to_state), whose fields are formed only when read.  The band transform
+is the one 2/3 cut: no step applies a mask, as every table, closure and
+kernel keeps a stack's rows |k| > floor(n/3) zero.  The stage values of
 ETDRK4 and the iterates of Picard sit in cached stacks, and the kernels
 write their tendencies into them.  The ops and nonlin closures apply the
 tables, complex like the spectra, with ``out=`` ufuncs in a few cached
@@ -256,16 +258,17 @@ def _cached_stack(name: str, shape: tuple) -> np.ndarray:
     return _one_slot(f"stepper.{name}", shape, lambda: np.empty(shape, dtype=complex))
 
 
-def _etdrk4(zh, ops, nonlin, mask):
+def _etdrk4(zh, ops, nonlin):
     """One ETDRK4 step of z' = L z + N(z) in Krogstie's tableau ETDRK4-B
     (Hochbruck & Ostermann, SINUM 43 (2005), sec. 5).
 
     zh is the stacked band-layout state (nvar, *bshape), which the step
-    only reads.  mask, the dealiasing mask, multiplies the state on entry
-    and the update on exit.  ops(key, z, out) writes the table key of L at
-    the step h (see _etd_tables) applied to z into out; nonlin(z, out)
-    writes fft(rhs(z)) - L0*z into out, with L0 the part of L that the
-    tendency itself contains.  With N_i the remainder at stage i, the four stages are
+    only reads.  Its rows cutoff < |k| are zero, and so are the update's,
+    because ops and nonlin map zero rows to zero rows: no mask is applied.
+    ops(key, z, out) writes the table key of L at the step h (see
+    _etd_tables) applied to z into out; nonlin(z, out) writes
+    fft(rhs(z)) - L0*z into out, with L0 the part of L that the tendency
+    itself contains.  With N_i the remainder at stage i, the four stages are
 
         U2 = E2 u + Q N1
         U3 = U2 + P2h (N2 - N1)
@@ -277,17 +280,16 @@ def _etdrk4(zh, ops, nonlin, mask):
     by exp(hL).  Six cached stacks hold the stages, each reused once its
     value is spent; only u+, the new state's stack, is allocated.
     """
-    n1, n2, qn1, u2, u3, z = _cached_stack("stages", (6, *zh.shape))
-    np.multiply(zh, mask, out=z)
-    nonlin(z, n1)
+    n1, n2, qn1, u2, u3, n3 = _cached_stack("stages", (6, *zh.shape))
+    nonlin(zh, n1)
     ops("Q", n1, qn1)
-    ops("E2", z, u2)
+    ops("E2", zh, u2)
     u2 += qn1
     nonlin(u2, n2)
-    np.subtract(n2, n1, out=z)
-    ops("P2h", z, u3)
+    # N2 - N1 passes through n3 before N3 takes it
+    np.subtract(n2, n1, out=n3)
+    ops("P2h", n3, u3)
     u3 += u2
-    n3 = z
     nonlin(u3, n3)
     # U4 goes to u3; 2 N3 - 2 N1 passes through u2 and its P2 through qn1
     ops("E2", u2, u3)
@@ -311,15 +313,16 @@ def _etdrk4(zh, ops, nonlin, mask):
     out += u3
     ops("P3", b, n2)
     out += n2
-    out *= mask
     return out
 
 
 def _entry_stack(s) -> np.ndarray:
     """The band stack a step of s starts from: the one s carries, or the
     band transform of its fields for a state built from fields."""
-    zh = s.stack
-    return batch_rfft(s.grid, s.as_arrays(), band=True) if zh is None else zh
+    if s.stack is not None:
+        return s.stack
+    arrays = s.as_arrays()
+    return batch_rfft(s.grid, arrays, out=np.empty((len(arrays), *s.grid.bshape), complex))
 
 
 def _to_state(s, zh: np.ndarray, scheme: str):
@@ -341,14 +344,6 @@ def _phase_symbol(k2: np.ndarray, model: ModelKind) -> np.ndarray:
     if model is ModelKind.CH:
         return -(k2**2) + k2
     return -k2 + 1.0
-
-
-def _rhs_hat(s, c: Constitutive, zh: np.ndarray, out=None) -> np.ndarray:
-    """Tendency stack of the state stack zh, with s supplying regime, model
-    and eps; written into out when given."""
-    if isinstance(s, CompressibleState):
-        return rhs_compressible_hat(s.grid, s.eps, zh, c, s.model, out)
-    return rhs_incompressible_hat(s.grid, zh, c, s.model, out)
 
 
 def _acoustic_tables(k2, kk2, svv, nu_bar: float, eta_bar: float, c2: float, dt: float):
@@ -465,7 +460,7 @@ def _compressible_closures(s: CompressibleState, dt: float, c: Constitutive):
     # the tables carry the extra -svv damping while the remainder still
     # subtracts the bare linear part, so the integrated system is rhs - svv*z
     def nonlin(z: np.ndarray, out: np.ndarray):
-        _rhs_hat(s, c, z, out)
+        rhs_compressible_hat(g, s.eps, z, c, s.model, out)
         div, pot, _, t = scratch
         mom = z[1 : 1 + d]
         _kdot(ik, mom, div, t)
@@ -494,7 +489,7 @@ def step_compressible_rk4(
     sqrt(P'(1))/eps sets no step bound."""
     ops, nonlin = _compressible_closures(s, dt, c)
     zh = _entry_stack(s)
-    return _to_state(s, _etdrk4(zh, ops, nonlin, s.grid.bdealias_mask), "RK4")
+    return _to_state(s, _etdrk4(zh, ops, nonlin), "RK4")
 
 
 def step_incompressible_rk4(
@@ -526,7 +521,7 @@ def step_incompressible_rk4(
         np.multiply(phi_t[key], z[-1], out=out[-1])
 
     def nonlin(z: np.ndarray, out: np.ndarray):
-        _rhs_hat(s, c, z, out)
+        rhs_incompressible_hat(g, z, c, s.model, out)
         t = scratch[0]
         for a in range(d):
             np.multiply(nu_k2, z[a], out=t)
@@ -535,7 +530,7 @@ def step_incompressible_rk4(
         out[-1] -= t
 
     zh = _entry_stack(s)
-    return _to_state(s, _etdrk4(zh, ops, nonlin, g.bdealias_mask), "RK4")
+    return _to_state(s, _etdrk4(zh, ops, nonlin), "RK4")
 
 
 # ---------------------------------------------------------------------------
@@ -559,9 +554,8 @@ def picard_step(
     ops, nonlin = _compressible_closures(s, dt, c)
     h1 = 1.0 + g.bk_squared
     zh = _entry_stack(s)
-    z, z_new, f, zn = _cached_stack("stages", (6, *zh.shape))[:4]
-    np.multiply(zh, g.bdealias_mask, out=zn)
-    z[...] = zn
+    z, z_new, f = _cached_stack("stages", (6, *zh.shape))[:3]
+    z[...] = zh
 
     ratios = []
     converged = False
@@ -569,11 +563,11 @@ def picard_step(
     for it in range(1, cfg.picard.max_iter + 1):
         nonlin(z, f)
         f *= dt
-        f += zn
+        f += zh
         ops("R", f, z_new)
         np.subtract(z_new, z, out=f)
         prev_diff = diff
-        sq = [hermitian_sq(g, row, h1, band=True) for row in f]
+        sq = [hermitian_sq(g, row, h1) for row in f]
         diff = math.sqrt(sq[0]) / s.eps + sum(math.sqrt(x) for x in sq[1:])
         if 0 < prev_diff < math.inf:
             ratios.append(diff / prev_diff)

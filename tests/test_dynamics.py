@@ -46,17 +46,23 @@ def vec(g, arrays):
 # batch_rfft, the band-layout kernel, batch_irfft
 
 
+def band_rfft(g, arrays):
+    """The 2/3-truncated band stack of arrays: batch_rfft into a band ``out``."""
+    out = np.empty((len(arrays), *g.bshape), dtype=complex)
+    return batch_rfft(g, arrays, out=out)
+
+
 def compressible_tendency(s, c):
     g = s.grid
-    zh = batch_rfft(g, s.as_arrays(), band=True)
-    t = batch_irfft(g, rhs_compressible_hat(g, s.eps, zh, c, s.model), band=True)
+    zh = band_rfft(g, s.as_arrays())
+    t = batch_irfft(g, rhs_compressible_hat(g, s.eps, zh, c, s.model))
     return SimpleNamespace(drho=t[0], dmom=t[1:-1], dq=t[-1])
 
 
 def incompressible_tendency(s, c):
     g = s.grid
-    zh = batch_rfft(g, s.as_arrays(), band=True)
-    t = batch_irfft(g, rhs_incompressible_hat(g, zh, c, s.model), band=True)
+    zh = band_rfft(g, s.as_arrays())
+    t = batch_irfft(g, rhs_incompressible_hat(g, zh, c, s.model))
     return SimpleNamespace(du=t[:-1], dphi=t[-1])
 
 
@@ -140,7 +146,7 @@ def test_kernel_failure_reason(g2, dip, reason):
     x, y = g2.coords()
     rho = 1.0 - 0.5 * (1.0 - dip) * (np.cos(x - x[3, 0]) + np.cos(y - y[0, 5]))
     zero = np.zeros(g2.shape)
-    zh = batch_rfft(g2, [rho, zero, zero, zero], band=True)
+    zh = band_rfft(g2, [rho, zero, zero, zero])
     with pytest.raises(NumericsError) as info:
         rhs_compressible_hat(g2, 0.5, zh, Constitutive(), ModelKind.CH)
     assert str(info.value) == reason
@@ -307,7 +313,7 @@ def test_affine_viscosity_at_uniform_phase_matches_constant(g2):
     s = make_compressible(
         0.3, constant_field(g2, 1.0), u, constant_field(g2, phi0), ModelKind.AC
     )
-    zh = batch_rfft(g2, s.as_arrays(), band=True)
+    zh = band_rfft(g2, s.as_arrays())
     affine = Constitutive(
         nu0=0.1, nu_rho=0.3, nu_phi=0.5, eta0=0.2, eta_rho=0.7, eta_phi=0.4
     )
@@ -330,7 +336,7 @@ def _compressible_stacks(g):
     u0, phi0 = initial_from_preset("taylor_green_bubble", g)
     a = well_prepared_initial(u0, phi0, 0.2, 0.1, 1, ModelKind.CH)
     b = well_prepared_initial(u0, phi0, 0.1, 0.3, 2, ModelKind.CH)
-    return batch_rfft(g, a.as_arrays(), band=True), batch_rfft(g, b.as_arrays(), band=True)
+    return band_rfft(g, a.as_arrays()), band_rfft(g, b.as_arrays())
 
 
 def test_compressible_kernel_result_survives_the_next_call(g2):
@@ -348,10 +354,10 @@ def test_compressible_kernel_result_survives_the_next_call(g2):
 
 def test_incompressible_kernel_result_survives_the_next_call(g2):
     c = Constitutive()
-    za = batch_rfft(g2, IncompressibleState(
-        *initial_from_preset("taylor_green_bubble", g2), ModelKind.CH).as_arrays(), band=True)
-    zb = batch_rfft(g2, IncompressibleState(
-        *initial_from_preset("single_mode", g2), ModelKind.CH).as_arrays(), band=True)
+    za = band_rfft(g2, IncompressibleState(
+        *initial_from_preset("taylor_green_bubble", g2), ModelKind.CH).as_arrays())
+    zb = band_rfft(g2, IncompressibleState(
+        *initial_from_preset("single_mode", g2), ModelKind.CH).as_arrays())
     za_in = za.copy()
     first = rhs_incompressible_hat(g2, za, c, ModelKind.CH)
     kept = first.copy()

@@ -4,7 +4,6 @@ import dataclasses
 import functools
 import json
 import math
-import os
 import re
 import sys
 import tempfile
@@ -818,12 +817,10 @@ def test_cli_run_value_error_mid_run_exits_3(tmp_path, capsys, monkeypatch):
 # the run pipeline: energy rows and snapshots through cli._Sampler
 
 
-@pytest.fixture(params=["threaded", "inline"])
-def sampler_mode(request, monkeypatch):
-    """The usable-CPU count the sampler reads: two put the reports on its
-    worker thread, one runs them inline.  No thread outlives the run."""
-    cpus = 2 if request.param == "threaded" else 1
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+@pytest.fixture(params=["threaded"])
+def sampler_mode(request):
+    """The sampler runs the reports on its worker thread; no thread outlives
+    the run."""
     before = threading.active_count()
     yield request.param
     assert threading.active_count() == before
@@ -1010,7 +1007,7 @@ def test_run_pipeline_keeps_at_most_two_reports_pending(tmp_path, monkeypatch, s
     cfg = _pipeline_config(tmp_path, stepper={"dt_override": 1e-4, "t_end": 8e-4})
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 0
     assert len(lags) == 8 and len(done) == 9
-    assert max(lags) == (2 if sampler_mode == "threaded" else 0)
+    assert max(lags) == 2
 
 
 def test_run_incompressible_reports_call_no_grid_transform_on_the_sampler(
@@ -1018,7 +1015,6 @@ def test_run_incompressible_reports_call_no_grid_transform_on_the_sampler(
 ):
     # the benchmark's tracer counts TorusGrid.rfft/irfft without a lock, so
     # the report thread must not call them; it calls the batch transforms
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     threads = {"fft": [], "report": []}
 
     def recorded(fn, key):
@@ -1038,13 +1034,6 @@ def test_run_incompressible_reports_call_no_grid_transform_on_the_sampler(
     assert len(threads["report"]) == 6
     assert all(name.startswith("torusflow-sampler") for name in threads["report"])
     assert not [name for name in threads["fft"] if name.startswith("torusflow-sampler")]
-
-
-def test_run_sampler_follows_the_usable_cpus():
-    with cli_module._Sampler() as sampler:
-        threaded = sampler._pool is not None
-        assert sampler.submit(lambda: math.sqrt(4.0)).result() == 2.0
-    assert threaded == (len(os.sched_getaffinity(0)) >= 2)
 
 
 @pytest.mark.parametrize(

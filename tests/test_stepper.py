@@ -25,6 +25,7 @@ from torusflow.dynamics import (
     make_compressible,
     primitives,
     rhs_compressible_hat,
+    rhs_incompressible_hat,
     taylor_green_bubble,
     well_prepared_initial,
 )
@@ -57,6 +58,12 @@ from torusflow.stepper import (
     _phi123,
 )
 from torusflow.sweep import SweepConfig, _eval_record
+
+
+def band_rfft(g, arrays):
+    """The 2/3-truncated band stack of arrays: batch_rfft into a band ``out``."""
+    out = np.empty((len(arrays), *g.bshape), dtype=complex)
+    return batch_rfft(g, arrays, out=out)
 
 
 def rest_compressible(g, eps=0.2, phi0=1.0, model=ModelKind.CH):
@@ -171,11 +178,10 @@ def test_etdrk4_is_exact_on_pure_linear():
     tabs = _etd_tables(np.array([lam]), dt)
     ops = lambda key, z, out: np.multiply(tabs[key], z, out=out)
     z0 = np.array([[2.0 + 0.0j]])  # one slot holding one mode
-    mask = np.ones(1)  # the mode lies in the dealiased band
-    out = _etdrk4(z0.copy(), ops, lambda z, out: out.fill(0.0), mask)
+    out = _etdrk4(z0.copy(), ops, lambda z, out: out.fill(0.0))
     assert out.shape == z0.shape
     assert out[0, 0] == pytest.approx(2.0 * np.exp(lam * dt), rel=1e-14)
-    forced = _etdrk4(z0.copy(), ops, lambda z, out: out.fill(0.7), mask)
+    forced = _etdrk4(z0.copy(), ops, lambda z, out: out.fill(0.7))
     want = 2.0 * np.exp(lam * dt) + 0.7 * np.expm1(lam * dt) / lam
     assert forced[0, 0] == pytest.approx(want, rel=1e-14)
 
@@ -376,6 +382,32 @@ def test_a_stepped_state_is_stepped_without_a_forward_transform(monkeypatch):
         assert len(calls) == 1
 
 
+@pytest.mark.parametrize("model", list(ModelKind))
+@pytest.mark.parametrize("affine", [False, True], ids=["constant", "affine"])
+def test_carried_stacks_keep_the_cut_rows_zero(model, affine):
+    # the band transform is the one 2/3 truncation: no step applies a mask,
+    # so every table, closure and kernel must keep the rows cutoff < |k| of
+    # the carried stack exactly zero, step after step
+    g = TorusGrid(2, 32)
+    cut = g.dealias_cutoff
+    c = Constitutive(nu_phi=0.4, eta_rho=0.3) if affine else Constitutive()
+    u0, phi0 = taylor_green_bubble(g)
+    cs = well_prepared_initial(u0, phi0, 0.2, 1.0, 5, model)
+    cfg = StepperConfig(scheme="picard")
+    runs = (
+        (cs, lambda s: step_compressible_rk4(s, 1e-3, c), 50),
+        (IncompressibleState(u0, phi0, model), lambda s: step_incompressible_rk4(s, 2e-3, c), 50),
+        (cs, lambda s: picard_step(s, 1e-3, c, cfg)[0], 10),
+    )
+    for s, step, count in runs:
+        for _ in range(count):
+            s = step(s)
+        zh = s.stack
+        assert zh.shape[1:] == g.bshape
+        assert np.all(zh[:, cut + 1 : g.n - cut] == 0)
+        assert np.all(np.abs(zh[:, : cut + 1]).max(axis=(1, 2)) > 0)
+
+
 def test_picard_state_does_not_alias_the_iterate():
     # Picard iterates in cached stage stacks; the state it returns owns a
     # copy, so later steps leave its stack and fields as they were
@@ -391,7 +423,7 @@ def test_picard_state_does_not_alias_the_iterate():
         s = picard_step(s, 1e-3, c, cfg)[0]
     picard_step(s0, 2e-3, c, cfg)
     assert np.array_equal(s1.stack, kept)
-    want = batch_irfft(g, kept, band=True)
+    want = batch_irfft(g, kept)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(s1.as_arrays(), want))
 
 
@@ -469,7 +501,7 @@ def test_caches_follow_the_grid():
 
     def calls(s):
         g = s.grid
-        zh = batch_rfft(g, s.as_arrays(), band=True)
+        zh = band_rfft(g, s.as_arrays())
         tendency = rhs_compressible_hat(g, s.eps, zh, c, s.model)
         stepped = step_compressible_rk4(s, 1e-3, c).as_arrays()
         rep = energy_compressible(s, c)
@@ -493,14 +525,14 @@ def _captured_closures(step, s, dt, c, monkeypatch):
     """The ops and nonlin closures the step hands to _etdrk4."""
     seen = {}
 
-    def capture(zh, ops, nonlin, mask):
-        seen.update(ops=ops, nonlin=nonlin, mask=mask)
+    def capture(zh, ops, nonlin):
+        seen.update(ops=ops, nonlin=nonlin)
         return zh
 
     with monkeypatch.context() as m:
         m.setattr(stepper_module, "_etdrk4", capture)
         step(s, dt, c)
-    return seen["ops"], seen["nonlin"], seen["mask"]
+    return seen["ops"], seen["nonlin"]
 
 
 def _layout(g, half):
@@ -511,15 +543,22 @@ def _layout(g, half):
     return g.bk_squared, g._bik_stack, g._bik2, g.bsvv
 
 
+def _rhs_hat(s, c, zh, out=None):
+    """The tendency stack of the band stack zh, from the kernel of s's regime."""
+    if isinstance(s, IncompressibleState):
+        return rhs_incompressible_hat(s.grid, zh, c, s.model, out)
+    return rhs_compressible_hat(s.grid, s.eps, zh, c, s.model, out)
+
+
 def _rhs(s, c, z, out):
     """The kernel's tendency of a band stack z, or of a 2/3-truncated
     half-layout stack: its band columns through the kernel, zero above."""
     g = s.grid
     if z.shape[-1] == g.bshape[-1]:
-        return stepper_module._rhs_hat(s, c, z, out)
+        return _rhs_hat(s, c, z, out)
     band = slice(None, g.bshape[-1])
     out[...] = 0.0
-    out[..., band] = stepper_module._rhs_hat(s, c, np.ascontiguousarray(z[..., band]))
+    out[..., band] = _rhs_hat(s, c, np.ascontiguousarray(z[..., band]))
     return out
 
 
@@ -589,12 +628,14 @@ def _same_bits(a, b):
     return np.array_equal(a.view(np.uint8), b.view(np.uint8))
 
 
-def _check_closures(got, want, zh, rng):
-    ops, nonlin, mask = got
+def _check_closures(got, want, z, rng):
+    # z comes from the band transform, which zeroes its rows cutoff < |k|
+    ops, nonlin = got
     ref_ops, ref_nonlin = want
-    z = zh * mask
-    # a second, rough stack for the linear operators
-    w = (rng.standard_normal(zh.shape) + 1j * rng.standard_normal(zh.shape)) * mask
+    # a second, rough stack for the linear operators, zero on those rows too
+    g = TorusGrid(2, z.shape[-2])
+    mask = g.rdealias_mask[..., : g.bshape[-1]]
+    w = (rng.standard_normal(z.shape) + 1j * rng.standard_normal(z.shape)) * mask
     for key in _TABLE_KEYS:
         for v in (z, w):
             out, ref = np.full_like(v, np.nan), np.full_like(v, np.nan)
@@ -625,7 +666,7 @@ def test_compressible_etd_closures_match_allocating_closures(
     dt = 3e-3
     got = _captured_closures(step_compressible_rk4, s, dt, c, monkeypatch)
     want = _alloc_compressible_closures(s, dt, c)
-    _check_closures(got, want, stepper_module.batch_rfft(g, s.as_arrays(), band=True), rng)
+    _check_closures(got, want, band_rfft(g, s.as_arrays()), rng)
 
 
 @pytest.mark.parametrize("model", list(ModelKind))
@@ -638,7 +679,7 @@ def test_incompressible_etd_closures_match_allocating_closures(model, affine, rn
     dt = 5e-3
     got = _captured_closures(step_incompressible_rk4, s, dt, c, monkeypatch)
     want = _alloc_incompressible_closures(s, dt, c)
-    _check_closures(got, want, stepper_module.batch_rfft(g, s.as_arrays(), band=True), rng)
+    _check_closures(got, want, band_rfft(g, s.as_arrays()), rng)
 
 
 @pytest.mark.parametrize("n", [64, 128])
@@ -662,7 +703,8 @@ def test_one_step_equals_the_half_layout_step(n, model, affine):
         got = step(s, dt, c).as_arrays()
         ops, nonlin = closures(s, dt, c, half=True)
         zh = stepper_module.batch_rfft(g, s.as_arrays())
-        want = batch_irfft(g, _etdrk4(zh, ops, nonlin, g.rdealias_mask))
+        mask = g.rdealias_mask
+        want = batch_irfft(g, _etdrk4(zh * mask, ops, nonlin) * mask)
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes(), step.__name__
 

@@ -20,7 +20,7 @@ allocate only the returned tendency.  The state stack they take is
 dealiased, its rows |k| > floor(n/3) zero, and so is the tendency they
 return, since every product spectrum comes out of the band transform.
 Products that enter the tendency only through the same operator are
-summed before their transform: P(rho)/eps^2 rides on the diagonal
+summed before their transform: (P(rho) - P(1))/eps^2 rides on the diagonal
 momentum flux, phi^3 on the curvature term of mu and (incompressible) the
 capillary force on the advection, so a 2-d compressible call transforms
 21 arrays and an incompressible one 14.
@@ -354,12 +354,15 @@ def rhs_compressible_hat(
     divu_hat, tmp = spec[d + 1], spec[d + 2]
 
     # one batched transform for every pointwise product: the symmetric
-    # momentum flux m_i u_j (i <= j) with the pressure P(rho)/eps^2 on its
-    # diagonal, the capillary force, the phase transport and the chemistry
-    # phi^3 - Lap(phi)/rho of mu
+    # momentum flux m_i u_j (i <= j) with the pressure (P(rho) - P(1))/eps^2
+    # on its diagonal, the capillary force, the phase transport and the
+    # chemistry phi^3 - Lap(phi)/rho of mu.  The constant P(1)/eps^2 exerts
+    # no force; left in, it would drown the O(1) pressure fluctuation in the
+    # flux's transform at stiff eps
     flux, cap, qu, chem = _carve(prods, w.nflux, d, d, 1)
     pres = chem[0]  # until the chemistry goes in
-    np.divide(c.pressure(rho), eps**2, out=pres)
+    np.subtract(c.pressure(rho), float(c.pressure(1.0)), out=pres)
+    pres /= eps**2
     for idx, (i, j) in enumerate(w.pairs):
         np.multiply(m[i], u[j], out=flux[idx])
         if i == j:

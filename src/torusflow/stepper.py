@@ -13,14 +13,17 @@ implicit Euler on the same linear part and remainder, solved by fixed-point
 iteration through the resolvent (I - dt L)^-1, which takes the acoustics
 exactly (all-speed, as in Degond & Tang, CiCP 10 (2011)).  Relaxational
 (nsac) compressible runs therefore step at a bound that does not depend on
-eps; conserved (nsch) runs keep the acoustic bound for accuracy, see
+eps but on the flow, cfl dx/(max|u| + max|grad phi|), the speed of the
+explicit advection and capillary coupling, as incompressible runs do;
+conserved (nsch) runs keep the acoustic bound for accuracy, see
 default_dt.  Both schemes evaluate their tendencies through the
 half-spectrum kernels rhs_compressible_hat / rhs_incompressible_hat and
 carry their spectral state as one stacked complex array in the band layout
 (nvar, *bshape) of ``spectral``, the columns the 2/3 rule keeps.  A step
 starts from the stack its state carries (only a state built from fields is
 transformed on entry) and returns a state that carries the new stack
-(_to_state), whose fields are formed only when read.  The band transform
+(_to_state), with its k_last = 0 column made Hermitian, whose fields are
+formed only when read.  The band transform
 is the one 2/3 cut: no step applies a mask, as every table, closure and
 kernel keeps a stack's rows |k| > floor(n/3) zero.  The stage values of
 ETDRK4 and the iterates of Picard sit in cached stacks, and the kernels
@@ -52,12 +55,14 @@ from .dynamics import (
     rhs_incompressible_hat,
 )
 from .errors import NumericsError
-# no step calls batch_irfft (a stepped state forms its own fields), but
-# perfbench/tracing.py wraps the name here
-from .spectral import TorusGrid, _one_slot, batch_irfft, batch_rfft, hermitian_sq  # noqa: F401
+from .spectral import TorusGrid, _one_slot, batch_irfft, batch_rfft, hermitian_sq
 
-# nominal wave speed entering the advective step bound of incompressible runs
-_INCOMPRESSIBLE_WAVE_SPEED = 4.0
+# max|grad phi| of the planar equilibrium tanh(x/sqrt(2)) of
+# mu = -Lap phi + phi^3 - phi: the capillary speed of a fluid at rest
+_CAPILLARY_FLOOR = 1.0 / math.sqrt(2.0)
+
+# the most steps integrate forms over one sampling interval
+_MAX_STEPS = 2.0**53
 
 
 @dataclass(frozen=True)
@@ -327,9 +332,20 @@ def _entry_stack(s) -> np.ndarray:
 
 def _to_state(s, zh: np.ndarray, scheme: str):
     """The state of s's kind that carries the band stack zh, which it then
-    owns; a non-finite value is a NumericsError naming the scheme."""
+    owns; a non-finite value is a NumericsError naming the scheme.
+
+    Column 0 (k_last = 0) of zh is replaced by its Hermitian part
+    (c[k] + conj c[-k])/2.  The inverse transform drops the anti-Hermitian
+    part, so the kernels never see it, but the tables act on it: left in
+    the stack, round-off there grows like dt c|k|/eps per step under the
+    explicitly treated -L0 z of the remainder."""
     if not np.isfinite(zh).all():
         raise NumericsError(f"non-finite values in {scheme} update")
+    col = zh[..., 0]
+    mirror = col[:, -np.arange(col.shape[-1])]
+    np.conj(mirror, out=mirror)
+    mirror += col
+    np.multiply(mirror, 0.5, out=col)
     return s.with_stack(zh)
 
 
@@ -584,39 +600,42 @@ def picard_step(
 # driver
 
 
-def _max_speed(state) -> float:
-    if isinstance(state, CompressibleState):
-        u, _ = primitives(state)
-    else:
-        u = state.u
-    return float(max(np.max(np.abs(comp.values)) for comp in u))
+def _capillary_speed(phi) -> float:
+    """max(max|grad phi|, _CAPILLARY_FLOOR): the speed of the explicit
+    capillary coupling, whose linearisation (-Lap phi grad phi in the
+    momentum, -u.grad phi in the phase) has eigenvalues +-i |k| |grad phi|,
+    advection at speed |grad phi|.  grad phi is taken on the band."""
+    g = phi.grid
+    ph = batch_rfft(g, phi.values[None], out=np.empty((1, *g.bshape), dtype=complex))
+    grad = batch_irfft(g, g._bik_stack * ph)
+    grad *= grad
+    return max(math.sqrt(float(np.max(grad.sum(axis=0)))), _CAPILLARY_FLOOR)
 
 
 def default_dt(state, c: Constitutive, cfg: StepperConfig) -> float:
     """Step size implied by the config: an override when given, else a CFL
     bound.
 
-    Incompressible runs take the advective bound
-    cfl*dx/(umax + _INCOMPRESSIBLE_WAVE_SPEED).  Compressible runs take the
-    acoustic bound, except runs of the relaxational model: both schemes
-    solve the linear acoustics exactly, so these take the larger of the
-    acoustic bound and the advective one, which does not depend on eps.
-    The conserved model keeps the acoustic bound, because at the eps-free
-    step its rho-gradient error falls only like eps and misses the sweep's
-    rate bar.  No separate phase cap
-    applies: ETDRK4 and the Picard solve take the phase stiffness
-    exactly."""
+    Incompressible runs take the eps-free bound cfl*dx/(umax + c_cap), with
+    the capillary speed c_cap = max(max|grad phi|, 1/sqrt(2)) of the state
+    (see _capillary_speed); 1/sqrt(2) gives a fluid at rest a finite step.
+    Compressible runs take the acoustic bound, except runs of the
+    relaxational model: both schemes solve the linear acoustics exactly, so
+    these take the larger of the acoustic bound and the eps-free one, with
+    phi = q/rho.  The conserved model keeps the acoustic bound, because at
+    the eps-free step its rho-gradient error falls only like eps and misses
+    the sweep's rate bar.  No separate phase cap applies: ETDRK4 and the
+    Picard solve take the phase stiffness exactly."""
     if cfg.dt_override is not None:
         return cfg.dt_override
     g = state.grid
-    umax = _max_speed(state)
-    advective = cfg.cfl * g.dx / (umax + _INCOMPRESSIBLE_WAVE_SPEED)
-    if not isinstance(state, CompressibleState):
-        return advective
-    acoustic = acoustic_dt(state.eps, g, c, cfg.cfl, umax)
-    if state.model is ModelKind.AC:
-        return max(acoustic, advective)
-    return acoustic
+    compressible = isinstance(state, CompressibleState)
+    u, phi = primitives(state) if compressible else (state.u, state.phi)
+    umax = float(max(np.max(np.abs(comp.values)) for comp in u))
+    acoustic = acoustic_dt(state.eps, g, c, cfg.cfl, umax) if compressible else 0.0
+    if compressible and state.model is ModelKind.CH:
+        return acoustic
+    return max(acoustic, cfg.cfl * g.dx / (umax + _capillary_speed(phi)))
 
 
 def _check_scheme(scheme: str, regime: str) -> None:
@@ -687,11 +706,12 @@ def integrate(
         # follows the flow (still the same formula, fresh inputs)
         dt_target = default_dt(state, c, cfg)
         span = target - t
-        # the one place a step count is formed: it must be a finite number
-        if not (dt_target > 0 and math.isfinite(span / dt_target)):
+        # the one place a step count is formed: beyond 2**53 steps t + i*dt
+        # no longer tells one step from the next, so no such run can finish
+        if not (dt_target > 0 and span / dt_target <= _MAX_STEPS):
             raise NumericsError(
-                f"step bound dt = {dt_target:.6g} gives no finite step count "
-                f"from t = {t:.6g} to {target:.6g}"
+                f"step bound dt = {dt_target:.6g} gives no step count that can "
+                f"finish (at most 2**53) from t = {t:.6g} to {target:.6g}"
             )
         nsub = max(1, math.ceil(span / dt_target - 1e-12))
         # equal intervals of linspace sample times differ in their last

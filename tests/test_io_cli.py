@@ -755,11 +755,13 @@ def test_cli_eps_whose_square_is_not_normal_exits_2(tmp_path, capsys, command, p
         ("run", base_run_config(grid={"n": 16}, stepper={"dt_override": 5e-324})),
         ("run", base_run_config(grid={"n": 16}, stepper={"t_end": 1e308})),
         ("sweep", {"model": "nsch", "grid": {"n": 16}, "sweep": {"t_end": 1e308}}),
+        ("run", base_run_config(model="nsac", grid={"n": 16}, stepper={"t_end": 1e300})),
     ],
-    ids=["run-dt-override", "run-t-end", "sweep-t-end"],
+    ids=["run-dt-override", "run-t-end", "sweep-t-end", "run-t-end-finite-count"],
 )
 def test_cli_step_count_that_overflows_exits_3(tmp_path, capsys, command, payload):
-    # integrate forms every step count; one that is not finite names its bound
+    # integrate forms every step count; one that is not finite, or too large
+    # for t + i*dt to tell its steps apart (above 2**53), names its bound
     cfg = write_json(tmp_path, "steps.json", payload)
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
@@ -782,6 +784,17 @@ def test_cli_audit_vacuum_names_the_2x_grid_point(tmp_path, capsys, g2):
         "energy_compressible (2x grid): density reached -1.000000e-01 "
         "at grid index (6, 10)" in err
     ), err
+
+
+def test_cli_long_nsac_run_finishes(tmp_path, capsys):
+    # 445 eps-free steps to T = 20 at eps 0.05: a ghost in the carried
+    # stack's column 0 once drove this run to vacuum at t = 9.49
+    cfg = write_json(tmp_path, "long.json", base_run_config(
+        model="nsac", eps=0.05, grid={"n": 32}, stepper={"t_end": 20.0},
+        output={"sample_cadence": 100000},
+    ))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert "run complete" in capsys.readouterr().out
 
 
 def test_cli_run_value_error_mid_run_exits_3(tmp_path, capsys, monkeypatch):

@@ -156,6 +156,23 @@ def test_run_sweep_deterministic_and_parallel_agree():
             assert getattr(a, fam) == getattr(b, fam)
 
 
+def test_stiff_sweep_err_u_falls_like_eps_squared_to_a_floor():
+    # the constant P(1)/eps^2 leaves the momentum flux before its transform,
+    # so at stiff eps the O(1) pressure fluctuation keeps its digits
+    eps_list = (1e-3, 1e-5, 1e-7, 1e-8)
+    cfg = SweepConfig(model=ModelKind.AC, eps_list=eps_list, n=32, t_end=0.5)
+    res = run_sweep(cfg, Constitutive())
+    err = [rec.err_u for rec in res.records]
+    assert not any(rec.failed for rec in res.records)
+    scale = err[0] / eps_list[0] ** 2
+    floor = 1e-13
+    for eps, e in zip(eps_list, err):
+        assert e <= max(2.0 * scale * eps**2, floor), (eps, e)
+    # the eps^2 fall is seen above the floor, not only bounded
+    assert err[1] <= 1e-3 * err[0]
+    assert res.slopes["err_u"][0] > 1.5
+
+
 @pytest.fixture
 def inline_pool(monkeypatch):
     """Replace the sweep's process pool by one that runs each leg inline

@@ -11,10 +11,13 @@ change first in even ones.  Then ``--trace 1`` runs at the traced seed in
 alternating pairs: the counts must repeat exactly, and the timings are the
 medians over the runs.  One more in-process run per tree counts ETD
 table-set builds (``table_builds``, cache misses of
-``stepper._cached_tables``).  Last come the per-layer table (the energy
-reports and one compressible step timed in each tree, in alternating rounds,
-see LAYER_SCRIPT) and the tier-1 suite of each tree, timed in alternating
-rounds.  The record has the schema ``tests/test_bench_records.py`` checks.
+``stepper._cached_tables``).  Last come the per-layer table and the tier-1
+suite of each tree, timed in alternating rounds.  The per-layer table runs in
+one process that loads both trees' packages side by side (see LAYER_SCRIPT):
+each round calls a layer once per tree, so the paired ratios and the
+sign-test count see the same machine state on both sides, and an A/A row (the
+change against a second copy of itself) gives the noise floor.  The record
+has the schema ``tests/test_bench_records.py`` checks.
 Runs are one after another, so the record takes about
 2 x pairs x workloads x seconds.
 """
@@ -83,60 +86,94 @@ with contextlib.redirect_stdout(sys.stderr):
 print(builds[0])
 """
 
-# one round of the per-layer table: medians of `calls` warm calls after one
-# warm-up, on the 2-d taylor_green_bubble well-prepared state (eps 0.1,
-# kappa0 1.0, seed 7); faults are minor page faults per call (getrusage),
-# the peak is the tracemalloc peak of one warm call in fine-grid real arrays
+# the per-layer table, in one process: both trees' src/torusflow load side by
+# side under their own package names (relative imports keep each tree's
+# modules and one-slot caches apart), the change's twice for an A/A row.
+# After a warm-up, each round calls the layer once per side, the side order
+# rotating from round to round; times are per call, on the 2-d
+# taylor_green_bubble well-prepared state (eps 0.1, kappa0 1.0, seed 7);
+# peak is the tracemalloc peak of one warm call in fine-grid real arrays.
+# argv: calls, JSON {side: src/torusflow directory}
 LAYER_SCRIPT = """
-import json, resource, statistics, sys, time, tracemalloc
-sys.path.insert(0, "src")
-from torusflow.constitutive import Constitutive, ModelKind
-from torusflow.diagnostics import energy_compressible, modulated_energy
-from torusflow.dynamics import IncompressibleState, initial_from_preset, well_prepared_initial
-from torusflow.spectral import TorusGrid
-from torusflow.stepper import step_compressible_rk4
-calls = int(sys.argv[1])
-c = Constitutive()
+import gc, importlib, importlib.util, json, math, statistics, sys, time, tracemalloc
+from pathlib import Path
+calls, dirs = int(sys.argv[1]), json.loads(sys.argv[2])
+WARM = 3
+def load(name, pkg):
+    spec = importlib.util.spec_from_file_location(
+        name, Path(pkg) / "__init__.py", submodule_search_locations=[pkg])
+    sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sys.modules[name])
+    return [importlib.import_module(f"{name}.{m}")
+            for m in ("constitutive", "diagnostics", "dynamics", "spectral", "stepper")]
+def layers(tree, n):
+    C, D, Y, S, T = tree
+    c, cfg, AC = C.Constitutive(), T.StepperConfig(), C.ModelKind.AC
+    g = S.TorusGrid(2, n)
+    u0, phi0 = Y.initial_from_preset("taylor_green_bubble", g)
+    ch = Y.well_prepared_initial(u0, phi0, 0.1, 1.0, 7, C.ModelKind.CH)
+    ac = Y.well_prepared_initial(u0, phi0, 0.1, 1.0, 7, AC)
+    inc = Y.IncompressibleState(u0, phi0, C.ModelKind.CH)
+    # states as integrate steps them: carrying a stack, fields read
+    ac1 = T.step_compressible_rk4(ac, 1e-3, c)
+    inc1 = T.step_incompressible_rk4(inc, 1e-3, c)
+    ac1.as_arrays(), inc1.as_arrays()
+    half = S.batch_rfft(g, ac.as_arrays())
+    return {
+        "batch_rfft_4": lambda: S.batch_rfft(g, ac.as_arrays(), out=half),
+        "rhs_compressible_hat_nsac": lambda: Y.rhs_compressible_hat(g, 0.1, ac1.stack, c, AC),
+        "energy_compressible_nsch": lambda: D.energy_compressible(ch, c),
+        "energy_compressible_nsac": lambda: D.energy_compressible(ac, c),
+        "modulated_energy": lambda: D.modulated_energy(ch, inc, c),
+        "default_dt_nsac": lambda: T.default_dt(ac1, c, cfg),
+        "default_dt_incompressible": lambda: T.default_dt(inc1, c, cfg),
+        "step_compressible_rk4_nsac": lambda: T.step_compressible_rk4(ac, 1e-3, c),
+        "step_from_stepped_nsac": lambda: T.step_compressible_rk4(ac1, 1e-3, c),
+        "step_from_stepped_read_nsac": lambda: T.step_compressible_rk4(ac1, 1e-3, c).as_arrays(),
+        "step_from_stepped_incompressible": lambda: T.step_incompressible_rk4(inc1, 1e-3, c),
+    }
+def sign_p(wins, pairs):
+    # two-sided sign test, ties dropped before the count
+    k = min(wins, pairs - wins)
+    return min(1.0, 2.0 * sum(math.comb(pairs, i) for i in range(k + 1)) / 2.0**pairs)
+def paired(a, b):
+    # b against a: median ratio b/a, pairs b wins, sign test
+    ratios = [y / x for x, y in zip(a, b)]
+    wins, ties = sum(y < x for x, y in zip(a, b)), sum(y == x for x, y in zip(a, b))
+    return round(statistics.median(ratios), 4), wins, float(f"{sign_p(wins, len(a) - ties):.3g}")
+trees = {side: load(f"tf_{side}", d) for side, d in dirs.items()}
+sides = list(trees)
 out = {}
-def measure(fn, peak=True):
-    fn()
-    times = []
-    f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    for _ in range(calls):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0) / calls
-    row = {"ms": 1e3 * statistics.median(times), "faults": faults}
-    if peak:
-        tracemalloc.start()
-        fn()
-        row["peak"] = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-    return row
 for n in (64, 128):
-    g = TorusGrid(2, n)
-    u0, phi0 = initial_from_preset("taylor_green_bubble", g)
     fine = (2 * n) ** 2 * 8
+    fns = {side: layers(tree, n) for side, tree in trees.items()}
     rows = {}
-    for model in ModelKind:
-        cs = well_prepared_initial(u0, phi0, 0.1, 1.0, 7, model)
-        rows["energy_compressible_" + model.value] = measure(lambda: energy_compressible(cs, c))
-    is_ = IncompressibleState(u0, phi0, ModelKind.CH)
-    cs = well_prepared_initial(u0, phi0, 0.1, 1.0, 7, ModelKind.CH)
-    rows["modulated_energy"] = measure(lambda: modulated_energy(cs, is_, c))
-    ac = well_prepared_initial(u0, phi0, 0.1, 1.0, 7, ModelKind.AC)
-    rows["step_compressible_rk4_nsac"] = measure(lambda: step_compressible_rk4(ac, 1e-3, c), False)
-    # a step from a stepped state, as integrate takes it, and with the new
-    # state's fields read, as a sampled step is
-    ac1 = step_compressible_rk4(ac, 1e-3, c)
-    rows["step_from_stepped_nsac"] = measure(lambda: step_compressible_rk4(ac1, 1e-3, c), False)
-    rows["step_from_stepped_read_nsac"] = measure(
-        lambda: step_compressible_rk4(ac1, 1e-3, c).as_arrays(), False
-    )
-    for row in rows.values():
-        if "peak" in row:
-            row["peak"] /= fine
+    for layer in fns[sides[0]]:
+        times = {side: [] for side in sides}
+        peak = {}
+        for side in sides:
+            for _ in range(WARM):
+                fns[side][layer]()
+            tracemalloc.start()
+            fns[side][layer]()
+            peak[side] = round(tracemalloc.get_traced_memory()[1] / fine, 3)
+            tracemalloc.stop()
+        gc.collect()
+        for r in range(calls):
+            for side in sides[r % len(sides):] + sides[: r % len(sides)]:
+                fn = fns[side][layer]
+                t0 = time.perf_counter()
+                fn()
+                times[side].append(time.perf_counter() - t0)
+        ratio, wins, p = paired(times["parent"], times["change"])
+        aa_ratio, aa_wins, aa_p = paired(times["change"], times["change_aa"])
+        rows[layer] = {
+            "parent_ms": round(1e3 * statistics.median(times["parent"]), 4),
+            "change_ms": round(1e3 * statistics.median(times["change"]), 4),
+            "ratio": ratio, "change_wins": wins, "pairs": calls, "p_sign": p,
+            "aa_ratio": aa_ratio, "aa_wins": aa_wins, "aa_p_sign": aa_p,
+            "peak": {"parent": peak["parent"], "change": peak["change"]},
+        }
     out[str(n)] = rows
 print(json.dumps(out))
 """
@@ -226,28 +263,15 @@ def _workload_record(trees: dict, name: str, seeds: list, seconds: int,
     return rec
 
 
-def _layers(trees: dict, rounds: int, calls: int) -> dict:
-    """Per-layer rows, each the median over alternating rounds."""
-    samples = {side: [] for side in trees}
-    for _, side in _alternating(rounds):
-        proc = subprocess.run(
-            [sys.executable, "-c", LAYER_SCRIPT, str(calls)],
-            cwd=trees[side], capture_output=True, text=True, check=True,
-        )
-        samples[side].append(json.loads(proc.stdout.splitlines()[-1]))
-    out = {}
-    for side, rows in samples.items():
-        out[side] = {
-            n: {
-                layer: {
-                    q: round(statistics.median(r[n][layer][q] for r in rows), 3)
-                    for q in rows[0][n][layer]
-                }
-                for layer in rows[0][n]
-            }
-            for n in rows[0]
-        }
-    return out
+def _layers(trees: dict, calls: int) -> dict:
+    """Per-layer rows from one process that loads both trees (LAYER_SCRIPT)."""
+    pkgs = {side: str(tree / "src" / "torusflow") for side, tree in trees.items()}
+    pkgs["change_aa"] = pkgs["change"]
+    proc = subprocess.run(
+        [sys.executable, "-c", LAYER_SCRIPT, str(calls), json.dumps(pkgs)],
+        cwd=ROOT, capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def _tier1(trees: dict, rounds: int) -> dict:
@@ -286,8 +310,7 @@ def main(argv=None) -> int:
     p.add_argument("--seconds", type=int, default=30)
     p.add_argument("--traced-seed", type=int, default=11)
     p.add_argument("--workloads", default=",".join(WORKLOADS))
-    p.add_argument("--layer-rounds", type=int, default=3)
-    p.add_argument("--layer-calls", type=int, default=15)
+    p.add_argument("--layer-calls", type=int, default=100)
     p.add_argument("--traced-runs", type=int, default=5)
     p.add_argument("--tier1-rounds", type=int, default=3)
     p.add_argument("--change", default="", help="one-paragraph description of the change")
@@ -338,19 +361,24 @@ def main(argv=None) -> int:
             },
             "layers": {
                 "method": (
-                    f"median over {args.layer_rounds} alternating parent/change rounds of the "
-                    f"median of {args.layer_calls} warm calls after one warm-up, 2-d "
-                    "taylor_green_bubble, well-prepared compressible state (eps 0.1, kappa0 "
-                    "1.0, seed 7), constant viscosity; modulated_energy against the "
-                    "incompressible preset state (nsch); step_compressible_rk4 at dt 1e-3 "
-                    "(nsac) from that state, and from the state one such step returns "
-                    "(step_from_stepped_*), there without and with reading the new "
-                    "state's fields (as_arrays). ms per call; faults: minor page faults "
-                    "per call (getrusage); "
-                    "peak: tracemalloc peak of one warm call in fine-grid real arrays "
-                    "((2n)^2 float64)."
+                    "one process loads both trees' src/torusflow under their own package "
+                    "names, and the change's a second time for an A/A row; per layer, 3 "
+                    f"warm-up calls per side, then {args.layer_calls} rounds of one call per "
+                    "side, the side order rotating each round. 2-d taylor_green_bubble, "
+                    "well-prepared compressible state (eps 0.1, kappa0 1.0, seed 7), "
+                    "constant viscosity; modulated_energy against the incompressible preset "
+                    "state (nsch); steps at dt 1e-3 from that state and from the state one "
+                    "such step returns (step_from_stepped_*, fields read, as integrate "
+                    "steps it); default_dt and rhs_compressible_hat_nsac on the stepped "
+                    "states; batch_rfft_4 transforms the 4 state arrays into the half "
+                    "layout. parent_ms/change_ms: medians of the per-call times; ratio: "
+                    "median of the per-round ratios change/parent; change_wins: rounds the "
+                    "change is faster; p_sign: two-sided sign test of those wins (ties "
+                    "dropped); aa_*: the same for the change against its second copy, the "
+                    "noise floor of the table; peak: tracemalloc peak of one warm call in "
+                    "fine-grid real arrays ((2n)^2 float64)."
                 ),
-                **_layers(trees, args.layer_rounds, args.layer_calls),
+                **_layers(trees, args.layer_calls),
             },
             "tier1": _tier1(trees, args.tier1_rounds),
         }

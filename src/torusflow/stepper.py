@@ -4,21 +4,23 @@ StepperConfig.scheme is the one setting that picks how a step is taken:
 "rk4" or "picard".  The production "rk4" scheme is ETDRK4 in Krogstie's
 tableau ETDRK4-B (Hochbruck & Ostermann, SINUM 43 (2005)).  The stiff
 constant-coefficient cores are integrated exactly: the phase operator, the
-reference viscous operator, the spectral vanishing viscosity and, in the
-compressible system, the linearised acoustics (the 2x2 block coupling
-density and the gradient part of the momentum through the sound speed
-sqrt(P'(1))/eps).  The remainder goes through the four stages of the
-tableau.  "picard", for verification runs of the compressible system, is
-implicit Euler on the same linear part and remainder, solved by fixed-point
-iteration through the resolvent (I - dt L)^-1, which takes the acoustics
-exactly (all-speed, as in Degond & Tang, CiCP 10 (2011)).  Relaxational
-(nsac) compressible runs therefore step at a bound that does not depend on
-eps but on the flow, cfl dx/(max|u| + max|grad phi|), the speed of the
-explicit advection and capillary coupling, as incompressible runs do;
-conserved (nsch) runs keep the acoustic bound for accuracy, see
-default_dt.  Both schemes evaluate their tendencies through the
-half-spectrum kernels rhs_compressible_hat / rhs_incompressible_hat and
-carry their spectral state as one stacked complex array in the band layout
+viscous operator at the law's largest viscosities (_reference_viscosities),
+the spectral vanishing viscosity and, in the compressible system, the
+linearised acoustics (the 2x2 block coupling density and the gradient part
+of the momentum through the sound speed sqrt(P'(1))/eps).  The remainder
+goes through the four stages of the tableau.  "picard", for verification
+runs of the compressible system, is implicit Euler on the same linear part
+and remainder, solved by fixed-point iteration through the resolvent
+(I - dt L)^-1, which takes the acoustics exactly (all-speed, as in Degond &
+Tang, CiCP 10 (2011)).  Relaxational (nsac) compressible runs therefore
+step at a bound that does not depend on eps but on the flow,
+cfl dx/(max|u| + max|grad phi|), the speed of the explicit advection and
+capillary coupling, as incompressible runs do; conserved (nsch) runs keep
+the acoustic bound for accuracy, see default_dt, whose default cfl keeps
+every band mode of the explicit remainder inside the stability region of
+ETDRK4-B.  Both schemes evaluate their tendencies through the half-spectrum
+kernels rhs_compressible_hat / rhs_incompressible_hat and carry their
+spectral state as one stacked complex array in the band layout
 (nvar, *bshape) of ``spectral``, the columns the 2/3 rule keeps.  A step
 starts from the stack its state carries (only a state built from fields is
 transformed on entry) and returns a state that carries the new stack
@@ -64,6 +66,10 @@ _CAPILLARY_FLOOR = 1.0 / math.sqrt(2.0)
 # the most steps integrate forms over one sampling interval
 _MAX_STEPS = 2.0**53
 
+# just under 3 sqrt(2)/(2 pi), the edge of ETDRK4-B's stability on the band
+# for the explicit remainder; see default_dt
+DEFAULT_CFL = 0.675
+
 
 @dataclass(frozen=True)
 class PicardOptions:
@@ -82,7 +88,7 @@ class PicardOptions:
 @dataclass(frozen=True)
 class StepperConfig:
     scheme: str = "rk4"
-    cfl: float = 0.4
+    cfl: float = DEFAULT_CFL
     dt_override: Optional[float] = None
     t_end: float = 1.0
     picard: PicardOptions = field(default_factory=PicardOptions)
@@ -107,7 +113,7 @@ class PicardReport:
 
 
 def acoustic_dt(
-    eps: float, grid: TorusGrid, c: Constitutive, cfl: float = 0.4, umax: float = 0.0
+    eps: float, grid: TorusGrid, c: Constitutive, cfl: float = DEFAULT_CFL, umax: float = 0.0
 ) -> float:
     """Acoustic CFL step: cfl * dx / (umax + sqrt(P'(1)) / eps)."""
     _check_eps(eps)
@@ -350,9 +356,17 @@ def _to_state(s, zh: np.ndarray, scheme: str):
 
 
 def _reference_viscosities(c: Constitutive):
-    one = np.ones(())
-    zero = np.zeros(())
-    return float(c.viscosity_nu(one, zero)), float(c.viscosity_eta(one, zero))
+    """(nu_bar, eta_bar): the largest values of the clamped viscosity laws at
+    rho = 1 over phi^2 in [0, 1], which an affine law takes at a corner.
+
+    The exact linear part carries -nu_bar k^2 and the remainder
+    div((nu - nu_bar) grad u), so with nu_bar at the law's maximum the
+    remainder's symbol (nu_bar - nu) k^2 lies in [0, nu_bar k^2], bounded by
+    the exact part (Douglas & Dupont (1971)); at the minimum it would be
+    explicit diffusion, stable only while (nu - nu_bar) k^2 dt is below about
+    2.8.  The constant law gives nu0 and eta0 exactly."""
+    corners = np.array([0.0, 1.0])
+    return float(np.max(c.viscosity_nu(1.0, corners))), float(np.max(c.viscosity_eta(1.0, corners)))
 
 
 def _phase_symbol(k2: np.ndarray, model: ModelKind) -> np.ndarray:
@@ -625,7 +639,16 @@ def default_dt(state, c: Constitutive, cfg: StepperConfig) -> float:
     phi = q/rho.  The conserved model keeps the acoustic bound, because at
     the eps-free step its rho-gradient error falls only like eps and misses
     the sweep's rate bar.  No separate phase cap applies: ETDRK4 and the
-    Picard solve take the phase stiffness exactly."""
+    Picard solve take the phase stiffness exactly.
+
+    The default cfl, DEFAULT_CFL = 0.675, is just under 3 sqrt(2)/(2 pi).
+    Linearised, the explicit remainder has frequencies
+    |k.u| + |k| |grad phi| <= (|k_x| + |k_y|)(umax + c_cap), at most
+    2 floor(n/3)(umax + c_cap) on the band, so at the eps-free bound
+    omega dt <= cfl 4 pi/3.  ETDRK4-B with no linear part is RK4, stable on
+    the imaginary axis up to 2 sqrt(2): every band mode is stable with no
+    credit taken for viscosity or svv.  The acoustic bound scales by the
+    same cfl."""
     if cfg.dt_override is not None:
         return cfg.dt_override
     g = state.grid

@@ -27,7 +27,13 @@ from .dynamics import (
 )
 from .errors import NumericsError
 from .spectral import Field, TorusGrid, VectorField, hermitian_sq, hs_norm, l2_norm
-from .stepper import StepperConfig, _check_sample_times, integrate, step_compressible_rk4
+from .stepper import (
+    DEFAULT_CFL,
+    StepperConfig,
+    _check_sample_times,
+    integrate,
+    step_compressible_rk4,
+)
 from .diagnostics import modulated_energy
 
 @dataclass(frozen=True)
@@ -42,7 +48,7 @@ class SweepConfig:
     initial: str = "taylor_green_bubble"
     kappa0: float = 0.1
     seed: int = 0
-    cfl: float = 0.4
+    cfl: float = DEFAULT_CFL
 
     def __post_init__(self):
         object.__setattr__(self, "eps_list", tuple(float(e) for e in self.eps_list))

@@ -6,8 +6,9 @@ that produced them, the machine and the src/ line count.  A record whose
 per-layer table pairs the two trees in one process gives, per grid size and
 layer, each side's median time, the median paired ratio, the change's wins
 with their sign test, and the same for an A/A pair, the table's noise floor.
-Older records time each tree's layers in separate processes, one row set
-per side.
+A table run in both load orders also gives each order's ratio and A/A ratio,
+the A/A range and whether the row resolved.  Older records time each tree's
+layers in separate processes, one row set per side.
 """
 
 import json
@@ -74,3 +75,22 @@ def test_paired_layer_table_is_complete(path):
             for wins, p in (("change_wins", "p_sign"), ("aa_wins", "aa_p_sign")):
                 assert isinstance(row[wins], int) and 0 <= row[wins] <= row["pairs"], (n, layer)
                 assert _finite(row[p]) and 0 < row[p] <= 1, (n, layer)
+
+
+# the paired record whose layer table ran in one load order only
+ONE_ORDER_RECORDS = {"BENCH_capillary_step.json"}
+TWO_ORDER_RECORDS = [p for p in PAIRED_RECORDS if p.name not in ONE_ORDER_RECORDS]
+ORDERS = {"parent_first", "change_first"}
+
+
+@pytest.mark.parametrize("path", TWO_ORDER_RECORDS, ids=[p.name for p in TWO_ORDER_RECORDS])
+def test_layer_rows_say_whether_they_resolved(path):
+    for n, rows in _paired_layers(path).items():
+        for layer, row in rows.items():
+            ratios, aa_ratios = row["ratios"], row["aa_ratios"]
+            assert set(ratios) == set(aa_ratios) == ORDERS, (n, layer)
+            assert all(_finite(r) and r > 0 for r in (*ratios.values(), *aa_ratios.values()))
+            lo, hi = row["aa_range"]
+            assert lo <= 1.0 <= hi and all(lo <= a <= hi for a in aa_ratios.values()), (n, layer)
+            outside = all(r > hi for r in ratios.values()) or all(r < lo for r in ratios.values())
+            assert row["resolved"] is outside, (n, layer)

@@ -303,7 +303,7 @@ def test_picard_scheme_loads_and_integrates(tmp_path, monkeypatch):
 
 
 def test_cli_picard_run_at_the_default_cfl_exits_0(tmp_path, capsys):
-    # the default cfl 0.4 gives nsch the acoustic bound, where Picard
+    # the default cfl gives nsch the acoustic bound, where Picard
     # converges because its resolvent holds the acoustics
     cfg = write_json(tmp_path, "picard.json", {
         "model": "nsch",
@@ -335,6 +335,9 @@ def test_readme_config_schema_loads(tmp_path):
     assert sorted(run["constitutive"]) == fields
     sweep_cfg, _ = load_sweep_config(write_json(tmp_path, "sweep.json", sweep_block))
     assert list(sweep_cfg.eps_list) == sweep_block["sweep"]["eps_list"]
+    # "every block is optional and defaults as shown"
+    assert cfg.stepper == StepperConfig()
+    assert sweep_cfg == SweepConfig()
 
 
 def test_load_config_bad_files(tmp_path):

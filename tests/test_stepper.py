@@ -44,6 +44,7 @@ from torusflow.spectral import (
     refine,
 )
 from torusflow.stepper import (
+    DEFAULT_CFL,
     PicardOptions,
     StepperConfig,
     acoustic_dt,
@@ -180,6 +181,31 @@ def test_default_dt_follows_the_capillary_speed(regime):
     widths = (1.0, 0.6, 0.4)
     dts = [dt_of(np.tanh((1.5 - r) / w)) for w in widths]
     assert dts[0] > dts[1] > dts[2]
+
+
+def test_default_step_is_inside_etdrk4_stability():
+    # at dt = cfl dx/speed the explicit remainder's frequencies on the band
+    # are at most (|k_x| + |k_y|) speed; the default cfl keeps every band
+    # mode's ETDRK4-B amplification <= 1 with no credit for viscosity: one
+    # step from u = 1 of u' = -svv u + i (|k_x| + |k_y|) u at unit speed
+    def worst(n, cfl):
+        g = TorusGrid(2, n)
+        kx, ky = (np.abs(k).astype(float) for k in g.bwavenumbers)
+        tables = _etd_tables(-g.bsvv, cfl * g.dx)
+
+        def ops(key, z, out):
+            np.multiply(tables[key], z, out=out)
+
+        def nonlin(z, out):
+            np.multiply(1j * (kx + ky), z, out=out)
+
+        amp = np.abs(_etdrk4(np.ones((1, *g.bshape), dtype=complex), ops, nonlin)[0])
+        return float(np.max(amp[np.broadcast_to(kx <= g.dealias_cutoff, g.bshape)]))
+
+    for n in (16, 32, 64, 128, 256, 512):
+        assert worst(n, DEFAULT_CFL) <= 1.0 + 1e-12, n
+    # the check can fail: a full cfl leaves modes unstable
+    assert worst(64, 1.0) > 1.5
 
 
 # ---------------------------------------------------------------------------
@@ -860,6 +886,38 @@ def test_affine_viscosity_nsac_run_conserves_mass():
     for _ in range(20):
         ref = step_compressible_rk4(ref, dt, Constitutive())
     assert np.max(np.abs(s.mom[0].values - ref.mom[0].values)) > 1e-6
+
+
+def _preset_run(model, n, t_end, c, cfl=DEFAULT_CFL):
+    g = TorusGrid(2, n)
+    u0, phi0 = initial_from_preset("taylor_green_bubble", g)
+    s0 = well_prepared_initial(u0, phi0, 0.2, 0.1, 0, model)
+    return integrate(s0, c, StepperConfig(cfl=cfl, t_end=t_end))[-1][1]
+
+
+AFFINE_PHASE = Constitutive(nu_phi=0.5, eta_phi=0.5)
+
+
+def test_affine_nsac_run_keeps_its_density_at_the_default_step():
+    # the explicit viscous remainder stays bounded only with the reference
+    # viscosities at the law's maximum; at its minimum this run reaches vacuum
+    s = _preset_run(ModelKind.AC, 64, 0.5, AFFINE_PHASE)
+    assert float(np.min(s.rho.values)) > 0.0
+
+
+@pytest.mark.parametrize(
+    "model, n, c, cfl",
+    [(ModelKind.CH, 64, AFFINE_PHASE, 0.3), (ModelKind.AC, 32, Constitutive(), 0.2)],
+    ids=["affine-nsch", "constant-nsac"],
+)
+def test_final_total_does_not_depend_on_cfl(model, n, c, cfl):
+    # the default step is as accurate as a small one; the affine nsch run
+    # also needs the reference viscosities at the law's maximum to finish
+    totals = [
+        energy_compressible(_preset_run(model, n, 0.25, c, step), c).total
+        for step in (DEFAULT_CFL, cfl)
+    ]
+    assert totals[0] == pytest.approx(totals[1], rel=1e-6)
 
 
 def test_divergence_free_preserved():

@@ -13,11 +13,14 @@ medians over the runs.  One more in-process run per tree counts ETD
 table-set builds (``table_builds``, cache misses of
 ``stepper._cached_tables``).  Last come the per-layer table and the tier-1
 suite of each tree, timed in alternating rounds.  The per-layer table runs in
-one process that loads both trees' packages side by side (see LAYER_SCRIPT):
+a process that loads both trees' packages side by side (see LAYER_SCRIPT):
 each round calls a layer once per tree, so the paired ratios and the
 sign-test count see the same machine state on both sides, and an A/A row (the
-change against a second copy of itself) gives the noise floor.  The record
-has the schema ``tests/test_bench_records.py`` checks.
+change against a second copy of itself) gives the noise floor.  Where a
+package is loaded shifts its times by a few percent, so the table runs once
+per load order (LOAD_ORDERS), and a row is ``resolved`` only where its ratio
+leaves the A/A range in both.  The record has the schema
+``tests/test_bench_records.py`` checks.
 Runs are one after another, so the record takes about
 2 x pairs x workloads x seconds.
 """
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -86,16 +90,17 @@ with contextlib.redirect_stdout(sys.stderr):
 print(builds[0])
 """
 
-# the per-layer table, in one process: both trees' src/torusflow load side by
-# side under their own package names (relative imports keep each tree's
-# modules and one-slot caches apart), the change's twice for an A/A row.
-# After a warm-up, each round calls the layer once per side, the side order
-# rotating from round to round; times are per call, on the 2-d
-# taylor_green_bubble well-prepared state (eps 0.1, kappa0 1.0, seed 7);
-# peak is the tracemalloc peak of one warm call in fine-grid real arrays.
+# the per-layer times of one load order, in one process: both trees'
+# src/torusflow load side by side, in the order of the JSON object, under
+# their own package names (relative imports keep each tree's modules and
+# one-slot caches apart), the change's twice for an A/A row.  After a
+# warm-up, each round calls the layer once per side, the side order rotating
+# from round to round; times are per call, on the 2-d taylor_green_bubble
+# well-prepared state (eps 0.1, kappa0 1.0, seed 7); peak is the tracemalloc
+# peak of one warm call in fine-grid real arrays.
 # argv: calls, JSON {side: src/torusflow directory}
 LAYER_SCRIPT = """
-import gc, importlib, importlib.util, json, math, statistics, sys, time, tracemalloc
+import gc, importlib, importlib.util, json, sys, time, tracemalloc
 from pathlib import Path
 calls, dirs = int(sys.argv[1]), json.loads(sys.argv[2])
 WARM = 3
@@ -132,15 +137,6 @@ def layers(tree, n):
         "step_from_stepped_read_nsac": lambda: T.step_compressible_rk4(ac1, 1e-3, c).as_arrays(),
         "step_from_stepped_incompressible": lambda: T.step_incompressible_rk4(inc1, 1e-3, c),
     }
-def sign_p(wins, pairs):
-    # two-sided sign test, ties dropped before the count
-    k = min(wins, pairs - wins)
-    return min(1.0, 2.0 * sum(math.comb(pairs, i) for i in range(k + 1)) / 2.0**pairs)
-def paired(a, b):
-    # b against a: median ratio b/a, pairs b wins, sign test
-    ratios = [y / x for x, y in zip(a, b)]
-    wins, ties = sum(y < x for x, y in zip(a, b)), sum(y == x for x, y in zip(a, b))
-    return round(statistics.median(ratios), 4), wins, float(f"{sign_p(wins, len(a) - ties):.3g}")
 trees = {side: load(f"tf_{side}", d) for side, d in dirs.items()}
 sides = list(trees)
 out = {}
@@ -165,15 +161,7 @@ for n in (64, 128):
                 t0 = time.perf_counter()
                 fn()
                 times[side].append(time.perf_counter() - t0)
-        ratio, wins, p = paired(times["parent"], times["change"])
-        aa_ratio, aa_wins, aa_p = paired(times["change"], times["change_aa"])
-        rows[layer] = {
-            "parent_ms": round(1e3 * statistics.median(times["parent"]), 4),
-            "change_ms": round(1e3 * statistics.median(times["change"]), 4),
-            "ratio": ratio, "change_wins": wins, "pairs": calls, "p_sign": p,
-            "aa_ratio": aa_ratio, "aa_wins": aa_wins, "aa_p_sign": aa_p,
-            "peak": {"parent": peak["parent"], "change": peak["change"]},
-        }
+        rows[layer] = {"times": times, "peak": {"parent": peak["parent"], "change": peak["change"]}}
     out[str(n)] = rows
 print(json.dumps(out))
 """
@@ -263,15 +251,71 @@ def _workload_record(trees: dict, name: str, seeds: list, seconds: int,
     return rec
 
 
+# the load orders of the layer table's packages
+LOAD_ORDERS = {
+    "parent_first": ("parent", "change", "change_aa"),
+    "change_first": ("change", "change_aa", "parent"),
+}
+
+
+def _sign_p(wins: int, pairs: int) -> float:
+    """Two-sided sign test of wins out of pairs (ties already dropped)."""
+    k = min(wins, pairs - wins)
+    return min(1.0, 2.0 * sum(math.comb(pairs, i) for i in range(k + 1)) / 2.0**pairs)
+
+
+def _paired(a: list, b: list) -> tuple:
+    """b against a: median ratio b/a, pairs b wins, sign test."""
+    ratios = [y / x for x, y in zip(a, b)]
+    wins, ties = sum(y < x for x, y in zip(a, b)), sum(y == x for x, y in zip(a, b))
+    return round(statistics.median(ratios), 4), wins, float(f"{_sign_p(wins, len(a) - ties):.3g}")
+
+
+def _layer_row(runs: dict) -> dict:
+    """One layer's row from its times in each load order, {order: {side: [s]}}.
+
+    The pooled fields pair the rounds of both orders.  aa_range is
+    1 -+ the largest |A/A ratio - 1| of the orders; the row is resolved when
+    its ratio lies on the same side outside that range in both orders."""
+    pooled = {side: [t for times in runs.values() for t in times[side]]
+              for side in LOAD_ORDERS["parent_first"]}
+    ratio, wins, p = _paired(pooled["parent"], pooled["change"])
+    aa_ratio, aa_wins, aa_p = _paired(pooled["change"], pooled["change_aa"])
+    ratios = {order: _paired(t["parent"], t["change"])[0] for order, t in runs.items()}
+    aa_ratios = {order: _paired(t["change"], t["change_aa"])[0] for order, t in runs.items()}
+    spread = max(abs(a - 1.0) for a in aa_ratios.values())
+    lo, hi = round(1.0 - spread, 4), round(1.0 + spread, 4)
+    return {
+        "parent_ms": round(1e3 * statistics.median(pooled["parent"]), 4),
+        "change_ms": round(1e3 * statistics.median(pooled["change"]), 4),
+        "ratio": ratio, "change_wins": wins, "pairs": len(pooled["parent"]), "p_sign": p,
+        "aa_ratio": aa_ratio, "aa_wins": aa_wins, "aa_p_sign": aa_p,
+        "ratios": ratios, "aa_ratios": aa_ratios, "aa_range": [lo, hi],
+        "resolved": all(r > hi for r in ratios.values()) or all(r < lo for r in ratios.values()),
+    }
+
+
 def _layers(trees: dict, calls: int) -> dict:
-    """Per-layer rows from one process that loads both trees (LAYER_SCRIPT)."""
+    """Per-layer rows from one process per load order (LAYER_SCRIPT)."""
     pkgs = {side: str(tree / "src" / "torusflow") for side, tree in trees.items()}
     pkgs["change_aa"] = pkgs["change"]
-    proc = subprocess.run(
-        [sys.executable, "-c", LAYER_SCRIPT, str(calls), json.dumps(pkgs)],
-        cwd=ROOT, capture_output=True, text=True, check=True,
-    )
-    return json.loads(proc.stdout.splitlines()[-1])
+    runs = {}
+    for order, sides in LOAD_ORDERS.items():
+        proc = subprocess.run(
+            [sys.executable, "-c", LAYER_SCRIPT, str(calls),
+             json.dumps({side: pkgs[side] for side in sides})],
+            cwd=ROOT, capture_output=True, text=True, check=True,
+        )
+        runs[order] = json.loads(proc.stdout.splitlines()[-1])
+    first = runs["parent_first"]
+    return {
+        n: {
+            layer: {**_layer_row({order: runs[order][n][layer]["times"] for order in runs}),
+                    "peak": row["peak"]}
+            for layer, row in rows.items()
+        }
+        for n, rows in first.items()
+    }
 
 
 def _tier1(trees: dict, rounds: int) -> dict:
@@ -361,10 +405,12 @@ def main(argv=None) -> int:
             },
             "layers": {
                 "method": (
-                    "one process loads both trees' src/torusflow under their own package "
-                    "names, and the change's a second time for an A/A row; per layer, 3 "
-                    f"warm-up calls per side, then {args.layer_calls} rounds of one call per "
-                    "side, the side order rotating each round. 2-d taylor_green_bubble, "
+                    "one process per load order (parent_first: parent, change, change A/A "
+                    "copy; change_first: change, change A/A copy, parent) loads both trees' "
+                    "src/torusflow under their own package names, the change's a second "
+                    "time for an A/A row; per layer, 3 warm-up calls per side, then "
+                    f"{args.layer_calls} rounds of one call per side, the side order "
+                    "rotating each round. 2-d taylor_green_bubble, "
                     "well-prepared compressible state (eps 0.1, kappa0 1.0, seed 7), "
                     "constant viscosity; modulated_energy against the incompressible preset "
                     "state (nsch); steps at dt 1e-3 from that state and from the state one "
@@ -375,8 +421,12 @@ def main(argv=None) -> int:
                     "median of the per-round ratios change/parent; change_wins: rounds the "
                     "change is faster; p_sign: two-sided sign test of those wins (ties "
                     "dropped); aa_*: the same for the change against its second copy, the "
-                    "noise floor of the table; peak: tracemalloc peak of one warm call in "
-                    "fine-grid real arrays ((2n)^2 float64)."
+                    "noise floor of the table; these pool the rounds of both orders. "
+                    "ratios / aa_ratios: the median ratios of each order; aa_range: 1 -+ "
+                    "the largest |aa_ratio - 1| of the orders; resolved: the ratio lies on "
+                    "the same side outside aa_range in both orders. peak: tracemalloc peak "
+                    "of one warm call in fine-grid real arrays ((2n)^2 float64), in the "
+                    "parent_first process."
                 ),
                 **_layers(trees, args.layer_calls),
             },

@@ -105,7 +105,7 @@ def _initial_state(cfg: RunConfig):
     u0, phi0 = initial_from_preset(cfg.initial, cfg.grid)
     if cfg.regime == "compressible":
         return well_prepared_initial(
-            u0, phi0, cfg.eps, cfg.kappa0, cfg.seed, cfg.model
+            u0, phi0, cfg.eps, cfg.kappa0, cfg.seed, cfg.model, cfg.constitutive
         )
     return IncompressibleState(u0, phi0, cfg.model)
 

@@ -16,7 +16,7 @@ Hermitian-weighted sums over its half spectrum, with the derivative symbols
 constant-viscosity dissipation nu int |grad u|^2 + eta int (div u)^2, the CH
 dissipation int |grad mu|^2 and the 1/2 int |grad(phi_e - phi)|^2 term of
 the modulated distance.  They equal the fine-grid means to round-off.  The
-kinetic, internal and double-well terms, the AC dissipation int rho mu^2 and
+kinetic, internal and double-well terms, the AC dissipation int mu^2 and
 a viscosity law with a nonzero slope (nu(rho, phi) and eta(rho, phi) weight
 the integrand point by point) stay pointwise means on the 2x grid.
 
@@ -167,8 +167,8 @@ def _fine_terms(w: _FineWorkspace, rho, phi, hats, c: Constitutive, model: Model
         mu_hat = batch_rfft(gf, mu[None], out=spec[None], work=tmp)[0]
         dissipation += hermitian_sq(gf, mu_hat, gf._rik2, w.sq_work)
     else:
-        np.multiply(rho, mu, out=b)
-        b *= mu
+        # rho Dphi/Dt = -mu, so the relaxational law dissipates int mu^2
+        np.multiply(mu, mu, out=b)
         dissipation += _fine_mean(gf, b)
     return gradient, potential, dissipation
 

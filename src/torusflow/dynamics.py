@@ -548,6 +548,41 @@ def make_compressible(
 _PERT_KMAX = 4
 
 
+def _initial_pressure(u0: VectorField, phi0: Field, c: Constitutive) -> np.ndarray:
+    """The incompressible pressure pi0 of (u0, phi0): the mean-zero solution,
+    cut to the 2/3 band, of
+
+        Lap pi0 = div(-div(u0 x u0) - Lap(phi0) grad(phi0) + nu(1, phi0) Lap u0),
+
+    which does not depend on eps.  With div u0 = 0, div(u0 x u0) =
+    (u0.grad) u0; the viscous term is solenoidal for the constant law, and
+    an affine one gives it a gradient part."""
+    g = u0.grid
+    d = g.dim
+    ik, k2 = g._bik_stack, g.bk_squared
+    zh = batch_rfft(
+        g, [*(a.values for a in u0), phi0.values], out=np.empty((d + 1, *g.bshape), dtype=complex)
+    )
+    uh, phih = zh[:d], zh[d]
+    # band stack: grad u (row d*i + j holds d_j u_i), Lap u, grad phi, Lap phi
+    down = np.concatenate([
+        (uh[:, None] * ik).reshape(d * d, *g.bshape),
+        -k2 * uh,
+        ik * phih,
+        [-k2 * phih],
+    ])
+    grad_u, lap_u, grad_phi, lap_phi = _carve(batch_irfft(g, down), d * d, d, d, 1)
+    force = lap_u * c.viscosity_nu(1.0, phi0.values) - lap_phi * grad_phi
+    for i in range(d):
+        for j in range(d):
+            force[i] -= u0[j].values * grad_u[d * i + j]
+    fh = batch_rfft(g, force, out=np.empty((d, *g.bshape), dtype=complex))
+    # Lap pi0 = div force: pi0_hat = -(ik . force_hat) / |k|^2, mean zero
+    pih = -np.sum(ik * fh, axis=0) / g._bk2safe
+    pih[(0,) * d] = 0.0
+    return batch_irfft(g, pih[None])[0]
+
+
 def well_prepared_initial(
     u0: VectorField,
     phi0: Field,
@@ -555,12 +590,19 @@ def well_prepared_initial(
     kappa0: float,
     seed: int,
     model: ModelKind = ModelKind.CH,
+    c: Constitutive = Constitutive(),
 ) -> CompressibleState:
-    """Compressible data an O(eps^2, eps, eps) perturbation off (1, u0, phi0).
+    """Compressible data an O(eps^2, eps, eps) perturbation off the
+    pressure-balanced state (1 + eps^2 pi0/P'(1), u0, phi0).
 
-    rho0 = 1 + eps^2*kappa0*r1, u0e = u0 + eps*kappa0*r2, phi0e = phi0 +
-    eps*kappa0*r3 with fixed-seed band-limited fields r_i of unit H^3 norm.
-    Requires div u0 = 0.
+    rho0 = 1 + eps^2 (pi0/P'(1) + kappa0*r1), u0e = u0 + eps*kappa0*r2,
+    phi0e = phi0 + eps*kappa0*r3 with fixed-seed band-limited fields r_i of
+    unit H^3 norm, and pi0 the incompressible pressure of (u0, phi0) under
+    the law c, see _initial_pressure.  Then
+    P(rho0) - P(1) = eps^2 pi0 + O(eps^4) balances the irrotational part of
+    the momentum tendency, and a run starts without an acoustic layer (the
+    well-prepared data of Klainerman & Majda, CPAM 34 (1981)).  Requires
+    div u0 = 0.
     """
     g = u0.grid
     div_max = float(np.max(np.abs(divergence(u0).values)))
@@ -578,7 +620,8 @@ def well_prepared_initial(
     r2 = [Field(g, comp.values / r2_scale) for comp in r2]
     r3 = Field(g, r3.values / hs_norm(r3, 3))
 
-    rho = Field(g, 1.0 + eps**2 * kappa0 * r1.values)
+    pi0 = _initial_pressure(u0, phi0, c) / float(c.pressure_prime(1.0))
+    rho = Field(g, 1.0 + eps**2 * (pi0 + kappa0 * r1.values))
     u = VectorField(
         tuple(Field(g, a.values + eps * kappa0 * b.values) for a, b in zip(u0, r2))
     )

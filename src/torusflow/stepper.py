@@ -14,8 +14,9 @@ and remainder, solved by fixed-point iteration through the resolvent
 (I - dt L)^-1, which takes the acoustics exactly (all-speed, as in Degond &
 Tang, CiCP 10 (2011)).  Relaxational (nsac) compressible runs therefore
 step at a bound that does not depend on eps but on the flow,
-cfl dx/(max|u| + max|grad phi|), the speed of the explicit advection and
-capillary coupling, as incompressible runs do; conserved (nsch) runs keep
+cfl sqrt(2) dx/max(|u| + |grad phi|), with the band's Euclidean radius
+and the pointwise speed of the explicit advection and capillary coupling,
+as incompressible runs do; conserved (nsch) runs keep
 the acoustic bound for accuracy, see default_dt, whose default cfl keeps
 every band mode of the explicit remainder inside the stability region of
 ETDRK4-B.  Both schemes evaluate their tendencies through the half-spectrum
@@ -67,7 +68,8 @@ _CAPILLARY_FLOOR = 1.0 / math.sqrt(2.0)
 _MAX_STEPS = 2.0**53
 
 # just under 3 sqrt(2)/(2 pi), the edge of ETDRK4-B's stability on the band
-# for the explicit remainder; see default_dt
+# for the explicit remainder at the eps-free bound cfl sqrt(2) dx/S; see
+# default_dt
 DEFAULT_CFL = 0.675
 
 
@@ -614,37 +616,39 @@ def picard_step(
 # driver
 
 
-def _capillary_speed(phi) -> float:
-    """max(max|grad phi|, _CAPILLARY_FLOOR): the speed of the explicit
-    capillary coupling, whose linearisation (-Lap phi grad phi in the
-    momentum, -u.grad phi in the phase) has eigenvalues +-i |k| |grad phi|,
-    advection at speed |grad phi|.  grad phi is taken on the band."""
+def _explicit_speed(u, phi) -> float:
+    """max(max_x(|u(x)| + |grad phi(x)|), _CAPILLARY_FLOOR): the speed of the
+    explicit advection and capillary coupling, whose linearisation (-Lap phi
+    grad phi in the momentum, -u.grad phi in the phase) has frequencies
+    |k.u| + |k| |grad phi| <= |k| (|u| + |grad phi|) at each point.
+    grad phi is taken on the band."""
     g = phi.grid
     ph = batch_rfft(g, phi.values[None], out=np.empty((1, *g.bshape), dtype=complex))
     grad = batch_irfft(g, g._bik_stack * ph)
-    grad *= grad
-    return max(math.sqrt(float(np.max(grad.sum(axis=0)))), _CAPILLARY_FLOOR)
+    speed = np.sqrt(np.sum(grad * grad, axis=0))
+    speed += np.sqrt(sum(comp.values * comp.values for comp in u))
+    return max(float(np.max(speed)), _CAPILLARY_FLOOR)
 
 
 def default_dt(state, c: Constitutive, cfg: StepperConfig) -> float:
     """Step size implied by the config: an override when given, else a CFL
     bound.
 
-    Incompressible runs take the eps-free bound cfl*dx/(umax + c_cap), with
-    the capillary speed c_cap = max(max|grad phi|, 1/sqrt(2)) of the state
-    (see _capillary_speed); 1/sqrt(2) gives a fluid at rest a finite step.
-    Compressible runs take the acoustic bound, except runs of the
+    Incompressible runs take the eps-free bound cfl sqrt(2) dx/S, with the
+    explicit speed S = max(max_x(|u(x)| + |grad phi(x)|), 1/sqrt(2)) of the
+    state (see _explicit_speed); 1/sqrt(2) gives a fluid at rest a finite
+    step.  Compressible runs take the acoustic bound, except runs of the
     relaxational model: both schemes solve the linear acoustics exactly, so
     these take the larger of the acoustic bound and the eps-free one, with
-    phi = q/rho.  The conserved model keeps the acoustic bound, because at
-    the eps-free step its rho-gradient error falls only like eps and misses
-    the sweep's rate bar.  No separate phase cap applies: ETDRK4 and the
-    Picard solve take the phase stiffness exactly.
+    u = m/rho and phi = q/rho.  The conserved model keeps the acoustic bound,
+    because at the eps-free step its rho-gradient error falls only like eps
+    and misses the sweep's rate bar.  No separate phase cap applies: ETDRK4
+    and the Picard solve take the phase stiffness exactly.
 
     The default cfl, DEFAULT_CFL = 0.675, is just under 3 sqrt(2)/(2 pi).
     Linearised, the explicit remainder has frequencies
-    |k.u| + |k| |grad phi| <= (|k_x| + |k_y|)(umax + c_cap), at most
-    2 floor(n/3)(umax + c_cap) on the band, so at the eps-free bound
+    |k.u| + |k| |grad phi| <= |k| S, at most sqrt(2) floor(n/3) S on the
+    band, whose largest |k| is that of its corner, so at the eps-free bound
     omega dt <= cfl 4 pi/3.  ETDRK4-B with no linear part is RK4, stable on
     the imaginary axis up to 2 sqrt(2): every band mode is stable with no
     credit taken for viscosity or svv.  The acoustic bound scales by the
@@ -658,7 +662,7 @@ def default_dt(state, c: Constitutive, cfg: StepperConfig) -> float:
     acoustic = acoustic_dt(state.eps, g, c, cfg.cfl, umax) if compressible else 0.0
     if compressible and state.model is ModelKind.CH:
         return acoustic
-    return max(acoustic, cfg.cfl * g.dx / (umax + _capillary_speed(phi)))
+    return max(acoustic, cfg.cfl * math.sqrt(2.0) * g.dx / _explicit_speed(u, phi))
 
 
 def _check_scheme(scheme: str, regime: str) -> None:

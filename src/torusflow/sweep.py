@@ -149,7 +149,7 @@ def _run_compressible_leg(cfg: SweepConfig, c: Constitutive, eps: float, samples
     g = TorusGrid(cfg.dim, cfg.n)
     u0, phi0 = initial_from_preset(cfg.initial, g)
     try:
-        state = well_prepared_initial(u0, phi0, eps, cfg.kappa0, cfg.seed, cfg.model)
+        state = well_prepared_initial(u0, phi0, eps, cfg.kappa0, cfg.seed, cfg.model, c)
         return integrate(state, c, _reference_stepper_config(cfg), samples)
     except NumericsError as exc:
         return exc

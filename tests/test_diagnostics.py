@@ -222,7 +222,7 @@ def _ref_terms(gf, rho, u, phi, c, model):
     if model is ModelKind.CH:
         diss += mean(sum(d * d for d in _ref_grad(gf, mu)))
     else:
-        diss += mean(rho * mu * mu)
+        diss += mean(mu * mu)
     return gradient, potential, diss
 
 
@@ -382,7 +382,7 @@ def _alloc_terms(gf, rho, phi, hats, c, model):
     if model is ModelKind.CH:
         dissipation += _alloc_hermitian_sq(gf, gf.rfft(mu), gf._rik2)
     else:
-        dissipation += _alloc_mean(gf, rho * mu * mu)
+        dissipation += _alloc_mean(gf, mu * mu)
     return gradient, potential, dissipation
 
 

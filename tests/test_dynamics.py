@@ -23,9 +23,12 @@ from torusflow.spectral import (
     batch_irfft,
     batch_rfft,
     constant_field,
+    dealias,
     divergence,
+    gradient,
     hs_norm,
     integral,
+    laplacian,
     leray_project,
     random_band_limited,
 )
@@ -391,13 +394,43 @@ def test_compressible_kernel_allocates_little_beyond_its_tendency():
 # prepared initial data
 
 
+def _pressure_oracle(u0, phi0, c):
+    """pi0 from the Field operators: the mean-zero solution of
+    Lap pi0 = div(-(u0.grad) u0 - Lap(phi0) grad(phi0) + nu(1, phi0) Lap u0),
+    cut to the 2/3 band."""
+    g = u0.grid
+    lap_phi, grad_phi = laplacian(phi0), gradient(phi0)
+    nu = c.viscosity_nu(1.0, phi0.values)
+    force = []
+    for i, ui in enumerate(u0):
+        grad_ui = gradient(ui)
+        adv = sum(uj.values * dj.values for uj, dj in zip(u0, grad_ui))
+        force.append(Field(g, nu * laplacian(ui).values - lap_phi.values * grad_phi[i].values - adv))
+    rhs = divergence(VectorField(tuple(dealias(f) for f in force)))
+    pih = g.rfft(rhs.values) / -g._rk2safe
+    pih[0, 0] = 0.0
+    return g.irfft(pih)
+
+
 def test_well_prepared_unperturbed(g2):
+    # kappa0 = 0 leaves the pressure-balanced state: rho0 - 1 = eps^2 pi0/P'(1)
+    # with the primitives (u0, phi0), for the constant and an affine law
     u0, phi0 = initial_from_preset("taylor_green_bubble", g2)
-    s = well_prepared_initial(u0, phi0, 0.2, 0.0, 0, ModelKind.CH)
-    assert np.max(np.abs(s.rho.values - 1.0)) < 1e-14
-    for m, u in zip(s.mom, u0):
-        assert np.max(np.abs(m.values - u.values)) < 1e-13
-    assert np.max(np.abs(s.q.values - phi0.values)) < 1e-13
+    pis = []
+    for c in (Constitutive(), Constitutive(nu_phi=0.5, eta_phi=0.5)):
+        pi0 = _pressure_oracle(u0, phi0, c)
+        pis.append(pi0)
+        assert np.max(np.abs(pi0)) > 0.1
+        p1 = float(c.pressure_prime(1.0))
+        for eps in (0.2, 0.05):
+            s = well_prepared_initial(u0, phi0, eps, 0.0, 0, ModelKind.CH, c)
+            assert np.max(np.abs(s.rho.values - 1.0 - eps**2 * pi0 / p1)) < 1e-14
+            u, phi = primitives(s)
+            for a, b in zip(u, u0):
+                assert np.max(np.abs(a.values - b.values)) < 1e-13
+            assert np.max(np.abs(phi.values - phi0.values)) < 1e-13
+    # the viscous term is solenoidal for the constant law only
+    assert np.max(np.abs(pis[1] - pis[0])) > 1e-3
 
 
 def test_well_prepared_scaling(g2):
@@ -405,12 +438,37 @@ def test_well_prepared_scaling(g2):
     kappa0 = 0.37
     for eps in (0.4, 0.1):
         s = well_prepared_initial(u0, phi0, eps, kappa0, 3, ModelKind.CH)
-        dev = Field(g2, s.rho.values - 1.0)
+        s0 = well_prepared_initial(u0, phi0, eps, 0.0, 3, ModelKind.CH)
+        dev = Field(g2, s.rho.values - s0.rho.values)
         assert hs_norm(dev, 3) == pytest.approx(eps**2 * kappa0, rel=1e-10)
         u, phi = primitives(s)
         dphi = Field(g2, phi.values - phi0.values)
         # phi = q/rho picks up an O(eps^2) cross term beyond eps*kappa0*r3
         assert hs_norm(dphi, 3) == pytest.approx(eps * kappa0, rel=0.1)
+
+
+@pytest.mark.parametrize("c", [Constitutive(), Constitutive(nu_phi=0.5, eta_phi=0.5)],
+                         ids=["constant", "affine"])
+@pytest.mark.parametrize("model", list(ModelKind))
+def test_well_prepared_data_start_without_an_acoustic_layer(g2, model, c):
+    # the pressure balances the irrotational part of the momentum tendency
+    # up to O(eps^2); at rho = 1 it reads about 2.5 at every eps
+    u0, phi0 = initial_from_preset("taylor_green_bubble", g2)
+
+    def irrotational(s):
+        dm = vec(g2, compressible_tendency(s, c).dmom)
+        return max(
+            float(np.max(np.abs(a.values - b.values)))
+            for a, b in zip(dm, leray_project(dm))
+        )
+
+    unbalanced = make_compressible(0.1, constant_field(g2, 1.0), u0, phi0, model)
+    assert irrotational(unbalanced) > 1.0
+    eps_list = (0.2, 0.1, 0.05)
+    res = [irrotational(well_prepared_initial(u0, phi0, e, 0.0, 0, model, c)) for e in eps_list]
+    assert res[0] < 0.1, res
+    for e, r in zip(eps_list, res):
+        assert r / e**2 == pytest.approx(res[0] / eps_list[0] ** 2, rel=0.05), res
 
 
 def test_well_prepared_deterministic(g2):

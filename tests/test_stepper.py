@@ -125,8 +125,8 @@ def test_default_dt_selects_bounds():
     g = TorusGrid(2, 32)
     c = Constitutive()
     # a fluid at rest has the capillary speed 1/sqrt(2) of the planar
-    # equilibrium tanh(x/sqrt(2))
-    eps_free = 0.4 * g.dx * math.sqrt(2.0)
+    # equilibrium tanh(x/sqrt(2)), at the band's Euclidean radius
+    eps_free = 0.4 * math.sqrt(2.0) * g.dx / (1.0 / math.sqrt(2.0))
     cfg = StepperConfig(scheme="rk4", cfl=0.4, t_end=1.0)
     cfg_picard = StepperConfig(scheme="picard", cfl=0.4, t_end=1.0)
     for eps in (0.4, 0.2, 0.05):
@@ -141,7 +141,7 @@ def test_default_dt_selects_bounds():
         want = max(acoustic, eps_free)
         for conf in (cfg, cfg_picard):
             assert default_dt(s_ac, c, conf) == pytest.approx(want, rel=1e-12)
-    # sqrt(P'(1))/eps = 0.35 < 1/sqrt(2) at eps = 4, so the acoustic bound wins there
+    # sqrt(P'(1))/eps = 0.35 < 1/2 at eps = 4, so the acoustic bound wins there
     s_ac = rest_compressible(g, eps=4.0, model=ModelKind.AC)
     assert default_dt(s_ac, c, cfg) > eps_free
     assert default_dt(rest_compressible(g, eps=0.05, model=ModelKind.AC), c, cfg) == (
@@ -156,25 +156,33 @@ def test_default_dt_selects_bounds():
     assert default_dt(s_inc, c, cfg) == pytest.approx(eps_free, rel=1e-12)
 
 
+def _eps_free_dt(regime, u, phi):
+    """default_dt at cfl 0.4 of an nsac state with velocity u and phase phi;
+    at eps 0.01 the compressible state takes the eps-free bound too."""
+    c, cfg = Constitutive(), StepperConfig(cfl=0.4)
+    g = phi.grid
+    if regime == "incompressible":
+        return default_dt(IncompressibleState(u, phi, ModelKind.AC), c, cfg)
+    s = make_compressible(0.01, constant_field(g, 1.0), u, phi, ModelKind.AC)
+    return default_dt(s, c, cfg)
+
+
 @pytest.mark.parametrize("regime", ["compressible", "incompressible"])
 def test_default_dt_follows_the_capillary_speed(regime):
-    # phi = a cos(x) has max|grad phi| = a, taken at x = pi/2, a grid point
+    # phi = a cos(x) has max|grad phi| = a, taken at x = pi/2, a grid point,
+    # where the uniform flow adds its speed 0.3
     g = TorusGrid(2, 32)
-    c = Constitutive()
-    cfg = StepperConfig(cfl=0.4)
     x = g.coords()[0]
     u = VectorField((constant_field(g, 0.3), constant_field(g, 0.0)))
 
     def dt_of(phi):
-        if regime == "incompressible":
-            return default_dt(IncompressibleState(u, Field(g, phi), ModelKind.AC), c, cfg)
-        s = make_compressible(0.01, constant_field(g, 1.0), u, Field(g, phi), ModelKind.AC)
-        return default_dt(s, c, cfg)
+        return _eps_free_dt(regime, u, Field(g, phi))
 
     for a in (1.0, 2.0, 5.0):
-        assert dt_of(a * np.cos(x)) == pytest.approx(0.4 * g.dx / (0.3 + a), rel=1e-12)
+        want = 0.4 * math.sqrt(2.0) * g.dx / (0.3 + a)
+        assert dt_of(a * np.cos(x)) == pytest.approx(want, rel=1e-12)
     # below the floor the rest speed 1/sqrt(2) holds
-    floor = 0.4 * g.dx / (0.3 + 1.0 / math.sqrt(2.0))
+    floor = 0.4 * math.sqrt(2.0) * g.dx / (1.0 / math.sqrt(2.0))
     assert dt_of(0.3 * np.cos(x)) == pytest.approx(floor, rel=1e-12)
     # a steeper interface gets a smaller step
     r = np.sqrt((x - np.pi) ** 2 + (g.coords()[1] - np.pi) ** 2)
@@ -183,21 +191,44 @@ def test_default_dt_follows_the_capillary_speed(regime):
     assert dts[0] > dts[1] > dts[2]
 
 
+@pytest.mark.parametrize("regime", ["compressible", "incompressible"])
+def test_default_dt_takes_the_pointwise_speed_and_the_euclidean_radius(regime):
+    # S = max_x(|u(x)| + |grad phi(x)|): the Euclidean speed of the flow, and
+    # the sum of the two speeds only where both peak together
+    g = TorusGrid(2, 32)
+    y = g.coords()[1]
+    zero = constant_field(g, 0.0)
+    # a uniform diagonal flow u = (a, a) has |u| = a sqrt(2), not a
+    a = 2.0
+    diag = VectorField((constant_field(g, a), constant_field(g, a)))
+    assert _eps_free_dt(regime, diag, zero) == pytest.approx(0.4 * g.dx / a, rel=1e-12)
+    # u = (a sin y, 0) vanishes where phi = a sin y is steepest (y = 0):
+    # |u| + |grad phi| = a (|sin y| + |cos y|) peaks at a sqrt(2) (y = pi/4,
+    # a grid point), not at max|u| + max|grad phi| = 2a
+    shear = VectorField((Field(g, a * np.sin(y)), zero))
+    dt = _eps_free_dt(regime, shear, Field(g, a * np.sin(y)))
+    assert dt == pytest.approx(0.4 * g.dx / a, rel=1e-12)
+
+
 def test_default_step_is_inside_etdrk4_stability():
-    # at dt = cfl dx/speed the explicit remainder's frequencies on the band
-    # are at most (|k_x| + |k_y|) speed; the default cfl keeps every band
-    # mode's ETDRK4-B amplification <= 1 with no credit for viscosity: one
-    # step from u = 1 of u' = -svv u + i (|k_x| + |k_y|) u at unit speed
+    # at default_dt the explicit remainder's frequencies on the band are at
+    # most |k| S; the default cfl keeps every band mode's ETDRK4-B
+    # amplification <= 1 with no credit for viscosity: one step from u = 1
+    # of u' = -svv u + i |k| u at the step of a unit flow on a flat phase
+    # (S = 1)
     def worst(n, cfl):
         g = TorusGrid(2, n)
+        flow = VectorField((constant_field(g, 1.0), constant_field(g, 0.0)))
+        s = IncompressibleState(flow, constant_field(g, 0.0), ModelKind.AC)
+        dt = default_dt(s, Constitutive(), StepperConfig(cfl=cfl))
         kx, ky = (np.abs(k).astype(float) for k in g.bwavenumbers)
-        tables = _etd_tables(-g.bsvv, cfl * g.dx)
+        tables = _etd_tables(-g.bsvv, dt)
 
         def ops(key, z, out):
             np.multiply(tables[key], z, out=out)
 
         def nonlin(z, out):
-            np.multiply(1j * (kx + ky), z, out=out)
+            np.multiply(1j * np.sqrt(kx**2 + ky**2), z, out=out)
 
         amp = np.abs(_etdrk4(np.ones((1, *g.bshape), dtype=complex), ops, nonlin)[0])
         return float(np.max(amp[np.broadcast_to(kx <= g.dealias_cutoff, g.bshape)]))
@@ -1011,13 +1042,13 @@ def test_picard_contraction_ratios(g2):
 @pytest.mark.parametrize("model", list(ModelKind))
 @pytest.mark.parametrize("eps", [0.2, 0.05])
 def test_picard_converges_at_the_default_step(model, eps):
-    # the acoustics sit in the resolvent, so the default cfl needs no cut:
+    # the acoustics sit in the resolvent, so the default step needs no cut:
     # nsch at the acoustic bound, nsac at the eps-free one
     g = TorusGrid(2, 32)
     c = Constitutive()
     u0, phi0 = initial_from_preset("taylor_green_bubble", g)
     s = well_prepared_initial(u0, phi0, eps, 0.1, 0, model)
-    cfg = StepperConfig(scheme="picard", cfl=0.4)
+    cfg = StepperConfig(scheme="picard")
     out, report = picard_step(s, default_dt(s, c, cfg), c, cfg)
     assert report.converged, report
     assert max(report.ratios) < 0.5

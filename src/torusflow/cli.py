@@ -44,7 +44,13 @@ from .io import (
 )
 from .spectral import divergence, integral
 from .stepper import integrate
-from .sweep import ERROR_FAMILIES, acoustic_dispersion_check, run_sweep, with_eps_list
+from .sweep import (
+    ERROR_FAMILIES,
+    _check_low_mach,
+    acoustic_dispersion_check,
+    run_sweep,
+    with_eps_list,
+)
 
 _SWEEP_ERROR_COLUMNS = ("eps", "failed", "reason", *ERROR_FAMILIES)
 
@@ -264,6 +270,8 @@ def _cmd_sweep(args) -> int:
             raise ConfigError(f"bad --eps override: {exc}") from exc
     if args.parallel < 1:
         raise ConfigError(f"--parallel must be >= 1, got {args.parallel}")
+    # past the low-Mach range the sweep is a config error, before any stepping
+    _check_low_mach(cfg, c)
 
     with _simulating():
         result = run_sweep(cfg, c, parallel=args.parallel)

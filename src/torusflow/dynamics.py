@@ -547,40 +547,53 @@ def make_compressible(
 # cutoff - _PERT_KMAX so conservative packing rho*u, rho*phi is band-exact
 _PERT_KMAX = 4
 
+# the low-Mach range of the prepared data: 1 + eps^2 pi0/P'(1) >= _RHO0_FLOOR
+# everywhere.  Runs of taylor_green_bubble in the conserved model reach
+# vacuum in their first steps once min rho0 falls to about 0.70 and reach
+# T = 1 from about 0.75 up (n = 32, the constant and an affine law)
+_RHO0_FLOOR = 0.75
 
-def _initial_pressure(u0: VectorField, phi0: Field, c: Constitutive) -> np.ndarray:
-    """The incompressible pressure pi0 of (u0, phi0): the mean-zero solution,
-    cut to the 2/3 band, of
 
-        Lap pi0 = div(-div(u0 x u0) - Lap(phi0) grad(phi0) + nu(1, phi0) Lap u0),
+def _incompressible_pressure(u: VectorField, phi: Field, c: Constitutive) -> np.ndarray:
+    """The incompressible pressure pi of a divergence-free (u, phi): the
+    mean-zero potential, cut to the 2/3 band, of the irrotational part of
+    the momentum tendency at rho = 1, where the kernel's pressure term is 0
+    and eta grad div u drops out, so
 
-    which does not depend on eps.  With div u0 = 0, div(u0 x u0) =
-    (u0.grad) u0; the viscous term is solenoidal for the constant law, and
-    an affine one gives it a gradient part."""
-    g = u0.grid
+        Lap pi = div(-div(u x u) - Lap(phi) grad(phi) + nu(1, phi) Lap u).
+
+    It does not depend on eps.  The viscous term is solenoidal for the
+    constant law; an affine one gives it a gradient part."""
+    g = u.grid
     d = g.dim
-    ik, k2 = g._bik_stack, g.bk_squared
     zh = batch_rfft(
-        g, [*(a.values for a in u0), phi0.values], out=np.empty((d + 1, *g.bshape), dtype=complex)
+        g,
+        [np.ones(g.shape), *(a.values for a in u), phi.values],
+        out=np.empty((d + 2, *g.bshape), dtype=complex),
     )
-    uh, phih = zh[:d], zh[d]
-    # band stack: grad u (row d*i + j holds d_j u_i), Lap u, grad phi, Lap phi
-    down = np.concatenate([
-        (uh[:, None] * ik).reshape(d * d, *g.bshape),
-        -k2 * uh,
-        ik * phih,
-        [-k2 * phih],
-    ])
-    grad_u, lap_u, grad_phi, lap_phi = _carve(batch_irfft(g, down), d * d, d, d, 1)
-    force = lap_u * c.viscosity_nu(1.0, phi0.values) - lap_phi * grad_phi
-    for i in range(d):
-        for j in range(d):
-            force[i] -= u0[j].values * grad_u[d * i + j]
-    fh = batch_rfft(g, force, out=np.empty((d, *g.bshape), dtype=complex))
-    # Lap pi0 = div force: pi0_hat = -(ik . force_hat) / |k|^2, mean zero
-    pih = -np.sum(ik * fh, axis=0) / g._bk2safe
+    # the momentum tendency does not depend on the phase model
+    dmh = rhs_compressible_hat(g, 1.0, zh, c, ModelKind.AC)[1 : 1 + d]
+    # Lap pi = div dm: pi_hat = -(ik . dm_hat) / |k|^2, mean zero
+    pih = -np.sum(g._bik_stack * dmh, axis=0) / g._bk2safe
     pih[(0,) * d] = 0.0
     return batch_irfft(g, pih[None])[0]
+
+
+def _balanced_offset(u0: VectorField, phi0: Field, eps: float, c: Constitutive) -> np.ndarray:
+    """The offset pi0/P'(1) of the pressure-balanced density
+    1 + eps^2 pi0/P'(1), with pi0 the incompressible pressure of (u0, phi0).
+    A ValueError when eps puts that density below _RHO0_FLOOR somewhere,
+    outside the low-Mach range, names the largest eps these data admit."""
+    pi0 = _incompressible_pressure(u0, phi0, c) / float(c.pressure_prime(1.0))
+    balanced_min = 1.0 + eps**2 * float(np.min(pi0))
+    if not balanced_min >= _RHO0_FLOOR:
+        limit = math.sqrt((1.0 - _RHO0_FLOOR) / -float(np.min(pi0)))
+        raise ValueError(
+            f"eps = {eps:g} puts the pressure-balanced density at {balanced_min:.4g} < "
+            f"{_RHO0_FLOOR} somewhere, outside the low-Mach range; these data admit "
+            f"eps <= {limit:.4g}"
+        )
+    return pi0
 
 
 def well_prepared_initial(
@@ -598,12 +611,20 @@ def well_prepared_initial(
     rho0 = 1 + eps^2 (pi0/P'(1) + kappa0*r1), u0e = u0 + eps*kappa0*r2,
     phi0e = phi0 + eps*kappa0*r3 with fixed-seed band-limited fields r_i of
     unit H^3 norm, and pi0 the incompressible pressure of (u0, phi0) under
-    the law c, see _initial_pressure.  Then
+    the law c, see _incompressible_pressure.  Then
     P(rho0) - P(1) = eps^2 pi0 + O(eps^4) balances the irrotational part of
     the momentum tendency, and a run starts without an acoustic layer (the
     well-prepared data of Klainerman & Majda, CPAM 34 (1981)).  Requires
-    div u0 = 0.
+    div u0 = 0, and 1 + eps^2 pi0/P'(1) >= _RHO0_FLOOR = 0.75 everywhere,
+    the low-Mach range: a larger eps raises a ValueError that names the
+    largest eps these data admit.  The kappa0 perturbation is left to
+    make_compressible's vacuum check.
+
+    c defaults to the constant law; a caller that runs another law must
+    pass it, or pi0 misses the gradient part of that law's viscous force
+    and the data are not pressure-balanced.
     """
+    _check_eps(eps)
     g = u0.grid
     div_max = float(np.max(np.abs(divergence(u0).values)))
     if div_max > 1e-10:
@@ -620,8 +641,8 @@ def well_prepared_initial(
     r2 = [Field(g, comp.values / r2_scale) for comp in r2]
     r3 = Field(g, r3.values / hs_norm(r3, 3))
 
-    pi0 = _initial_pressure(u0, phi0, c) / float(c.pressure_prime(1.0))
-    rho = Field(g, 1.0 + eps**2 * (pi0 + kappa0 * r1.values))
+    offset = _balanced_offset(u0, phi0, eps, c)
+    rho = Field(g, 1.0 + eps**2 * (offset + kappa0 * r1.values))
     u = VectorField(
         tuple(Field(g, a.values + eps * kappa0 * b.values) for a, b in zip(u0, r2))
     )

@@ -640,10 +640,12 @@ def default_dt(state, c: Constitutive, cfg: StepperConfig) -> float:
     step.  Compressible runs take the acoustic bound, except runs of the
     relaxational model: both schemes solve the linear acoustics exactly, so
     these take the larger of the acoustic bound and the eps-free one, with
-    u = m/rho and phi = q/rho.  The conserved model keeps the acoustic bound,
-    because at the eps-free step its rho-gradient error falls only like eps
-    and misses the sweep's rate bar.  No separate phase cap applies: ETDRK4
-    and the Picard solve take the phase stiffness exactly.
+    u = m/rho and phi = q/rho.  The conserved model keeps the acoustic bound:
+    at the eps-free step its total energy (n = 64, T = 0.25) moves by 2.8e-5
+    from a cfl 0.3 run (2.4e-5 with an affine law), against 2.3e-7 for the
+    relaxational model and the 1e-6 that a cfl-independent total allows.
+    No separate phase cap applies: ETDRK4 and the Picard solve take the
+    phase stiffness exactly.
 
     The default cfl, DEFAULT_CFL = 0.675, is just under 3 sqrt(2)/(2 pi).
     Linearised, the explicit remainder has frequencies

@@ -19,8 +19,10 @@ from .constitutive import Constitutive, ModelKind
 from .dynamics import (
     CompressibleState,
     IncompressibleState,
+    _balanced_offset,
     _check_eps,
     _check_initial,
+    _incompressible_pressure,
     initial_from_preset,
     primitives,
     well_prepared_initial,
@@ -143,6 +145,13 @@ def _reference_stepper_config(cfg: SweepConfig) -> StepperConfig:
     return StepperConfig(scheme="rk4", cfl=cfg.cfl, t_end=cfg.t_end)
 
 
+def _check_low_mach(cfg: SweepConfig, c: Constitutive) -> None:
+    """The rule of the prepared data at every eps of the sweep: the largest
+    eps puts them furthest from rho = 1 (see _balanced_offset)."""
+    g = TorusGrid(cfg.dim, cfg.n)
+    _balanced_offset(*initial_from_preset(cfg.initial, g), cfg.eps_list[0], c)
+
+
 def _run_compressible_leg(cfg: SweepConfig, c: Constitutive, eps: float, samples):
     """Integrate one compressible leg, or return the NumericsError that
     stopped it; module-level so sweeps can fork workers."""
@@ -155,7 +164,11 @@ def _run_compressible_leg(cfg: SweepConfig, c: Constitutive, eps: float, samples
         return exc
 
 
-def _eval_record(cfg, c, eps, comp_traj, ref_traj, samples) -> EpsRecord:
+def _eval_record(cfg, c, eps, comp_traj, ref_traj, ref_offsets, samples) -> EpsRecord:
+    """The leg's errors.  err_rho and err_grad_rho measure rho - 1 -
+    eps^2 pi/P'(1), the density's departure from the pressure balance of
+    the reference, with ref_offsets the reference's pi/P'(1) at each
+    sample."""
     s = cfg.s_index
     phi_idx = 1 if cfg.model is ModelKind.CH else 2
     grad_idx = s if cfg.model is ModelKind.CH else s - 2
@@ -169,12 +182,12 @@ def _eval_record(cfg, c, eps, comp_traj, ref_traj, samples) -> EpsRecord:
     integrand = []
     dist_trace = []
     full_trace = []
-    for (_, cs), (_, ris) in zip(comp_traj, ref_traj):
+    for (_, cs), (_, ris), offset in zip(comp_traj, ref_traj, ref_offsets):
         ue, phie = primitives(cs)
         du2 = sum(l2_norm(a - b) ** 2 for a, b in zip(ue, ris.u))
         dphi = phie - ris.phi
         dphi2 = hs_norm(dphi, phi_idx) ** 2
-        rh = g.rfft(cs.rho.values - 1.0)
+        rh = g.rfft(cs.rho.values - 1.0 - eps**2 * offset)
         drho2 = hermitian_sq(g, rh, rho_w)
         dgrad2 = hermitian_sq(g, rh, grad_w)
         sup_u = max(sup_u, du2)
@@ -216,11 +229,13 @@ def run_sweep(cfg: SweepConfig, c: Constitutive, parallel: int = 1) -> SweepResu
     ref = integrate(
         IncompressibleState(u0, phi0, cfg.model), c, _reference_stepper_config(cfg), samples
     )
+    p1 = float(c.pressure_prime(1.0))
+    ref_offsets = [_incompressible_pressure(ris.u, ris.phi, c) / p1 for _, ris in ref]
 
     def record(eps, leg) -> EpsRecord:
         if isinstance(leg, NumericsError):
             return EpsRecord(eps=eps, failed=True, reason=str(leg))
-        return _eval_record(cfg, c, eps, leg, ref, samples)
+        return _eval_record(cfg, c, eps, leg, ref, ref_offsets, samples)
 
     if parallel > 1:
         # a fork-based pool starts every worker at the first submit

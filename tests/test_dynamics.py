@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from types import SimpleNamespace
 
@@ -469,6 +470,28 @@ def test_well_prepared_data_start_without_an_acoustic_layer(g2, model, c):
     assert res[0] < 0.1, res
     for e, r in zip(eps_list, res):
         assert r / e**2 == pytest.approx(res[0] / eps_list[0] ** 2, rel=0.05), res
+
+
+def test_well_prepared_rejects_eps_past_the_low_mach_range(g2):
+    # the pressure-balanced density 1 + eps^2 pi0/P'(1) must stay >= 0.75
+    # everywhere; past that, runs of the conserved model reach vacuum in
+    # their first steps.  The error names the largest eps the data admit
+    c = Constitutive()
+    u0, phi0 = initial_from_preset("taylor_green_bubble", g2)
+    pi0 = _pressure_oracle(u0, phi0, c) / float(c.pressure_prime(1.0))
+    limit = math.sqrt(0.25 / -np.min(pi0))
+    assert 1.0 < limit < 1.2
+    s = well_prepared_initial(u0, phi0, 0.999 * limit, 0.1, 0, ModelKind.CH, c)
+    assert np.min(s.rho.values) > 0.7
+    with pytest.raises(ValueError, match=rf"admit eps <= {limit:.4g}$"):
+        well_prepared_initial(u0, phi0, 1.001 * limit, 0.1, 0, ModelKind.CH, c)
+    # the kappa0 perturbation is not part of the rule: make_compressible
+    # rejects the vacuum it makes
+    with pytest.raises(VacuumError, match="make_compressible"):
+        well_prepared_initial(u0, phi0, 0.4, 5000.0, 0, ModelKind.CH, c)
+    # single_mode's pressure is small, so eps 2 stays inside the range
+    u1, phi1 = initial_from_preset("single_mode", g2)
+    well_prepared_initial(u1, phi1, 2.0, 0.1, 0, ModelKind.AC, c)
 
 
 def test_well_prepared_deterministic(g2):

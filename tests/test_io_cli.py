@@ -1164,6 +1164,24 @@ def test_cli_sweep_eps_override_and_failures(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_rejects_eps_past_the_low_mach_range(tmp_path, capsys):
+    # taylor_green_bubble's pressure-balanced density falls below 0.75 from
+    # eps about 1.1: a run and a sweep there are config errors, before any
+    # stepping, that name the eps limit
+    run_cfg = write_json(tmp_path, "run.json", base_run_config(eps=1.5, grid={"n": 32}))
+    out = tmp_path / "run_out"
+    assert main(["run", "--config", str(run_cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "admit eps <=" in err and "Traceback" not in err
+    cfg = sweep_config_file(tmp_path)
+    out = tmp_path / "sweep_out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--eps", "1.5,0.2"]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "admit eps <=" in err and "Traceback" not in err
+
+
 def test_cli_sweep_all_failed_exits_3(tmp_path, capsys):
     cfg = write_json(
         tmp_path,

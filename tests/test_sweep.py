@@ -7,7 +7,9 @@ import pytest
 
 import torusflow.sweep as sweep_module
 from torusflow.constitutive import Constitutive, ModelKind
+from torusflow.dynamics import _incompressible_pressure, initial_from_preset
 from torusflow.errors import NumericsError
+from torusflow.spectral import Field, TorusGrid, hs_norm
 from torusflow.sweep import (
     SweepConfig,
     acoustic_dispersion_check,
@@ -143,8 +145,27 @@ def test_run_sweep_smoke():
     assert set(res.slopes) == set(FAMILIES)
     # the phase perturbation enters at order eps, but on this short horizon
     # the phase error the O(eps^2) density deviation drives (through -Lap
-    # phi/rho in mu) dominates it, so the squared sup-norm fits slope four
-    assert res.slopes["err_phi"][0] == pytest.approx(4.0, abs=0.3)
+    # phi/rho in mu) dominates it: the squared sup-norm fits slope 3.79
+    assert res.slopes["err_phi"][0] == pytest.approx(3.79, abs=0.1)
+
+
+def test_sweep_density_errors_measure_the_departure_from_the_balance():
+    # err_rho and err_grad_rho measure rho - 1 - eps^2 pi/P'(1) against the
+    # reference's pressure pi, not rho - 1: at t = 0 that leaves the kappa0
+    # part eps^2 kappa0 r1 alone, r1 of unit H^3 norm
+    kappa0 = 0.37
+    res = run_sweep(smoke_config(sample_times=(0.0,), kappa0=kappa0), Constitutive())
+    for rec in res.records:
+        assert rec.err_rho == pytest.approx(rec.eps**4 * kappa0**2, rel=1e-9)
+    a, b = res.records
+    assert a.err_grad_rho / a.eps**4 == pytest.approx(b.err_grad_rho / b.eps**4, rel=1e-9)
+    # along the run it stays a fraction of the signal eps^4 ||pi/P'(1)||^2
+    res = run_sweep(smoke_config(), Constitutive())
+    g = TorusGrid(2, 32)
+    u0, phi0 = initial_from_preset("taylor_green_bubble", g)
+    signal = hs_norm(Field(g, _incompressible_pressure(u0, phi0, Constitutive()) / 2.0), 3) ** 2
+    for rec in res.records:
+        assert rec.err_rho < 0.5 * rec.eps**4 * signal, (rec.eps, rec.err_rho)
 
 
 def test_run_sweep_deterministic_and_parallel_agree():

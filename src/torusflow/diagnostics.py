@@ -5,12 +5,29 @@ conservation ledgers.
 to the multi-index sum over derivatives up to order s; the exact multi-index
 weight is kept as its cross-check.  Both weights live on the half
 (rfft) layout and are summed with Hermitian multiplicities
-(``spectral.hermitian_sq``).  Quadratures of quartic and rational
-integrands run on a 2x oversampled grid, which makes them exact for the
-polynomial cases and rounding-accurate for smooth states.  Each report
-refines all of its fields in one stacked ``refine`` call.
+(``spectral.hermitian_sq``).  Each report refines all of its fields in one
+stacked ``refine`` call to an oversampled grid whose size follows the
+degree of its integrand (Orszag, J. Atmos. Sci. 28 (1971)): a product of p
+fields of the 2/3 band, |k| <= floor(n/3), has modes up to p floor(n/3),
+and its mean on an N grid is exact while N > p floor(n/3).  Rational
+integrands (u = m/rho, 1/rho in mu) are rounding-accurate for smooth
+states.
 
-On the 2x grid, discrete Parseval turns the quadratic spectral terms into
+- ``energy_compressible`` and ``energy_incompressible`` run on the 2x grid.
+  Their dissipation squares mu, which holds phi^3 (modes up to
+  3 floor(n/3)), so it needs N > 6 floor(n/3), about 2n: on the 3/2 grid
+  the CH reports read 3.7e-13 off the 2x-grid reference on a rough state
+  (n = 32, eps 0.5, kappa0 3).
+- ``modulated_energy`` runs on the 3/2 grid, N = 2 ceil(3n/4) (96 at
+  n = 64): its polynomial parts have degree <= 4, and N > 4 floor(n/3).  On
+  that rough state it reads the same on the 3/2, 2x and 3x grids to
+  5.6e-16, for both models and both viscosity laws.  A pair
+  of stepped states refines the rows of their carried band stacks, so the
+  column pass runs on the n//3 + 1 band columns and no forward transform is
+  taken; a pair with a state built from fields refines their half spectra,
+  since the prepared q and m are not band-exact.
+
+On the fine grid, discrete Parseval turns the quadratic spectral terms into
 Hermitian-weighted sums over its half spectrum, with the derivative symbols
 ``_rik`` / ``_rik2``: the gradient energy 1/2 int |grad phi|^2, the
 constant-viscosity dissipation nu int |grad u|^2 + eta int (div u)^2, the CH
@@ -18,15 +35,17 @@ dissipation int |grad mu|^2 and the 1/2 int |grad(phi_e - phi)|^2 term of
 the modulated distance.  They equal the fine-grid means to round-off.  The
 kinetic, internal and double-well terms, the AC dissipation int mu^2 and
 a viscosity law with a nonzero slope (nu(rho, phi) and eta(rho, phi) weight
-the integrand point by point) stay pointwise means on the 2x grid.
+the integrand point by point) stay pointwise means on the fine grid.
 
-The reports form every integrand in a per-grid workspace on the 2x grid
-(_FineWorkspace: the refined stack, one complex pool shared by refine and
-the fine half spectra, two real scratch arrays) with ``out=`` ufuncs, in the
-order of the allocating formulas, so a warm report allocates no grid-sized
-array and returns the same bits.  The workspace, with its 2x grid and that
-grid's tables, is a slot of ``spectral._one_slot``, built on the first
-report and rebuilt when the grid changes.
+The reports form every integrand in a per-grid workspace on their fine
+grid (_FineWorkspace: the refined stack, one complex pool shared by refine
+and the fine half spectra, two real scratch arrays) with ``out=`` ufuncs,
+in the order of the allocating formulas, so a warm report allocates no
+grid-sized array and returns the same bits.  Each workspace, with its fine
+grid and that grid's tables, is a slot of ``spectral._one_slot``, built on
+the first report and rebuilt when the grid changes: ``diagnostics.workspace``
+(2x, owned by ``torusflow run``'s report thread during a run) and
+``diagnostics.modulated`` (3/2).
 """
 
 from __future__ import annotations
@@ -74,10 +93,12 @@ def _fine_mean(gf: TorusGrid, arr: np.ndarray) -> float:
 
 
 class _FineWorkspace:
-    """Preallocated buffers of the energy reports of one grid, on its 2x grid.
+    """Preallocated buffers of the reports of one grid, on the fine grid
+    of n = ``size``.
 
-    ``fine`` is the refined stack, sized for the largest report
-    (modulated_energy refines rho, q, m, phi and u).  ``pool`` is one complex
+    ``fine`` is the refined stack, sized for modulated_energy's rho, m, q,
+    u and phi; the energy reports fill at most d + 2 slots, and the
+    pointwise viscous path takes the last one.  ``pool`` is one complex
     buffer: refine carves it first for its padded and column spectra, then
     the reports reuse it as ``spec``, d + 3 fine half-spectrum slots (the
     spectra of phi and u, a working spectrum and a transform scratch), and
@@ -86,15 +107,16 @@ class _FineWorkspace:
     never touches cost no memory.
     """
 
-    def __init__(self, g: TorusGrid):
+    def __init__(self, g: TorusGrid, size: int):
         d = g.dim
-        gf = TorusGrid(d, 2 * g.n)
+        gf = TorusGrid(d, size)
         self.fine_grid = gf
         self.fine = np.empty((3 + 2 * d, *gf.shape))
         slot = math.prod(gf.rshape)
         nspec = d + 3
         self.pool = np.empty(
-            max(refine_work_size(g, len(self.fine)), (nspec + 1) * slot), dtype=complex
+            max(refine_work_size(g, len(self.fine), size=size), (nspec + 1) * slot),
+            dtype=complex,
         )
         self.spec = self.pool[: nspec * slot].reshape(nspec, *gf.rshape)
         sq = self.pool[nspec * slot : (nspec + 1) * slot]
@@ -103,7 +125,23 @@ class _FineWorkspace:
 
 
 def _workspace(g: TorusGrid) -> _FineWorkspace:
-    return _one_slot("diagnostics.workspace", g, lambda: _FineWorkspace(g))
+    """The energy reports' workspace, on the 2x grid."""
+    return _one_slot("diagnostics.workspace", g, lambda: _FineWorkspace(g, 2 * g.n))
+
+
+def _modulated_size(n: int) -> int:
+    """The 3/2 grid, N = 2 ceil(3n/4), the smallest even N >= 3n/2.  It is
+    exact for products of four fields of the 2/3 band, since
+    N > 4 floor(n/3), and keeps the transform lengths smooth (96 at
+    n = 64)."""
+    return 2 * -(-3 * n // 4)
+
+
+def _modulated_workspace(g: TorusGrid) -> _FineWorkspace:
+    """modulated_energy's workspace, on the 3/2 grid."""
+    return _one_slot(
+        "diagnostics.modulated", g, lambda: _FineWorkspace(g, _modulated_size(g.n))
+    )
 
 
 def _fine_terms(w: _FineWorkspace, rho, phi, hats, c: Constitutive, model: ModelKind):
@@ -181,7 +219,7 @@ def energy_compressible(
     w = _workspace(s.grid)
     gf = w.fine_grid
     d = gf.dim
-    fine = refine([s.rho, s.q, *s.mom], out=w.fine[: d + 2], work=w.pool)
+    fine = refine([s.rho, s.q, *s.mom], size=gf.n, out=w.fine[: d + 2], work=w.pool)
     rho = fine[0]
     _require_positive(rho, "energy_compressible (2x grid)")
     a, b = w.real
@@ -209,7 +247,7 @@ def energy_incompressible(
     w = _workspace(s.grid)
     gf = w.fine_grid
     d = gf.dim
-    fine = refine([s.phi, *s.u], out=w.fine[: d + 1], work=w.pool)
+    fine = refine([s.phi, *s.u], size=gf.n, out=w.fine[: d + 1], work=w.pool)
     a, b = w.real
     # 1/2 sum_i u_i u_i
     a.fill(0.0)
@@ -231,19 +269,25 @@ def modulated_energy(
 
     distance = int 1/2 |sqrt(rho_e) u_e - u|^2 + Pi_e + 1/2 |grad(phi_e - phi)|^2
     with Pi_e = eps^-2 (omega(rho_e) - P(1)(rho_e - 1)); full adds the two
-    double-well bulk terms.
+    double-well bulk terms.  Evaluated on the 3/2 grid, from the carried
+    band stacks when both states have one (see the module docstring).
     """
     if cs.grid != is_.grid:
         raise ValueError("modulated_energy requires states on the same grid")
-    w = _workspace(cs.grid)
+    w = _modulated_workspace(cs.grid)
     gf = w.fine_grid
     d = gf.dim
-    fine = refine([cs.rho, cs.q, *cs.mom, is_.phi, *is_.u], out=w.fine, work=w.pool)
-    rho, phi, u = fine[0], fine[2 + d], fine[3 + d :]
-    _require_positive(rho, "modulated_energy (2x grid)")
-    # (q, m_1, ..) -> (phi_e, u_e1, ..) in place
+    if cs.stack is not None and is_.stack is not None:
+        # stepped states: the rows of their carried band stacks
+        src = [*cs.stack, *is_.stack]
+    else:
+        src = [cs.rho, *cs.mom, cs.q, *is_.u, is_.phi]
+    fine = refine(src, size=gf.n, out=w.fine, work=w.pool)
+    rho, u, phi = fine[0], fine[2 + d : 2 + 2 * d], fine[2 + 2 * d]
+    _require_positive(rho, "modulated_energy (3/2 grid)")
+    # (m_1, .., q) -> (u_e1, .., phi_e) in place
     fine[1 : 2 + d] /= rho
-    phie, ue = fine[1], fine[2 : 2 + d]
+    ue, phie = fine[1 : 1 + d], fine[1 + d]
     a, b = w.real
 
     # 1/2 sum_i (sqrt(rho) u_ei - u_i)^2 + Pi_e, summed in the u_e slots

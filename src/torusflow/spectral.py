@@ -522,65 +522,102 @@ def hs_norm(f: Field, s: int) -> float:
     return float(np.sqrt(hermitian_sq(g, g.rfft(f.values), (1.0 + g.rk_squared) ** s)))
 
 
-def refine_work_size(g: TorusGrid, k: int, factor: int = 2) -> int:
-    """Complex entries of the ``work`` buffer refine needs for k fields."""
-    return 2 * k * factor * g.n * (g.n // 2 + 1)
+def refine_work_size(g: TorusGrid, k: int, factor: int = 2, *, size=None) -> int:
+    """Complex entries of the ``work`` buffer refine needs for k fields or
+    spectra, refined to the grid of n = ``size`` (default factor * n)."""
+    nf = factor * g.n if size is None else size
+    half = nf * (g.n // 2 + 1)
+    return k * half + max(k * half, (k + 1) * g.n * (g.n // 2 + 1))
 
 
-def refine(f, factor: int = 2, *, out=None, work=None) -> np.ndarray:
-    """Physical values on a factor-times finer grid via zero-padded spectrum.
+def refine(f, factor: int = 2, *, size=None, out=None, work=None) -> np.ndarray:
+    """Physical values on a finer grid via zero-padded spectrum.
 
-    Used for alias-free quadrature of higher-degree integrands.  A mode on
-    the coarse Nyquist plane is split evenly between +n/2 and -n/2, so the
-    result is the real trigonometric interpolant of the stored values.
-    ``f`` is a Field, or a sequence of Fields on one grid, refined as one
-    stack (one padding, one inverse pass per axis) into a (k, *fine shape)
-    array; each slot equals the single-field refinement bit for bit, and
-    both equal irfftn of the zero-padded half spectrum.
+    Used for alias-free quadrature of higher-degree integrands.  The fine
+    grid has n = ``size`` (even and larger than n), or factor * n without
+    it.  A mode on the coarse Nyquist plane is split evenly between +n/2
+    and -n/2, so the result is the real trigonometric interpolant of the
+    stored values.  ``f`` is a Field, a sequence of Fields on one grid, or
+    a sequence of complex spectra of one grid in one layout: half spectra,
+    (n, n//2 + 1), or band spectra, (n, n//3 + 1), such as the rows of a
+    state's carried stack.  Fields are transformed to half spectra first.
+    A sequence is refined as one stack (one padding, one inverse pass per
+    axis, the column pass on the stored columns only) into a (k, *fine
+    shape) array; each slot equals the single-field refinement bit for
+    bit, and both equal irfftn of the zero-padded half spectrum.
 
     ``out`` (a (k, *fine shape) stack) and ``work`` (a contiguous complex
     buffer of at least refine_work_size entries) are optional buffers, as
     for batch_rfft; with both nothing of the grid's size is allocated, and
     the result is ``out``.  ``work`` holds the zero-padded spectra and
-    their column transforms; the coarse spectra and their transform scratch
-    share the latter's memory, since they are spent before it is written.
+    their column transforms; the half spectra of Fields and their transform
+    scratch share the latter's memory, since they are spent before it is
+    written.
     """
     if int(factor) != factor or factor < 2:
         raise ValueError(f"refine factor must be an integer >= 2, got {factor}")
-    fields = [f] if isinstance(f, Field) else list(f)
-    if not fields:
+    items = [f] if isinstance(f, Field) else list(f)
+    if not items:
         raise ValueError("refine needs at least one field")
-    g = fields[0].grid
-    if any(x.grid != g for x in fields[1:]):
-        raise ValueError("refined fields must share a grid")
-    k = len(fields)
-    nf = int(factor) * g.n
+    if isinstance(items[0], Field):
+        g = items[0].grid
+        if any(not isinstance(x, Field) or x.grid != g for x in items[1:]):
+            raise ValueError("refined fields must share a grid")
+        cols = g.n // 2 + 1
+    else:
+        shape = np.shape(items[0])
+        if len(shape) != 2 or any(np.shape(x) != shape for x in items[1:]):
+            raise ValueError("refined spectra must be 2-d and share one shape")
+        g = TorusGrid(2, shape[0])
+        cols = shape[1]
+        if cols not in (g.n // 2 + 1, g.dealias_cutoff + 1):
+            raise ValueError(
+                f"a spectrum of an n = {g.n} grid has {g.n // 2 + 1} (half) or "
+                f"{g.dealias_cutoff + 1} (band) columns, got {cols}"
+            )
+    nf = int(factor) * g.n if size is None else size
+    if int(nf) != nf or nf % 2 or nf <= g.n:
+        raise ValueError(f"refine size must be an even integer > {g.n}, got {nf}")
+    nf = int(nf)
+    k = len(items)
     h = g.n // 2
     if work is None:
-        work = np.empty(refine_work_size(g, k, factor), dtype=complex)
+        work = np.empty(refine_work_size(g, k, size=nf), dtype=complex)
     if out is None:
         out = np.empty((k,) + (nf,) * g.dim)
     pool = work.reshape(-1)
-    padded = k * nf * (h + 1)
-    one = g.n * (h + 1)
-    fh = pool[padded : padded + k * one].reshape((k,) + g.rshape)
-    scratch = pool[padded + k * one : padded + (k + 1) * one].reshape((1,) + g.rshape)
-    # one field at a time, so no stacked copy of the inputs is made
-    for i, x in enumerate(fields):
-        batch_rfft(g, x.values[None], out=fh[i : i + 1], work=scratch)
-    fh[..., h] *= 0.5
-    # rows are the full axis: k = 0..n/2 on top, k = -n/2..-1 at the
-    # bottom; only the stored columns are transformed, the rest are zero
-    fh[:, h] *= 0.5
-    tall = pool[:padded].reshape(k, nf, h + 1)
-    cols = pool[padded : 2 * padded].reshape(k, nf, h + 1)
-    tall[:, : h + 1] = fh[:, : h + 1]
-    tall[:, h + 1 : nf - h] = 0.0
-    tall[:, -h:] = fh[:, h:]
-    fh = np.fft.ifft(tall, axis=-2, out=cols)
+    padded = k * nf * cols
+    spectra = items
+    if isinstance(items[0], Field):
+        one = g.n * (h + 1)
+        spectra = pool[padded : padded + k * one].reshape((k,) + g.rshape)
+        scratch = pool[padded + k * one : padded + (k + 1) * one].reshape((1,) + g.rshape)
+        # one field at a time, so no stacked copy of the inputs is made
+        for i, x in enumerate(items):
+            batch_rfft(g, x.values[None], out=spectra[i : i + 1], work=scratch)
+    # rows are the full axis: k = 0..r on top, k = -r..-1 at the bottom,
+    # with r the Nyquist row n/2 of a half spectrum, which goes to both
+    # ends, or the cutoff of a band one; the columns past the stored ones
+    # are zero
+    half = cols == h + 1
+    r = h if half else g.dealias_cutoff
+    tall = pool[:padded].reshape(k, nf, cols)
+    # the Fields' spectra are one stack, copied whole; a sequence spectrum
+    # by spectrum
+    pairs = [(tall, spectra)] if isinstance(spectra, np.ndarray) else zip(tall, spectra)
+    for t, x in pairs:
+        t[..., : r + 1, :] = x[..., : r + 1, :]
+        t[..., nf - r :, :] = x[..., g.n - r :, :]
+    tall[:, r + 1 : nf - r] = 0.0
+    if half:
+        # the Nyquist column and row split evenly between +n/2 and -n/2
+        tall[..., h] *= 0.5
+        tall[:, h] *= 0.5
+        tall[:, nf - h] *= 0.5
+    fh = np.fft.ifft(tall, axis=-2, out=pool[padded : 2 * padded].reshape(k, nf, cols))
     # irfft zero-pads the last axis up to the fine half spectrum
     np.fft.irfft(fh, n=nf, axis=-1, out=out)
-    out *= factor**g.dim
+    out *= (nf / g.n) ** g.dim
     return out[0] if isinstance(f, Field) else out
 
 

@@ -20,15 +20,16 @@ from .dynamics import (
     CompressibleState,
     IncompressibleState,
     _balanced_offset,
+    _check_balanced,
     _check_eps,
     _check_initial,
-    _incompressible_pressure,
+    _prepared_parts,
+    _prepared_state,
+    _require_positive,
     initial_from_preset,
-    primitives,
-    well_prepared_initial,
 )
 from .errors import NumericsError
-from .spectral import Field, TorusGrid, VectorField, hermitian_sq, hs_norm, l2_norm
+from .spectral import Field, TorusGrid, VectorField, batch_rfft, hermitian_sq, l2_norm
 from .stepper import (
     DEFAULT_CFL,
     StepperConfig,
@@ -147,58 +148,80 @@ def _reference_stepper_config(cfg: SweepConfig) -> StepperConfig:
 
 def _check_low_mach(cfg: SweepConfig, c: Constitutive) -> None:
     """The rule of the prepared data at every eps of the sweep: the largest
-    eps puts them furthest from rho = 1 (see _balanced_offset)."""
+    eps puts them furthest from rho = 1 (see _check_balanced)."""
     g = TorusGrid(cfg.dim, cfg.n)
-    _balanced_offset(*initial_from_preset(cfg.initial, g), cfg.eps_list[0], c)
+    offset = _balanced_offset(*initial_from_preset(cfg.initial, g), c)
+    _check_balanced(offset, cfg.eps_list[0])
 
 
-def _run_compressible_leg(cfg: SweepConfig, c: Constitutive, eps: float, samples):
-    """Integrate one compressible leg, or return the NumericsError that
-    stopped it; module-level so sweeps can fork workers."""
-    g = TorusGrid(cfg.dim, cfg.n)
-    u0, phi0 = initial_from_preset(cfg.initial, g)
+def _run_compressible_leg(cfg: SweepConfig, c: Constitutive, parts, eps: float, samples):
+    """Integrate one compressible leg from the sweep's _prepared_parts, or
+    return the NumericsError that stopped it; module-level so sweeps can
+    fork workers."""
     try:
-        state = well_prepared_initial(u0, phi0, eps, cfg.kappa0, cfg.seed, cfg.model, c)
+        state = _prepared_state(parts, eps, cfg.kappa0, cfg.model)
         return integrate(state, c, _reference_stepper_config(cfg), samples)
     except NumericsError as exc:
         return exc
+
+
+def _hs_sq(g: TorusGrid, fh: np.ndarray, w: np.ndarray, work: np.ndarray) -> float:
+    """hs_norm(f, s) ** 2 from f's half spectrum fh, with w = (1 + |k|^2)^s:
+    hs_norm's arithmetic, its square root and then the square."""
+    return float(np.sqrt(hermitian_sq(g, fh, w, work))) ** 2
 
 
 def _eval_record(cfg, c, eps, comp_traj, ref_traj, ref_offsets, samples) -> EpsRecord:
     """The leg's errors.  err_rho and err_grad_rho measure rho - 1 -
     eps^2 pi/P'(1), the density's departure from the pressure balance of
     the reference, with ref_offsets the reference's pi/P'(1) at each
-    sample."""
+    sample.  Each sample transforms its differences u_e - u, phi_e - phi
+    and that departure in one batch_rfft, and every norm keeps the
+    arithmetic of l2_norm and hs_norm, with the weights built once."""
     s = cfg.s_index
     phi_idx = 1 if cfg.model is ModelKind.CH else 2
     grad_idx = s if cfg.model is ModelKind.CH else s - 2
     g = TorusGrid(cfg.dim, cfg.n)
+    d = g.dim
     bessel = 1.0 + g.rk_squared
+    w1, w_phi, w3 = bessel**1, bessel**phi_idx, bessel**3
     rho_w = bessel**s
     # sum_a ||d_a rho||^2 in H^grad_idx; first derivatives zero the Nyquist plane
     grad_w = g._rik2 * bessel**grad_idx
+    diff = np.empty((d + 2, *g.shape))
+    hats = np.empty((d + 2, *g.rshape), dtype=complex)
+    work = np.empty_like(hats)
+    sq_work = np.empty((2, *g.rshape))
 
     sup_u = sup_phi = sup_comb = sup_rho = sup_grad = 0.0
     integrand = []
     dist_trace = []
     full_trace = []
     for (_, cs), (_, ris), offset in zip(comp_traj, ref_traj, ref_offsets):
-        ue, phie = primitives(cs)
-        du2 = sum(l2_norm(a - b) ** 2 for a, b in zip(ue, ris.u))
-        dphi = phie - ris.phi
-        dphi2 = hs_norm(dphi, phi_idx) ** 2
-        rh = g.rfft(cs.rho.values - 1.0 - eps**2 * offset)
-        drho2 = hermitian_sq(g, rh, rho_w)
-        dgrad2 = hermitian_sq(g, rh, grad_w)
+        # (u_e - u, phi_e - phi, rho - 1 - eps^2 offset), u_e = m/rho, phi_e = q/rho
+        rho = cs.rho.values
+        _require_positive(rho, "sweep errors")
+        for x, m, u in zip(diff, cs.mom, ris.u):
+            np.divide(m.values, rho, out=x)
+            x -= u.values
+        np.divide(cs.q.values, rho, out=diff[d])
+        diff[d] -= ris.phi.values
+        np.subtract(rho, 1.0, out=diff[d + 1])
+        diff[d + 1] -= eps**2 * offset
+        batch_rfft(g, diff, out=hats, work=work)
+        du_hat, dphi_hat, rh = hats[:d], hats[d], hats[d + 1]
+
+        du2 = sum(l2_norm(Field(g, x)) ** 2 for x in diff[:d])
+        dphi2 = _hs_sq(g, dphi_hat, w_phi, sq_work)
+        drho2 = hermitian_sq(g, rh, rho_w, sq_work)
+        dgrad2 = hermitian_sq(g, rh, grad_w, sq_work)
         sup_u = max(sup_u, du2)
         sup_phi = max(sup_phi, dphi2)
         sup_comb = max(sup_comb, du2 + dphi2)
         sup_rho = max(sup_rho, drho2)
         sup_grad = max(sup_grad, dgrad2)
-        integrand.append(
-            sum(hs_norm(a - b, 1) ** 2 for a, b in zip(ue, ris.u))
-            + hs_norm(dphi, 3) ** 2
-        )
+        du_h1 = sum(_hs_sq(g, h, w1, sq_work) for h in du_hat)
+        integrand.append(du_h1 + _hs_sq(g, dphi_hat, w3, sq_work))
         full, dist = modulated_energy(cs, ris, c)
         dist_trace.append(dist)
         full_trace.append(full)
@@ -220,17 +243,19 @@ def _eval_record(cfg, c, eps, comp_traj, ref_traj, ref_offsets, samples) -> EpsR
 def run_sweep(cfg: SweepConfig, c: Constitutive, parallel: int = 1) -> SweepResult:
     """Run the eps sweep against one shared incompressible reference.
 
-    A leg that aborts (vacuum, blow-up) is recorded as failed with its reason
-    and excluded from the rate fits.  Deterministic for a fixed config seed.
+    The eps-free part of the prepared data (_prepared_parts) is built once
+    and scaled for each leg.  A leg that aborts (vacuum, blow-up) is
+    recorded as failed with its reason and excluded from the rate fits.
+    Deterministic for a fixed config seed.
     """
     samples = cfg.samples()
     g = TorusGrid(cfg.dim, cfg.n)
     u0, phi0 = initial_from_preset(cfg.initial, g)
+    parts = _prepared_parts(u0, phi0, cfg.seed, c)
     ref = integrate(
         IncompressibleState(u0, phi0, cfg.model), c, _reference_stepper_config(cfg), samples
     )
-    p1 = float(c.pressure_prime(1.0))
-    ref_offsets = [_incompressible_pressure(ris.u, ris.phi, c) / p1 for _, ris in ref]
+    ref_offsets = [_balanced_offset(ris.u, ris.phi, c) for _, ris in ref]
 
     def record(eps, leg) -> EpsRecord:
         if isinstance(leg, NumericsError):
@@ -241,7 +266,7 @@ def run_sweep(cfg: SweepConfig, c: Constitutive, parallel: int = 1) -> SweepResu
         # a fork-based pool starts every worker at the first submit
         with ProcessPoolExecutor(max_workers=min(parallel, len(cfg.eps_list))) as ex:
             futs = [
-                ex.submit(_run_compressible_leg, cfg, c, eps, samples)
+                ex.submit(_run_compressible_leg, cfg, c, parts, eps, samples)
                 for eps in cfg.eps_list
             ]
             legs = [fut.result() for fut in futs]
@@ -250,7 +275,8 @@ def run_sweep(cfg: SweepConfig, c: Constitutive, parallel: int = 1) -> SweepResu
         # each leg is evaluated before the next one is integrated, so one
         # leg's samples (their fields and band stacks) are held at a time
         records = [
-            record(eps, _run_compressible_leg(cfg, c, eps, samples)) for eps in cfg.eps_list
+            record(eps, _run_compressible_leg(cfg, c, parts, eps, samples))
+            for eps in cfg.eps_list
         ]
 
     slopes = {}

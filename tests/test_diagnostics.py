@@ -292,6 +292,28 @@ def test_quadratures_match_physical_space_reference(model, c):
 
 
 @pytest.mark.parametrize("model", [ModelKind.CH, ModelKind.AC])
+@pytest.mark.parametrize("c", [Constitutive(), AFFINE], ids=["constant", "affine"])
+def test_modulated_energy_of_carried_stacks_matches_rebuilt_states(model, c):
+    # stepped states refine the rows of their band stacks; the same states
+    # rebuilt from their fields, and a pair with one of each, go through the
+    # half-spectrum transform
+    g = TorusGrid(2, 32)
+    u0, phi0 = initial_from_preset("taylor_green_bubble", g)
+    cs = well_prepared_initial(u0, phi0, 0.5, 3.0, 3, model, c)
+    is_ = IncompressibleState(u0, phi0, model)
+    for _ in range(2):
+        cs = step_compressible_rk4(cs, 2e-3, c)
+        is_ = step_incompressible_rk4(is_, 2e-3, c)
+    assert cs.stack is not None and is_.stack is not None
+    cs_fields = CompressibleState.from_arrays(g, cs.as_arrays(), model, cs.eps)
+    is_fields = IncompressibleState.from_arrays(g, is_.as_arrays(), model)
+    assert cs_fields.stack is None and is_fields.stack is None
+    want = modulated_energy(cs_fields, is_fields, c)
+    assert _close(modulated_energy(cs, is_, c), want, 1e-13)
+    assert _close(modulated_energy(cs, is_fields, c), want, 1e-13)
+
+
+@pytest.mark.parametrize("model", [ModelKind.CH, ModelKind.AC])
 def test_flat_affine_law_matches_constant_law(model, monkeypatch):
     # a law with every slope zero takes the Parseval branch; forced through
     # the pointwise branch it must integrate the same dissipation
@@ -310,8 +332,9 @@ def test_flat_affine_law_matches_constant_law(model, monkeypatch):
 
 
 def test_fine_grid_tables_built_once_per_size():
-    # every report on one grid reuses one 2x-grid object, so its tables are
-    # built once
+    # every report on one grid reuses one 2x-grid object (the energy
+    # reports) or one 3/2-grid object (modulated_energy), so their tables
+    # are built once
     g = TorusGrid(2, 32)
     u0, phi0 = initial_from_preset("taylor_green_bubble", g)
     cs = well_prepared_initial(u0, phi0, 0.2, 0.1, 0, ModelKind.CH)
@@ -320,6 +343,9 @@ def test_fine_grid_tables_built_once_per_size():
     energy_compressible(cs, c)
     gf = diagnostics._workspace(g).fine_grid
     assert gf == TorusGrid(2, 64)
+    modulated_energy(cs, is_, c)
+    gm = diagnostics._modulated_workspace(g).fine_grid
+    assert gm == TorusGrid(2, 48)
     for report in (
         lambda: energy_compressible(cs, c),
         lambda: energy_incompressible(is_, c),
@@ -327,6 +353,7 @@ def test_fine_grid_tables_built_once_per_size():
     ):
         report()
         assert diagnostics._workspace(g).fine_grid is gf
+        assert diagnostics._modulated_workspace(g).fine_grid is gm
 
 
 @pytest.mark.parametrize("model", [ModelKind.CH, ModelKind.AC])
@@ -410,11 +437,13 @@ def _alloc_energy_incompressible(s, c):
 
 
 def _alloc_modulated(cs, is_, c):
-    gf = TorusGrid(cs.grid.dim, 2 * cs.grid.n)
+    # stepped states refine their carried band stacks on the 3/2 grid
+    n = cs.grid.n
+    gf = TorusGrid(cs.grid.dim, 2 * math.ceil(3 * n / 4))
     d = gf.dim
-    fine = refine([cs.rho, cs.q, *cs.mom, is_.phi, *is_.u])
-    rho, phi, u = fine[0], fine[2 + d], fine[3 + d :]
-    phie, ue = fine[1] / rho, fine[2 : 2 + d] / rho
+    fine = refine([*cs.stack, *is_.stack], size=gf.n)
+    rho, u, phi = fine[0], fine[2 + d : 2 + 2 * d], fine[2 + 2 * d]
+    ue, phie = fine[1 : 1 + d] / rho, fine[1 + d] / rho
     sqrt_rho = np.sqrt(rho)
     kin = 0.5 * sum((sqrt_rho * a - b) ** 2 for a, b in zip(ue, u))
     p1 = float(c.pressure(np.ones(())))
@@ -466,11 +495,14 @@ def test_warm_reports_allocate_no_grid_sized_buffers(model):
     cs = well_prepared_initial(u0, phi0, 0.1, 1.0, 7, model)
     is_ = IncompressibleState(u0, phi0, model)
     c = Constitutive()
+    cs1 = step_compressible_rk4(cs, 1e-3, c)
+    is1 = step_incompressible_rk4(is_, 1e-3, c)
     fine_array = (2 * g.n) ** 2 * 8
     for report in (
         lambda: energy_compressible(cs, c),
         lambda: energy_incompressible(is_, c),
         lambda: modulated_energy(cs, is_, c),
+        lambda: modulated_energy(cs1, is1, c),
     ):
         report()  # builds the workspace and the fine grid's tables
         tracemalloc.start()

@@ -381,17 +381,19 @@ def test_refine_interpolates_exactly(g2):
     assert np.max(np.abs(fine - want)) < 1e-12
 
 
-def _refine_reference(f, factor):
-    """irfftn of the zero-padded half spectrum, the Nyquist plane split evenly."""
+def _refine_reference(f, factor, size=None):
+    """irfftn of the zero-padded half spectrum, the Nyquist plane split
+    evenly, on the grid of n = size (default factor * n)."""
     g = f.grid
     h = g.n // 2
+    nf = factor * g.n if size is None else size
     fh = np.fft.rfftn(f.values)
     fh[..., h] *= 0.5
-    big = np.zeros(TorusGrid(2, factor * g.n).rshape, dtype=complex)
+    big = np.zeros(TorusGrid(2, nf).rshape, dtype=complex)
     fh[h] *= 0.5
     big[: h + 1, : h + 1] = fh[: h + 1]
     big[-h:, : h + 1] = fh[h:]
-    return np.fft.irfftn(big, s=(factor * g.n,) * 2, axes=(0, 1)) * factor**2
+    return np.fft.irfftn(big, s=(nf,) * 2, axes=(0, 1)) * (nf / g.n) ** 2
 
 
 @pytest.mark.parametrize("varying", [1, 2])
@@ -416,6 +418,52 @@ def test_refine_stack_matches_single_field_bit_for_bit(varying, factor, rng):
         single = refine(f, factor)
         assert np.array_equal(slot, single)
         assert np.array_equal(single, _refine_reference(f, factor))
+
+
+@pytest.mark.parametrize("size", [24, 28, 48])
+def test_refine_reads_half_and_band_spectra(size, rng):
+    # half spectra refine as the fields they transform, bit for bit, and
+    # match the zero-padded oracle on any even fine size; band spectra, whose
+    # column pass runs on the band columns only, agree to rounding
+    g = TorusGrid(2, 16)
+    h = g.n // 2
+    x, y = g.coords()
+    band_fields = [random_band_limited(g, rng, g.dealias_cutoff, zero_mean=False) for _ in range(3)]
+    nyq = Field(g, band_fields[0].values + np.cos(h * x) * (1.0 + 0.5 * np.cos(h * y)))
+    fields = [*band_fields, nyq]
+    half = batch_rfft(g, [f.values for f in fields])
+    from_fields = refine(fields, size=size)
+    assert from_fields.shape == (len(fields), size, size)
+    assert np.array_equal(_bits(refine(half, size=size)), _bits(from_fields))
+    assert np.array_equal(_bits(refine(list(half), size=size)), _bits(from_fields))
+    for f, slot in zip(fields, from_fields):
+        assert np.array_equal(_bits(slot), _bits(_refine_reference(f, 2, size=size)))
+
+    k = len(band_fields)
+    band = batch_rfft(
+        g, [f.values for f in band_fields], out=np.empty((k, *g.bshape), dtype=complex)
+    )
+    out = np.full((k, size, size), np.nan)
+    work = np.full(refine_work_size(g, k, size=size), np.nan, dtype=complex)
+    got = refine(band, size=size, out=out, work=work)
+    assert got is out
+    np.testing.assert_allclose(got, from_fields[:k], rtol=0, atol=1e-13)
+    assert np.array_equal(_bits(refine(band, size=size)), _bits(got))
+
+
+def test_refine_spectra_validation():
+    g = TorusGrid(2, 16)
+    band = np.zeros((2, *g.bshape), dtype=complex)
+    with pytest.raises(ValueError, match="size"):
+        refine(band, size=16)
+    with pytest.raises(ValueError, match="size"):
+        refine(band, size=25)
+    with pytest.raises(ValueError, match="columns"):
+        refine(np.zeros((1, 16, 16), dtype=complex), size=24)
+    with pytest.raises(ValueError, match="share one shape"):
+        refine([band[0], np.zeros(g.rshape, dtype=complex)], size=24)
+    with pytest.raises(ValueError, match="share a grid"):
+        refine([constant_field(g, 1.0), band[0]], size=24)
 
 
 def _bits(a):

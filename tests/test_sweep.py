@@ -7,9 +7,16 @@ import pytest
 
 import torusflow.sweep as sweep_module
 from torusflow.constitutive import Constitutive, ModelKind
-from torusflow.dynamics import _incompressible_pressure, initial_from_preset
+from torusflow.dynamics import (
+    IncompressibleState,
+    _incompressible_pressure,
+    _prepared_parts,
+    initial_from_preset,
+    primitives,
+)
 from torusflow.errors import NumericsError
-from torusflow.spectral import Field, TorusGrid, hs_norm
+from torusflow.spectral import Field, TorusGrid, hermitian_sq, hs_norm, l2_norm
+from torusflow.stepper import integrate
 from torusflow.sweep import (
     SweepConfig,
     acoustic_dispersion_check,
@@ -181,6 +188,57 @@ def test_run_sweep_deterministic_and_parallel_agree():
             assert getattr(a, fam) == getattr(b, fam)
 
 
+def _alloc_record_errors(cfg, eps, comp_traj, ref_traj, ref_offsets, samples):
+    """The six errors of a leg with one allocating transform and weight
+    table per norm: l2_norm, hs_norm, g.rfft and hermitian_sq on the
+    primitive fields, as the sweep formed them before it batched them."""
+    s = cfg.s_index
+    phi_idx = 1 if cfg.model is ModelKind.CH else 2
+    grad_idx = s if cfg.model is ModelKind.CH else s - 2
+    g = TorusGrid(cfg.dim, cfg.n)
+    bessel = 1.0 + g.rk_squared
+    rho_w = bessel**s
+    grad_w = g._rik2 * bessel**grad_idx
+    sup = [0.0] * 5
+    integrand = []
+    for (_, cs), (_, ris), offset in zip(comp_traj, ref_traj, ref_offsets):
+        ue, phie = primitives(cs)
+        du2 = sum(l2_norm(a - b) ** 2 for a, b in zip(ue, ris.u))
+        dphi = phie - ris.phi
+        dphi2 = hs_norm(dphi, phi_idx) ** 2
+        rh = g.rfft(cs.rho.values - 1.0 - eps**2 * offset)
+        now = (du2, dphi2, du2 + dphi2, hermitian_sq(g, rh, rho_w), hermitian_sq(g, rh, grad_w))
+        sup = [max(a, b) for a, b in zip(sup, now)]
+        integrand.append(
+            sum(hs_norm(a - b, 1) ** 2 for a, b in zip(ue, ris.u)) + hs_norm(dphi, 3) ** 2
+        )
+    err_int = float(np.trapezoid(np.asarray(integrand), np.asarray(samples)))
+    return [*sup, err_int]
+
+
+@pytest.mark.parametrize("model", [ModelKind.CH, ModelKind.AC])
+def test_eval_record_equals_the_allocating_formulas_bit_for_bit(model):
+    # one batch_rfft per sample and weights built once per record: every
+    # error keeps the bits of the per-norm transforms
+    c = Constitutive()
+    cfg = smoke_config(model=model, eps_list=(0.2, 0.1))
+    samples = cfg.samples()
+    g = TorusGrid(cfg.dim, cfg.n)
+    u0, phi0 = initial_from_preset(cfg.initial, g)
+    stepper_cfg = sweep_module._reference_stepper_config(cfg)
+    ref = integrate(IncompressibleState(u0, phi0, model), c, stepper_cfg, samples)
+    p1 = float(c.pressure_prime(1.0))
+    offsets = [_incompressible_pressure(ris.u, ris.phi, c) / p1 for _, ris in ref]
+    parts = _prepared_parts(u0, phi0, cfg.seed, c)
+    res = run_sweep(cfg, c)
+    for rec, eps in zip(res.records, cfg.eps_list):
+        leg = sweep_module._run_compressible_leg(cfg, c, parts, eps, samples)
+        want = [v.hex() for v in _alloc_record_errors(cfg, eps, leg, ref, offsets, samples)]
+        got = sweep_module._eval_record(cfg, c, eps, leg, ref, offsets, samples)
+        assert [getattr(got, fam).hex() for fam in FAMILIES] == want
+        assert [getattr(rec, fam).hex() for fam in FAMILIES] == want
+
+
 def test_stiff_sweep_err_u_falls_like_eps_squared_to_a_floor():
     # the constant P(1)/eps^2 leaves the momentum flux before its transform,
     # so at stiff eps the O(1) pressure fluctuation keeps its digits; the
@@ -238,6 +296,23 @@ def test_run_sweep_caps_workers_at_the_leg_count(inline_pool):
     res = run_sweep(cfg, Constitutive(), parallel=64)
     assert inline_pool and all(k <= len(cfg.eps_list) for k in inline_pool)
     assert [r.eps for r in res.records] == list(cfg.eps_list)
+    assert not any(r.failed for r in res.records)
+
+
+@pytest.mark.parametrize("parallel", [1, 2], ids=["serial", "pool"])
+def test_run_sweep_builds_the_prepared_data_once(inline_pool, monkeypatch, parallel):
+    # pi0/P'(1) and the seeded perturbations do not depend on eps: one build
+    # per sweep, which every leg scales, in the caller or in a pool
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return _prepared_parts(*args)
+
+    monkeypatch.setattr(sweep_module, "_prepared_parts", counted)
+    cfg = smoke_config(eps_list=(0.4, 0.2, 0.1), sample_times=(0.0, 0.01))
+    res = run_sweep(cfg, Constitutive(), parallel=parallel)
+    assert len(built) == 1
     assert not any(r.failed for r in res.records)
 
 

@@ -121,8 +121,9 @@ def layers(tree, n):
     inc = Y.IncompressibleState(u0, phi0, C.ModelKind.CH)
     # states as integrate steps them: carrying a stack, fields read
     ac1 = T.step_compressible_rk4(ac, 1e-3, c)
+    ch1 = T.step_compressible_rk4(ch, 1e-3, c)
     inc1 = T.step_incompressible_rk4(inc, 1e-3, c)
-    ac1.as_arrays(), inc1.as_arrays()
+    ac1.as_arrays(), ch1.as_arrays(), inc1.as_arrays()
     half = S.batch_rfft(g, ac.as_arrays())
     return {
         "batch_rfft_4": lambda: S.batch_rfft(g, ac.as_arrays(), out=half),
@@ -130,6 +131,7 @@ def layers(tree, n):
         "energy_compressible_nsch": lambda: D.energy_compressible(ch, c),
         "energy_compressible_nsac": lambda: D.energy_compressible(ac, c),
         "modulated_energy": lambda: D.modulated_energy(ch, inc, c),
+        "modulated_energy_stepped": lambda: D.modulated_energy(ch1, inc1, c),
         "default_dt_nsac": lambda: T.default_dt(ac1, c, cfg),
         "default_dt_incompressible": lambda: T.default_dt(inc1, c, cfg),
         "step_compressible_rk4_nsac": lambda: T.step_compressible_rk4(ac, 1e-3, c),
@@ -413,7 +415,9 @@ def main(argv=None) -> int:
                     "rotating each round. 2-d taylor_green_bubble, "
                     "well-prepared compressible state (eps 0.1, kappa0 1.0, seed 7), "
                     "constant viscosity; modulated_energy against the incompressible preset "
-                    "state (nsch); steps at dt 1e-3 from that state and from the state one "
+                    "state (nsch), and modulated_energy_stepped between the two states one "
+                    "step of dt 1e-3 returns (fields read); steps at dt 1e-3 from that "
+                    "state and from the state one "
                     "such step returns (step_from_stepped_*, fields read, as integrate "
                     "steps it); default_dt and rhs_compressible_hat_nsac on the stepped "
                     "states; batch_rfft_4 transforms the 4 state arrays into the half "

@@ -20,6 +20,7 @@ import glob
 import queue
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +50,6 @@ from .sweep import (
     _check_low_mach,
     acoustic_dispersion_check,
     run_sweep,
-    with_eps_list,
 )
 
 _SWEEP_ERROR_COLUMNS = ("eps", "failed", "reason", *ERROR_FAMILIES)
@@ -265,7 +265,7 @@ def _cmd_sweep(args) -> int:
         except ValueError as exc:
             raise ConfigError(f"bad --eps override {args.eps!r}: {exc}") from exc
         try:
-            cfg = with_eps_list(cfg, eps_list)
+            cfg = replace(cfg, eps_list=eps_list)
         except ValueError as exc:
             raise ConfigError(f"bad --eps override: {exc}") from exc
     if args.parallel < 1:

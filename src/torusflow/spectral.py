@@ -2,15 +2,15 @@
 
 Collocation values live on the uniform n^d grid; integer wavenumbers run
 over k in {-n/2+1, ..., n/2} per axis (the Nyquist plane sits at index n/2).
-Transforms are unitary up to a single 1/n^d factor carried by the inverse,
+Transforms are unitary up to a single 1/n^d scale carried by the inverse,
 so the Fourier-series coefficient of mode k is ``fhat[k] / n**d``.
 
-Every spectral operation runs on the half (rfft) layout, where the last axis
-keeps only k >= 0 and Hermitian symmetry carries the rest: the ``r*`` tables
-of ``TorusGrid``, ``rfft``/``irfft``, ``batch_rfft``/``batch_irfft``,
-``hermitian_sq``, ``hs_norm`` and ``refine``.  A ``Field`` holds collocation
-values only; each Field operator applies its symbol to the half spectrum and
-transforms back.
+The Field operators and the reports run on the half (rfft) layout, where the
+last axis keeps only k >= 0 and Hermitian symmetry carries the rest: the
+``r*`` tables of ``TorusGrid``, ``rfft``/``irfft``, ``batch_rfft``/
+``batch_irfft``, ``hermitian_sq``, ``hs_norm`` and ``refine``.  A ``Field``
+holds collocation values only; each Field operator applies its symbol to the
+half spectrum and transforms back.
 
 Products of fields are formed pointwise in physical space; callers are
 expected to dealias them with the 2/3 rule (`dealias`, cutoff floor(n/3)).
@@ -262,7 +262,8 @@ class Field:
     """Scalar field on a TorusGrid, held as its collocation values.
 
     Treated as an immutable value: operations return new fields and never
-    mutate ``values`` in place.
+    mutate ``values`` in place.  A Field has no arithmetic; callers combine
+    its ``values``.
     """
 
     grid: TorusGrid
@@ -275,30 +276,6 @@ class Field:
             )
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field data contains non-finite entries")
-
-    def __add__(self, other):
-        return Field(self.grid, self.values + _match(self, other))
-
-    def __sub__(self, other):
-        return Field(self.grid, self.values - _match(self, other))
-
-    def __mul__(self, scalar):
-        if not np.isscalar(scalar):
-            return NotImplemented
-        return Field(self.grid, self.values * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Field(self.grid, -self.values)
-
-
-def _match(f: Field, other) -> np.ndarray:
-    if isinstance(other, Field):
-        if other.grid != f.grid:
-            raise ValueError("field operands must share a grid")
-        return other.values
-    raise TypeError(f"cannot combine Field with {type(other)!r}")
 
 
 @dataclass(frozen=True)
@@ -327,23 +304,6 @@ class VectorField:
 
     def __getitem__(self, i):
         return self.components[i]
-
-    def __add__(self, other):
-        if not isinstance(other, VectorField):
-            return NotImplemented
-        return VectorField(tuple(a + b for a, b in zip(self, other)))
-
-    def __sub__(self, other):
-        if not isinstance(other, VectorField):
-            return NotImplemented
-        return VectorField(tuple(a - b for a, b in zip(self, other)))
-
-    def __mul__(self, scalar):
-        if not np.isscalar(scalar):
-            return NotImplemented
-        return VectorField(tuple(c * scalar for c in self.components))
-
-    __rmul__ = __mul__
 
 
 def constant_field(grid: TorusGrid, value: float) -> Field:
@@ -522,25 +482,24 @@ def hs_norm(f: Field, s: int) -> float:
     return float(np.sqrt(hermitian_sq(g, g.rfft(f.values), (1.0 + g.rk_squared) ** s)))
 
 
-def refine_work_size(g: TorusGrid, k: int, factor: int = 2, *, size=None) -> int:
+def refine_work_size(g: TorusGrid, k: int, *, size=None) -> int:
     """Complex entries of the ``work`` buffer refine needs for k fields or
-    spectra, refined to the grid of n = ``size`` (default factor * n)."""
-    nf = factor * g.n if size is None else size
+    spectra, refined to the grid of n = ``size`` (default 2n)."""
+    nf = 2 * g.n if size is None else size
     half = nf * (g.n // 2 + 1)
     return k * half + max(k * half, (k + 1) * g.n * (g.n // 2 + 1))
 
 
-def refine(f, factor: int = 2, *, size=None, out=None, work=None) -> np.ndarray:
+def refine(f, *, size=None, out=None, work=None) -> np.ndarray:
     """Physical values on a finer grid via zero-padded spectrum.
 
     Used for alias-free quadrature of higher-degree integrands.  The fine
-    grid has n = ``size`` (even and larger than n), or factor * n without
-    it.  A mode on the coarse Nyquist plane is split evenly between +n/2
-    and -n/2, so the result is the real trigonometric interpolant of the
-    stored values.  ``f`` is a Field, a sequence of Fields on one grid, or
-    a sequence of complex spectra of one grid in one layout: half spectra,
-    (n, n//2 + 1), or band spectra, (n, n//3 + 1), such as the rows of a
-    state's carried stack.  Fields are transformed to half spectra first.
+    grid has n = ``size`` (even and larger than n, default 2n).  ``f`` is a
+    Field, a sequence of Fields on one grid, or a sequence of band spectra,
+    (n, n//3 + 1), of one grid, such as the rows of a state's carried
+    stack.  Fields are transformed to half spectra first, and a mode on
+    their coarse Nyquist plane is split evenly between +n/2 and -n/2, so
+    the result is the real trigonometric interpolant of the stored values.
     A sequence is refined as one stack (one padding, one inverse pass per
     axis, the column pass on the stored columns only) into a (k, *fine
     shape) array; each slot equals the single-field refinement bit for
@@ -554,12 +513,11 @@ def refine(f, factor: int = 2, *, size=None, out=None, work=None) -> np.ndarray:
     scratch share the latter's memory, since they are spent before it is
     written.
     """
-    if int(factor) != factor or factor < 2:
-        raise ValueError(f"refine factor must be an integer >= 2, got {factor}")
     items = [f] if isinstance(f, Field) else list(f)
     if not items:
         raise ValueError("refine needs at least one field")
-    if isinstance(items[0], Field):
+    fields = isinstance(items[0], Field)
+    if fields:
         g = items[0].grid
         if any(not isinstance(x, Field) or x.grid != g for x in items[1:]):
             raise ValueError("refined fields must share a grid")
@@ -569,13 +527,12 @@ def refine(f, factor: int = 2, *, size=None, out=None, work=None) -> np.ndarray:
         if len(shape) != 2 or any(np.shape(x) != shape for x in items[1:]):
             raise ValueError("refined spectra must be 2-d and share one shape")
         g = TorusGrid(2, shape[0])
-        cols = shape[1]
-        if cols not in (g.n // 2 + 1, g.dealias_cutoff + 1):
+        cols = g.dealias_cutoff + 1
+        if shape[1] != cols:
             raise ValueError(
-                f"a spectrum of an n = {g.n} grid has {g.n // 2 + 1} (half) or "
-                f"{g.dealias_cutoff + 1} (band) columns, got {cols}"
+                f"a band spectrum of an n = {g.n} grid has {cols} columns, got {shape[1]}"
             )
-    nf = int(factor) * g.n if size is None else size
+    nf = 2 * g.n if size is None else size
     if int(nf) != nf or nf % 2 or nf <= g.n:
         raise ValueError(f"refine size must be an even integer > {g.n}, got {nf}")
     nf = int(nf)
@@ -587,29 +544,29 @@ def refine(f, factor: int = 2, *, size=None, out=None, work=None) -> np.ndarray:
         out = np.empty((k,) + (nf,) * g.dim)
     pool = work.reshape(-1)
     padded = k * nf * cols
-    spectra = items
-    if isinstance(items[0], Field):
+    tall = pool[:padded].reshape(k, nf, cols)
+    # rows are the full axis: k = 0..r on top, k = -r..-1 at the bottom,
+    # with r the Nyquist row n/2 of a half spectrum, which goes to both
+    # ends, or the cutoff of a band one; the columns past the stored ones
+    # are zero
+    if fields:
+        r = h
         one = g.n * (h + 1)
         spectra = pool[padded : padded + k * one].reshape((k,) + g.rshape)
         scratch = pool[padded + k * one : padded + (k + 1) * one].reshape((1,) + g.rshape)
         # one field at a time, so no stacked copy of the inputs is made
         for i, x in enumerate(items):
             batch_rfft(g, x.values[None], out=spectra[i : i + 1], work=scratch)
-    # rows are the full axis: k = 0..r on top, k = -r..-1 at the bottom,
-    # with r the Nyquist row n/2 of a half spectrum, which goes to both
-    # ends, or the cutoff of a band one; the columns past the stored ones
-    # are zero
-    half = cols == h + 1
-    r = h if half else g.dealias_cutoff
-    tall = pool[:padded].reshape(k, nf, cols)
-    # the Fields' spectra are one stack, copied whole; a sequence spectrum
-    # by spectrum
-    pairs = [(tall, spectra)] if isinstance(spectra, np.ndarray) else zip(tall, spectra)
+        # the Fields' spectra are one stack, copied whole
+        pairs = [(tall, spectra)]
+    else:
+        r = g.dealias_cutoff
+        pairs = zip(tall, items)
     for t, x in pairs:
         t[..., : r + 1, :] = x[..., : r + 1, :]
         t[..., nf - r :, :] = x[..., g.n - r :, :]
     tall[:, r + 1 : nf - r] = 0.0
-    if half:
+    if fields:
         # the Nyquist column and row split evenly between +n/2 and -n/2
         tall[..., h] *= 0.5
         tall[:, h] *= 0.5

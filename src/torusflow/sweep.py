@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from contextlib import nullcontext
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -255,29 +257,28 @@ def run_sweep(cfg: SweepConfig, c: Constitutive, parallel: int = 1) -> SweepResu
     ref = integrate(
         IncompressibleState(u0, phi0, cfg.model), c, _reference_stepper_config(cfg), samples
     )
-    ref_offsets = [_balanced_offset(ris.u, ris.phi, c) for _, ris in ref]
+    # the t = 0 sample is (u0, phi0), whose offset the parts hold
+    ref_offsets = [
+        parts[2] if t == 0.0 else _balanced_offset(ris.u, ris.phi, c) for t, ris in ref
+    ]
 
     def record(eps, leg) -> EpsRecord:
         if isinstance(leg, NumericsError):
             return EpsRecord(eps=eps, failed=True, reason=str(leg))
         return _eval_record(cfg, c, eps, leg, ref, ref_offsets, samples)
 
-    if parallel > 1:
-        # a fork-based pool starts every worker at the first submit
-        with ProcessPoolExecutor(max_workers=min(parallel, len(cfg.eps_list))) as ex:
-            futs = [
-                ex.submit(_run_compressible_leg, cfg, c, parts, eps, samples)
-                for eps in cfg.eps_list
-            ]
-            legs = [fut.result() for fut in futs]
-        records = [record(eps, leg) for eps, leg in zip(cfg.eps_list, legs)]
-    else:
-        # each leg is evaluated before the next one is integrated, so one
-        # leg's samples (their fields and band stacks) are held at a time
-        records = [
-            record(eps, _run_compressible_leg(cfg, c, parts, eps, samples))
-            for eps in cfg.eps_list
-        ]
+    run_leg = partial(_run_compressible_leg, cfg, c, parts, samples=samples)
+    # a fork-based pool starts every worker at its first task
+    pool = (
+        ProcessPoolExecutor(max_workers=min(parallel, len(cfg.eps_list)))
+        if parallel > 1
+        else nullcontext()
+    )
+    with pool as ex:
+        legs = (map if ex is None else ex.map)(run_leg, cfg.eps_list)
+        # map drops each leg once its record is made, so a serial sweep
+        # holds one leg's samples (their fields and band stacks) at a time
+        records = list(map(record, cfg.eps_list, legs))
 
     slopes = {}
     for family in ERROR_FAMILIES:
@@ -289,10 +290,6 @@ def run_sweep(cfg: SweepConfig, c: Constitutive, parallel: int = 1) -> SweepResu
         if len(pts) >= 2:
             slopes[family] = fit_rate(pts)
     return SweepResult(cfg, tuple(samples), tuple(records), slopes)
-
-
-def with_eps_list(cfg: SweepConfig, eps_list) -> SweepConfig:
-    return replace(cfg, eps_list=tuple(eps_list))
 
 
 # ---------------------------------------------------------------------------

@@ -191,7 +191,7 @@ def test_derivative_of_constant_is_zero(g2):
 def test_derivative_linearity(g2, rng):
     f = random_band_limited(g2, rng, 8)
     h = random_band_limited(g2, rng, 8)
-    lhs = derivative(f + h * 2.0, 0).values
+    lhs = derivative(Field(g2, f.values + h.values * 2.0), 0).values
     rhs = derivative(f, 0).values + 2.0 * derivative(h, 0).values
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
@@ -359,7 +359,7 @@ def test_parseval(g2, rng):
 def test_refine_interpolates_exactly(g2):
     x = g2.coords()[0]
     f = Field(g2, np.sin(3 * x) + 0.2 * np.cos(5 * x))
-    fine = refine(f, 2)
+    fine = refine(f, size=2 * g2.n)
     xf = np.arange(2 * g2.n)[:, None] * np.pi / g2.n
     assert np.max(np.abs(fine - (np.sin(3 * xf) + 0.2 * np.cos(5 * xf)))) < 1e-12
 
@@ -375,18 +375,17 @@ def test_refine_interpolates_exactly(g2):
             + 0.05 * np.cos(h * x) * np.cos(2 * y)
         )
 
-    fine = refine(Field(g2, sample(*g2.coords())), 2)
+    fine = refine(Field(g2, sample(*g2.coords())), size=2 * g2.n)
     xf = np.arange(2 * g2.n) * np.pi / g2.n
     want = sample(*np.meshgrid(xf, xf, indexing="ij"))
     assert np.max(np.abs(fine - want)) < 1e-12
 
 
-def _refine_reference(f, factor, size=None):
+def _refine_reference(f, nf):
     """irfftn of the zero-padded half spectrum, the Nyquist plane split
-    evenly, on the grid of n = size (default factor * n)."""
+    evenly, on the grid of n = nf."""
     g = f.grid
     h = g.n // 2
-    nf = factor * g.n if size is None else size
     fh = np.fft.rfftn(f.values)
     fh[..., h] *= 0.5
     big = np.zeros(TorusGrid(2, nf).rshape, dtype=complex)
@@ -412,32 +411,30 @@ def test_refine_stack_matches_single_field_bit_for_bit(varying, factor, rng):
     if varying == 2:
         nyq = nyq * (1.0 + 0.5 * np.cos(h * y))
     fields.append(Field(g, fields[0].values + nyq))
-    stack = refine(fields, factor)
-    assert stack.shape == (len(fields),) + (factor * g.n,) * 2
+    size = factor * g.n
+    stack = refine(fields, size=size)
+    assert stack.shape == (len(fields), size, size)
     for f, slot in zip(fields, stack):
-        single = refine(f, factor)
+        single = refine(f, size=size)
         assert np.array_equal(slot, single)
-        assert np.array_equal(single, _refine_reference(f, factor))
+        assert np.array_equal(single, _refine_reference(f, size))
 
 
 @pytest.mark.parametrize("size", [24, 28, 48])
 def test_refine_reads_half_and_band_spectra(size, rng):
-    # half spectra refine as the fields they transform, bit for bit, and
-    # match the zero-padded oracle on any even fine size; band spectra, whose
-    # column pass runs on the band columns only, agree to rounding
+    # fields match the zero-padded oracle on any even fine size; band
+    # spectra, whose column pass runs on the band columns only, agree to
+    # rounding
     g = TorusGrid(2, 16)
     h = g.n // 2
     x, y = g.coords()
     band_fields = [random_band_limited(g, rng, g.dealias_cutoff, zero_mean=False) for _ in range(3)]
     nyq = Field(g, band_fields[0].values + np.cos(h * x) * (1.0 + 0.5 * np.cos(h * y)))
     fields = [*band_fields, nyq]
-    half = batch_rfft(g, [f.values for f in fields])
     from_fields = refine(fields, size=size)
     assert from_fields.shape == (len(fields), size, size)
-    assert np.array_equal(_bits(refine(half, size=size)), _bits(from_fields))
-    assert np.array_equal(_bits(refine(list(half), size=size)), _bits(from_fields))
     for f, slot in zip(fields, from_fields):
-        assert np.array_equal(_bits(slot), _bits(_refine_reference(f, 2, size=size)))
+        assert np.array_equal(_bits(slot), _bits(_refine_reference(f, size)))
 
     k = len(band_fields)
     band = batch_rfft(
@@ -464,6 +461,17 @@ def test_refine_spectra_validation():
         refine([band[0], np.zeros(g.rshape, dtype=complex)], size=24)
     with pytest.raises(ValueError, match="share a grid"):
         refine([constant_field(g, 1.0), band[0]], size=24)
+
+
+def test_refine_rejects_half_spectra(rng):
+    # a sequence of spectra is read as band spectra only: the Nyquist split
+    # of a half spectrum belongs to the Field path
+    g = TorusGrid(2, 16)
+    f = random_band_limited(g, rng, g.dealias_cutoff)
+    half = batch_rfft(g, [f.values, f.values])
+    for spectra in (half, list(half)):
+        with pytest.raises(ValueError, match=rf"has {g.dealias_cutoff + 1} columns, got 9"):
+            refine(spectra, size=24)
 
 
 def _bits(a):
@@ -544,7 +552,7 @@ def test_refine_stack_validation(g2):
     with pytest.raises(ValueError):
         refine([constant_field(g2, 1.0), constant_field(TorusGrid(2, 16), 1.0)])
     with pytest.raises(ValueError):
-        refine(constant_field(g2, 1.0), 1)
+        refine(constant_field(g2, 1.0), size=g2.n)
 
 
 def test_random_band_limited_properties(g2, rng):

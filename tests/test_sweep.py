@@ -1,10 +1,11 @@
 import math
 import re
-from concurrent.futures import Future
+import weakref
 
 import numpy as np
 import pytest
 
+import torusflow.dynamics as dynamics_module
 import torusflow.sweep as sweep_module
 from torusflow.constitutive import Constitutive, ModelKind
 from torusflow.dynamics import (
@@ -22,7 +23,6 @@ from torusflow.sweep import (
     acoustic_dispersion_check,
     fit_rate,
     run_sweep,
-    with_eps_list,
 )
 
 FAMILIES = (
@@ -105,12 +105,6 @@ def test_sweep_config_defaults():
 def test_sweep_config_rejects(kwargs):
     with pytest.raises(ValueError):
         SweepConfig(**kwargs)
-
-
-def test_with_eps_list():
-    cfg = with_eps_list(SweepConfig(), [0.3, 0.15])
-    assert cfg.eps_list == (0.3, 0.15)
-    assert cfg.n == SweepConfig().n
 
 
 # ---------------------------------------------------------------------------
@@ -203,14 +197,15 @@ def _alloc_record_errors(cfg, eps, comp_traj, ref_traj, ref_offsets, samples):
     integrand = []
     for (_, cs), (_, ris), offset in zip(comp_traj, ref_traj, ref_offsets):
         ue, phie = primitives(cs)
-        du2 = sum(l2_norm(a - b) ** 2 for a, b in zip(ue, ris.u))
-        dphi = phie - ris.phi
+        du = [Field(g, a.values - b.values) for a, b in zip(ue, ris.u)]
+        du2 = sum(l2_norm(x) ** 2 for x in du)
+        dphi = Field(g, phie.values - ris.phi.values)
         dphi2 = hs_norm(dphi, phi_idx) ** 2
         rh = g.rfft(cs.rho.values - 1.0 - eps**2 * offset)
         now = (du2, dphi2, du2 + dphi2, hermitian_sq(g, rh, rho_w), hermitian_sq(g, rh, grad_w))
         sup = [max(a, b) for a, b in zip(sup, now)]
         integrand.append(
-            sum(hs_norm(a - b, 1) ** 2 for a, b in zip(ue, ris.u)) + hs_norm(dphi, 3) ** 2
+            sum(hs_norm(x, 1) ** 2 for x in du) + hs_norm(dphi, 3) ** 2
         )
     err_int = float(np.trapezoid(np.asarray(integrand), np.asarray(samples)))
     return [*sup, err_int]
@@ -277,13 +272,8 @@ def inline_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def submit(self, fn, *args):
-            fut = Future()
-            try:
-                fut.set_result(fn(*args))
-            except Exception as exc:
-                fut.set_exception(exc)
-            return fut
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", InlinePool)
     return seen
@@ -313,6 +303,47 @@ def test_run_sweep_builds_the_prepared_data_once(inline_pool, monkeypatch, paral
     cfg = smoke_config(eps_list=(0.4, 0.2, 0.1), sample_times=(0.0, 0.01))
     res = run_sweep(cfg, Constitutive(), parallel=parallel)
     assert len(built) == 1
+    assert not any(r.failed for r in res.records)
+
+
+def test_run_sweep_reuses_the_initial_pressure(monkeypatch):
+    # _prepared_parts solves pi0 from (u0, phi0), the reference's t = 0
+    # sample; the reference solves it again only at the later samples
+    calls = []
+    real = dynamics_module._incompressible_pressure
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(dynamics_module, "_incompressible_pressure", counted)
+    cfg = smoke_config(sample_times=None)
+    res = run_sweep(cfg, Constitutive())
+    assert len(res.sample_times) == 11
+    assert len(calls) == 11
+    assert not any(r.failed for r in res.records)
+
+
+def test_serial_sweep_holds_one_leg_at_a_time(monkeypatch):
+    # each leg's trajectory is freed once its record is made, before the
+    # next leg is integrated
+    class Trajectory(list):
+        pass
+
+    held = []
+    live = []
+    real = sweep_module._run_compressible_leg
+
+    def tracked(*args, **kwargs):
+        live.append(sum(ref() is not None for ref in held))
+        traj = Trajectory(real(*args, **kwargs))
+        held.append(weakref.ref(traj))
+        return traj
+
+    monkeypatch.setattr(sweep_module, "_run_compressible_leg", tracked)
+    cfg = smoke_config(eps_list=(0.4, 0.2, 0.1), sample_times=(0.0, 0.01))
+    res = run_sweep(cfg, Constitutive())
+    assert live == [0, 0, 0]
     assert not any(r.failed for r in res.records)
 
 

@@ -7,12 +7,9 @@ harness measuring the low-Mach convergence rates.
 
 from .constitutive import Constitutive, ModelKind
 from .diagnostics import (
-    ConservationReport,
     EnergyReport,
-    conservation_ledger,
     energy_compressible,
     energy_incompressible,
-    functional_Es,
     modulated_energy,
 )
 from .dynamics import (
@@ -40,17 +37,10 @@ from .spectral import (
     Field,
     TorusGrid,
     VectorField,
-    biharmonic,
-    constant_field,
-    dealias,
-    derivative,
     divergence,
-    gradient,
     hs_norm,
     integral,
     l2_norm,
-    laplacian,
-    leray_project,
     random_band_limited,
     refine,
 )
@@ -79,7 +69,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CompressibleState",
     "ConfigError",
-    "ConservationReport",
     "Constitutive",
     "EnergyReport",
     "EpsRecord",
@@ -100,25 +89,16 @@ __all__ = [
     "VectorField",
     "acoustic_dispersion_check",
     "acoustic_dt",
-    "biharmonic",
-    "conservation_ledger",
-    "constant_field",
-    "dealias",
     "default_dt",
-    "derivative",
     "divergence",
     "energy_compressible",
     "energy_incompressible",
     "fit_rate",
-    "functional_Es",
-    "gradient",
     "hs_norm",
     "initial_from_preset",
     "integral",
     "integrate",
     "l2_norm",
-    "laplacian",
-    "leray_project",
     "load_config",
     "load_sweep_config",
     "make_compressible",

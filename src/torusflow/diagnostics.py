@@ -1,17 +1,11 @@
-"""Energy reports, modulated-energy distance, the scaled functional E_s,
-conservation ledgers.
+"""Energy reports and the modulated-energy distance.
 
-``functional_Es`` uses the Bessel weight (1 + |k|^2)^s, which is equivalent
-to the multi-index sum over derivatives up to order s; the exact multi-index
-weight is kept as its cross-check.  Both weights live on the half
-(rfft) layout and are summed with Hermitian multiplicities
-(``spectral.hermitian_sq``).  Each report refines all of its fields in one
-stacked ``refine`` call to an oversampled grid whose size follows the
-degree of its integrand (Orszag, J. Atmos. Sci. 28 (1971)): a product of p
-fields of the 2/3 band, |k| <= floor(n/3), has modes up to p floor(n/3),
-and its mean on an N grid is exact while N > p floor(n/3).  Rational
-integrands (u = m/rho, 1/rho in mu) are rounding-accurate for smooth
-states.
+Each report refines all of its fields in one stacked ``refine`` call to an
+oversampled grid whose size follows the degree of its integrand (Orszag,
+J. Atmos. Sci. 28 (1971)): a product of p fields of the 2/3 band,
+|k| <= floor(n/3), has modes up to p floor(n/3), and its mean on an N grid
+is exact while N > p floor(n/3).  Rational integrands (u = m/rho, 1/rho in
+mu) are rounding-accurate for smooth states.
 
 - ``energy_compressible`` and ``energy_incompressible`` run on the 2x grid.
   Their dissipation squares mu, which holds phi^3 (modes up to
@@ -52,7 +46,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -62,16 +55,13 @@ from .dynamics import (
     IncompressibleState,
     _div_hat,
     _require_positive,
-    primitives,
 )
 from .spectral import (
     TorusGrid,
     _one_slot,
     batch_irfft,
     batch_rfft,
-    divergence,
     hermitian_sq,
-    integral,
     refine,
     refine_work_size,
 )
@@ -325,98 +315,3 @@ def modulated_energy(
     a += b
     bulk = _fine_mean(gf, a)
     return distance + bulk, distance
-
-
-# ---------------------------------------------------------------------------
-# scaled functional
-
-
-def _weight(g: TorusGrid, s: int, weight: str) -> np.ndarray:
-    """Sobolev weight on the half layout: the Bessel weight (1 + |k|^2)^s
-    ("spectral") or the exact sum_{|alpha| <= s} prod_i k_i^(2 alpha_i)
-    ("multiindex")."""
-    if weight == "spectral":
-        return (1.0 + g.rk_squared) ** s
-    if weight != "multiindex":
-        raise ValueError(f"unknown weight {weight!r}")
-    kx, ky = (ka.astype(float) for ka in g.rwavenumbers)
-    w = np.zeros(g.rshape)
-    for a in range(s + 1):
-        for b in range(s + 1 - a):
-            w = w + kx ** (2 * a) * ky ** (2 * b)
-    return w
-
-
-def functional_Es(s_state: CompressibleState, s: int, weight: str = "spectral") -> float:
-    """Scaled regularity functional sum_{|a|<=s} int eps^-2 |D^a(rho-1)|^2 + |D^a u|^2.
-
-    ``weight`` chooses the Bessel-weight evaluation ("spectral", the default)
-    or the exact multi-index sum ("multiindex").
-    """
-    g = s_state.grid
-    w = _weight(g, s, weight)
-    u, _ = primitives(s_state)
-    out = hermitian_sq(g, g.rfft(s_state.rho.values - 1.0), w) / s_state.eps**2
-    out += sum(hermitian_sq(g, g.rfft(comp.values), w) for comp in u)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# conservation ledger
-
-
-@dataclass(frozen=True)
-class ConservationReport:
-    kind: str
-    model: ModelKind
-    mass_drift: Optional[float]
-    phase_mass_drift: Optional[float]
-    div_u_max: Optional[float]
-    mass_initial: Optional[float]
-    phase_mass_initial: Optional[float]
-
-
-def _rel_drift(values: list) -> float:
-    v0 = values[0]
-    scale = max(abs(v0), 1.0)
-    return max(abs(v - v0) for v in values) / scale
-
-
-def conservation_ledger(trajectory) -> ConservationReport:
-    """Maximum relative drift of the conserved integrals along a trajectory.
-
-    Accepts a list of states or of (t, state) pairs.  Drifts are relative to
-    max(|initial|, 1).  The phase-mass drift is reported for both phase
-    models but is a conservation statement only for the conserved one.
-    """
-    states = [st[1] if isinstance(st, tuple) else st for st in trajectory]
-    if not states:
-        raise ValueError("conservation_ledger needs a nonempty trajectory")
-    first = states[0]
-    if isinstance(first, CompressibleState):
-        masses = [integral(s.rho) for s in states]
-        phases = [integral(s.q) for s in states]
-        return ConservationReport(
-            "compressible",
-            first.model,
-            _rel_drift(masses),
-            _rel_drift(phases),
-            None,
-            masses[0],
-            phases[0],
-        )
-    if isinstance(first, IncompressibleState):
-        phases = [integral(s.phi) for s in states]
-        div_max = max(
-            float(np.max(np.abs(divergence(s.u).values))) for s in states
-        )
-        return ConservationReport(
-            "incompressible",
-            first.model,
-            None,
-            _rel_drift(phases),
-            div_max,
-            None,
-            phases[0],
-        )
-    raise TypeError(f"unsupported state type {type(first)!r}")

@@ -293,12 +293,25 @@ def _rowwise(op, x: np.ndarray, y: np.ndarray, out: np.ndarray):
 
 
 def _div_hat(ik: np.ndarray, v, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """out = sum_a ik[a] v[a] on half spectra; tmp is scratch."""
+    """out = sum_a ik[a] v[a] on half or band spectra; tmp is scratch."""
     np.multiply(ik[0], v[0], out=out)
     for a in range(1, len(v)):
         np.multiply(ik[a], v[a], out=tmp)
         out += tmp
     return out
+
+
+def _leray_hat(w: _Workspace, v: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Leray projection of the band stack v in place: v -= k (k . v) / |k|^2,
+    the k = 0 mode (mean flow) kept.  tmp holds d + 1 band slots of scratch."""
+    d = len(v)
+    div, irr = tmp[d], tmp[:d]
+    _div_hat(w.k, v, div, tmp[0])
+    _rowwise(np.multiply, w.k, div, irr)
+    _rowwise(np.divide, irr, w.k2safe, irr)
+    irr[(slice(None),) + (0,) * d] = 0.0
+    v -= irr
+    return v
 
 
 def rhs_compressible_hat(
@@ -505,13 +518,7 @@ def rhs_incompressible_hat(
         np.multiply(k2, -c.nu0, out=nu_k2)
         _rowwise(np.multiply, nu_k2, uh, visc)
         du_hat += visc
-    # Leray projection in place: du -= k (k . du) / |k|^2, mean flow kept
-    div, irr = tmp[d], tmp[:d]
-    _div_hat(w.k, du_hat, div, tmp[0])
-    _rowwise(np.multiply, w.k, div, irr)
-    _rowwise(np.divide, irr, w.k2safe, irr)
-    irr[(slice(None),) + (0,) * d] = 0.0
-    du_hat -= irr
+    _leray_hat(w, du_hat, tmp)
 
     # dphi = -u.grad phi + A mu with mu_hat = k^2 phi_hat + cube_hat - phi_hat
     mu_hat = cube_hat[0]

@@ -5,16 +5,15 @@ over k in {-n/2+1, ..., n/2} per axis (the Nyquist plane sits at index n/2).
 Transforms are unitary up to a single 1/n^d scale carried by the inverse,
 so the Fourier-series coefficient of mode k is ``fhat[k] / n**d``.
 
-The Field operators and the reports run on the half (rfft) layout, where the
-last axis keeps only k >= 0 and Hermitian symmetry carries the rest: the
-``r*`` tables of ``TorusGrid``, ``rfft``/``irfft``, ``batch_rfft``/
-``batch_irfft``, ``hermitian_sq``, ``hs_norm`` and ``refine``.  A ``Field``
-holds collocation values only; each Field operator applies its symbol to the
-half spectrum and transforms back.
+The reports, ``divergence`` and the Sobolev norm run on the half (rfft)
+layout, where the last axis keeps only k >= 0 and Hermitian symmetry
+carries the rest: the ``r*`` tables of ``TorusGrid``, ``rfft``/``irfft``,
+``batch_rfft``/``batch_irfft``, ``hermitian_sq``, ``hs_norm`` and
+``refine``.  A ``Field`` holds collocation values only.
 
-Products of fields are formed pointwise in physical space; callers are
-expected to dealias them with the 2/3 rule (`dealias`, cutoff floor(n/3)).
-The batch transforms, ``refine``, ``hermitian_sq`` and the grid's
+Products of fields are formed pointwise in physical space and dealiased
+with the 2/3 rule (cutoff floor(n/3)) by the band transform below.  The
+batch transforms, ``refine``, ``hermitian_sq`` and the grid's
 ``rfft``/``irfft`` take optional caller-owned buffers, so the solver and the
 diagnostics can run without allocating; without them they allocate, and no
 result aliases a buffer the caller did not pass.
@@ -133,10 +132,6 @@ class TorusGrid:
         for ka in self.rwavenumbers:
             mask &= np.abs(ka) <= kmax
         return mask
-
-    @cached_property
-    def rdealias_mask(self) -> np.ndarray:
-        return self.rband_mask(self.dealias_cutoff)
 
     @cached_property
     def _rmult(self) -> np.ndarray:
@@ -306,32 +301,8 @@ class VectorField:
         return self.components[i]
 
 
-def constant_field(grid: TorusGrid, value: float) -> Field:
-    return Field(grid, np.full(grid.shape, float(value)))
-
-
-def _apply(f: Field, symbol) -> Field:
-    """The field whose half spectrum is symbol * rfft(f)."""
-    g = f.grid
-    return Field(g, g.irfft(symbol * g.rfft(f.values)))
-
-
 # ---------------------------------------------------------------------------
-# differential operators
-
-
-def derivative(f: Field, axis: int, order: int = 1) -> Field:
-    """Spectral derivative d^order/dx_axis^order.
-
-    Odd orders zero the Nyquist mode so derivatives of real fields are real.
-    """
-    if order not in (1, 2, 3, 4):
-        raise ValueError(f"derivative order must be in 1..4, got {order}")
-    return _apply(f, f.grid.rderiv(axis, order))
-
-
-def gradient(f: Field) -> VectorField:
-    return VectorField(tuple(derivative(f, a) for a in range(f.grid.dim)))
+# the divergence
 
 
 def divergence(v: VectorField) -> Field:
@@ -340,24 +311,8 @@ def divergence(v: VectorField) -> Field:
     return Field(g, batch_irfft(g, [sum(ik * h for ik, h in zip(g._rik, uh))])[0])
 
 
-def laplacian(f: Field) -> Field:
-    return _apply(f, -f.grid.rk_squared)
-
-
-def biharmonic(f: Field) -> Field:
-    return _apply(f, f.grid.rk_squared**2)
-
-
 # ---------------------------------------------------------------------------
-# dealiasing and the batch transforms
-
-
-def dealias(f: Field) -> Field:
-    """2/3-rule truncation: zero every mode with any |k_axis| > floor(n/3).
-
-    Idempotent.
-    """
-    return _apply(f, f.grid.rdealias_mask)
+# the batch transforms
 
 
 def batch_rfft(grid: TorusGrid, arrs, out=None, work=None) -> np.ndarray:
@@ -416,24 +371,6 @@ def batch_irfft(grid: TorusGrid, hats, out=None, work=None) -> np.ndarray:
         np.fft.ifft(chunk, axis=-2, out=w[..., :cols])
         np.fft.irfft(w, n=grid.n, axis=-1, out=out[i : i + len(chunk)])
     return out
-
-
-# ---------------------------------------------------------------------------
-# Leray projection
-
-
-def leray_project(v: VectorField) -> VectorField:
-    """Remove the gradient part k (k . v) / |k|^2 of v; the k = 0 mode (mean
-    flow) counts as solenoidal and is preserved."""
-    g = v.grid
-    vhat = [g.rfft(c.values) for c in v.components]
-    div = sum(ka * vh for ka, vh in zip(g.rwavenumbers, vhat))
-    out = []
-    for ka, vh in zip(g.rwavenumbers, vhat):
-        irr = ka * div / g._rk2safe
-        irr[(0,) * g.dim] = 0.0
-        out.append(Field(g, g.irfft(vh - irr)))
-    return VectorField(tuple(out))
 
 
 # ---------------------------------------------------------------------------

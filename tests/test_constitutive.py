@@ -19,9 +19,9 @@ from torusflow.spectral import (
     VectorField,
     batch_irfft,
     batch_rfft,
-    constant_field,
-    laplacian,
 )
+
+from field_ops import constant_field, laplacian
 
 
 def rest(g):

@@ -9,12 +9,9 @@ import pytest
 from torusflow import diagnostics
 from torusflow.constitutive import Constitutive, ModelKind
 from torusflow.diagnostics import (
-    ConservationReport,
     EnergyReport,
-    conservation_ledger,
     energy_compressible,
     energy_incompressible,
-    functional_Es,
     modulated_energy,
 )
 from torusflow.dynamics import (
@@ -29,12 +26,13 @@ from torusflow.spectral import (
     Field,
     TorusGrid,
     VectorField,
-    constant_field,
     hs_norm,
     l2_norm,
     refine,
 )
 from torusflow.stepper import step_compressible_rk4, step_incompressible_rk4
+
+from field_ops import constant_field
 
 VOL2 = (2.0 * math.pi) ** 2
 
@@ -587,84 +585,6 @@ def test_modulated_energy_vacuum(g2):
     inc = IncompressibleState(zero_vec(g2), constant_field(g2, 0.0), ModelKind.CH)
     with pytest.raises(VacuumError):
         modulated_energy(cs, inc, c)
-
-
-# ---------------------------------------------------------------------------
-# scaled regularity functionals
-
-
-def one_mode_state(g, eps, d, cu):
-    x = g.coords()[0]
-    rho = Field(g, 1.0 + d * np.cos(x))
-    u = VectorField((Field(g, cu * np.sin(x)), constant_field(g, 0.0)))
-    return make_compressible(eps, rho, u, constant_field(g, 0.0), ModelKind.CH)
-
-
-def test_functional_Es_single_mode(g2):
-    # k = (1, 0) mode: multi-index weight 1 + k^2 + k^4 = 3, Bessel
-    # (1+k^2)^2 = 4; each squared mode integrates to pi * 2 pi
-    eps, d, cu = 0.2, 0.01, 0.5
-    s = one_mode_state(g2, eps, d, cu)
-    base = 2.0 * math.pi**2 * (d * d / eps**2 + cu * cu)
-    assert functional_Es(s, 2, weight="multiindex") == pytest.approx(
-        3.0 * base, rel=1e-10
-    )
-    assert functional_Es(s, 2) == pytest.approx(4.0 * base, rel=1e-10)
-    with pytest.raises(ValueError):
-        functional_Es(s, 2, weight="banana")
-
-
-def test_functional_Es_vacuum_guard(g2):
-    x = g2.coords()[0]
-    rho = Field(g2, 1.0 + 2.0 * np.cos(x))
-    s = CompressibleState(1.0, rho, zero_vec(g2), constant_field(g2, 0.0), ModelKind.CH)
-    with pytest.raises(VacuumError):
-        functional_Es(s, 1)
-
-
-# ---------------------------------------------------------------------------
-# conservation ledger
-
-
-def test_ledger_compressible_drifts(g2):
-    s0 = make_compressible(
-        0.2, constant_field(g2, 1.0), zero_vec(g2), constant_field(g2, 0.5),
-        ModelKind.CH,
-    )
-    rho1 = constant_field(g2, 1.001)
-    s1 = CompressibleState(0.2, rho1, s0.mom, s0.q, ModelKind.CH)
-    rep = conservation_ledger([(0.0, s0), (1.0, s1)])
-    assert rep.kind == "compressible"
-    assert rep.model is ModelKind.CH
-    assert rep.mass_drift == pytest.approx(1e-3, rel=1e-9)
-    assert rep.phase_mass_drift == pytest.approx(0.0, abs=1e-15)
-    assert rep.div_u_max is None
-    assert rep.mass_initial == pytest.approx(VOL2, rel=1e-12)
-    assert rep.phase_mass_initial == pytest.approx(0.5 * VOL2, rel=1e-12)
-
-
-def test_ledger_incompressible(g2):
-    x, _ = g2.coords()
-    u = VectorField(
-        (
-            Field(g2, np.sin(x) * 0.0),
-            Field(g2, np.sin(x)),
-        )
-    )
-    s = IncompressibleState(u, constant_field(g2, 0.25), ModelKind.AC)
-    rep = conservation_ledger([s, s])
-    assert rep.kind == "incompressible"
-    assert rep.mass_drift is None
-    assert rep.phase_mass_drift == 0.0
-    assert rep.div_u_max == pytest.approx(0.0, abs=1e-12)
-    assert rep.phase_mass_initial == pytest.approx(0.25 * VOL2, rel=1e-12)
-
-
-def test_ledger_validation():
-    with pytest.raises(ValueError):
-        conservation_ledger([])
-    with pytest.raises(TypeError):
-        conservation_ledger([np.zeros(3)])
 
 
 def test_reports_on_a_thread_while_the_main_thread_steps():

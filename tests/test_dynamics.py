@@ -9,6 +9,8 @@ from torusflow.constitutive import Constitutive, ModelKind
 from torusflow.dynamics import (
     CompressibleState,
     IncompressibleState,
+    _leray_hat,
+    _workspace,
     initial_from_preset,
     make_compressible,
     primitives,
@@ -23,16 +25,13 @@ from torusflow.spectral import (
     VectorField,
     batch_irfft,
     batch_rfft,
-    constant_field,
-    dealias,
     divergence,
-    gradient,
     hs_norm,
     integral,
-    laplacian,
-    leray_project,
     random_band_limited,
 )
+
+from field_ops import constant_field, dealias, gradient, laplacian, leray_project
 
 
 def div_free_noise(g, rng, kmax=5):
@@ -132,6 +131,11 @@ def test_vacuum_rejected(g2):
     u = VectorField((constant_field(g2, 0.0), constant_field(g2, 0.0)))
     with pytest.raises(VacuumError):
         make_compressible(0.2, rho, u, constant_field(g2, 0.0), ModelKind.CH)
+    # a state built directly: primitives refuses its negative density
+    x = g2.coords()[0]
+    s = CompressibleState(1.0, Field(g2, 1.0 + 2.0 * np.cos(x)), u, rho, ModelKind.CH)
+    with pytest.raises(VacuumError):
+        primitives(s)
 
 
 @pytest.mark.parametrize(
@@ -285,6 +289,16 @@ def test_incompressible_tendency_divergence_free(g2, rng):
     for model in ModelKind:
         t = incompressible_tendency(IncompressibleState(u, phi, model), Constitutive())
         assert np.max(np.abs(divergence(vec(g2, t.du)).values)) < 1e-10
+
+
+def test_leray_hat_matches_the_field_oracle(g2, rng):
+    # the projection rhs_incompressible_hat applies, on a band stack with a
+    # mean flow, against the half-layout oracle
+    f, h = (random_band_limited(g2, rng, 8, zero_mean=False) for _ in range(2))
+    tmp = np.empty((3, *g2.bshape), dtype=complex)
+    got = batch_irfft(g2, _leray_hat(_workspace(g2), band_rfft(g2, [f.values, h.values]), tmp))
+    for a, b in zip(got, leray_project(VectorField((f, h)))):
+        assert np.max(np.abs(a - b.values)) < 1e-12
 
 
 def test_incompressible_phase_mass_conserved_ch(g2, rng):

@@ -5,7 +5,8 @@ study), audit (recompute diagnostics from stored snapshots), dispersion
 (acoustic frequency probe).  Exit codes: 0 success, 2 config error,
 3 numerical failure, 4 IO error.  A ValueError raised once the config and
 the initial state are built (by the integration, the observer or the
-diagnostics of run, sweep and audit) is a numerical failure.
+diagnostics of run, sweep and audit) is a numerical failure, and so is a
+non-finite value in a report row of run or audit.
 
 ``run`` computes its energy rows and writes its snapshots on one worker
 thread while the main thread steps (``_Sampler``), in step order, so the
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import glob
+import math
 import queue
 import sys
 import threading
@@ -128,9 +130,10 @@ def _simulating():
 
 
 def _run_row(state, c, t: float) -> dict:
+    """state's timeseries row at t; a non-finite entry is a NumericsError."""
     if hasattr(state, "rho"):
         rep = energy_compressible(state, c, time=t)
-        return {
+        row = {
             "time": t,
             "kinetic": rep.kinetic,
             "internal": rep.internal,
@@ -141,17 +144,22 @@ def _run_row(state, c, t: float) -> dict:
             "mass": integral(state.rho),
             "phase_mass": integral(state.q),
         }
-    rep = energy_incompressible(state, c, time=t)
-    return {
-        "time": t,
-        "kinetic": rep.kinetic,
-        "gradient": rep.gradient,
-        "potential": rep.potential,
-        "total": rep.total,
-        "dissipation": rep.dissipation,
-        "phase_mass": integral(state.phi),
-        "div_u_max": float(np.max(np.abs(divergence(state.u).values))),
-    }
+    else:
+        rep = energy_incompressible(state, c, time=t)
+        row = {
+            "time": t,
+            "kinetic": rep.kinetic,
+            "gradient": rep.gradient,
+            "potential": rep.potential,
+            "total": rep.total,
+            "dissipation": rep.dissipation,
+            "phase_mass": integral(state.phi),
+            "div_u_max": float(np.max(np.abs(divergence(state.u).values))),
+        }
+    for column, value in row.items():
+        if not math.isfinite(value):
+            raise NumericsError(f"non-finite {column} at t = {t:g}")
+    return row
 
 
 class _Sampler:

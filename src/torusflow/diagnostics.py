@@ -53,11 +53,11 @@ from .constitutive import Constitutive, ModelKind
 from .dynamics import (
     CompressibleState,
     IncompressibleState,
-    _div_hat,
     _require_positive,
 )
 from .spectral import (
     TorusGrid,
+    _div_hat,
     _one_slot,
     batch_irfft,
     batch_rfft,

@@ -13,8 +13,9 @@ The half-spectrum kernels rhs_compressible_hat / rhs_incompressible_hat
 take and return one stacked complex array in the band layout (nvar,
 *bshape) of ``spectral``: the half spectrum cut to the columns the 2/3
 rule keeps.  Their physical fields, products and product spectra live in
-a per-grid workspace of preallocated buffers (a slot of
-``spectral._one_slot``), transformed through batch_rfft / batch_irfft on
+a per-grid workspace that holds preallocated buffers only (a slot of
+``spectral._one_slot``; the symbols are the grid's band tables, and ik.v
+is ``spectral._div_hat``), transformed through batch_rfft / batch_irfft on
 band-layout stacks with ``out=`` and one shared work buffer; per call they
 allocate only the returned tendency.  The state stack they take is
 dealiased, its rows |k| > floor(n/3) zero, and so is the tendency they
@@ -38,7 +39,6 @@ import copy
 import math
 import sys
 import threading
-from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -49,6 +49,7 @@ from .spectral import (
     Field,
     TorusGrid,
     VectorField,
+    _div_hat,
     _one_slot,
     batch_irfft,
     batch_rfft,
@@ -237,17 +238,13 @@ class _Workspace:
     ``phys`` holds real collocation stacks, ``spec`` band-layout stacks and
     ``work`` the half-layout scratch of the two-pass batch transforms; each
     kernel carves its stacks out of them, sized for the larger of the two
-    kernels (pages a kernel never touches cost no memory).  The symbols are
-    full-shape complex band arrays, so every in-place ufunc runs without a
-    broadcast or cast copy.
+    kernels (pages a kernel never touches cost no memory).  It holds
+    buffers only: the kernels read the symbols from the grid's band tables.
     """
 
     def __init__(self, g: TorusGrid):
         d = g.dim
-        self.grid = g
-        self.nflux = d * (d + 1) // 2  # symmetric momentum flux, i <= j
-        self.pairs = [(i, j) for i in range(d) for j in range(i, d)]
-        nprod_c = self.nflux + 2 * d + 1
+        nprod_c = d * (d + 1) // 2 + 2 * d + 1
         # incompressible spectral stack: u, grad u, phi, lap phi, grad phi
         ndown_i = d + d * d + 2 + d
         nphys = max(d + 2 + 2 * d + 2 + nprod_c, ndown_i + d + 2)
@@ -256,19 +253,6 @@ class _Workspace:
         self.spec = np.empty((nspec, *g.bshape), dtype=complex)
         # the batch transforms take longer stacks in chunks of this length
         self.work = np.empty((d + 2, *g.rshape), dtype=complex)
-        self.ik = g._bik_stack
-        self.k2 = g.bk_squared.astype(complex)
-
-    @cached_property
-    def k(self) -> np.ndarray:
-        """Integer wavenumbers as one complex stack (Leray projection)."""
-        g = self.grid
-        return np.stack(np.broadcast_arrays(*g.bwavenumbers)).astype(complex)
-
-    @cached_property
-    def k2safe(self) -> np.ndarray:
-        """|k|^2 with 1 at k = 0, a safe divisor (Leray projection)."""
-        return self.grid._bk2safe.astype(complex)
 
 
 def _workspace(g: TorusGrid) -> _Workspace:
@@ -292,25 +276,18 @@ def _rowwise(op, x: np.ndarray, y: np.ndarray, out: np.ndarray):
         op(x[r] if x.ndim == out.ndim else x, y[r] if y.ndim == out.ndim else y, out=out[r])
 
 
-def _div_hat(ik: np.ndarray, v, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """out = sum_a ik[a] v[a] on half or band spectra; tmp is scratch."""
-    np.multiply(ik[0], v[0], out=out)
-    for a in range(1, len(v)):
-        np.multiply(ik[a], v[a], out=tmp)
-        out += tmp
-    return out
-
-
-def _leray_hat(w: _Workspace, v: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """Leray projection of the band stack v in place: v -= k (k . v) / |k|^2,
-    the k = 0 mode (mean flow) kept.  tmp holds d + 1 band slots of scratch."""
+def _leray_hat(g: TorusGrid, v: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Leray projection of the band stack v in place:
+    v += ik (ik . v) / |k|^2, which is v - k (k . v) / |k|^2, the k = 0
+    mode (mean flow) kept.  tmp holds d + 1 band slots of scratch."""
     d = len(v)
+    ik = g._bik_stack
     div, irr = tmp[d], tmp[:d]
-    _div_hat(w.k, v, div, tmp[0])
-    _rowwise(np.multiply, w.k, div, irr)
-    _rowwise(np.divide, irr, w.k2safe, irr)
+    _div_hat(ik, v, div, tmp[0])
+    _rowwise(np.multiply, ik, div, irr)
+    _rowwise(np.divide, irr, g._bk2safe, irr)
     irr[(slice(None),) + (0,) * d] = 0.0
-    v -= irr
+    v += irr
     return v
 
 
@@ -340,8 +317,10 @@ def rhs_compressible_hat(
     """
     d = g.dim
     w = _workspace(g)
-    ik, k2 = w.ik, w.k2
-    nprod = w.nflux + 2 * d + 1
+    ik, k2 = g._bik_stack, g._bk2_complex
+    pairs = [(i, j) for i in range(d) for j in range(i, d)]
+    nflux = len(pairs)
+    nprod = nflux + 2 * d + 1
     state, down, prods = _carve(w.phys, d + 2, 2 * d + 2, nprod)
     spec, prod_hat = _carve(w.spec, 2 * d + 2, nprod)
 
@@ -372,11 +351,11 @@ def rhs_compressible_hat(
     # chemistry phi^3 - Lap(phi)/rho of mu.  The constant P(1)/eps^2 exerts
     # no force; left in, it would drown the O(1) pressure fluctuation in the
     # flux's transform at stiff eps
-    flux, cap, qu, chem = _carve(prods, w.nflux, d, d, 1)
+    flux, cap, qu, chem = _carve(prods, nflux, d, d, 1)
     pres = chem[0]  # until the chemistry goes in
     np.subtract(c.pressure(rho), float(c.pressure(1.0)), out=pres)
     pres /= eps**2
-    for idx, (i, j) in enumerate(w.pairs):
+    for idx, (i, j) in enumerate(pairs):
         np.multiply(m[i], u[j], out=flux[idx])
         if i == j:
             flux[idx] += pres
@@ -387,7 +366,7 @@ def rhs_compressible_hat(
     chem[0] *= phi
     chem[0] -= lap_phi / rho
     batch_rfft(g, prods, out=prod_hat, work=w.work)
-    flux_hat, cap_hat, qu_hat, chem_hat = _carve(prod_hat, w.nflux, d, d, 1)
+    flux_hat, cap_hat, qu_hat, chem_hat = _carve(prod_hat, nflux, d, d, 1)
 
     if out is None:
         out = np.empty((d + 2, *g.bshape), dtype=complex)
@@ -406,12 +385,9 @@ def rhs_compressible_hat(
         dqh += mu_hat
     np.negative(dqh, out=dqh)
 
-    def flux_of(i: int, j: int) -> np.ndarray:
-        lo, hi = min(i, j), max(i, j)
-        return flux_hat[lo * d - lo * (lo - 1) // 2 + (hi - lo)]
-
     for i in range(d):
-        _div_hat(ik, [flux_of(i, j) for j in range(d)], dmh[i], tmp)
+        row = [flux_hat[pairs.index((min(i, j), max(i, j)))] for j in range(d)]
+        _div_hat(ik, row, dmh[i], tmp)
     dmh += cap_hat
     np.negative(dmh, out=dmh)
 
@@ -459,7 +435,7 @@ def rhs_incompressible_hat(
     """
     d = g.dim
     w = _workspace(g)
-    ik, k2 = w.ik, w.k2
+    ik, k2 = g._bik_stack, g._bk2_complex
     ndown = d + d * d + 2 + d
     down_hat, prod_hat = _carve(w.spec, ndown, d + 2)
     down, prods = _carve(w.phys, ndown, d + 2)
@@ -518,7 +494,7 @@ def rhs_incompressible_hat(
         np.multiply(k2, -c.nu0, out=nu_k2)
         _rowwise(np.multiply, nu_k2, uh, visc)
         du_hat += visc
-    _leray_hat(w, du_hat, tmp)
+    _leray_hat(g, du_hat, tmp)
 
     # dphi = -u.grad phi + A mu with mu_hat = k^2 phi_hat + cube_hat - phi_hat
     mu_hat = cube_hat[0]
@@ -584,9 +560,10 @@ def _incompressible_pressure(u: VectorField, phi: Field, c: Constitutive) -> np.
         out=np.empty((d + 2, *g.bshape), dtype=complex),
     )
     # the momentum tendency does not depend on the phase model
-    dmh = rhs_compressible_hat(g, 1.0, zh, c, ModelKind.AC)[1 : 1 + d]
-    # Lap pi = div dm: pi_hat = -(ik . dm_hat) / |k|^2, mean zero
-    pih = -np.sum(g._bik_stack * dmh, axis=0) / g._bk2safe
+    dzh = rhs_compressible_hat(g, 1.0, zh, c, ModelKind.AC)
+    # Lap pi = div dm: pi_hat = -(ik . dm_hat) / |k|^2, mean zero; ik . dm_hat
+    # goes in the free density row, with the phase row as scratch
+    pih = -_div_hat(g._bik_stack, dzh[1 : 1 + d], dzh[0], dzh[-1]) / g._bk2safe
     pih[(0,) * d] = 0.0
     return batch_irfft(g, pih[None])[0]
 

@@ -25,9 +25,12 @@ its layout: ``batch_rfft`` writes a band ``out`` and ``batch_irfft`` and
 ``hermitian_sq`` read a band spectrum, bit for bit as the full transforms
 on those modes, and this band transform is the solver's one 2/3 cut.
 The ``b*`` tables of ``TorusGrid`` are the band columns of the ``r*``
-ones.  A state stack, a tendency, an ETDRK4 stage and an ETD table are
-each a third smaller than on the half layout, and no ufunc of the solver
-multiplies the dropped zeros.
+ones, and the solver reads them in place.  ``_div_hat`` is the one ik.v
+on half or band spectra: the kernels, the ETD closures, the Leray
+projection, the incompressible pressure, ``divergence`` and the reports
+all call it.  A state stack, a tendency, an ETDRK4 stage and an ETD table
+are each a third smaller than on the half layout, and no ufunc of the
+solver multiplies the dropped zeros.
 
 Every cache of the solver and the reports (the kernels' workspace, the
 reports' 2x-grid workspace, the ETDRK4 tables and stage stacks) is a slot
@@ -211,12 +214,13 @@ class TorusGrid:
         return np.ascontiguousarray(table[..., : self.dealias_cutoff + 1])
 
     @cached_property
-    def bwavenumbers(self) -> tuple:
-        return tuple(self._band(ka) for ka in self.rwavenumbers)
-
-    @cached_property
     def bk_squared(self) -> np.ndarray:
         return self._band(self.rk_squared)
+
+    @cached_property
+    def _bk2_complex(self) -> np.ndarray:
+        """bk_squared as complex, so products with spectra need no cast."""
+        return self.bk_squared.astype(complex)
 
     @cached_property
     def _bik_stack(self) -> np.ndarray:
@@ -232,7 +236,8 @@ class TorusGrid:
 
     @cached_property
     def _bk2safe(self) -> np.ndarray:
-        return self._band(self._rk2safe)
+        """_rk2safe on the band, complex like the spectra it divides."""
+        return self._band(self._rk2safe).astype(complex)
 
     # one array through the batch transforms (rfftn / irfftn bit for bit);
     # out and work are their buffers, out one array and work a stack
@@ -305,10 +310,22 @@ class VectorField:
 # the divergence
 
 
+def _div_hat(ik, v, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """out = sum_a ik[a] v[a] on half or band spectra, with tmp as scratch;
+    out and tmp may be v[0] and v[1].  The package's one ik.v, bit for bit
+    as np.sum(ik * v, axis=0), which sums from +0: a -0 total reads +0."""
+    np.multiply(ik[0], v[0], out=out)
+    for a in range(1, len(v)):
+        np.multiply(ik[a], v[a], out=tmp)
+        out += tmp
+    out += 0.0
+    return out
+
+
 def divergence(v: VectorField) -> Field:
     g = v.grid
     uh = batch_rfft(g, [c.values for c in v.components])
-    return Field(g, batch_irfft(g, [sum(ik * h for ik, h in zip(g._rik, uh))])[0])
+    return Field(g, batch_irfft(g, _div_hat(g._rik, uh, uh[0], uh[1])[None])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,10 @@ is the one 2/3 cut: no step applies a mask, as every table, closure and
 kernel keeps a stack's rows |k| > floor(n/3) zero.  The stage values of
 ETDRK4 and the iterates of Picard sit in cached stacks, and the kernels
 write their tendencies into them.  The ops and nonlin closures apply the
-tables, complex like the spectra, with ``out=`` ufuncs in a few cached
-scratch spectra, in the order of the allocating expressions (same bits), so
-a step allocates little beyond the new state's stack.  The tables (one set
+tables, complex like the spectra, and form ik.m with ``spectral._div_hat``,
+with ``out=`` ufuncs in a few cached scratch spectra, in the order of the
+allocating expressions (same bits), so a step allocates little beyond the
+new state's stack.  The tables (one set
 per regime), the stage stacks and the scratch are slots of
 ``spectral._one_slot``.
 """
@@ -52,13 +53,12 @@ from .dynamics import (
     CompressibleState,
     IncompressibleState,
     _check_eps,
-    _div_hat,
     primitives,
     rhs_compressible_hat,
     rhs_incompressible_hat,
 )
 from .errors import NumericsError
-from .spectral import TorusGrid, _one_slot, batch_irfft, batch_rfft, hermitian_sq
+from .spectral import TorusGrid, _div_hat, _one_slot, batch_irfft, batch_rfft, hermitian_sq
 
 # max|grad phi| of the planar equilibrium tanh(x/sqrt(2)) of
 # mu = -Lap phi + phi^3 - phi: the capillary speed of a fluid at rest
@@ -416,15 +416,6 @@ def _complex(tables):
     return tables.astype(complex)
 
 
-def _kdot(ik: np.ndarray, v: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """out = sum_a ik[a] v[a] with tmp as scratch, bit for bit as
-    np.sum(ik * v, axis=0) forms it: that sum starts from +0, which turns a
-    -0 total into +0."""
-    _div_hat(ik, v, out, tmp)
-    out += 0.0
-    return out
-
-
 def _compressible_closures(s: CompressibleState, dt: float, c: Constitutive):
     """The ops and nonlin closures (see _etdrk4) of the conservative
     compressible system at step dt, which ETDRK4 and Picard both use.
@@ -462,7 +453,7 @@ def _compressible_closures(s: CompressibleState, dt: float, c: Constitutive):
         div, b, b_new, t = scratch
         c0, c1 = block[key]
         rho, mom = z[0], z[1 : 1 + d]
-        _kdot(ik, mom, div, t)  # |k| b
+        _div_hat(ik, mom, div, t)  # |k| b
         np.multiply(inv_kk, div, out=b)
         # b_new = c0 b + c1 (c2|k| rho + l_bb b); out[0] is scratch until set
         np.multiply(c0, b, out=b_new)
@@ -495,7 +486,7 @@ def _compressible_closures(s: CompressibleState, dt: float, c: Constitutive):
         rhs_compressible_hat(g, s.eps, z, c, s.model, out)
         div, pot, _, t = scratch
         mom = z[1 : 1 + d]
-        _kdot(ik, mom, div, t)
+        _div_hat(ik, mom, div, t)
         out[0] += div
         for a in range(d):
             np.multiply(nu_k2, mom[a], out=t)

@@ -30,9 +30,7 @@ from torusflow.diagnostics import (
 )
 from torusflow.dynamics import (
     IncompressibleState,
-    _div_hat,
     _leray_hat,
-    _workspace,
     initial_from_preset,
     make_compressible,
     well_prepared_initial,
@@ -41,6 +39,7 @@ from torusflow.spectral import (
     Field,
     TorusGrid,
     VectorField,
+    _div_hat,
     batch_irfft,
     batch_rfft,
     hermitian_sq,
@@ -94,7 +93,7 @@ def test_operator_identities():
     # bk_squared, _div_hat, the band transforms and the Leray projection of
     # rhs_incompressible_hat
     g = TorusGrid(2, 32)
-    ik, k2, w = g._bik_stack, g.bk_squared, _workspace(g)
+    ik, k2 = g._bik_stack, g.bk_squared
     spectra = np.empty((3, *g.bshape), dtype=complex)
     div = np.empty((2, *g.bshape), dtype=complex)
     tmp = np.empty((3, *g.bshape), dtype=complex)
@@ -118,8 +117,8 @@ def test_operator_identities():
             l2_norm(f) ** 2 - hermitian_sq(g, fh, 1.0)
         ) / max(l2_norm(f) ** 2, 1e-30)
 
-        pv = _leray_hat(w, np.stack([fh, hh]), tmp)
-        ppv = _leray_hat(w, pv.copy(), tmp)
+        pv = _leray_hat(g, np.stack([fh, hh]), tmp)
+        ppv = _leray_hat(g, pv.copy(), tmp)
         idem = float(np.max(np.abs(batch_irfft(g, ppv) - batch_irfft(g, pv))))
         _div_hat(ik, pv, div[0], div[1])
         solenoidal = float(np.max(np.abs(batch_irfft(g, div[:1])[0])))

@@ -776,6 +776,28 @@ def test_cli_step_count_that_overflows_exits_3(tmp_path, capsys, command, payloa
     assert "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_cli_non_finite_report_exits_3(tmp_path, capsys):
+    # at eps 1e-60 the first step's energy report overflows: the run stops
+    # there and the audit of its snapshots fails the same way, each a
+    # numerical failure that names the column, not a config error
+    cfg = write_json(tmp_path, "stiff.json", base_run_config(
+        model="nsac", eps=1e-60, grid={"n": 16}, stepper={"t_end": 0.01},
+    ))
+    out = tmp_path / "out"
+    rc = main(["run", "--config", str(cfg), "--out", str(out), "--snapshots-every", "1"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: non-finite dissipation at t = 0.01"), err
+    assert not (out / "timeseries.csv").exists()
+    rc = main(["audit", "--snapshots", str(out / "snap_*.bin"),
+               "--out", str(tmp_path / "audit.csv")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: non-finite dissipation at t = 0.01"), err
+    assert "Traceback" not in err
+
+
 def test_cli_audit_vacuum_names_the_2x_grid_point(tmp_path, capsys, g2):
     # one negative density value: the report says where and how deep
     s = sample_compressible(g2)

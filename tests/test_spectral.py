@@ -9,6 +9,7 @@ from torusflow.spectral import (
     Field,
     TorusGrid,
     VectorField,
+    _div_hat,
     _one_slot,
     batch_irfft,
     batch_rfft,
@@ -94,6 +95,24 @@ def test_rderiv_symbols():
         assert np.array_equal(g._rik[axis], g.rderiv(axis, 1))
     with pytest.raises(ValueError):
         g.rderiv(2, 1)
+
+
+def test_div_hat_is_the_stacked_sum_bit_for_bit(g2, rng):
+    # the package's one ik.v forms np.sum(ik * v, axis=0) to the bit, on the
+    # half and the band layout, in place too
+    for ik, shape in ((g2._rik_stack, g2.rshape), (g2._bik_stack, g2.bshape)):
+        v = rng.standard_normal((2, *shape)) + 1j * rng.standard_normal((2, *shape))
+        want = np.sum(ik * v, axis=0)
+        out, tmp = np.empty((2, *shape), dtype=complex)
+        assert _div_hat(ik, v, out, tmp).tobytes() == want.tobytes()
+        assert _div_hat(ik, v, v[0], v[1]).tobytes() == want.tobytes()
+    # products that are all -0: the stacked sum starts from +0, so the
+    # total reads +0, not -0
+    ik, v = np.ones((2, *g2.bshape)), np.full((2, *g2.bshape), -0.0)
+    want = np.sum(ik * v, axis=0)
+    assert not np.signbit(want).any()
+    got = _div_hat(ik, v, np.empty(g2.bshape), np.empty(g2.bshape))
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

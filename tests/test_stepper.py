@@ -222,7 +222,7 @@ def test_default_step_is_inside_etdrk4_stability():
         flow = VectorField((constant_field(g, 1.0), constant_field(g, 0.0)))
         s = IncompressibleState(flow, constant_field(g, 0.0), ModelKind.AC)
         dt = default_dt(s, Constitutive(), StepperConfig(cfl=cfl))
-        kx, ky = (np.abs(k).astype(float) for k in g.bwavenumbers)
+        kx, ky = (np.abs(g._band(ka)).astype(float) for ka in g.rwavenumbers)
         tables = _etd_tables(-g.bsvv, dt)
 
         def ops(key, z, out):

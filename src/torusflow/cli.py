@@ -49,7 +49,6 @@ from .spectral import divergence, integral
 from .stepper import integrate
 from .sweep import (
     ERROR_FAMILIES,
-    _check_low_mach,
     acoustic_dispersion_check,
     run_sweep,
 )
@@ -278,9 +277,9 @@ def _cmd_sweep(args) -> int:
             raise ConfigError(f"bad --eps override: {exc}") from exc
     if args.parallel < 1:
         raise ConfigError(f"--parallel must be >= 1, got {args.parallel}")
-    # past the low-Mach range the sweep is a config error, before any stepping
-    _check_low_mach(cfg, c)
 
+    # past the low-Mach range run_sweep raises a ConfigError (exit 2) before
+    # any stepping, which _simulating passes through
     with _simulating():
         result = run_sweep(cfg, c, parallel=args.parallel)
     outdir = Path(args.out or ".")

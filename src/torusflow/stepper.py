@@ -712,15 +712,25 @@ def integrate(
         sample_times = [cfg.t_end]
     times = [float(t) for t in sample_times]
     _check_sample_times(times, cfg.t_end)
+    return list(_marched(state, c, cfg, times, observer))
 
+
+def _marched(
+    state,
+    c: Constitutive,
+    cfg: StepperConfig,
+    times: Sequence,
+    observer: Optional[Callable] = None,
+):
+    """integrate's loop, yielding each (t, state) sample as it is reached,
+    with times already checked: a caller that takes the samples one at a
+    time holds no earlier one."""
     stepper = _make_stepper(state, c, cfg)
-
-    out = []
     t = 0.0
     fixed = None  # (nsub, span, dt) of the interval that last set dt
     for target in times:
         if target == 0.0:
-            out.append((0.0, state))
+            yield 0.0, state
             continue
         # re-evaluate the step bound from the current state so the cap
         # follows the flow (still the same formula, fresh inputs)
@@ -749,5 +759,4 @@ def integrate(
             if observer is not None:
                 observer(t + (i + 1) * dt, state)
         t = target
-        out.append((t, state))
-    return out
+        yield t, state

@@ -9,8 +9,6 @@ fits log-log convergence rates.  Also hosts the acoustic dispersion probe.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
@@ -30,12 +28,13 @@ from .dynamics import (
     _require_positive,
     initial_from_preset,
 )
-from .errors import NumericsError
+from .errors import ConfigError, NumericsError
 from .spectral import Field, TorusGrid, VectorField, batch_rfft, hermitian_sq, l2_norm
 from .stepper import (
     DEFAULT_CFL,
     StepperConfig,
     _check_sample_times,
+    _marched,
     integrate,
     step_compressible_rk4,
 )
@@ -148,23 +147,37 @@ def _reference_stepper_config(cfg: SweepConfig) -> StepperConfig:
     return StepperConfig(scheme="rk4", cfl=cfg.cfl, t_end=cfg.t_end)
 
 
-def _check_low_mach(cfg: SweepConfig, c: Constitutive) -> None:
-    """The rule of the prepared data at every eps of the sweep: the largest
-    eps puts them furthest from rho = 1 (see _check_balanced)."""
-    g = TorusGrid(cfg.dim, cfg.n)
-    offset = _balanced_offset(*initial_from_preset(cfg.initial, g), c)
-    _check_balanced(offset, cfg.eps_list[0])
+class _LegStopped(Exception):
+    """Carries the NumericsError that stopped a leg while it was built or
+    stepped out through _eval_record, told apart from a NumericsError of
+    the evaluation, which propagates."""
 
 
-def _run_compressible_leg(cfg: SweepConfig, c: Constitutive, parts, eps: float, samples):
-    """Integrate one compressible leg from the sweep's _prepared_parts, or
-    return the NumericsError that stopped it; module-level so sweeps can
-    fork workers."""
+def _leg_samples(cfg: SweepConfig, c: Constitutive, parts, eps: float, samples):
+    """The leg's (t, state) samples from the sweep's _prepared_parts, each
+    yielded as it is stepped to."""
     try:
-        state = _prepared_state(parts, eps, cfg.kappa0, cfg.model)
-        return integrate(state, c, _reference_stepper_config(cfg), samples)
+        yield from _marched(
+            _prepared_state(parts, eps, cfg.kappa0, cfg.model),
+            c,
+            _reference_stepper_config(cfg),
+            samples,
+        )
     except NumericsError as exc:
-        return exc
+        raise _LegStopped(exc) from exc
+
+
+def _leg_record(cfg, c, parts, ref, ref_offsets, samples, eps: float) -> EpsRecord:
+    """One compressible leg's record.  Each sample is evaluated as it is
+    stepped to, so a leg holds at most two samples at a time; a leg that a
+    NumericsError stops is recorded as failed with its reason.
+    Module-level so that a process pool's workers run it and return the
+    record."""
+    stepped = _leg_samples(cfg, c, parts, eps, samples)
+    try:
+        return _eval_record(cfg, c, eps, stepped, ref, ref_offsets, samples)
+    except _LegStopped as stop:
+        return EpsRecord(eps=eps, failed=True, reason=str(stop.__cause__))
 
 
 def _hs_sq(g: TorusGrid, fh: np.ndarray, w: np.ndarray, work: np.ndarray) -> float:
@@ -174,7 +187,8 @@ def _hs_sq(g: TorusGrid, fh: np.ndarray, w: np.ndarray, work: np.ndarray) -> flo
 
 
 def _eval_record(cfg, c, eps, comp_traj, ref_traj, ref_offsets, samples) -> EpsRecord:
-    """The leg's errors.  err_rho and err_grad_rho measure rho - 1 -
+    """The leg's errors from its (t, state) samples comp_traj, taken one
+    at a time.  err_rho and err_grad_rho measure rho - 1 -
     eps^2 pi/P'(1), the density's departure from the pressure balance of
     the reference, with ref_offsets the reference's pi/P'(1) at each
     sample.  Each sample transforms its differences u_e - u, phi_e - phi
@@ -246,14 +260,23 @@ def run_sweep(cfg: SweepConfig, c: Constitutive, parallel: int = 1) -> SweepResu
     """Run the eps sweep against one shared incompressible reference.
 
     The eps-free part of the prepared data (_prepared_parts) is built once
-    and scaled for each leg.  A leg that aborts (vacuum, blow-up) is
-    recorded as failed with its reason and excluded from the rate fits.
-    Deterministic for a fixed config seed.
+    and scaled for each leg; an eps_list that starts past the data's
+    low-Mach range is a ConfigError.  Each leg is evaluated as it is
+    stepped (_leg_record), in the caller or, with parallel > 1, in a
+    process pool whose workers return the records.  A leg that aborts
+    (vacuum, blow-up) is recorded as failed with its reason and excluded
+    from the rate fits.  Deterministic for a fixed config seed.
     """
     samples = cfg.samples()
     g = TorusGrid(cfg.dim, cfg.n)
     u0, phi0 = initial_from_preset(cfg.initial, g)
     parts = _prepared_parts(u0, phi0, cfg.seed, c)
+    # the largest eps puts the prepared data furthest from rho = 1: past the
+    # low-Mach range the sweep is a config error, before any stepping
+    try:
+        _check_balanced(parts[2], cfg.eps_list[0])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     ref = integrate(
         IncompressibleState(u0, phi0, cfg.model), c, _reference_stepper_config(cfg), samples
     )
@@ -261,24 +284,16 @@ def run_sweep(cfg: SweepConfig, c: Constitutive, parallel: int = 1) -> SweepResu
     ref_offsets = [
         parts[2] if t == 0.0 else _balanced_offset(ris.u, ris.phi, c) for t, ris in ref
     ]
+    leg_record = partial(_leg_record, cfg, c, parts, ref, ref_offsets, samples)
+    if parallel > 1:
+        # loaded here, so a serial sweep starts no multiprocessing machinery
+        from concurrent.futures import ProcessPoolExecutor
 
-    def record(eps, leg) -> EpsRecord:
-        if isinstance(leg, NumericsError):
-            return EpsRecord(eps=eps, failed=True, reason=str(leg))
-        return _eval_record(cfg, c, eps, leg, ref, ref_offsets, samples)
-
-    run_leg = partial(_run_compressible_leg, cfg, c, parts, samples=samples)
-    # a fork-based pool starts every worker at its first task
-    pool = (
-        ProcessPoolExecutor(max_workers=min(parallel, len(cfg.eps_list)))
-        if parallel > 1
-        else nullcontext()
-    )
-    with pool as ex:
-        legs = (map if ex is None else ex.map)(run_leg, cfg.eps_list)
-        # map drops each leg once its record is made, so a serial sweep
-        # holds one leg's samples (their fields and band stacks) at a time
-        records = list(map(record, cfg.eps_list, legs))
+        # a fork-based pool starts every worker at its first task
+        with ProcessPoolExecutor(max_workers=min(parallel, len(cfg.eps_list))) as ex:
+            records = list(ex.map(leg_record, cfg.eps_list))
+    else:
+        records = list(map(leg_record, cfg.eps_list))
 
     slopes = {}
     for family in ERROR_FAMILIES:

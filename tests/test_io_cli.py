@@ -4,7 +4,9 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import tempfile
 import threading
@@ -17,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import torusflow.cli as cli_module
+import torusflow.dynamics as dynamics_module
 import torusflow.stepper as stepper_module
 from torusflow.cli import main
 from torusflow.constitutive import Constitutive, ModelKind
@@ -1206,6 +1209,51 @@ def test_cli_rejects_eps_past_the_low_mach_range(tmp_path, capsys):
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("config error") and "admit eps <=" in err and "Traceback" not in err
+
+
+def eleven_sample_sweep_file(tmp_path):
+    # the default samples: 11 equispaced times
+    return write_json(
+        tmp_path,
+        "cli_sweep_11.json",
+        {"model": "nsch", "grid": {"n": 32}, "sweep": {"eps_list": [0.4, 0.2], "t_end": 0.02}},
+    )
+
+
+def test_cli_sweep_solves_the_initial_pressure_once(tmp_path, monkeypatch, capsys):
+    # the low-Mach rule reads the sweep's own pi0: one solve at t = 0 and
+    # one at each later sample of the reference
+    calls = []
+    real = dynamics_module._incompressible_pressure
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(dynamics_module, "_incompressible_pressure", counted)
+    cfg = eleven_sample_sweep_file(tmp_path)
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 11
+    capsys.readouterr()
+
+
+def test_cli_serial_sweep_loads_no_process_pool(tmp_path):
+    # the pool and multiprocessing behind it load only for --parallel > 1
+    cfg = eleven_sample_sweep_file(tmp_path)
+    script = (
+        "import sys\n"
+        "import torusflow.cli\n"
+        f"assert torusflow.cli.main(['sweep', '--config', {str(cfg)!r}, "
+        f"'--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))\n"
+    )
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_cli_sweep_all_failed_exits_3(tmp_path, capsys):

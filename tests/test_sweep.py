@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import re
 import weakref
@@ -12,13 +13,15 @@ from torusflow.dynamics import (
     IncompressibleState,
     _incompressible_pressure,
     _prepared_parts,
+    _prepared_state,
     initial_from_preset,
     primitives,
 )
-from torusflow.errors import NumericsError
+from torusflow.errors import ConfigError, NumericsError
 from torusflow.spectral import Field, TorusGrid, hermitian_sq, hs_norm, l2_norm
 from torusflow.stepper import integrate
 from torusflow.sweep import (
+    EpsRecord,
     SweepConfig,
     acoustic_dispersion_check,
     fit_rate,
@@ -227,7 +230,7 @@ def test_eval_record_equals_the_allocating_formulas_bit_for_bit(model):
     parts = _prepared_parts(u0, phi0, cfg.seed, c)
     res = run_sweep(cfg, c)
     for rec, eps in zip(res.records, cfg.eps_list):
-        leg = sweep_module._run_compressible_leg(cfg, c, parts, eps, samples)
+        leg = integrate(_prepared_state(parts, eps, cfg.kappa0, model), c, stepper_cfg, samples)
         want = [v.hex() for v in _alloc_record_errors(cfg, eps, leg, ref, offsets, samples)]
         got = sweep_module._eval_record(cfg, c, eps, leg, ref, offsets, samples)
         assert [getattr(got, fam).hex() for fam in FAMILIES] == want
@@ -259,8 +262,10 @@ def test_stiff_sweep_err_u_falls_like_eps_squared_to_a_floor():
 @pytest.fixture
 def inline_pool(monkeypatch):
     """Replace the sweep's process pool by one that runs each leg inline
-    and starts no process; returns the max_workers of each pool made."""
+    and starts no process; returns the max_workers of each pool made, then
+    the list of what its map yielded."""
     seen = []
+    yielded = []
 
     class InlinePool:
         def __init__(self, max_workers):
@@ -273,10 +278,13 @@ def inline_pool(monkeypatch):
             return False
 
         def map(self, fn, *iterables):
-            return map(fn, *iterables)
+            for out in map(fn, *iterables):
+                yielded.append(out)
+                yield out
 
-    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", InlinePool)
-    return seen
+    # run_sweep imports the pool from concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return seen, yielded
 
 
 def test_run_sweep_caps_workers_at_the_leg_count(inline_pool):
@@ -284,7 +292,8 @@ def test_run_sweep_caps_workers_at_the_leg_count(inline_pool):
     # submit, so --parallel 64 on a 2-leg sweep must ask for 2
     cfg = smoke_config()
     res = run_sweep(cfg, Constitutive(), parallel=64)
-    assert inline_pool and all(k <= len(cfg.eps_list) for k in inline_pool)
+    seen, _ = inline_pool
+    assert seen and all(k <= len(cfg.eps_list) for k in seen)
     assert [r.eps for r in res.records] == list(cfg.eps_list)
     assert not any(r.failed for r in res.records)
 
@@ -324,26 +333,24 @@ def test_run_sweep_reuses_the_initial_pressure(monkeypatch):
     assert not any(r.failed for r in res.records)
 
 
-def test_serial_sweep_holds_one_leg_at_a_time(monkeypatch):
-    # each leg's trajectory is freed once its record is made, before the
-    # next leg is integrated
-    class Trajectory(list):
-        pass
-
+def test_serial_sweep_holds_at_most_two_leg_samples(monkeypatch):
+    # each sample is evaluated as it is stepped to and dropped before the
+    # next one is formed: a leg's memory does not grow with its samples,
+    # and no state of an earlier leg outlives it
     held = []
     live = []
-    real = sweep_module._run_compressible_leg
+    real = sweep_module.modulated_energy
 
-    def tracked(*args, **kwargs):
+    def tracked(cs, ris, c):
+        held.append(weakref.ref(cs))
         live.append(sum(ref() is not None for ref in held))
-        traj = Trajectory(real(*args, **kwargs))
-        held.append(weakref.ref(traj))
-        return traj
+        return real(cs, ris, c)
 
-    monkeypatch.setattr(sweep_module, "_run_compressible_leg", tracked)
-    cfg = smoke_config(eps_list=(0.4, 0.2, 0.1), sample_times=(0.0, 0.01))
+    monkeypatch.setattr(sweep_module, "modulated_energy", tracked)
+    cfg = smoke_config(eps_list=(0.4, 0.2), sample_times=None)
     res = run_sweep(cfg, Constitutive())
-    assert live == [0, 0, 0]
+    assert len(live) == 2 * 11
+    assert max(live) <= 2, live
     assert not any(r.failed for r in res.records)
 
 
@@ -355,7 +362,11 @@ def test_run_sweep_records_failed_leg(inline_pool, parallel):
     c = Constitutive()
     cfg = smoke_config(eps_list=(0.4,), sample_times=(0.0, 0.02), kappa0=2000.0)
     res = run_sweep(cfg, c, parallel=parallel)
-    assert inline_pool == ([] if parallel == 1 else [1])
+    seen, yielded = inline_pool
+    assert seen == ([] if parallel == 1 else [1])
+    # a worker returns the leg's record, failed or not, not its samples
+    assert yielded == ([] if parallel == 1 else list(res.records))
+    assert all(isinstance(r, EpsRecord) for r in yielded)
     rec = res.records[0]
     assert rec.failed
     assert re.fullmatch(
@@ -363,6 +374,45 @@ def test_run_sweep_records_failed_leg(inline_pool, parallel):
     )
     assert math.isnan(rec.err_u)
     assert res.slopes == {}
+
+
+@pytest.mark.parametrize("parallel", [1, 2], ids=["serial", "pool"])
+def test_run_sweep_records_a_leg_that_fails_while_stepping(inline_pool, parallel):
+    # at kappa0 1500 the eps 0.2 data are positive but reach vacuum in the
+    # second step, while the eps 0.1 leg, a quarter the perturbation,
+    # finishes: the failed leg keeps the step's reason and the other its
+    # errors
+    cfg = SweepConfig(model=ModelKind.AC, eps_list=(0.2, 0.1), n=16, t_end=0.05, kappa0=1500.0)
+    res = run_sweep(cfg, Constitutive(), parallel=parallel)
+    failed, done = res.records
+    assert failed.failed and re.fullmatch(
+        r"step failed at t = 0\.005: rhs_compressible_hat: density reached -\S+ "
+        r"at grid index \(\d+, \d+\)",
+        failed.reason,
+    )
+    assert not done.failed and all(math.isfinite(getattr(done, fam)) for fam in FAMILIES)
+    assert res.slopes == {}
+
+
+def test_run_sweep_propagates_an_error_of_the_evaluation(monkeypatch):
+    # only a leg's building and stepping fail the leg; a NumericsError of a
+    # sample's evaluation stops the sweep
+    def failing(cs, ris, c):
+        raise NumericsError("evaluation failed")
+
+    monkeypatch.setattr(sweep_module, "modulated_energy", failing)
+    with pytest.raises(NumericsError, match="^evaluation failed$"):
+        run_sweep(smoke_config(), Constitutive())
+
+
+def test_run_sweep_past_the_low_mach_range_is_a_config_error(monkeypatch):
+    # the largest eps is checked on the sweep's own prepared data, before
+    # the reference takes a step
+    integrated = []
+    monkeypatch.setattr(sweep_module, "integrate", lambda *a, **k: integrated.append(a))
+    with pytest.raises(ConfigError, match=r"admit eps <= \S+$"):
+        run_sweep(smoke_config(eps_list=(1.5, 0.2)), Constitutive())
+    assert integrated == []
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,6 @@ from .spectral import (
     hs_norm,
     integral,
     l2_norm,
-    random_band_limited,
     refine,
 )
 from .stepper import (
@@ -105,7 +104,6 @@ __all__ = [
     "modulated_energy",
     "picard_step",
     "primitives",
-    "random_band_limited",
     "read_snapshot",
     "refine",
     "run_sweep",

@@ -55,7 +55,6 @@ from .spectral import (
     batch_rfft,
     divergence,
     hs_norm,
-    random_band_limited,
 )
 
 
@@ -588,6 +587,79 @@ def _balanced_offset(u: VectorField, phi: Field, c: Constitutive) -> np.ndarray:
     return _incompressible_pressure(u, phi, c) / float(c.pressure_prime(1.0))
 
 
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the stream's increment and
+# the 64-bit finaliser, which the key folding and the draws share
+_GAMMA = 0x9E3779B97F4A7C15
+_MASK64 = (1 << 64) - 1
+
+
+def _mix64(z):
+    """SplitMix64's finaliser on a Python int or a uint64 array, wrapping
+    mod 2^64."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _seed_key(seed: int) -> int:
+    """The 64-bit key of a seed >= 0: its 64-bit limbs, low first, each
+    folded in by one SplitMix64 step, so a seed of any size has a key."""
+    key = 0
+    while True:
+        key = _mix64(((key ^ (seed & _MASK64)) + _GAMMA) & _MASK64)
+        seed >>= 64
+        if not seed:
+            return key
+
+
+def _keyed_normals(seed: int, shape: tuple) -> np.ndarray:
+    """Standard normals of the given shape: the one at flat index c is
+    Box-Muller on the outputs 2c and 2c + 1 of the SplitMix64 stream keyed
+    by the seed, so it depends on (seed, c) alone and on no numpy
+    generator."""
+    count = math.prod(shape)
+    pos = np.arange(1, 2 * count + 1, dtype=np.uint64)
+    words = _mix64(np.uint64(_seed_key(seed)) + pos * np.uint64(_GAMMA))
+    # the top 53 bits as a uniform in (0, 1], so the logarithm is finite
+    uni = (((words >> 11) + 1).astype(float) * 2.0**-53).tolist()
+    # math's libm, not numpy's SIMD loops, whose last bits vary with the CPU
+    z = [
+        math.sqrt(-2.0 * math.log(a)) * math.cos(2.0 * math.pi * b)
+        for a, b in zip(uni[0::2], uni[1::2])
+    ]
+    return np.array(z).reshape(shape)
+
+
+def _seeded_perturbations(g: TorusGrid, seed: int) -> list:
+    """The prepared data's d + 2 raw perturbations (r1, r2, r3) of a seed.
+
+    Field j's coefficient A_j(k) on |k_axis| <= _PERT_KMAX, real part then
+    imaginary part, is a _keyed_normals draw at a counter set by (j, k,
+    part) and _PERT_KMAX alone, so the kept coefficients c_k = fhat_k/n^d
+    are the same at every n.  Each field keeps the Hermitian part
+    (A(k) + conj A(-k))/2 on |k_axis| <= kmax = min(_PERT_KMAX, cutoff),
+    tapered by exp(-|k|^2/(2 kmax)), with mean zero."""
+    d = g.dim
+    m = 2 * _PERT_KMAX + 1
+    z = _keyed_normals(seed, (d + 2, m, m, 2))
+    a = z[..., 0] + 1j * z[..., 1]
+    # a[:, i, j] is the mode (i - _PERT_KMAX, j - _PERT_KMAX); reversing
+    # both axes maps k to -k
+    herm = 0.5 * (a + np.conj(a[:, ::-1, ::-1]))
+    kmax = min(_PERT_KMAX, g.dealias_cutoff)
+    ks = range(-kmax, kmax + 1)
+    taper = [[math.exp(-(kx * kx + ky * ky) / (2.0 * kmax)) for ky in ks[kmax:]] for kx in ks]
+    lo, hi = _PERT_KMAX - kmax, _PERT_KMAX + kmax + 1
+    block = herm[:, lo:hi, _PERT_KMAX:hi] * np.array(taper)
+    block[:, kmax, 0] = 0.0
+    out = []
+    for b in block:
+        half = np.zeros(g.rshape, dtype=complex)
+        half[list(ks), : kmax + 1] = b * float(g.n) ** d
+        out.append(Field(g, g.irfft(half)))
+    return out
+
+
 def _prepared_parts(u0: VectorField, phi0: Field, seed: int, c: Constitutive) -> tuple:
     """The eps-free part of well_prepared_initial's data, (u0, phi0,
     pi0/P'(1), r1, r2, r3): a sweep builds it once and scales it for each
@@ -597,12 +669,7 @@ def _prepared_parts(u0: VectorField, phi0: Field, seed: int, c: Constitutive) ->
     if div_max > 1e-10:
         raise ValueError(f"u0 is not divergence-free: max |div u0| = {div_max:.3e}")
 
-    rng = np.random.default_rng(seed)
-    kmax = min(_PERT_KMAX, g.dealias_cutoff)
-    r1 = random_band_limited(g, rng, kmax)
-    r2 = [random_band_limited(g, rng, kmax) for _ in range(g.dim)]
-    r3 = random_band_limited(g, rng, kmax)
-
+    r1, *r2, r3 = _seeded_perturbations(g, seed)
     r1 = Field(g, r1.values / hs_norm(r1, 3))
     r2_scale = np.sqrt(sum(hs_norm(comp, 3) ** 2 for comp in r2))
     r2 = [Field(g, comp.values / r2_scale) for comp in r2]
@@ -700,8 +767,8 @@ def _preset(name: str):
 
 def _check_initial(preset: str, kappa0: float, seed: int) -> None:
     """The rule of the initial data of runs and sweeps: a known preset,
-    kappa0 >= 0 (NaN fails the comparison) and a seed that numpy's
-    generator takes."""
+    kappa0 >= 0 (NaN fails the comparison) and a seed >= 0, whose 64-bit
+    limbs _seed_key folds into the key of the perturbation draws."""
     _preset(preset)
     if not kappa0 >= 0:
         raise ValueError(f"kappa0 must be nonnegative, got {kappa0}")

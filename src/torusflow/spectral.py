@@ -531,21 +531,3 @@ def refine(f, *, size=None, out=None, work=None) -> np.ndarray:
     out *= (nf / g.n) ** g.dim
     return out[0] if isinstance(f, Field) else out
 
-
-def random_band_limited(
-    grid: TorusGrid, rng: np.random.Generator, kmax: int, zero_mean: bool = True
-) -> Field:
-    """Smooth random real field with modes confined to |k_axis| <= kmax.
-
-    Draws a full complex spectrum A and keeps its Hermitian part
-    (A(k) + conj A(-k)) / 2, the spectrum of a real field.
-    """
-    spec = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    axes = tuple(range(grid.dim))
-    mirror = np.conj(np.roll(np.flip(spec, axes), 1, axes))  # conj A(-k)
-    half = 0.5 * (spec + mirror)[..., : grid.n // 2 + 1]
-    keep = grid.rband_mask(kmax)
-    half = np.where(keep, half * np.exp(-grid.rk_squared / (2.0 * kmax)), 0.0)
-    if zero_mean:
-        half[(0,) * grid.dim] = 0.0
-    return Field(grid, grid.irfft(half))

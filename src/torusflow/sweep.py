@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -170,14 +169,27 @@ def _leg_samples(cfg: SweepConfig, c: Constitutive, parts, eps: float, samples):
 def _leg_record(cfg, c, parts, ref, ref_offsets, samples, eps: float) -> EpsRecord:
     """One compressible leg's record.  Each sample is evaluated as it is
     stepped to, so a leg holds at most two samples at a time; a leg that a
-    NumericsError stops is recorded as failed with its reason.
-    Module-level so that a process pool's workers run it and return the
-    record."""
+    NumericsError stops is recorded as failed with its reason."""
     stepped = _leg_samples(cfg, c, parts, eps, samples)
     try:
         return _eval_record(cfg, c, eps, stepped, ref, ref_offsets, samples)
     except _LegStopped as stop:
         return EpsRecord(eps=eps, failed=True, reason=str(stop.__cause__))
+
+
+# a pool worker's sweep: _leg_record's arguments but the eps, handed to the
+# worker once by the pool's initializer, so each task carries only its eps
+_pool_shared = None
+
+
+def _init_pool_worker(*shared) -> None:
+    global _pool_shared
+    _pool_shared = shared
+
+
+def _pool_leg(eps: float) -> EpsRecord:
+    """One leg's record in a pool worker, which returns it."""
+    return _leg_record(*_pool_shared, eps)
 
 
 def _hs_sq(g: TorusGrid, fh: np.ndarray, w: np.ndarray, work: np.ndarray) -> float:
@@ -284,16 +296,20 @@ def run_sweep(cfg: SweepConfig, c: Constitutive, parallel: int = 1) -> SweepResu
     ref_offsets = [
         parts[2] if t == 0.0 else _balanced_offset(ris.u, ris.phi, c) for t, ris in ref
     ]
-    leg_record = partial(_leg_record, cfg, c, parts, ref, ref_offsets, samples)
+    shared = (cfg, c, parts, ref, ref_offsets, samples)
     if parallel > 1:
         # loaded here, so a serial sweep starts no multiprocessing machinery
         from concurrent.futures import ProcessPoolExecutor
 
         # a fork-based pool starts every worker at its first task
-        with ProcessPoolExecutor(max_workers=min(parallel, len(cfg.eps_list))) as ex:
-            records = list(ex.map(leg_record, cfg.eps_list))
+        with ProcessPoolExecutor(
+            max_workers=min(parallel, len(cfg.eps_list)),
+            initializer=_init_pool_worker,
+            initargs=shared,
+        ) as ex:
+            records = list(ex.map(_pool_leg, cfg.eps_list))
     else:
-        records = list(map(leg_record, cfg.eps_list))
+        records = [_leg_record(*shared, eps) for eps in cfg.eps_list]
 
     slopes = {}
     for family in ERROR_FAMILIES:

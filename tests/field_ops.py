@@ -3,6 +3,8 @@
 Each operator applies its symbol to the half spectrum of a ``Field`` and
 transforms back, one field at a time.  The solver's kernels work on band
 stacks with their own symbols; the kernel tests compare them against these.
+``random_band_limited`` draws the tests' random fields from a numpy
+``Generator``; the solver's own seeded data do not use numpy's generators.
 """
 
 import numpy as np
@@ -67,3 +69,22 @@ def leray_project(v: VectorField) -> VectorField:
         irr[(0,) * g.dim] = 0.0
         out.append(Field(g, g.irfft(vh - irr)))
     return VectorField(tuple(out))
+
+
+def random_band_limited(
+    grid: TorusGrid, rng: np.random.Generator, kmax: int, zero_mean: bool = True
+) -> Field:
+    """Smooth random real field with modes confined to |k_axis| <= kmax.
+
+    Draws a full complex spectrum A and keeps its Hermitian part
+    (A(k) + conj A(-k)) / 2, the spectrum of a real field.
+    """
+    spec = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    axes = tuple(range(grid.dim))
+    mirror = np.conj(np.roll(np.flip(spec, axes), 1, axes))  # conj A(-k)
+    half = 0.5 * (spec + mirror)[..., : grid.n // 2 + 1]
+    keep = grid.rband_mask(kmax)
+    half = np.where(keep, half * np.exp(-grid.rk_squared / (2.0 * kmax)), 0.0)
+    if zero_mean:
+        half[(0,) * grid.dim] = 0.0
+    return Field(grid, grid.irfft(half))

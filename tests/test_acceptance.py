@@ -44,7 +44,6 @@ from torusflow.spectral import (
     batch_rfft,
     hermitian_sq,
     l2_norm,
-    random_band_limited,
 )
 from torusflow.stepper import (
     PicardOptions,
@@ -55,7 +54,7 @@ from torusflow.stepper import (
 )
 from torusflow.sweep import SweepConfig, run_sweep
 
-from field_ops import constant_field
+from field_ops import constant_field, random_band_limited
 
 # Frozen regression constants for the modulated-energy envelope, calibrated
 # once from the default sweep (observed sup_t distance/eps: 0.28 conserved,

@@ -9,7 +9,10 @@ from torusflow.constitutive import Constitutive, ModelKind
 from torusflow.dynamics import (
     CompressibleState,
     IncompressibleState,
+    _keyed_normals,
     _leray_hat,
+    _prepared_parts,
+    _seed_key,
     initial_from_preset,
     make_compressible,
     primitives,
@@ -27,10 +30,16 @@ from torusflow.spectral import (
     divergence,
     hs_norm,
     integral,
-    random_band_limited,
 )
 
-from field_ops import constant_field, dealias, gradient, laplacian, leray_project
+from field_ops import (
+    constant_field,
+    dealias,
+    gradient,
+    laplacian,
+    leray_project,
+    random_band_limited,
+)
 
 
 def div_free_noise(g, rng, kmax=5):
@@ -537,6 +546,54 @@ def test_well_prepared_deterministic(g2):
     assert np.array_equal(a.q.values, b.q.values)
     c = well_prepared_initial(u0, phi0, 0.2, 0.1, 8, ModelKind.CH)
     assert not np.array_equal(a.rho.values, c.rho.values)
+
+
+def _perturbation_coefficients(n: int, seed: int) -> np.ndarray:
+    """The coefficients c_k = fhat_k/n^2 on |k_axis| <= 4 of the prepared
+    data's normalised perturbations r1, r2, r3 at grid size n."""
+    g = TorusGrid(2, n)
+    u0, phi0 = initial_from_preset("taylor_green_bubble", g)
+    _, _, _, r1, r2, r3 = _prepared_parts(u0, phi0, seed, Constitutive())
+    rows = list(range(-4, 5))
+    return np.array([g.rfft(f.values)[rows, :5] / n**2 for f in (r1, *r2, r3)])
+
+
+def test_seeded_perturbations_are_the_same_at_every_n():
+    # each coefficient is drawn by wavenumber, so a finer grid carries the
+    # same perturbation, up to the rounding of the transforms
+    want = _perturbation_coefficients(128, 11)
+    assert np.min(np.abs(want[:, 3:6, 1:4])) > 1e-6
+    for n in (32, 64):
+        got = _perturbation_coefficients(n, 11)
+        assert np.max(np.abs(got - want)) < 1e-15, n
+
+
+def test_keyed_draws_are_pinned():
+    # the key of seed 0 is SplitMix64's first output from the state 0
+    assert _seed_key(0) == 0xE220A8397B1DCDAF
+    # a seed's 64-bit limbs all enter its key
+    assert _seed_key(2**64 + 5) != _seed_key(5)
+    pinned = {
+        0: ("-0x1.1d916340baa6cp-2", "-0x1.8748380e74af6p-1"),
+        11: ("-0x1.c5fe9cf762253p-4", "0x1.990daff787e02p-1"),
+        2**64 + 5: ("0x1.c04a5cc73901ep-1", "-0x1.1fc02cf90de4fp+0"),
+    }
+    for seed, hexes in pinned.items():
+        assert tuple(float(z).hex() for z in _keyed_normals(seed, (2,))) == hexes, seed
+    # a draw depends on its seed and index only, not on how many are drawn
+    assert _keyed_normals(11, (4, 5))[0, 1] == _keyed_normals(11, (2,))[1]
+
+
+def test_keyed_draws_are_standard_normal():
+    z = _keyed_normals(3, (100_000,))
+    assert abs(np.mean(z)) < 0.015
+    assert np.var(z) == pytest.approx(1.0, abs=0.015)
+    assert np.mean(z**4) == pytest.approx(3.0, abs=0.1)
+
+
+def test_seeds_give_distinct_first_coefficients():
+    firsts = {float(_keyed_normals(seed, (1,))[0]) for seed in range(1001)}
+    assert len(firsts) == 1001
 
 
 def test_well_prepared_rejects_divergent_velocity(g2, rng):

@@ -1256,6 +1256,35 @@ def test_cli_serial_sweep_loads_no_process_pool(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def test_cli_run_and_serial_sweep_load_no_numpy_random(tmp_path):
+    # the seeded perturbations come from the package's own keyed draws, so
+    # neither a compressible run nor a serial sweep imports numpy.random
+    run_cfg = run_config_file(
+        tmp_path,
+        model="nsch",
+        regime="compressible",
+        eps=0.4,
+        stepper={"dt_override": 1e-4, "t_end": 5e-4},
+    )
+    sweep_cfg = eleven_sample_sweep_file(tmp_path)
+    script = (
+        "import sys\n"
+        "import torusflow.cli\n"
+        f"assert torusflow.cli.main(['run', '--config', {str(run_cfg)!r}, "
+        f"'--out', {str(tmp_path / 'run')!r}, '--quiet']) == 0\n"
+        f"assert torusflow.cli.main(['sweep', '--config', {str(sweep_cfg)!r}, "
+        f"'--out', {str(tmp_path / 'sweep')!r}]) == 0\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_cli_sweep_all_failed_exits_3(tmp_path, capsys):
     cfg = write_json(
         tmp_path,
@@ -1368,7 +1397,7 @@ def test_load_config_yields_finite_numbers_or_config_error(tmp_path, slots):
     assert all(math.isfinite(x) for x in _numbers(cfg))
     # eps**2 is a normal float: 1/eps**2 is finite
     assert cfg.eps is None or cfg.eps**2 >= sys.float_info.min
-    assert cfg.seed >= 0  # np.random.default_rng rejects a negative seed
+    assert cfg.seed >= 0  # the perturbations' key folds a nonnegative seed
     assert cfg.stepper.scheme in ("rk4", "picard")
     assert cfg.initial in PRESETS
     assert cfg.outdir is None or isinstance(cfg.outdir, str)
@@ -1417,7 +1446,7 @@ def test_load_sweep_config_yields_config_or_config_error(tmp_path, slots):
     assert isinstance(cfg, SweepConfig)
     assert all(math.isfinite(x) for x in _numbers(cfg))
     assert all(eps**2 >= sys.float_info.min for eps in cfg.eps_list)
-    assert cfg.seed >= 0  # np.random.default_rng rejects a negative seed
+    assert cfg.seed >= 0  # the perturbations' key folds a nonnegative seed
     assert isinstance(cfg.eps_list, tuple) and cfg.initial in PRESETS
     assert cfg.sample_times is None or isinstance(cfg.sample_times, tuple)
 

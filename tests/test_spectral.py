@@ -17,7 +17,6 @@ from torusflow.spectral import (
     hs_norm,
     integral,
     l2_norm,
-    random_band_limited,
     refine,
     refine_work_size,
 )
@@ -30,6 +29,7 @@ from field_ops import (
     gradient,
     laplacian,
     leray_project,
+    random_band_limited,
     rdealias_mask,
 )
 

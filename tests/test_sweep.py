@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+import pickle
 import re
 import weakref
 
@@ -261,15 +262,19 @@ def test_stiff_sweep_err_u_falls_like_eps_squared_to_a_floor():
 
 @pytest.fixture
 def inline_pool(monkeypatch):
-    """Replace the sweep's process pool by one that runs each leg inline
-    and starts no process; returns the max_workers of each pool made, then
-    the list of what its map yielded."""
+    """Replace the sweep's process pool by one that runs its initializer
+    and each leg inline and starts no process; returns the max_workers of
+    each pool made, the list of what its map yielded and the pickled size
+    in bytes of each task it was given."""
     seen = []
     yielded = []
+    task_bytes = []
 
     class InlinePool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None, initargs=()):
             seen.append(max_workers)
+            if initializer is not None:
+                initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -278,13 +283,17 @@ def inline_pool(monkeypatch):
             return False
 
         def map(self, fn, *iterables):
-            for out in map(fn, *iterables):
+            for args in zip(*iterables):
+                task_bytes.append(len(pickle.dumps((fn, args))))
+                out = fn(*args)
                 yielded.append(out)
                 yield out
 
     # run_sweep imports the pool from concurrent.futures when it needs one
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    return seen, yielded
+    # what the initializer hands the inline workers goes with the test
+    monkeypatch.setattr(sweep_module, "_pool_shared", None)
+    return seen, yielded, task_bytes
 
 
 def test_run_sweep_caps_workers_at_the_leg_count(inline_pool):
@@ -292,9 +301,20 @@ def test_run_sweep_caps_workers_at_the_leg_count(inline_pool):
     # submit, so --parallel 64 on a 2-leg sweep must ask for 2
     cfg = smoke_config()
     res = run_sweep(cfg, Constitutive(), parallel=64)
-    seen, _ = inline_pool
+    seen, _, _ = inline_pool
     assert seen and all(k <= len(cfg.eps_list) for k in seen)
     assert [r.eps for r in res.records] == list(cfg.eps_list)
+    assert not any(r.failed for r in res.records)
+
+
+def test_a_pooled_task_carries_only_its_eps(inline_pool):
+    # the reference trajectory and the prepared data reach each worker once,
+    # through the pool's initializer; a task is the leg function and its eps
+    cfg = smoke_config(n=64, eps_list=(0.4, 0.2), sample_times=None)
+    res = run_sweep(cfg, Constitutive(), parallel=2)
+    _, _, task_bytes = inline_pool
+    assert len(task_bytes) == 2
+    assert max(task_bytes) < 10_000, task_bytes
     assert not any(r.failed for r in res.records)
 
 
@@ -362,7 +382,7 @@ def test_run_sweep_records_failed_leg(inline_pool, parallel):
     c = Constitutive()
     cfg = smoke_config(eps_list=(0.4,), sample_times=(0.0, 0.02), kappa0=2000.0)
     res = run_sweep(cfg, c, parallel=parallel)
-    seen, yielded = inline_pool
+    seen, yielded, _ = inline_pool
     assert seen == ([] if parallel == 1 else [1])
     # a worker returns the leg's record, failed or not, not its samples
     assert yielded == ([] if parallel == 1 else list(res.records))
@@ -378,11 +398,11 @@ def test_run_sweep_records_failed_leg(inline_pool, parallel):
 
 @pytest.mark.parametrize("parallel", [1, 2], ids=["serial", "pool"])
 def test_run_sweep_records_a_leg_that_fails_while_stepping(inline_pool, parallel):
-    # at kappa0 1500 the eps 0.2 data are positive but reach vacuum in the
+    # at kappa0 1155 the eps 0.2 data are positive but reach vacuum in the
     # second step, while the eps 0.1 leg, a quarter the perturbation,
     # finishes: the failed leg keeps the step's reason and the other its
     # errors
-    cfg = SweepConfig(model=ModelKind.AC, eps_list=(0.2, 0.1), n=16, t_end=0.05, kappa0=1500.0)
+    cfg = SweepConfig(model=ModelKind.AC, eps_list=(0.2, 0.1), n=16, t_end=0.05, kappa0=1155.0)
     res = run_sweep(cfg, Constitutive(), parallel=parallel)
     failed, done = res.records
     assert failed.failed and re.fullmatch(
